@@ -4,8 +4,12 @@ The dimension of a module with respect to a multiplicative set S is found
 by walking (co)syzygies and certifying the first S-split level: a syzygy
 K is S-projective exactly when some s in S admits a section pi' of a free
 cover pi with pi . pi' = s Id, and dually with a retraction of the
-canonical embedding into an injective module.  Search order over S is
-always canonical, so reported witnesses are deterministic.
+canonical embedding into an injective module.  Each such question is one
+linear system whose unknowns are the images of the generators of a free
+presentation; the right-hand sides of every s in S are decided by one
+elimination, and the witness is the first consistent s in canonical
+order, so reported witnesses are deterministic.  Every split map is
+re-verified before it is returned.
 
 Values are either exact or "larger than the search bound", and every
 comparison on them is three-valued (True / False / None) because bound
@@ -43,11 +47,13 @@ from .modules import (
     SIsoWitness,
     cap_chain,
     character_dual,
+    free_module,
     hom_space,
     is_s_isomorphism,
     quotient_by_columns,
     regular_module,
     s_exactness_check,
+    same_module,
     subquotient,
 )
 from .homology import ext, injective_cocover, resolution
@@ -209,55 +215,104 @@ class SplitWitness:
 
 
 def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """Solve for a section or retraction, trying each s in canonical order."""
-    p = cover.ring.p
+    """Find the first s in S, in canonical order, for which the cover splits.
+
+    Both kinds reduce to one problem: a free surjection C: F ->> X with
+    F = R^r, and a map psi: X -> F with C . psi = s Id_X.  For a section
+    C is the cover itself.  For a retraction q of iota: E -> I, q . iota
+    = s Id_E exactly when psi = q^T satisfies iota^T . psi = s Id_{E^*},
+    and iota^T starts at the character dual of I, which is free.
+
+    psi is solved for through the presentation: it is Phi . L for a right
+    inverse L of C, where Phi: F -> F sends generator j to y_j and kills
+    Ker C.  Then C . psi = s Id_X exactly when C y_j = s C(1_j) for every
+    j.  The unknowns are the r images y_j, and the right-hand sides of all
+    s in S are decided by one elimination.
+    """
+    ring = cover.ring
+    p, d = ring.p, ring.dim
     if kind == "section":
-        basis = hom_space(cover.target, cover.source)
-        mats = [(cover.matrix @ h.matrix) % p for h in basis]
-        certified = cover.target
+        pres, x_acts = cover.matrix, cover.target.actions
+        f_acts = cover.source.actions
     else:
-        basis = hom_space(cover.target, cover.source)
-        mats = [(h.matrix @ cover.matrix) % p for h in basis]
-        certified = cover.source
-    n = certified.vdim
-    if basis:
-        coeff = np.stack([m.reshape(-1) for m in mats], axis=1)
-    else:
-        coeff = gfmat.zeros(n * n, 0)
-    tried = []
-    for s in s_set:
-        rhs = certified.action_of(s).reshape(-1)
-        sol = gfmat.solve(coeff, rhs, p)
-        if sol is None:
-            tried.append(s)
-            continue
-        if basis:
-            mat = np.zeros_like(basis[0].matrix)
-            for c, h in zip(sol, basis):
-                mat = (mat + int(c) * h.matrix) % p
-        else:
-            mat = gfmat.zeros(cover.source.vdim, cover.target.vdim)
-        mapping = ModuleMap(cover.target, cover.source, mat)
-        witness = SplitWitness(kind, cover, s, mapping, tuple(tried))
-        if not witness.verify():
-            raise InternalInvariantViolation("split witness failed re-verification")
-        return witness
-    return SplitWitness(kind, cover, None, None, tuple(tried))
+        pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
+        f_acts = cover.target.actions.transpose(0, 2, 1)
+    n_x, n_f = pres.shape
+    r = n_f // d
+    elements = tuple(s_set)
+    # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
+    # whose ring coordinates k_j sit in block j
+    kernel = gfmat.nullspace(pres, p)
+    m = kernel.shape[1]
+    kills = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
+                      f_acts).reshape(m * n_f, r * n_f) % p
+    hits = np.kron(gfmat.identity(r), pres)
+    # right-hand sides: s C(1_j) for every generator j, one column per s
+    gens = (pres.reshape(n_x, r, d) @ ring.unit) % p
+    moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
+    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
+    rhs = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements)) % p
+    coeff = np.vstack([kills, hits])
+    rhs = np.vstack([gfmat.zeros(kills.shape[0], rhs.shape[1]), rhs])
+    found = gfmat.first_solvable_column(coeff, rhs, p)
+    if found is None:
+        return SplitWitness(kind, cover, None, None, elements)
+    k, y = found
+    images = y.reshape(r, n_f)
+    phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
+    right_inv = gfmat.solve(pres, gfmat.identity(n_x), p)
+    if right_inv is None:
+        raise InternalInvariantViolation("split search cover is not onto")
+    psi = (phi @ right_inv) % p
+    mapping = ModuleMap(cover.target, cover.source,
+                        psi if kind == "section" else psi.T)
+    witness = SplitWitness(kind, cover, elements[k], mapping, elements[:k])
+    if not witness.verify():
+        raise InternalInvariantViolation("split witness failed re-verification")
+    return witness
+
+
+def _require_free(mod: Module, what: str) -> None:
+    ring = mod.ring
+    r, extra = divmod(mod.vdim, ring.dim)
+    if extra or not np.array_equal(mod.actions, free_module(ring, r).actions):
+        raise InputError("%s is not a free module R^r in standard coordinates" % what)
 
 
 def is_s_projective(module: Module, s_set: MultSet,
                     cover: ModuleMap | None = None) -> SplitWitness:
-    """Search for s in S and a section pi': M -> F of a free cover pi."""
+    """Search for s in S and a section pi': M -> F of a free cover pi.
+
+    An explicit cover must be a surjection onto the module from a free
+    module R^r in the coordinates of free_module; InputError otherwise.
+    """
     if cover is None:
         cover = resolution(module).cover(0)
+    else:
+        _require_free(cover.source, "cover source")
+        if not same_module(cover.target, module):
+            raise InputError("cover does not end at the module")
+        if gfmat.rank(cover.matrix, module.ring.p) != module.vdim:
+            raise InputError("cover is not onto the module")
     return _split_search("section", cover, s_set)
 
 
 def is_s_injective(module: Module, s_set: MultSet,
                    cocover: ModuleMap | None = None) -> SplitWitness:
-    """Search for s in S and a retraction q: I -> M of the injective cocover."""
+    """Search for s in S and a retraction q: I -> M of the injective cocover.
+
+    An explicit cocover must embed the module into the character dual of
+    a free module R^r, as injective_cocover builds it; InputError
+    otherwise.
+    """
     if cocover is None:
         cocover = injective_cocover(module)
+    else:
+        _require_free(character_dual(cocover.target), "cocover target's dual")
+        if not same_module(cocover.source, module):
+            raise InputError("cocover does not start at the module")
+        if gfmat.rank(cocover.matrix, module.ring.p) != module.vdim:
+            raise InputError("cocover is not injective")
     return _split_search("retraction", cocover, s_set)
 
 
@@ -320,7 +375,7 @@ def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     levels = []
     value = DimValue.over(bound)
     for i in range(bound + 1):
-        witness = is_s_projective(res.syzygy(i), s_set, cover=res.cover(i))
+        witness = _split_search("section", res.cover(i), s_set)
         levels.append(witness)
         if witness.verdict:
             value = DimValue.exact(i)
@@ -344,7 +399,7 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     current = module
     for i in range(bound + 1):
         iota = injective_cocover(current)
-        witness = is_s_injective(current, s_set, cocover=iota)
+        witness = _split_search("retraction", iota, s_set)
         levels.append(witness)
         if witness.verdict:
             value = DimValue.exact(i)

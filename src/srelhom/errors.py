@@ -10,6 +10,7 @@ __all__ = [
     "WorkbenchError",
     "InputError",
     "NotPrimeChar",
+    "CharacteristicTooLarge",
     "NonAssociative",
     "NonCommutative",
     "BadUnit",
@@ -39,6 +40,16 @@ class NotPrimeChar(InputError):
     def __init__(self, p):
         super().__init__("characteristic %r is not a prime" % (p,))
         self.p = p
+
+
+class CharacteristicTooLarge(InputError):
+    """The characteristic is past the range int64 arithmetic keeps exact."""
+
+    def __init__(self, p, limit):
+        super().__init__("characteristic %r exceeds %d, the largest prime p with "
+                         "exact int64 arithmetic mod p" % (p, limit))
+        self.p = p
+        self.limit = limit
 
 
 class NonAssociative(InputError):

@@ -23,6 +23,7 @@ __all__ = [
     "rank",
     "nullspace",
     "solve",
+    "first_solvable_column",
     "inverse",
     "column_space",
     "in_column_span",
@@ -53,17 +54,22 @@ def modinv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def rref(a: np.ndarray, p: int,
+         pivot_cols: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of a mod p.
 
     Returns (R, pivots) where pivots[i] is the column of the leading 1 in
-    row i.  Rows below the pivot rows are zero.
+    row i.  Rows below the pivot rows are zero.  With pivot_cols = k only
+    the first k columns may hold pivots: the rest are carried along as
+    right-hand sides, and rows below the pivot rows are zero on the first
+    k columns only.
     """
     r = np.mod(a.astype(np.int64, copy=True), p)
     nrows, ncols = r.shape
+    limit = ncols if pivot_cols is None else pivot_cols
     pivots = []
     row = 0
-    for col in range(ncols):
+    for col in range(limit):
         if row >= nrows:
             break
         nz = np.nonzero(r[row:, col])[0]
@@ -115,14 +121,34 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if a.shape[0] != bm.shape[0]:
         raise ValueError("shape mismatch in solve: %s vs %s" % (a.shape, bm.shape))
     ncols = a.shape[1]
-    aug = np.hstack([np.mod(a, p), np.mod(bm, p)])
-    r, pivots = rref(aug, p)
-    if any(c >= ncols for c in pivots):
+    r, pivots = rref(np.hstack([a, bm]), p, pivot_cols=ncols)
+    if r[len(pivots):, ncols:].any():
         return None
     x = zeros(ncols, bm.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = r[i, ncols:]
+    x[list(pivots)] = r[:len(pivots), ncols:]
     return x[:, 0] if vec_in else x
+
+
+def first_solvable_column(a: np.ndarray, b: np.ndarray,
+                          p: int) -> tuple[int, np.ndarray] | None:
+    """First k with a @ x = b[:, k] solvable mod p, and that solution.
+
+    One elimination of [a | b] decides every column at once; the solution
+    is the one solve(a, b[:, k], p) returns.  None when no column is
+    consistent.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
+    ncols = a.shape[1]
+    r, pivots = rref(np.hstack([a, b]), p, pivot_cols=ncols)
+    rank = len(pivots)
+    solvable = np.flatnonzero(~r[rank:, ncols:].any(axis=0))
+    if solvable.size == 0:
+        return None
+    k = int(solvable[0])
+    x = np.zeros(ncols, dtype=np.int64)
+    x[list(pivots)] = r[:rank, ncols + k]
+    return k, x
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
@@ -148,21 +174,14 @@ def in_column_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
 def extend_to_basis(cols: np.ndarray, p: int) -> np.ndarray:
     """Standard basis vectors completing independent columns to a basis.
 
-    Greedy over e_0, e_1, ...: deterministic.  Returns an n x (n - k)
-    matrix D such that [cols | D] is invertible.
+    Greedy over e_0, e_1, ...: e_j is taken when it lies outside the span
+    of cols and the vectors taken before it.  Those are exactly the pivot
+    columns of the I block in rref([cols | I]), so one elimination
+    decides them all.  Returns an n x (n - k) matrix D such that
+    [cols | D] is invertible.
     """
     n, k = cols.shape
-    if rank(cols, p) != k:
+    _, pivots = rref(np.hstack([cols, identity(n)]), p)
+    if pivots[:k] != tuple(range(k)):
         raise ValueError("columns are not independent")
-    current = cols
-    extra = []
-    for j in range(n):
-        if current.shape[1] == n:
-            break
-        e = zeros(n, 1)
-        e[j, 0] = 1
-        cand = np.hstack([current, e])
-        if rank(cand, p) == current.shape[1] + 1:
-            current = cand
-            extra.append(e)
-    return np.hstack(extra) if extra else zeros(n, 0)
+    return identity(n)[:, [c - k for c in pivots[k:]]]

@@ -22,6 +22,7 @@ import numpy as np
 from . import gfmat
 from .errors import (
     BadUnit,
+    CharacteristicTooLarge,
     InputError,
     NonAssociative,
     NonCommutative,
@@ -53,6 +54,11 @@ __all__ = [
 # Exhaustive element sweeps (radical, ideal enumeration, complements) are
 # only sensible for small rings; this cap keeps them honest.
 MAX_ENUMERABLE = 1 << 16
+
+# Matrices are int64 arrays reduced into [0, p); products and matrix
+# products sum terms below p^2, so p^2 times a few billion must stay under
+# 2^63.  65521 is the largest prime below 2^16.
+MAX_CHARACTERISTIC = 65521
 
 
 def _is_prime(n: int) -> bool:
@@ -128,6 +134,9 @@ class FiniteAlgebra:
 
     def __init__(self, p: int, basis_labels, table, unit):
         self.p = int(p)
+        if self.p > MAX_CHARACTERISTIC:
+            # checked before any array is reduced mod p
+            raise CharacteristicTooLarge(self.p, MAX_CHARACTERISTIC)
         self.basis_labels = tuple(str(s) for s in basis_labels)
         self.dim = len(self.basis_labels)
         self.table = np.mod(np.array(table, dtype=np.int64), self.p)

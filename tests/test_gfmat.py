@@ -121,3 +121,78 @@ def test_modinv():
     for p in PRIMES:
         for a in range(1, p):
             assert (a * gfmat.modinv(a, p)) % p == 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_pivot_limit_keeps_right_hand_sides_out(p):
+    rng = random.Random(700 + p)
+    for _ in range(25):
+        rows, k = rng.randrange(6), rng.randrange(6)
+        a = random_matrix(rng, rows, k, p)
+        b = random_matrix(rng, rows, rng.randrange(4), p)
+        r, pivots = gfmat.rref(np.hstack([a, b]), p, pivot_cols=k)
+        plain, plain_pivots = gfmat.rref(a, p)
+        # the left block is eliminated exactly as on its own
+        assert pivots == plain_pivots
+        assert np.array_equal(r[:, :k], plain)
+        # a column of b is consistent exactly when it vanishes below the pivots
+        for j in range(b.shape[1]):
+            consistent = not r[len(pivots):, k + j].any()
+            assert consistent == (gfmat.solve(a, b[:, j], p) is not None)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_first_solvable_column_matches_solving_one_column_at_a_time(p):
+    rng = random.Random(800 + p)
+    for _ in range(40):
+        rows, k = rng.randrange(1, 6), rng.randrange(5)
+        a = random_matrix(rng, rows, k, p)
+        b = random_matrix(rng, rows, rng.randrange(1, 5), p)
+        if rng.random() < 0.5:
+            # plant a consistent column somewhere
+            b[:, rng.randrange(b.shape[1])] = (a @ random_matrix(rng, k, 1, p))[:, 0] % p
+        want = None
+        for j in range(b.shape[1]):
+            sol = gfmat.solve(a, b[:, j], p)
+            if sol is not None:
+                want = (j, sol)
+                break
+        got = gfmat.first_solvable_column(a, b, p)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+
+
+def greedy_extension(cols, p):
+    """The greedy definition: take e_j whenever it raises the rank."""
+    n = cols.shape[0]
+    current, extra = cols, []
+    for j in range(n):
+        e = gfmat.zeros(n, 1)
+        e[j, 0] = 1
+        cand = np.hstack([current, e])
+        if gfmat.rank(cand, p) == current.shape[1] + 1:
+            current = cand
+            extra.append(e)
+    return np.hstack(extra) if extra else gfmat.zeros(n, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extend_to_basis_matches_greedy_definition(p):
+    rng = random.Random(900 + p)
+    for _ in range(40):
+        n = rng.randrange(7)
+        a = random_matrix(rng, n, rng.randrange(n + 2), p)
+        cols = gfmat.column_space(a, p)
+        assert np.array_equal(gfmat.extend_to_basis(cols, p), greedy_extension(cols, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extend_to_basis_rejects_dependent_columns(p):
+    v = np.array([[1], [2], [0]], dtype=np.int64) % p
+    with pytest.raises(ValueError):
+        gfmat.extend_to_basis(np.hstack([v, (2 * v) % p]), p)
+    with pytest.raises(ValueError):
+        gfmat.extend_to_basis(gfmat.zeros(3, 1), p)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from srelhom import gfmat
 from srelhom.errors import (
     BadUnit,
+    CharacteristicTooLarge,
     InputError,
     NonAssociative,
     NonCommutative,
@@ -39,6 +41,22 @@ def test_prime_field_and_truncated_polynomial():
     t = r.basis_element(1)
     assert (t * t).label() == "t2"
     assert (t * t * t).is_zero()
+
+
+def test_characteristic_is_capped_at_the_int64_limit():
+    # 65521 is the largest prime below 2^16; products of residues and
+    # matrix products of them stay exact in int64
+    top = prime_field(65521)
+    minus_one = top.element([65520])
+    assert minus_one * minus_one == top.one
+    a = gfmat.mat([[65520, 65519], [3, 65520]], 65521)
+    assert np.array_equal((a @ gfmat.inverse(a, 65521)) % 65521, gfmat.identity(2))
+    # 65537 is the next prime, and the first characteristic refused
+    with pytest.raises(CharacteristicTooLarge) as info:
+        prime_field(65537)
+    assert info.value.p == 65537 and info.value.limit == 65521
+    with pytest.raises(InputError):
+        truncated_polynomial(65537, 2)
 
 
 def test_element_order_is_lexicographic(ring2):
