@@ -254,11 +254,11 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     rhs = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements)) % p
     coeff = np.vstack([kills, hits])
     rhs = np.vstack([gfmat.zeros(kills.shape[0], rhs.shape[1]), rhs])
-    found = gfmat.first_solvable_column(coeff, rhs, p)
-    if found is None:
+    ok, ys = gfmat.solve_each(coeff, rhs, p)
+    if not ok.any():
         return SplitWitness(kind, cover, None, None, elements)
-    k, y = found
-    images = y.reshape(r, n_f)
+    k = int(np.argmax(ok))
+    images = ys[:, k].reshape(r, n_f)
     phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
     right_inv = gfmat.solve(pres, gfmat.identity(n_x), p)
     if right_inv is None:
@@ -390,7 +390,8 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     The direct route walks cosyzygies C_0 = M, C_{i+1} = Coker(C_i -> I_i)
     through injective cocovers.  The value is cross-checked against the
     projective dimension of the character dual; any disagreement is an
-    engine bug, not a property of the input.
+    engine bug, not a property of the input.  The dual is cached on the
+    module, so the first cocover and the dual walk share one resolution.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
@@ -494,57 +495,47 @@ class SemisimpleReport:
     failures: tuple[tuple[RingElement, Ideal], ...]
 
 
-def _semisimple_generator(ring: FiniteAlgebra, ideal: Ideal,
-                          s: RingElement) -> RingElement | None:
-    """Find y in I with i y = s i for all i in I, or report infeasibility.
-
-    An R-linear f: R -> I is determined by y = f(1); the condition
-    f(i) = s i for i in I becomes the stacked linear system below.
-    """
-    if ideal.fdim == 0:
-        return ring.zero
-    p = ring.p
-    basis = ideal.basis
-    rows = []
-    rhs = []
-    for j in range(ideal.fdim):
-        gen = basis[:, j]
-        rows.append((ring.left_mul_matrix(gen) @ basis) % p)
-        rhs.append(ring.mul_vec(s.array, gen))
-    coeff = np.vstack(rows)
-    target = np.concatenate(rhs)
-    sol = gfmat.solve(coeff, target, p)
-    if sol is None:
-        return None
-    y = ring.element((basis @ sol) % p)
-    for j in range(ideal.fdim):
-        gen = ring.element(basis[:, j])
-        if gen * y != s * gen:
-            raise InternalInvariantViolation("semisimple generator fails re-check")
-    return y
-
-
 def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
     """First s in canonical order that projects onto every ideal at once.
 
     For each candidate s, every ideal I must admit an R-linear
     f_I: R -> I with f_I(i) = s i for all i in I; the single s has to
-    work for all ideals simultaneously.
+    work for all ideals simultaneously.  f_I is determined by y = f_I(1)
+    in I, and f_I(g) = s g for each basis vector g of I is one system per
+    ideal whose right-hand sides alone depend on s, so one elimination
+    per ideal decides every s.
     """
+    p = ring.p
     ideals = enumerate_ideals(ring)
+    elements = tuple(s_set)
+    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
+    solvable, solutions = [], []
+    for ideal in ideals:
+        basis, k = ideal.basis, ideal.fdim
+        # mults[j] is multiplication by the j-th basis vector of I
+        mults = np.einsum("aj,abc->jcb", basis, ring.table) % p
+        coeff = (mults @ basis).reshape(k * ring.dim, k) % p
+        rhs = (mults @ s_vecs.T).reshape(k * ring.dim, len(elements)) % p
+        ok, x = gfmat.solve_each(coeff, rhs, p)
+        solvable.append(ok)
+        solutions.append((basis @ x) % p)
     failures = []
-    for s in s_set:
+    for col, s in enumerate(elements):
+        blocker = next((ideal for ideal, ok in zip(ideals, solvable)
+                        if not ok[col]), None)
+        if blocker is not None:
+            failures.append((s, blocker))
+            continue
         family = []
-        blocker = None
-        for ideal in ideals:
-            y = _semisimple_generator(ring, ideal, s)
-            if y is None:
-                blocker = ideal
-                break
+        for ideal, ys in zip(ideals, solutions):
+            y = ring.element(ys[:, col])
+            for j in range(ideal.fdim):
+                gen = ring.element(ideal.basis[:, j])
+                if gen * y != s * gen:
+                    raise InternalInvariantViolation(
+                        "semisimple generator fails re-check")
             family.append((ideal, y))
-        if blocker is None:
-            return SemisimpleReport(ring, s_set, True, s, tuple(family), tuple(failures))
-        failures.append((s, blocker))
+        return SemisimpleReport(ring, s_set, True, s, tuple(family), tuple(failures))
     return SemisimpleReport(ring, s_set, False, None, (), tuple(failures))
 
 

@@ -8,6 +8,12 @@ Every routine is deterministic: pivots are always the first nonzero entry
 scanning down a column, so echelon forms, nullspace bases and particular
 solutions are canonical functions of the input.  Nothing here mutates its
 arguments.
+
+Solutions are read off an elimination in one place, solve_each(a, b, p)
+-> (ok, X): one rref of [a | b] decides every column of b, ok[k] says
+whether a @ x = b[:, k] is consistent, and then X[:, k] is the canonical
+solution for that column alone.  Columns of X where ok is False carry no
+meaning.  solve is its all-or-nothing wrapper.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ __all__ = [
     "rank",
     "nullspace",
     "solve",
-    "first_solvable_column",
+    "solve_each",
     "inverse",
     "column_space",
     "in_column_span",
@@ -110,45 +116,34 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Particular solution X of a @ X = b mod p, or None if inconsistent.
+def solve_each(a: np.ndarray, b: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a @ x = b[:, k] mod p for every column k by one elimination.
 
-    b may be a vector or a matrix; columns are solved jointly.  Free
-    variables are set to 0, making the solution canonical.
-    """
-    vec_in = b.ndim == 1
-    bm = b.reshape(-1, 1) if vec_in else b
-    if a.shape[0] != bm.shape[0]:
-        raise ValueError("shape mismatch in solve: %s vs %s" % (a.shape, bm.shape))
-    ncols = a.shape[1]
-    r, pivots = rref(np.hstack([a, bm]), p, pivot_cols=ncols)
-    if r[len(pivots):, ncols:].any():
-        return None
-    x = zeros(ncols, bm.shape[1])
-    x[list(pivots)] = r[:len(pivots), ncols:]
-    return x[:, 0] if vec_in else x
-
-
-def first_solvable_column(a: np.ndarray, b: np.ndarray,
-                          p: int) -> tuple[int, np.ndarray] | None:
-    """First k with a @ x = b[:, k] solvable mod p, and that solution.
-
-    One elimination of [a | b] decides every column at once; the solution
-    is the one solve(a, b[:, k], p) returns.  None when no column is
-    consistent.
+    The row operations depend on a only, so each consistent column gets
+    the solution it would get alone: free variables set to 0.
     """
     if a.shape[0] != b.shape[0]:
         raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
     ncols = a.shape[1]
     r, pivots = rref(np.hstack([a, b]), p, pivot_cols=ncols)
-    rank = len(pivots)
-    solvable = np.flatnonzero(~r[rank:, ncols:].any(axis=0))
-    if solvable.size == 0:
+    ok = ~r[len(pivots):, ncols:].any(axis=0)
+    x = zeros(ncols, b.shape[1])
+    x[list(pivots)] = r[:len(pivots), ncols:]
+    return ok, x
+
+
+def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """Particular solution X of a @ X = b mod p, or None if inconsistent.
+
+    b may be a vector or a matrix; a matrix is solved column by column
+    through solve_each and is None unless every column is consistent.
+    """
+    vec_in = b.ndim == 1
+    ok, x = solve_each(a, b.reshape(-1, 1) if vec_in else b, p)
+    if not ok.all():
         return None
-    k = int(solvable[0])
-    x = np.zeros(ncols, dtype=np.int64)
-    x[list(pivots)] = r[:rank, ncols + k]
-    return k, x
+    return x[:, 0] if vec_in else x
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:

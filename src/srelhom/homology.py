@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     NotSExact,
 )
-from .rings import FiniteAlgebra, MultSet, RingElement
+from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int
 from .modules import (
     Module,
     ModuleMap,
@@ -323,7 +323,8 @@ class ExtResult:
 
     module is the Ext value as an R-module; reps holds one cocycle
     representative per basis vector (columns, in C^n coordinates);
-    class_of sends any cocycle to its class in module coordinates.
+    class_of sends a cocycle, or a matrix whose columns are cocycles, to
+    its class in module coordinates.
     """
 
     n: int
@@ -339,8 +340,8 @@ class ExtResult:
     def dim(self) -> int:
         return self.module.vdim
 
-    def class_of(self, vec: np.ndarray) -> np.ndarray:
-        coords = gfmat.solve(self.cycle_basis, vec, self.module.ring.p)
+    def class_of(self, cocycles: np.ndarray) -> np.ndarray:
+        coords = gfmat.solve(self.cycle_basis, cocycles, self.module.ring.p)
         if coords is None:
             raise InternalInvariantViolation("vector is not a cocycle")
         return (self.proj @ coords) % self.module.ring.p
@@ -394,9 +395,7 @@ def ext_map_on_target(src_ext: ExtResult, tgt_ext: ExtResult,
     p = h.ring.p
     r = src_ext.cochain.res.rank(src_ext.n)
     big = np.kron(gfmat.identity(r), h.matrix)
-    cols = [tgt_ext.class_of((big @ src_ext.reps[:, j]) % p)
-            for j in range(src_ext.dim)]
-    mat = np.stack(cols, axis=1) if cols else gfmat.zeros(tgt_ext.dim, 0)
+    mat = tgt_ext.class_of((big @ src_ext.reps) % p)
     return ModuleMap(src_ext.module, tgt_ext.module, mat)
 
 
@@ -443,9 +442,7 @@ def ext_map_on_source(lift_k: ModuleMap, src_ext: ExtResult,
     p = src_ext.target.ring.p
     hmat = ring_matrix_of_free_map(lift_k)  # (r^Y_k, r^X_k, d)
     u = _hom_block_matrix(src_ext.target, hmat.transpose(1, 0, 2))
-    cols = [tgt_ext.class_of((u @ src_ext.reps[:, j]) % p)
-            for j in range(src_ext.dim)]
-    mat = np.stack(cols, axis=1) if cols else gfmat.zeros(tgt_ext.dim, 0)
+    mat = tgt_ext.class_of((u @ src_ext.reps) % p)
     return ModuleMap(src_ext.module, tgt_ext.module, mat)
 
 
@@ -544,9 +541,9 @@ def _connecting_on_target(hc_mid: HomCochain, incl: ModuleMap,
                           ext_sub_k1: ExtResult) -> ModuleMap:
     """Snake map Ext^k(L, C'') -> Ext^{k+1}(L, A') for exact 0->A'->B->C''->0.
 
-    All three cochains share one resolution of L.  Each representative is
-    lifted componentwise through proj, pushed through the differential of
-    the middle complex, and pulled back along incl.
+    All three cochains share one resolution of L.  The representatives
+    are lifted componentwise through proj, pushed through the differential
+    of the middle complex, and pulled back along incl, all at once.
     """
     p = incl.ring.p
     k = ext_quot_k.n
@@ -554,19 +551,14 @@ def _connecting_on_target(hc_mid: HomCochain, incl: ModuleMap,
     r_k1 = hc_mid.res.rank(k + 1)
     lift_block = np.kron(gfmat.identity(r_k), proj.matrix)
     pull_block = np.kron(gfmat.identity(r_k1), incl.matrix)
-    cols = []
-    for j in range(ext_quot_k.dim):
-        z = ext_quot_k.reps[:, j]
-        w = gfmat.solve(lift_block, z, p)
-        if w is None:
-            raise InternalInvariantViolation("cochain lift through projection failed")
-        dw = (hc_mid.diff_matrix(k + 1) @ w) % p
-        y = gfmat.solve(pull_block, dw, p)
-        if y is None:
-            raise InternalInvariantViolation("connecting pullback failed")
-        cols.append(ext_sub_k1.class_of(y))
-    mat = np.stack(cols, axis=1) if cols else gfmat.zeros(ext_sub_k1.dim, 0)
-    return ModuleMap(ext_quot_k.module, ext_sub_k1.module, mat)
+    w = gfmat.solve(lift_block, ext_quot_k.reps, p)
+    if w is None:
+        raise InternalInvariantViolation("cochain lift through projection failed")
+    dw = (hc_mid.diff_matrix(k + 1) @ w) % p
+    y = gfmat.solve(pull_block, dw, p)
+    if y is None:
+        raise InternalInvariantViolation("connecting pullback failed")
+    return ModuleMap(ext_quot_k.module, ext_sub_k1.module, ext_sub_k1.class_of(y))
 
 
 @dataclass
@@ -709,11 +701,7 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
                 # snake: precompose a representative with tau_{k+1}
                 tau_ring = ring_matrix_of_free_map(taus[k + 1])
                 u = _hom_block_matrix(other, tau_ring.transpose(1, 0, 2))
-                cols = [ext_i_next[k + 1].class_of((u @ exts["K"][k].reps[:, j])
-                                                   % f.ring.p)
-                        for j in range(exts["K"][k].dim)]
-                mat = (np.stack(cols, axis=1) if cols
-                       else gfmat.zeros(ext_i_next[k + 1].dim, 0))
+                mat = ext_i_next[k + 1].class_of((u @ exts["K"][k].reps) % f.ring.p)
                 snake = ModuleMap(exts["K"][k].module,
                                   ext_i_next[k + 1].module, mat)
                 fix = ext_map_on_source(lift_t2i[k + 1], ext_i_next[k + 1],
@@ -753,6 +741,8 @@ def injective_cocover(module: Module) -> ModuleMap:
 
 
 def resolution_to_spec(res: BaseResolution, depth: int) -> dict:
+    if depth < 0:
+        raise InputError("resolution depth must be nonnegative")
     res.ensure(depth)
     return {
         "kind": "resolution",
@@ -772,9 +762,13 @@ def resolution_from_spec(ring: FiniteAlgebra, doc: dict,
         if key not in doc:
             raise InputError("%s/%s: missing" % (where, key))
     module = module_from_spec(ring, doc["module"], "%s/module" % where)
-    ranks = doc["ranks"]
-    if not isinstance(ranks, list) or not all(isinstance(r, int) for r in ranks):
-        raise InputError("%s/ranks: expected a list of integers" % where)
+    depth, ranks = doc["depth"], doc["ranks"]
+    if not is_json_int(depth) or depth < 0:
+        raise InputError("%s/depth: expected a nonnegative integer" % where)
+    if (not isinstance(ranks, list) or len(ranks) != depth + 1
+            or not all(is_json_int(r) and r >= 0 for r in ranks)):
+        raise InputError("%s/ranks: expected %d nonnegative integers"
+                         % (where, depth + 1))
     frees = [free_module(ring, r) for r in ranks]
     maps = [map_from_spec(frees[0], module, doc["augmentation"],
                           "%s/augmentation" % where)]

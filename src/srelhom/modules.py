@@ -26,7 +26,7 @@ from .errors import (
     NotSIso,
     RingMismatch,
 )
-from .rings import FiniteAlgebra, MultSet, RingElement, same_ring
+from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int, same_ring
 
 __all__ = [
     "Module",
@@ -288,6 +288,19 @@ def direct_sum(*mods: Module) -> tuple[Module, list[ModuleMap], list[ModuleMap]]
 # -- hom spaces ---------------------------------------------------------------
 
 
+def _intertwining_rows(src: Module, tgt: Module) -> np.ndarray:
+    """Rows of F A^src_i = A^tgt_i F for every i, on F row-major flattened."""
+    n, m = tgt.vdim, src.vdim
+    return np.vstack([np.kron(gfmat.identity(n), a.T) - np.kron(b, gfmat.identity(m))
+                      for a, b in zip(src.actions, tgt.actions)]) % src.ring.p
+
+
+def _actions_of(mod: Module, elements) -> np.ndarray:
+    """Action matrices of several ring elements, stacked on the first axis."""
+    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
+    return np.einsum("si,iab->sab", s_vecs, mod.actions) % mod.ring.p
+
+
 def hom_space(src: Module, tgt: Module) -> list[ModuleMap]:
     """Canonical F_p-basis of Hom_R(src, tgt).
 
@@ -297,15 +310,10 @@ def hom_space(src: Module, tgt: Module) -> list[ModuleMap]:
     """
     if not same_ring(src.ring, tgt.ring):
         raise RingMismatch("hom between modules over different rings")
-    p = src.ring.p
     n, m = tgt.vdim, src.vdim
     if n * m == 0:
         return []
-    blocks = []
-    for i in range(src.ring.dim):
-        blocks.append((np.kron(gfmat.identity(n), src.actions[i].T)
-                       - np.kron(tgt.actions[i], gfmat.identity(m))) % p)
-    basis = gfmat.nullspace(np.vstack(blocks), p)
+    basis = gfmat.nullspace(_intertwining_rows(src, tgt), src.ring.p)
     return [ModuleMap(src, tgt, basis[:, j].reshape(n, m))
             for j in range(basis.shape[1])]
 
@@ -318,16 +326,14 @@ def submodule_from_columns(mod: Module, cols: np.ndarray) -> tuple[Module, Modul
 
     The span must be invariant under the ring action.
     """
-    p = mod.ring.p
-    k = cols.shape[1]
-    acts = []
-    for i in range(mod.ring.dim):
-        sol = gfmat.solve(cols, (mod.actions[i] @ cols) % p, p)
-        if sol is None:
-            raise InputError("columns do not span an action-invariant subspace")
-        acts.append(sol)
-    sub = Module(mod.ring, np.stack(acts) if acts else
-                 np.zeros((mod.ring.dim, k, k), dtype=np.int64))
+    p, d = mod.ring.p, mod.ring.dim
+    n, k = cols.shape
+    # the images of the columns under every basis action, side by side
+    moved = np.einsum("iab,bc->aic", mod.actions, cols).reshape(n, d * k) % p
+    sol = gfmat.solve(cols, moved, p)
+    if sol is None:
+        raise InputError("columns do not span an action-invariant subspace")
+    sub = Module(mod.ring, sol.reshape(k, d, k).transpose(1, 0, 2))
     return sub, ModuleMap(sub, mod, cols)
 
 
@@ -460,7 +466,8 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
 
     At each interior module the search finds the first s in canonical
     order with s Ker(outgoing) <= Im(incoming) and
-    s Im(incoming) <= Ker(outgoing).
+    s Im(incoming) <= Ker(outgoing).  The first containment is decided
+    for every s by one elimination against the image basis.
     """
     if len(maps) < 2:
         raise InputError("need at least two maps to have an interior position")
@@ -468,20 +475,20 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
         if not same_module(f.target, g.source):
             raise NotComposable("chain does not compose")
     p = maps[0].ring.p
+    elements = tuple(s_set)
     reports = []
     for idx in range(1, len(maps)):
         incoming, outgoing = maps[idx - 1], maps[idx]
         mod = outgoing.source
         ker = gfmat.nullspace(outgoing.matrix, p)
         img = gfmat.column_space(incoming.matrix, p)
-        witness = None
-        for s in s_set:
-            act = mod.action_of(s)
-            ker_in_img = gfmat.solve(img, (act @ ker) % p, p) is not None
-            img_in_ker = not ((outgoing.matrix @ ((act @ img) % p)) % p).any()
-            if ker_in_img and img_in_ker:
-                witness = s
-                break
+        acts = _actions_of(mod, elements)
+        moved_ker = np.concatenate((acts @ ker) % p, axis=1)
+        ker_in_img = gfmat.solve_each(img, moved_ker, p)[0].reshape(
+            len(elements), ker.shape[1]).all(axis=1)
+        img_in_ker = ~((outgoing.matrix @ ((acts @ img) % p)) % p).any(axis=(1, 2))
+        hits = np.flatnonzero(ker_in_img & img_in_ker)
+        witness = elements[hits[0]] if hits.size else None
         reports.append(PositionReport(idx, mod, witness))
     return SExactReport(tuple(reports))
 
@@ -506,9 +513,12 @@ def s_iso_inverse(f: ModuleMap, s_set: MultSet) -> tuple[ModuleMap, RingElement]
     """Inverse witness g with f.g = s id and g.f = s id, smallest such s.
 
     Every S-isomorphism admits such a pair (take s to kill both kernel
-    and cokernel); the search solves, for each s in canonical order, the
-    linear system consisting of the intertwining constraints together
-    with both composite identities.
+    and cokernel).  The unknown g: target -> source satisfies the
+    intertwining constraints of hom_space together with both composite
+    identities; only the right-hand sides of the composites depend on s,
+    so every s is decided by one elimination and the first consistent one
+    wins.  When an endpoint is zero the system has no unknowns and is
+    consistent exactly when s kills both ends.
     """
     report = is_s_isomorphism(f, s_set)
     if not report.verdict:
@@ -516,33 +526,19 @@ def s_iso_inverse(f: ModuleMap, s_set: MultSet) -> tuple[ModuleMap, RingElement]
     src, tgt = f.source, f.target
     p = f.ring.p
     m, n = src.vdim, tgt.vdim
-    if m * n == 0:
-        # one side is the zero module; the zero map works once some s
-        # kills the other side, which the S-iso check just certified
-        for s in s_set:
-            if not src.action_of(s).any() and not tgt.action_of(s).any():
-                return ModuleMap.zero(tgt, src), s
-        raise InternalInvariantViolation("no witness despite S-iso verdict")
-    blocks = []
-    rhs = []
-    for i in range(f.ring.dim):
-        blocks.append((np.kron(gfmat.identity(m), tgt.actions[i].T)
-                       - np.kron(src.actions[i], gfmat.identity(n))) % p)
-        rhs.append(gfmat.zeros(m * n, 1).reshape(-1))
-    lhs_fixed = np.vstack(blocks)
-    comp_fg = np.kron(f.matrix, gfmat.identity(n)) % p
-    comp_gf = np.kron(gfmat.identity(m), f.matrix.T) % p
-    for s in s_set:
-        target_fg = tgt.action_of(s).reshape(-1)
-        target_gf = src.action_of(s).reshape(-1)
-        system = np.vstack([lhs_fixed, comp_fg, comp_gf])
-        want = np.concatenate([np.concatenate(rhs), target_fg, target_gf])
-        sol = gfmat.solve(system, want, p)
-        if sol is not None:
-            g = ModuleMap(tgt, src, sol.reshape(m, n))
-            return g, s
-    raise InternalInvariantViolation(
-        "S-isomorphism admits no inverse witness in S; this is an engine bug")
+    elements = tuple(s_set)
+    system = np.vstack([_intertwining_rows(tgt, src),
+                        np.kron(f.matrix, gfmat.identity(n)) % p,
+                        np.kron(gfmat.identity(m), f.matrix.T) % p])
+    want = np.vstack([gfmat.zeros(f.ring.dim * m * n, len(elements)),
+                      _actions_of(tgt, elements).reshape(len(elements), n * n).T,
+                      _actions_of(src, elements).reshape(len(elements), m * m).T])
+    ok, sols = gfmat.solve_each(system, want, p)
+    if not ok.any():
+        raise InternalInvariantViolation(
+            "S-isomorphism admits no inverse witness in S; this is an engine bug")
+    k = int(np.argmax(ok))
+    return ModuleMap(tgt, src, sols[:, k].reshape(m, n)), elements[k]
 
 
 # -- character duality --------------------------------------------------------
@@ -554,10 +550,13 @@ def character_dual(mod: Module) -> Module:
     This is the exact contravariant duality on finite modules; it swaps
     free covers with injective envelopes-of-sorts, and applying it twice
     returns the same matrices, so the double dual is the identity on the
-    nose in these coordinates.
+    nose in these coordinates.  The dual is built once per module and
+    cached with it, so every caller shares its cached resolutions.
     """
-    acts = np.stack([a.T.copy() for a in mod.actions]) if mod.vdim else mod.actions
-    return Module(mod.ring, acts, check=False)
+    if "dual" not in mod._cache:
+        acts = np.ascontiguousarray(mod.actions.transpose(0, 2, 1))
+        mod._cache["dual"] = Module(mod.ring, acts, check=False)
+    return mod._cache["dual"]
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -620,9 +619,10 @@ def module_to_spec(mod: Module) -> dict:
 
 def _parse_matrix(entries, nrows, ncols, where):
     flat = entries
-    if flat and isinstance(flat[0], list):
+    if isinstance(flat, list) and flat and all(isinstance(row, list) for row in flat):
         flat = [c for row in flat for c in row]
-    if len(flat) != nrows * ncols or not all(isinstance(c, int) for c in flat):
+    if (not isinstance(flat, list) or len(flat) != nrows * ncols
+            or not all(map(is_json_int, flat))):
         raise InputError("%s: expected %d integer entries" % (where, nrows * ncols))
     return np.array(flat, dtype=np.int64).reshape(nrows, ncols)
 
@@ -635,8 +635,10 @@ def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> M
         if "dim" not in doc or "action" not in doc:
             raise InputError("%s: need 'dim' and 'action'" % where)
         m = doc["dim"]
-        if not isinstance(m, int) or m < 0:
+        if not is_json_int(m) or m < 0:
             raise InputError("%s/dim: expected a nonnegative integer" % where)
+        if not isinstance(doc["action"], dict):
+            raise InputError("%s/action: expected an object" % where)
         acts = np.zeros((ring.dim, m, m), dtype=np.int64)
         for i, label in enumerate(ring.basis_labels):
             if label not in doc["action"]:
@@ -647,7 +649,7 @@ def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> M
     if kind == "presentation":
         from_rank = doc.get("free_rank")
         rels = doc.get("relations")
-        if not isinstance(from_rank, int) or from_rank < 0:
+        if not is_json_int(from_rank) or from_rank < 0:
             raise InputError("%s/free_rank: expected a nonnegative integer" % where)
         if not isinstance(rels, list):
             raise InputError("%s/relations: expected a list" % where)
@@ -659,8 +661,9 @@ def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> M
                                  % (where, rdx, from_rank))
             parts = []
             for cdx, coeffs in enumerate(rel):
-                if not isinstance(coeffs, list) or len(coeffs) != ring.dim:
-                    raise InputError("%s/relations/%d/%d: expected %d coefficients"
+                if (not isinstance(coeffs, list) or len(coeffs) != ring.dim
+                        or not all(map(is_json_int, coeffs))):
+                    raise InputError("%s/relations/%d/%d: expected %d integers"
                                      % (where, rdx, cdx, ring.dim))
                 parts.append(np.array(coeffs, dtype=np.int64) % ring.p)
             cols.append(np.concatenate(parts))

@@ -611,6 +611,11 @@ def quotient_algebra(ring: FiniteAlgebra, ideal: Ideal) -> QuotientData:
 # -- JSON wire format --------------------------------------------------------
 
 
+def is_json_int(x) -> bool:
+    """An integer in a parsed JSON document; true and false do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def multset_to_spec(s_set: MultSet) -> dict:
     return {
         "kind": "multset",
@@ -632,7 +637,7 @@ def multset_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "multset") ->
         if not isinstance(coeffs, list) or len(coeffs) != ring.dim:
             raise InputError("%s/seeds[%d]: expected %d coefficients" % (where, i, ring.dim))
         for j, c in enumerate(coeffs):
-            if isinstance(c, bool) or not isinstance(c, int):
+            if not is_json_int(c):
                 raise InputError("%s/seeds[%d][%d]: expected an integer" % (where, i, j))
         elements.append(ring.element(coeffs))
     return mult_closure(ring, elements)
@@ -662,6 +667,8 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
     for key in ("p", "basis", "mul", "unit"):
         if key not in doc:
             raise InputError("%s/%s: missing" % (where, key))
+    if not is_json_int(doc["p"]):
+        raise InputError("%s/p: expected an integer" % where)
     labels = doc["basis"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InputError("%s/basis: expected a list of strings" % where)
@@ -680,7 +687,7 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
         if left not in index or right not in index:
             raise InputError("%s/mul/%s: unknown basis label" % (where, key))
         if (not isinstance(val, list) or len(val) != d
-                or not all(isinstance(c, int) for c in val)):
+                or not all(map(is_json_int, val))):
             raise InputError("%s/mul/%s: expected a list of %d integers" % (where, key, d))
         i, j = index[left], index[right]
         vec = np.array(val, dtype=np.int64)
@@ -694,6 +701,7 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
         i, j = missing[0]
         raise InputError("%s/mul: missing product %s*%s" % (where, labels[i], labels[j]))
     unit = doc["unit"]
-    if not isinstance(unit, list) or len(unit) != d:
+    if (not isinstance(unit, list) or len(unit) != d
+            or not all(map(is_json_int, unit))):
         raise InputError("%s/unit: expected a list of %d integers" % (where, d))
     return build_algebra(doc["p"], labels, table, unit)

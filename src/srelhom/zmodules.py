@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .modules import Module, regular_module
-from .rings import MultSet, QuotientData, same_ring
+from .rings import MultSet, QuotientData, is_json_int, same_ring
 
 RING_TAGS = ("Z", "Z_mod")
 
@@ -523,8 +523,9 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
     The dimension of a Z/a-module M over Z exceeds its dimension over
     Z/a by exactly one, provided no product of the generators of S is
     divisible by a (checked by reachability; DividesS otherwise).  A
-    walk on the Z/a side that exhausts the bound leaves the comparison
-    vacuous.
+    uniformly S-torsion module is S-isomorphic to 0, so, like the zero
+    module, it is outside the identity's reach: "inapplicable".  A walk
+    on the Z/a side that exhausts the bound leaves the comparison vacuous.
     """
     if not isinstance(a, int) or a < 2:
         raise InputError("factor modulus must be an integer >= 2")
@@ -542,11 +543,12 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
     statement = "S-pd over Z = %s vs %s + 1 over Z/%d" % (
         z_result.value, bar_result.value, a)
     comparison = z_result.value.eq(bar_result.value.shift(1))
-    if mod.is_zero():
-        # both dimensions degenerate to 0 on the zero module; the offset
-        # identity only speaks about nonzero modules
+    if z_uniform_torsion(mod, sbar).verdict:
+        # both dimensions degenerate on a module S-isomorphic to 0; the
+        # offset identity only speaks about the others
         verdict = "inapplicable"
-        statement = "zero module: " + statement
+        kind = "zero module" if mod.is_zero() else "uniformly S-torsion module"
+        statement = "%s: %s" % (kind, statement)
     elif not bar_result.value.known or comparison is None:
         verdict = "vacuous"
     else:
@@ -647,7 +649,7 @@ def z_module_from_spec(doc: dict, where: str = "module") -> ZMod:
         raise InputError("%s/matrix: expected a list of rows" % where)
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not is_json_int(x):
                 raise InputError("%s/matrix[%d][%d]: expected an integer" % (where, i, j))
     try:
         return ZMod(ring, m, tuple(tuple(r) for r in matrix))
@@ -667,7 +669,7 @@ def z_multset_from_spec(doc: dict, ring: str = "Z", m: int | None = None,
     if not isinstance(gens, list):
         raise InputError("%s/generators: expected a list" % where)
     for i, x in enumerate(gens):
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not is_json_int(x):
             raise InputError("%s/generators[%d]: expected an integer" % (where, i))
     try:
         return ZMultSet(ring, m, tuple(gens))

@@ -5,6 +5,7 @@ pass/fail line; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import pathlib
@@ -36,6 +37,10 @@ from srelhom import (
 from srelhom.instances import bundled_rings, random_module, random_multset
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
+
+# sha256 of `srelhom verify all --seed 0 --json`; a change that moves it
+# changes observable behaviour and must say so
+VERIFY_ALL_SHA256 = "d032eff02b8a70e96df1b42cf9106f19ae634f61b6442f2285975c5ea77bb484"
 
 
 def _fixture(name):
@@ -193,3 +198,5 @@ def test_reports_are_byte_identical_across_runs():
         second = subprocess.run(cmd, capture_output=True, check=False)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout and first.stdout == second.stdout
+        # same behaviour: the report's digest is pinned
+        assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_ALL_SHA256

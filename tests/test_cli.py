@@ -222,3 +222,85 @@ def test_ext_requires_module_or_resolution(capsys):
     code, _, err = run(capsys, "ext", "--ring", "f2.json",
                        "--other", "m2.json", "--degree", "0")
     assert code == 2 and "--module" in err
+
+
+def exported_resolution(tmp_path, capsys, depth):
+    out = tmp_path / "res.json"
+    code, _, _ = run(capsys, "resolve", "--ring", "example36.json",
+                     "--module", "m2.json", "--depth", str(depth),
+                     "--out", str(out))
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def ext_from_document(tmp_path, capsys, doc):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "ext", "--ring", "example36.json",
+               "--resolution", str(path), "--other", "m2.json", "--degree", "0")
+
+
+def test_negative_resolution_depth_is_rejected(tmp_path, capsys):
+    code, _, err = run(capsys, "resolve", "--ring", "example36.json",
+                       "--module", "m2.json", "--depth", "-1")
+    assert code == 2 and "depth must be nonnegative" in err
+    # the document an unchecked export of depth -1 would have written
+    doc = exported_resolution(tmp_path, capsys, 0)
+    doc.update(depth=-1, ranks=[])
+    code, _, err = ext_from_document(tmp_path, capsys, doc)
+    assert code == 2 and "/depth:" in err
+
+
+def test_negative_resolution_rank_is_rejected(tmp_path, capsys):
+    doc = exported_resolution(tmp_path, capsys, 1)
+    doc["ranks"][1] = -1
+    code, _, err = ext_from_document(tmp_path, capsys, doc)
+    assert code == 2 and "/ranks:" in err
+
+
+def spd_with_module(tmp_path, capsys, doc):
+    path = tmp_path / "edited_module.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "spd", "--ring", "example36.json",
+               "--multset", "trivial.json", "--module", str(path))
+
+
+def test_boolean_module_entries_are_rejected(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "m2.json").read_text())
+    doc["action"]["e2"] = [True]
+    code, _, err = spd_with_module(tmp_path, capsys, doc)
+    assert code == 2 and "/action/e2:" in err
+
+
+def test_boolean_module_dimension_is_rejected(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "m2.json").read_text())
+    doc["dim"] = True
+    code, _, err = spd_with_module(tmp_path, capsys, doc)
+    assert code == 2 and "/dim:" in err
+
+
+def test_boolean_presentation_rank_is_rejected(tmp_path, capsys):
+    doc = {"kind": "presentation", "free_rank": True, "relations": []}
+    code, _, err = spd_with_module(tmp_path, capsys, doc)
+    assert code == 2 and "/free_rank:" in err
+    doc = {"kind": "presentation", "free_rank": 1, "relations": [[[True, 0, 0]]]}
+    code, _, err = spd_with_module(tmp_path, capsys, doc)
+    assert code == 2 and "/relations/0/0:" in err
+
+
+def test_boolean_ring_entries_are_rejected(tmp_path, capsys):
+    base = json.loads((FIXTURES / "example36.json").read_text())
+    for field, value in (("unit", [True, True, False]), ("p", True)):
+        doc = dict(base, **{field: value})
+        bad = tmp_path / "bool_ring.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "spd", "--ring", str(bad),
+                           "--multset", "trivial.json", "--module", "m2.json")
+        assert code == 2 and "/%s:" % field in err
+    doc = json.loads(json.dumps(base))
+    doc["mul"]["e1*e1"] = [True, False, False]
+    bad = tmp_path / "bool_ring.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spd", "--ring", str(bad),
+                       "--multset", "trivial.json", "--module", "m2.json")
+    assert code == 2 and "/mul/e1*e1:" in err

@@ -22,7 +22,7 @@ from srelhom.modules import (
     regular_module,
     submodule_from_columns,
 )
-from srelhom.homology import ext, injective_cocover, resolution
+from srelhom.homology import Resolution, ext, injective_cocover, resolution
 from srelhom.dimensions import (
     DimValue,
     SplitWitness,
@@ -267,6 +267,24 @@ def test_dual_route_agreement(ring2, s_e1, s_one):
             direct = s_id(mod, s_set, bound=4)
             dual = s_pd(character_dual(mod), s_set, bound=4)
             assert direct.value == dual.value
+
+
+def test_s_id_builds_the_dual_cover_once(monkeypatch):
+    ring = truncated_polynomial(2, 3)
+    mod = quotient_module(ring, [[0, 0, 1]])
+    built = []
+    original = Resolution._generator_columns
+
+    def spy(self, k_mod, level):
+        built.append((self.module, level))
+        return original(self, k_mod, level)
+
+    monkeypatch.setattr(Resolution, "_generator_columns", spy)
+    s_id(mod, mult_closure(ring, []), bound=0)
+    # the first cocover and the dual walk resolve one shared dual object
+    assert character_dual(mod) is character_dual(mod)
+    assert len(built) == 1
+    assert built[0][0] is character_dual(mod) and built[0][1] == 0
 
 
 # -- degenerate multiplicative sets ---------------------------------------------

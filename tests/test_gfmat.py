@@ -142,27 +142,38 @@ def test_rref_pivot_limit_keeps_right_hand_sides_out(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_first_solvable_column_matches_solving_one_column_at_a_time(p):
+def test_solve_each_matches_solving_one_column_at_a_time(p):
     rng = random.Random(800 + p)
-    for _ in range(40):
-        rows, k = rng.randrange(1, 6), rng.randrange(5)
+    # (unknowns, right-hand sides): a with no columns, b with none, neither
+    edge = [(0, 3), (4, 0), (0, 0)]
+    for trial in range(60):
+        rows = rng.randrange(6)
+        k, width = (edge[trial] if trial < len(edge)
+                    else (rng.randrange(5), rng.randrange(1, 5)))
         a = random_matrix(rng, rows, k, p)
-        b = random_matrix(rng, rows, rng.randrange(1, 5), p)
-        if rng.random() < 0.5:
+        b = random_matrix(rng, rows, width, p)
+        if width and rng.random() < 0.5:
             # plant a consistent column somewhere
-            b[:, rng.randrange(b.shape[1])] = (a @ random_matrix(rng, k, 1, p))[:, 0] % p
-        want = None
-        for j in range(b.shape[1]):
+            b[:, rng.randrange(width)] = (a @ random_matrix(rng, k, 1, p))[:, 0] % p
+        ok, x = gfmat.solve_each(a, b, p)
+        assert ok.shape == (width,) and x.shape == (k, width)
+        _, pivots = gfmat.rref(a, p)
+        free = [j for j in range(k) if j not in pivots]
+        for j in range(width):
+            # consistent exactly when b[:, j] does not raise the rank
+            raises = gfmat.rank(np.hstack([a, b[:, j:j + 1]]), p) > len(pivots)
+            assert bool(ok[j]) == (not raises)
             sol = gfmat.solve(a, b[:, j], p)
-            if sol is not None:
-                want = (j, sol)
-                break
-        got = gfmat.first_solvable_column(a, b, p)
-        if want is None:
-            assert got is None
-        else:
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
+            assert (sol is not None) == bool(ok[j])
+            if ok[j]:
+                assert np.array_equal(x[:, j], sol)
+                assert np.array_equal((a @ x[:, j]) % p, b[:, j])
+                assert not x[free, j].any()
+
+
+def test_solve_each_rejects_mismatched_rows():
+    with pytest.raises(ValueError):
+        gfmat.solve_each(gfmat.zeros(2, 2), gfmat.zeros(3, 1), 2)
 
 
 def greedy_extension(cols, p):

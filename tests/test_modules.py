@@ -198,6 +198,18 @@ def test_zero_map_between_torsion_modules_is_s_iso(ring2, m2, s_e1):
     assert s.label() == "e1"
 
 
+def test_s_iso_inverse_with_a_zero_endpoint(ring2, m2, s_e1):
+    # no unknowns: the empty system is consistent exactly when s kills
+    # both ends, which 1 does not and e1 does
+    z = zero_module(ring2)
+    for f in (ModuleMap.zero(m2, z), ModuleMap.zero(z, m2)):
+        inv, s = s_iso_inverse(f, s_e1)
+        assert s.label() == "e1"
+        assert same_module(inv.source, f.target) and same_module(inv.target, f.source)
+        assert inv.matrix.shape == (f.source.vdim, f.target.vdim)
+        assert inv.is_zero()
+
+
 def test_character_dual_is_involutive(ring2, m2, t2):
     for mod in (m2, regular_module(ring2), quotient_module(t2, [[0, 1]])):
         double = character_dual(character_dual(mod))

@@ -400,6 +400,20 @@ def test_factor_ring_frozen_examples():
     assert report.ok
 
 
+def test_factor_ring_uniformly_torsion_module_is_inapplicable():
+    # Z/3 over Z/18 is killed by 3 in S = <3>, so it is S-isomorphic to 0,
+    # and 18 divides no power of 3
+    mod = z_module("Z_mod", [[3]], m=18)
+    assert mod.structure() == (0, (3,))
+    report = factor_ring_check(18, mod, z_multset("Z", [3]))
+    assert report.verdict == "inapplicable"
+    assert report.statement.startswith("uniformly S-torsion module: ")
+    assert report.ok
+    zero = factor_ring_check(3, z_module("Z_mod", [[1]], m=3), z_multset("Z", [2]))
+    assert zero.verdict == "inapplicable"
+    assert zero.statement.startswith("zero module: ")
+
+
 def test_factor_ring_divides_errors():
     with pytest.raises(DividesS):
         factor_ring_check(4, z_module("Z_mod", [[2]], m=4), z_multset("Z", [2]))
