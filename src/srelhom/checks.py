@@ -4,8 +4,8 @@ Each registry entry turns one statement into a repeatable trial over
 generated finite instances: never "for all modules", always "for the
 family produced by these caps and this seed".  A trial ends pass, fail
 (with a replayable counterexample dump), or vacuous when a dimension
-walk hit its bound before the claim became decidable; vacuous trials
-never count as violations.
+came back ">bound" and left the claim undecided; vacuous trials never
+count as violations.
 
 Trial seeds derive from the master seed as "<seed>:<entry>:<index>", so
 any single trial replays in isolation.  Reports are deterministic
@@ -143,6 +143,11 @@ class _Config:
 
 
 _memo: dict = {}
+
+
+def clear_memo() -> None:
+    """Forget every memoized sweep block, as a fresh process starts."""
+    _memo.clear()
 
 
 def _memoized(key, build):

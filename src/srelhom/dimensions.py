@@ -1,15 +1,22 @@
 """Relative projective and injective dimensions with split certificates.
 
-The dimension of a module with respect to a multiplicative set S is found
-by walking (co)syzygies and certifying the first S-split level: a syzygy
-K is S-projective exactly when some s in S admits a section pi' of a free
-cover pi with pi . pi' = s Id, and dually with a retraction of the
-canonical embedding into an injective module.  Each such question is one
-linear system whose unknowns are the images of the generators of a free
-presentation; the right-hand sides of every s in S are decided by one
-elimination, and the witness is the first consistent s in canonical
-order, so reported witnesses are deterministic.  Every split map is
-re-verified before it is returned.
+A module M is S-projective exactly when some s in S admits a section pi'
+of a free cover pi with pi . pi' = s Id, and dually S-injective with a
+retraction of the canonical embedding into an injective module.  Each
+such question is one linear system whose unknowns are the images of the
+generators of a free presentation; the right-hand sides of every s in S
+are decided by one elimination, and the witness is the first consistent
+s in canonical order, so reported witnesses are deterministic.  Every
+split map is re-verified before it is returned.
+
+Over a finite F_p-algebra R both dimensions are 0 or infinite, so the
+split search at level 0 decides them.  S is finite, so one s kills an
+Ext group uniformly exactly when t = prod(S) does, and t^d = u e_S for a
+unit u and an idempotent e_S (d = dim R); hence S-pd_R M = pd(e_S M) over
+e_S R, and likewise for S-id.  e_S R is Artinian, a product of local
+rings of depth 0, so by Auslander-Buchsbaum (pd) and Bass (id) a finite
+dimension there is 0.  A failed level-0 search has tried every s in S:
+it proves the dimension infinite, reported as the ">bound" value.
 
 Values are either exact or "larger than the search bound", and every
 comparison on them is three-valued (True / False / None) because bound
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +61,6 @@ from .modules import (
     regular_module,
     s_exactness_check,
     same_module,
-    subquotient,
 )
 from .homology import ext, injective_cocover, resolution
 from .instances import random_module
@@ -321,11 +327,13 @@ def is_s_injective(module: Module, s_set: MultSet,
 
 @dataclass(frozen=True)
 class DimResult:
-    """Outcome of a bounded (co)syzygy walk.
+    """Outcome of the level-0 split search.
 
-    levels[i] is the split search at level i; the last one succeeds
-    exactly when value is exact.  For the injective kind, cross_check
-    records the value obtained independently through the character dual.
+    levels holds that one search: a success makes the value exactly 0
+    and is the certificate; a failure exhausted S, so the dimension is
+    infinite and value is DimValue.over(bound).  For the injective kind,
+    cross_check records the value obtained independently through the
+    character dual.
     """
 
     kind: str
@@ -349,71 +357,48 @@ class DimResult:
         return "%s = %s (bound %d)" % (self.kind, self.value, self.bound)
 
 
-def _check_walk_invariants(result: DimResult) -> DimResult:
-    if result.value.known:
-        n = result.value.value
-        cert = result.levels[n]
-        if not cert.verify():
-            raise InternalInvariantViolation("terminating witness does not verify")
-        if any(w.verdict for w in result.levels[:n]):
-            raise InternalInvariantViolation("walk passed a level before terminating")
-        if n > 0 and result.levels[n - 1].attempted == ():
-            raise InternalInvariantViolation("failure level has no attempted record")
+def _level_zero(kind: str, module: Module, s_set: MultSet, bound: int,
+                witness: SplitWitness) -> DimResult:
+    """The dimension the level-0 split search decides: 0 or infinite."""
+    value = DimValue.exact(0) if witness.verdict else DimValue.over(bound)
+    result = DimResult(kind, module, s_set, bound, value, (witness,))
+    if result.certificate is not None and not result.certificate.verify():
+        raise InternalInvariantViolation("level-0 witness does not verify")
     return result
 
 
 def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
-    """S-relative projective dimension via the syzygy walk.
+    """S-relative projective dimension: 0 or infinite (module docstring).
 
-    Walks K_0 = M, K_{i+1} = Ker(F_i ->> K_i) along a minimal free
-    resolution and returns the first level whose syzygy is S-projective;
-    the in-walk cover is reused as the cover under test.
+    The first cover of the minimal free resolution is searched for an
+    S-section; its success is the certificate of S-pd = 0, and its
+    failure proves S-pd infinite, reported as DimValue.over(bound).
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
-    res = resolution(module)
-    levels = []
-    value = DimValue.over(bound)
-    for i in range(bound + 1):
-        witness = _split_search("section", res.cover(i), s_set)
-        levels.append(witness)
-        if witness.verdict:
-            value = DimValue.exact(i)
-            break
-    result = DimResult("S-pd", module, s_set, bound, value, tuple(levels))
-    return _check_walk_invariants(result)
+    witness = _split_search("section", resolution(module).cover(0), s_set)
+    return _level_zero("S-pd", module, s_set, bound, witness)
 
 
 def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
-    """S-relative injective dimension, computed twice.
+    """S-relative injective dimension, 0 or infinite, computed twice.
 
-    The direct route walks cosyzygies C_0 = M, C_{i+1} = Coker(C_i -> I_i)
-    through injective cocovers.  The value is cross-checked against the
-    projective dimension of the character dual; any disagreement is an
-    engine bug, not a property of the input.  The dual is cached on the
-    module, so the first cocover and the dual walk share one resolution.
+    The direct route searches the injective cocover of the module for an
+    S-retraction.  The value is cross-checked against the projective
+    dimension of the character dual; any disagreement is an engine bug,
+    not a property of the input.  The dual is cached on the module, so
+    the cocover and the dual route share one resolution.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
-    levels = []
-    value = DimValue.over(bound)
-    current = module
-    for i in range(bound + 1):
-        iota = injective_cocover(current)
-        witness = _split_search("retraction", iota, s_set)
-        levels.append(witness)
-        if witness.verdict:
-            value = DimValue.exact(i)
-            break
-        current, _ = subquotient(iota, "cokernel")
+    direct = _level_zero("S-id", module, s_set, bound,
+                         _split_search("retraction", injective_cocover(module), s_set))
     dual_route = s_pd(character_dual(module), s_set, bound)
-    if dual_route.value != value:
+    if dual_route.value != direct.value:
         raise InternalInvariantViolation(
             "injective dimension routes disagree: direct %s, dual %s"
-            % (value, dual_route.value))
-    result = DimResult("S-id", module, s_set, bound, value, tuple(levels),
-                       cross_check=dual_route.value)
-    return _check_walk_invariants(result)
+            % (direct.value, dual_route.value))
+    return replace(direct, cross_check=dual_route.value)
 
 
 # -- global dimension ----------------------------------------------------------
@@ -452,6 +437,8 @@ def s_gldim(ring: FiniteAlgebra, s_set: MultSet, bound: int = DEFAULT_BOUND,
     exceed the candidate; an exceedance raises the candidate and is
     recorded, flagging the run.
     """
+    if trials < 0:
+        raise InputError("trials must be >= 0")
     reg = regular_module(ring)
     per_ideal = []
     cyclic = DimValue.exact(0)

@@ -617,14 +617,15 @@ def module_to_spec(mod: Module) -> dict:
     return {"kind": "action", "dim": mod.vdim, "action": action}
 
 
-def _parse_matrix(entries, nrows, ncols, where):
+def _parse_matrix(entries, nrows, ncols, p, where):
     flat = entries
     if isinstance(flat, list) and flat and all(isinstance(row, list) for row in flat):
         flat = [c for row in flat for c in row]
     if (not isinstance(flat, list) or len(flat) != nrows * ncols
             or not all(map(is_json_int, flat))):
         raise InputError("%s: expected %d integer entries" % (where, nrows * ncols))
-    return np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+    # reduced as Python ints, so no entry can overflow int64
+    return np.array([c % p for c in flat], dtype=np.int64).reshape(nrows, ncols)
 
 
 def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> Module:
@@ -643,7 +644,7 @@ def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> M
         for i, label in enumerate(ring.basis_labels):
             if label not in doc["action"]:
                 raise InputError("%s/action/%s: missing" % (where, label))
-            acts[i] = _parse_matrix(doc["action"][label], m, m,
+            acts[i] = _parse_matrix(doc["action"][label], m, m, ring.p,
                                     "%s/action/%s" % (where, label))
         return Module(ring, acts)
     if kind == "presentation":
@@ -665,7 +666,7 @@ def module_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "module") -> M
                         or not all(map(is_json_int, coeffs))):
                     raise InputError("%s/relations/%d/%d: expected %d integers"
                                      % (where, rdx, cdx, ring.dim))
-                parts.append(np.array(coeffs, dtype=np.int64) % ring.p)
+                parts.append(np.array([c % ring.p for c in coeffs], dtype=np.int64))
             cols.append(np.concatenate(parts))
         if cols:
             rel_free = free_module(ring, len(cols))
@@ -686,6 +687,6 @@ def map_from_spec(source: Module, target: Module, doc: dict,
                   where: str = "map") -> ModuleMap:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise InputError("%s: expected an object with 'matrix'" % where)
-    mat = _parse_matrix(doc["matrix"], target.vdim, source.vdim,
+    mat = _parse_matrix(doc["matrix"], target.vdim, source.vdim, source.ring.p,
                         "%s/matrix" % where)
     return ModuleMap(source, target, mat)

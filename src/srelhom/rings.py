@@ -639,7 +639,7 @@ def multset_from_spec(ring: FiniteAlgebra, doc: dict, where: str = "multset") ->
         for j, c in enumerate(coeffs):
             if not is_json_int(c):
                 raise InputError("%s/seeds[%d][%d]: expected an integer" % (where, i, j))
-        elements.append(ring.element(coeffs))
+        elements.append(ring.element([c % ring.p for c in coeffs]))
     return mult_closure(ring, elements)
 
 
@@ -667,8 +667,14 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
     for key in ("p", "basis", "mul", "unit"):
         if key not in doc:
             raise InputError("%s/%s: missing" % (where, key))
-    if not is_json_int(doc["p"]):
+    p = doc["p"]
+    if not is_json_int(p):
         raise InputError("%s/p: expected an integer" % where)
+    # checked before any entry is reduced mod p
+    if p > MAX_CHARACTERISTIC:
+        raise CharacteristicTooLarge(p, MAX_CHARACTERISTIC)
+    if not _is_prime(p):
+        raise NotPrimeChar(p)
     labels = doc["basis"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InputError("%s/basis: expected a list of strings" % where)
@@ -690,11 +696,11 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
                 or not all(map(is_json_int, val))):
             raise InputError("%s/mul/%s: expected a list of %d integers" % (where, key, d))
         i, j = index[left], index[right]
-        vec = np.array(val, dtype=np.int64)
+        vec = np.array([c % p for c in val], dtype=np.int64)
         for a, b in ((i, j), (j, i)):
-            if filled[a, b] and not np.array_equal(table[a, b], vec % doc["p"]):
+            if filled[a, b] and not np.array_equal(table[a, b], vec):
                 raise NonCommutative(a, b, labels)
-            table[a, b] = vec % doc["p"]
+            table[a, b] = vec
             filled[a, b] = True
     missing = np.argwhere(~filled)
     if missing.size:
@@ -704,4 +710,4 @@ def ring_from_spec(doc: dict, where: str = "ring") -> FiniteAlgebra:
     if (not isinstance(unit, list) or len(unit) != d
             or not all(map(is_json_int, unit))):
         raise InputError("%s/unit: expected a list of %d integers" % (where, d))
-    return build_algebra(doc["p"], labels, table, unit)
+    return build_algebra(p, labels, table, [c % p for c in unit])

@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import srelhom
 from srelhom.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
@@ -304,3 +308,77 @@ def test_boolean_ring_entries_are_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "spd", "--ring", str(bad),
                        "--multset", "trivial.json", "--module", "m2.json")
     assert code == 2 and "/mul/e1*e1:" in err
+
+
+BIG = 2 ** 70  # past the int64 range; even, so it reduces to 0 mod 2
+
+
+def test_bad_characteristic_is_rejected_before_reduction(tmp_path, capsys):
+    base = json.loads((FIXTURES / "example36.json").read_text())
+    for p, message in ((BIG, "exceeds 65521"), (0, "not a prime")):
+        bad = tmp_path / "bad_p.json"
+        bad.write_text(json.dumps(dict(base, p=p)))
+        code, _, err = run(capsys, "spd", "--ring", str(bad),
+                           "--multset", "trivial.json", "--module", "m2.json")
+        assert code == 2 and message in err
+
+
+def test_huge_ring_entries_reduce_mod_p(tmp_path, capsys):
+    args = ("spd", "--multset", "S1s.json", "--module", "m2.json", "--bound", "8")
+    _, want, _ = run_json(capsys, *args, "--ring", "example36.json")
+    doc = json.loads((FIXTURES / "example36.json").read_text())
+    doc["mul"]["e1*e1"] = [BIG + 1, 0, 0]
+    doc["unit"] = [BIG + 1, 1, 0]
+    ring = tmp_path / "huge_mul.json"
+    ring.write_text(json.dumps(doc))
+    code, got, _ = run_json(capsys, *args, "--ring", str(ring))
+    assert code == 0 and got == want
+    # e1*e1 = 0 breaks the unit law: an input error, not a traceback
+    doc["mul"]["e1*e1"] = [BIG, 0, 0]
+    ring.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *args, "--ring", str(ring))
+    assert code == 2 and "error:" in err
+
+
+def test_huge_module_entries_reduce_mod_p(tmp_path, capsys):
+    _, want, _ = run_json(capsys, "spd", "--ring", "example36.json",
+                          "--multset", "S1s.json", "--module", "m2.json")
+    doc = json.loads((FIXTURES / "m2.json").read_text())
+    doc["action"]["e2"] = [BIG + 1]
+    path = tmp_path / "huge_action.json"
+    path.write_text(json.dumps(doc))
+    code, got, _ = run_json(capsys, "spd", "--ring", "example36.json",
+                            "--multset", "S1s.json", "--module", str(path))
+    assert code == 0 and got == want
+    doc["action"]["e2"] = [BIG]
+    code, _, err = spd_with_module(tmp_path, capsys, doc)
+    assert code == 2 and "error:" in err
+    doc = {"kind": "presentation", "free_rank": 1, "relations": [[[BIG + 1, 0, 0]]]}
+    code, _, _ = spd_with_module(tmp_path, capsys, doc)
+    assert code == 0
+
+
+def test_huge_multset_seeds_reduce_mod_p(tmp_path, capsys):
+    args = ("spd", "--ring", "example36.json", "--module", "m2.json")
+    _, want, _ = run_json(capsys, *args, "--multset", "S1s.json")
+    path = tmp_path / "huge_seeds.json"
+    path.write_text(json.dumps({"kind": "multset", "seeds": [[BIG + 1, 0, 0]]}))
+    code, got, _ = run_json(capsys, *args, "--multset", str(path))
+    assert code == 0 and got == want
+
+
+def test_negative_sgldim_trials_exit_2(capsys):
+    code, _, err = run(capsys, "sgldim", "--ring", "f2t2.json",
+                       "--multset", "trivial.json", "--trials", "-1")
+    assert code == 2 and "trials" in err
+
+
+def test_package_runs_as_a_module():
+    src = str(pathlib.Path(srelhom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "srelhom", "spd",
+                           "--ring", "example36.json", "--multset", "S1s.json",
+                           "--module", "m2.json", "--json"],
+                          capture_output=True, env=env, check=False)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["witness"] == "e1"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import product_ring, quotient_module
 
+from srelhom.checks import _multset_menu
 from srelhom.rings import (
     complement_multset,
     enumerate_ideals,
@@ -21,11 +22,13 @@ from srelhom.modules import (
     quotient_by_columns,
     regular_module,
     submodule_from_columns,
+    subquotient,
 )
 from srelhom.homology import Resolution, ext, injective_cocover, resolution
 from srelhom.dimensions import (
     DimValue,
     SplitWitness,
+    _split_search,
     check_inequalities,
     dim_max,
     dimension_shift_check,
@@ -38,6 +41,7 @@ from srelhom.dimensions import (
     s_pd,
 )
 from srelhom.instances import (
+    bundled_rings,
     middle_free_triple,
     nested_multsets,
     random_module,
@@ -207,23 +211,82 @@ def test_every_module_has_dimension_zero_when_e1_inverted(ring2, s_e1):
         assert s_pd(mod, s_e1).value == DimValue.exact(0)
 
 
+def walk_oracle(kind, module, s_set, bound):
+    """The bounded (co)syzygy walk that s_pd and s_id replaced.
+
+    Sections walk the syzygies of the minimal free resolution,
+    retractions the cosyzygies through injective cocovers; the first
+    level whose split search succeeds is the value.  Returns the value
+    and the split search of every level walked.
+    """
+    res = resolution(module)
+    current, levels = module, []
+    for i in range(bound + 1):
+        cover = res.cover(i) if kind == "section" else injective_cocover(current)
+        witness = _split_search(kind, cover, s_set)
+        levels.append(witness)
+        if witness.verdict:
+            return DimValue.exact(i), levels
+        if kind == "retraction":
+            current, _ = subquotient(cover, "cokernel")
+    return DimValue.over(bound), levels
+
+
 def test_second_factor_simple_exceeds_bound_classically(ring2, s_one, m2):
     r = s_pd(m2, s_one, bound=8)
     assert r.value == DimValue.over(8)
     assert str(r.value) == ">8"
     assert r.certificate is None
-    assert len(r.levels) == 9
-    assert all(not w.verdict for w in r.levels)
-    # each failed level exhausted the whole of S
-    assert all([s.label() for s in w.attempted] == ["e1+e2"] for w in r.levels)
+    # the level-0 search alone decides: it exhausted the whole of S
+    assert len(r.levels) == 1
+    assert [s.label() for s in r.last_failure.attempted] == ["e1+e2"]
+    # the bounded walk fails at each of its bound + 1 levels
+    value, levels = walk_oracle("section", m2, s_one, 8)
+    assert value == r.value
+    assert len(levels) == 9
+    assert all(not w.verdict for w in levels)
+    assert all([s.label() for s in w.attempted] == ["e1+e2"] for w in levels)
 
 
 def test_bound_is_honoured(ring2, s_one, m2):
     r = s_pd(m2, s_one, bound=2)
     assert r.value == DimValue.over(2)
-    assert len(r.levels) == 3
+    assert r.certificate is None
+    assert len(r.levels) == 1
+    value, levels = walk_oracle("section", m2, s_one, 2)
+    assert value == r.value
+    assert len(levels) == 3 and all(not w.verdict for w in levels)
     with pytest.raises(InputError):
         s_pd(m2, s_one, bound=-1)
+
+
+POOL = dict(bundled_rings())
+
+
+@pytest.mark.parametrize("name", list(POOL))
+def test_walk_never_certifies_past_level_zero(name):
+    # the Artinian dichotomy: over a finite ring both dimensions are 0 or
+    # infinite, so the walk's value is the level-0 decision of s_pd/s_id
+    ring = POOL[name]
+    multsets = list(_multset_menu(name, ring))
+    multsets += [complement_multset(ring, prime)
+                 for prime in enumerate_ideals(ring).primes]
+    rng = random.Random("dichotomy:%s" % name)
+    seen = set()
+    for _ in range(12):
+        module = random_module(ring, rng)
+        for s_set in multsets:
+            for kind, engine in (("section", s_pd), ("retraction", s_id)):
+                value, levels = walk_oracle(kind, module, s_set, 3)
+                assert value.beyond or value.value == 0, (name, kind, value)
+                got = engine(module, s_set, 3)
+                assert got.value == value, (name, kind)
+                (search,) = got.levels
+                assert search.certified_module() is module
+                assert (search.s, search.attempted) == (levels[0].s, levels[0].attempted)
+                seen.add(value.known)
+    # rings with a radical exercise both outcomes
+    assert seen == ({True} if name in ("F2", "F3", "F2xF2") else {True, False})
 
 
 def test_walk_metadata(ring2, s_e1, m2):
@@ -372,6 +435,11 @@ def test_product_ring_semisimple_relative_to_e1(ring2, s_e1):
     assert all(pd == DimValue.exact(0) and idv == DimValue.exact(0)
                for _, pd, idv in rep.per_ideal)
     assert "cyclic" in rep.caveat
+
+
+def test_negative_trials_are_rejected(ring2, s_one):
+    with pytest.raises(InputError, match="trials"):
+        s_gldim(ring2, s_one, trials=-1)
 
 
 def test_product_ring_classical_dimension_beyond_bound(ring2, s_one):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -182,3 +186,34 @@ def test_trial_outcome_verdicts_are_typed():
     assert rep.passes + rep.vacuous == 10
     out = TrialOutcome("pass")
     assert out.dump is None
+
+
+FRESH_REPLAY = """
+import json, sys
+from srelhom.checks import _memo, replay
+assert not _memo
+outcome = replay(json.loads(sys.argv[1]))
+print(json.dumps([outcome.verdict, outcome.detail]))
+"""
+
+
+@pytest.mark.parametrize("theorem", ["cor-3.3", "cor-3.5", "prop-3.2"])
+def test_replay_in_a_fresh_process_matches_the_suite(theorem):
+    # these entries memoize s_gldim blocks; a replay must not depend on
+    # what an earlier trial left in the memo
+    entry = REGISTRY[theorem]
+    dump = {"theorem": theorem, "trial": 0, "seed": 0,
+            "bound": entry.bound, "max_rank": entry.max_rank}
+    verify(TheoremCase(theorem, trials=3))
+    in_suite = replay(dump)
+    checks_mod.clear_memo()
+    assert checks_mod._memo == {}
+    cold = replay(dump)
+    src = str(pathlib.Path(checks_mod.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", FRESH_REPLAY, json.dumps(dump)],
+                           capture_output=True, text=True, check=False,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert fresh.returncode == 0, fresh.stderr
+    expected = [in_suite.verdict, in_suite.detail]
+    assert [cold.verdict, cold.detail] == expected
+    assert json.loads(fresh.stdout) == expected
