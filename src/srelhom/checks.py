@@ -350,7 +350,7 @@ def _trial_prop_2_5(rng, cfg):
     mod = random_module(ring, rng, max_rank=cfg.max_rank)
     result = s_pd(mod, s, cfg.bound)
     if not result.value.known:
-        return TrialOutcome("vacuous", "syzygy walk exhausted bound %d" % cfg.bound)
+        return TrialOutcome("vacuous", "S-pd is infinite (>bound %d is a proof on a finite ring)" % cfg.bound)
     level = result.value.value
     witness = result.certificate
     if witness is not None and not witness.verify():
@@ -373,7 +373,7 @@ def _trial_prop_2_6(rng, cfg):
     mod = random_module(ring, rng, max_rank=cfg.max_rank)
     result = s_id(mod, s, cfg.bound)
     if not result.value.known:
-        return TrialOutcome("vacuous", "cosyzygy walk exhausted bound %d" % cfg.bound)
+        return TrialOutcome("vacuous", "S-id is infinite (>bound %d is a proof on a finite ring)" % cfg.bound)
     level = result.value.value
     for _ in range(3):
         other = random_module(ring, rng, max_rank=cfg.max_rank)

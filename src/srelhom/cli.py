@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ext)
 
     for name, handler in (("spd", _cmd_spd), ("sid", _cmd_sid)):
-        p = sub.add_parser(name, help="S-relative dimension walk")
+        p = sub.add_parser(name, help="S-relative dimension: 0, or >bound (a proof of infinity)")
         common(p, multset=True, module=True, bound=True)
         p.set_defaults(handler=handler)
 

@@ -5,6 +5,11 @@ no floats, no modular shortcuts.  The centrepiece is the Smith normal form
 with minimal-pivot selection; the transforms it returns are checked for
 unimodularity before they leave this module, so downstream lattice code
 can trust U*A*V == D unconditionally.
+
+Solutions are read off a Smith form in one place, solve_each(a, b) ->
+(ok, X): one smith_normal_form(a) decides every column of b, ok[k] says
+whether a@x == b[:, k] has an integer solution, and then X[:, k] is the
+solution for that column alone.  solve is its all-or-nothing wrapper.
 """
 
 from .errors import InputError, InternalInvariantViolation
@@ -215,8 +220,14 @@ def diagonal_of(d):
     return [d[i][i] for i in range(min(rows, cols))]
 
 
-def solve(a, b):
-    """One integer solution x of a@x == b (column-stacked), or None."""
+def solve_each(a, b):
+    """Solve a@x == b[:, k] over Z for every column k by one Smith form.
+
+    Returns (ok, x): ok[k] says whether column k has an integer solution,
+    and then x[:, k] is the solution solve would give that column alone
+    (free coordinates in the Smith basis set to 0).  Columns of x where
+    ok is False carry no meaning.
+    """
     rows, cols = shape(a)
     rb, cb = shape(b)
     if rb != rows:
@@ -224,17 +235,26 @@ def solve(a, b):
     u, d, v = smith_normal_form(a)
     w = matmul(u, b)
     diag = diagonal_of(d)
+    ok = [True] * cb
     y = zeros(cols, cb)
     for i in range(rows):
         di = diag[i] if i < len(diag) else 0
+        wi = w[i]
         for j in range(cb):
             if di:
-                if w[i][j] % di:
-                    return None
-                y[i][j] = w[i][j] // di
-            elif w[i][j]:
-                return None
-    return matmul(v, y)
+                if wi[j] % di:
+                    ok[j] = False
+                else:
+                    y[i][j] = wi[j] // di
+            elif wi[j]:
+                ok[j] = False
+    return ok, matmul(v, y)
+
+
+def solve(a, b):
+    """One integer solution x of a@x == b (column-stacked), or None."""
+    ok, x = solve_each(a, b)
+    return x if all(ok) else None
 
 
 def kernel_basis(a):

@@ -11,6 +11,17 @@ reachability questions (does some product annihilate, which s can split a
 cover) run a breadth-first search over the monoid image in Z modulo the
 relevant exponent, which is a finite graph.  Witnesses come back as
 explicit products in the generators.
+
+Over Z/m, S-pd is 0 or infinite, so the split search at level 0 decides
+it.  Z/m is the product of the local Artinian rings Z/p^k over the primes
+p | m.  On a factor where p divides some s in S, a power of s lies in S
+and is 0 there, so every module splits.  On every other factor S acts by
+units, S-pd is the classical pd, and depth 0 makes it 0 or infinite by
+Auslander-Buchsbaum; a product of the factors' witnesses is one s for all
+of them.  The level-0 candidates are every residue of the S-orbit mod m,
+so a failed search has tried all of S-bar: it proves the dimension
+infinite, reported as ">bound".  Over Z relation lattices are free, so
+S-pd is at most 1 and the search runs at levels 0 and 1.
 """
 
 from __future__ import annotations
@@ -223,22 +234,41 @@ def _ring_name(ring, m):
 def _monoid_orbit(generators, modulus):
     """All residues of products of the generators mod modulus, BFS order.
 
-    Returns (order, paths) where paths[r] is the generator sequence whose
-    product first reached r; the empty product 1 comes first.
+    Returns (order, links): the empty product 1 comes first, and links[r]
+    is (previous residue, generator) for the step that first reached r
+    (None for the start), so each residue costs one link, not a path.
     """
     start = 1 % modulus
-    paths = {start: ()}
+    links = {start: None}
     order = [start]
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for g in generators:
             w = (v * g) % modulus
-            if w not in paths:
-                paths[w] = paths[v] + (g,)
+            if w not in links:
+                links[w] = (v, g)
                 order.append(w)
                 queue.append(w)
-    return order, paths
+    return order, links
+
+
+def _orbit_path(links, r):
+    """The generator sequence whose product first reached r."""
+    path = []
+    while links[r] is not None:
+        r, g = links[r]
+        path.append(g)
+    return tuple(reversed(path))
+
+
+def _orbit_products(order, links):
+    """The integer product of each residue's path, in BFS order."""
+    products = {order[0]: 1}
+    for r in order[1:]:
+        v, g = links[r]
+        products[r] = products[v] * g
+    return [products[r] for r in order]
 
 
 def _product_expression(path) -> str:
@@ -282,9 +312,9 @@ def z_uniform_torsion(mod: ZMod, s_set: ZMultSet) -> ZTorsionWitness:
             False, mod, None, None, None, 0,
             "a free summand survives every nonzero multiplier")
     e = mod.exponent()
-    order, paths = _monoid_orbit(s_set.generators, e)
-    if 0 in paths:
-        path = paths[0]
+    order, links = _monoid_orbit(s_set.generators, e)
+    if 0 in links:
+        path = _orbit_path(links, 0)
         return ZTorsionWitness(
             True, mod, math.prod(path), _product_expression(path), e, len(order))
     return ZTorsionWitness(
@@ -301,7 +331,9 @@ class ZSplitWitness:
 
     section is the matrix of a generator-level map phi with pi*phi equal
     to multiplication by s; attempted lists the products tried, in search
-    order, when no section exists.
+    order, when no section exists.  Every s of a level is a right-hand
+    side of one system, decided by one intmat.solve_each call, the one
+    place solutions are read off a Smith form.
     """
 
     s: int | None
@@ -316,6 +348,13 @@ class ZSplitWitness:
 
 @dataclass(frozen=True)
 class ZDimResult:
+    """S-pd with its split searches, one per level tried.
+
+    Over Z/m levels holds the one search at level 0.  Over Z a failed
+    level 0 is followed by level 1 when the bound allows it.  certificate
+    is the last search of a known value.
+    """
+
     kind: str
     module: ZMod
     s_set: ZMultSet
@@ -331,26 +370,30 @@ class ZDimResult:
         return "%s = %s (bound %d)" % (self.kind, self.value, self.bound)
 
 
-def _section_solve(q, s, modulus):
-    """Find phi = s*I + q@y with phi@q == 0 (mod modulus; None = exact).
+def _section_solve(q, candidates, order, links, modulus):
+    """Split search at one level: the first s with a section, or every s.
 
-    q is a relation-lattice basis for a module on len(q) generators; phi
-    is then a well-defined section of the free cover scaled by s.
+    A section is phi = s*I + q@y with phi@q == 0 (mod modulus; None =
+    exact); q is a relation-lattice basis for a module on len(q)
+    generators, so phi is a well-defined section of the free cover scaled
+    by s.  candidates[i] is the s that reached the residue order[i] (the
+    residue itself mod m, the product of its path over Z); every s is one
+    right-hand side of the same system, decided by one solve_each call.
     """
     g, k = intmat.shape(q)
-    if k == 0:
-        diag = s % modulus if modulus else s
-        return tuple(tuple(diag if i == j else 0 for j in range(g)) for i in range(g))
-    lhs = intmat.kron(intmat.transpose(q), q)
-    if modulus:
-        lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
-                                  for i in range(g * k)])
-    rhs = [[-s * q[idx % g][idx // g]] for idx in range(g * k)]
-    sol = intmat.solve(lhs, rhs)
-    if sol is None:
-        return None
-    y = [[sol[j * k + i][0] for j in range(g)] for i in range(k)]
-    phi = intmat.matmul(q, y)
+    c, phi = 0, intmat.zeros(g, g)
+    if k:
+        lhs = intmat.kron(intmat.transpose(q), q)
+        if modulus:
+            lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
+                                      for i in range(g * k)])
+        rhs = [[-s * q[idx % g][idx // g] for s in candidates] for idx in range(g * k)]
+        ok, sol = intmat.solve_each(lhs, rhs)
+        c = next((c for c, good in enumerate(ok) if good), None)
+        if c is None:
+            return ZSplitWitness(None, None, None, tuple(candidates))
+        phi = intmat.matmul(q, [[sol[j * k + i][c] for j in range(g)] for i in range(k)])
+    s = candidates[c]
     for i in range(g):
         phi[i][i] += s
     check = intmat.matmul(phi, q)
@@ -360,66 +403,41 @@ def _section_solve(q, s, modulus):
                 raise InternalInvariantViolation("solved section fails to kill relations")
     if modulus:
         phi = [[x % modulus for x in row] for row in phi]
-    return tuple(tuple(row) for row in phi)
-
-
-def _split_levels(lattices, s_candidates, modulus, bound):
-    """Walk syzygy presentations, trying each candidate s per level."""
-    levels = []
-    for level, q in enumerate(lattices):
-        attempted = []
-        found = None
-        for s, expr in s_candidates(level):
-            phi = _section_solve(q, s, modulus)
-            if phi is not None:
-                found = ZSplitWitness(s, expr, phi)
-                break
-            attempted.append(s)
-        if found is not None:
-            levels.append(found)
-            return DimValue.exact(level), tuple(levels)
-        levels.append(ZSplitWitness(None, None, None, tuple(attempted)))
-    return DimValue.over(bound), tuple(levels)
+    return ZSplitWitness(s, _product_expression(_orbit_path(links, order[c])),
+                         tuple(tuple(row) for row in phi))
 
 
 def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
-    """S-projective dimension by a syzygy walk with per-level split search.
+    """S-projective dimension by one split search per level.
 
-    Over Z the walk stops at depth 1 (relation lattices are free); over
-    Z/m it runs to the bound, presenting each syzygy by the lattice of
-    solutions of the previous one mod m.
+    Over Z/m one search at level 0 decides the value, and a failure is a
+    proof of infinity reported as ">bound" (see the module docstring).
+    Over Z the relation lattice is free, so a failure at level 0 is
+    followed by level 1, which splits with s = 1.
     """
     _match_rings(mod, s_set)
     if bound < 0:
         raise InputError("bound must be >= 0")
-    g = mod.generators
-    if mod.ring == "Z":
-        _, tors = mod.structure()
-        e = tors[-1] if tors else 1
-        order, paths = _monoid_orbit(s_set.generators, e)
-        lattices = [_relation_lattice(mod)]
-        k = intmat.shape(lattices[0])[1]
-        if bound >= 1:
-            lattices.append(intmat.zeros(k, 0))
-
-        def candidates(_level):
-            return [(math.prod(paths[r]), _product_expression(paths[r])) for r in order]
-
-        value, levels = _split_levels(lattices, candidates, None, min(bound, 1))
-        if not value.known and bound >= 1:
-            raise InternalInvariantViolation("free syzygy admitted no section")
-        if not value.known:
-            value = DimValue.over(bound)
+    q = _relation_lattice(mod)
+    if mod.ring == "Z_mod":
+        order, links = _monoid_orbit(s_set.generators, mod.m)
+        level0 = _section_solve(q, order, order, links, mod.m)
+        value = DimValue.exact(0) if level0.verdict else DimValue.over(bound)
+        return ZDimResult("S-pd", mod, s_set, bound, value, (level0,))
+    _, tors = mod.structure()
+    order, links = _monoid_orbit(s_set.generators, tors[-1] if tors else 1)
+    candidates = _orbit_products(order, links)
+    levels = (_section_solve(q, candidates, order, links, None),)
+    if levels[0].verdict:
+        value = DimValue.exact(0)
+    elif bound == 0:
+        value = DimValue.over(bound)
     else:
-        order, paths = _monoid_orbit(s_set.generators, mod.m)
-        pairs = [(r, _product_expression(paths[r])) for r in order]
-        lattices = []
-        q = _relation_lattice(mod)
-        for _ in range(bound + 1):
-            lattices.append(q)
-            q = intmat.solution_lattice(
-                q, [[mod.m if i == j else 0 for j in range(g)] for i in range(g)])
-        value, levels = _split_levels(lattices, lambda _level: pairs, mod.m, bound)
+        k = intmat.shape(q)[1]
+        levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None),)
+        if not levels[1].verdict:
+            raise InternalInvariantViolation("free syzygy admitted no section")
+        value = DimValue.exact(1)
     return ZDimResult("S-pd", mod, s_set, bound, value, levels)
 
 
@@ -533,10 +551,10 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
         raise RingMismatch("module must live over Z/%d" % a)
     if s_set.ring != "Z":
         raise RingMismatch("multiplicative set must live over Z")
-    _, paths = _monoid_orbit(s_set.generators, a)
-    if 0 in paths:
+    _, links = _monoid_orbit(s_set.generators, a)
+    if 0 in links:
         raise DividesS(
-            "%d divides the product %s" % (a, _product_expression(paths[0])))
+            "%d divides the product %s" % (a, _product_expression(_orbit_path(links, 0))))
     sbar = ZMultSet("Z_mod", a, tuple(g % a for g in s_set.generators))
     bar_result = z_s_pd(mod, sbar, bound)
     z_result = z_s_pd(_as_z_module(mod), s_set, bound)

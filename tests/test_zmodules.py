@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -19,6 +21,12 @@ from srelhom.zmodules import (
     FactorRingReport,
     ZMod,
     ZMultSet,
+    ZSplitWitness,
+    _monoid_orbit,
+    _orbit_path,
+    _orbit_products,
+    _product_expression,
+    _relation_lattice,
     change_of_rings_check,
     factor_ring_check,
     z_cyclic,
@@ -98,6 +106,54 @@ def test_solve_and_kernel():
         assert intmat.matmul(a, ker) == zero if kcols else True
     assert intmat.solve([[2]], [[3]]) is None
     assert intmat.solve([[2, 4], [0, 6]], [[6], [6]]) == [[1], [1]]
+
+
+def lattice_pivots(a):
+    """(row, value) of the leading entry of each triangular basis column."""
+    basis = intmat.column_lattice_basis(a)
+    _, cols = intmat.shape(basis)
+    return [next((i, basis[i][j]) for i in range(len(basis)) if basis[i][j])
+            for j in range(cols)]
+
+
+def test_intmat_solve_each_matches_solving_one_column_at_a_time():
+    rng = random.Random(808)
+    # (rows, unknowns, right-hand sides): a with no columns, b with none, neither
+    edge = [(3, 0, 3), (3, 4, 0), (2, 0, 0)]
+    seen = {True: 0, False: 0}
+    for trial in range(80):
+        rows, k, width = (edge[trial] if trial < len(edge)
+                          else (rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5)))
+        a = random_int_matrix(rng, rows, k, -6, 6)
+        if trial % 3 == 0:
+            a = [[2 * x for x in row] for row in a]  # odd right-hand sides fail
+        b = random_int_matrix(rng, rows, width, -6, 6)
+        if width and rng.random() < 0.5:
+            # plant a consistent column somewhere
+            planted = intmat.matmul(a, random_int_matrix(rng, k, 1, -4, 4)) if k else \
+                intmat.zeros(rows, 1)
+            j = rng.randrange(width)
+            for i in range(rows):
+                b[i][j] = planted[i][0]
+        ok, x = intmat.solve_each(a, b)
+        assert len(ok) == width and len(x) == k
+        for j in range(width):
+            col = [[b[i][j]] for i in range(rows)]
+            # consistent exactly when the column does not enlarge the lattice
+            consistent = lattice_pivots(intmat.hstack(a, col)) == lattice_pivots(a)
+            assert ok[j] == consistent
+            seen[consistent] += 1
+            sol = intmat.solve(a, col)
+            assert (sol is not None) == ok[j]
+            if ok[j]:
+                assert [[x[i][j]] for i in range(k)] == sol
+                assert intmat.matmul(a, sol) == col if k else not any(b[i][j] for i in range(rows))
+    assert seen[True] > 20 and seen[False] > 20
+
+
+def test_intmat_solve_each_rejects_mismatched_rows():
+    with pytest.raises(InputError):
+        intmat.solve_each(intmat.zeros(2, 2), intmat.zeros(3, 1))
 
 
 def test_lattice_helpers():
@@ -224,6 +280,45 @@ def test_torsion_matches_exhaustive_products():
             assert report.witness % e == 0
 
 
+def old_monoid_orbit(generators, modulus):
+    """The BFS as it was when it stored a full path per residue."""
+    start = 1 % modulus
+    paths = {start: ()}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for g in generators:
+            w = (v * g) % modulus
+            if w not in paths:
+                paths[w] = paths[v] + (g,)
+                order.append(w)
+                queue.append(w)
+    return order, paths
+
+
+def test_orbit_links_rebuild_the_old_paths():
+    for modulus in range(1, 41):
+        for gens in ((2,), (3,), (2, 3), (5, 2), (6, 7), (4, 9, 11)):
+            order, links = _monoid_orbit(gens, modulus)
+            old_order, paths = old_monoid_orbit(gens, modulus)
+            assert order == old_order
+            assert {r: _orbit_path(links, r) for r in order} == paths
+            assert _orbit_products(order, links) == [math.prod(paths[r]) for r in order]
+
+
+def test_orbit_memory_is_linear_in_its_size():
+    # 2 has order 5003 mod 10007; a path per residue held 12.5 million entries
+    tracemalloc.start()
+    try:
+        order, _ = _monoid_orbit((2,), 10007)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(order) == 5003
+    assert peak < 4 * 2 ** 20
+
+
 def test_torsion_ring_mismatch():
     with pytest.raises(RingMismatch):
         z_uniform_torsion(z_cyclic(4), z_multset("Z_mod", [3], m=4))
@@ -266,7 +361,6 @@ def test_spd_section_is_verifiable():
         mod = random_zmod(rng, max_gens=2)
         res = z_s_pd(mod, z_multset("Z", [2, 3]))
         if res.value == DimValue.exact(0) and mod.generators:
-            from srelhom.zmodules import _relation_lattice
             phi = [list(row) for row in res.certificate.section]
             lat = _relation_lattice(mod)
             if intmat.shape(lat)[1]:
@@ -274,12 +368,83 @@ def test_spd_section_is_verifiable():
                 assert all(x == 0 for row in prod for x in row)
 
 
+def old_section_solve(q, s, m):
+    """The per-candidate section solve of the Z/m walk."""
+    g, k = intmat.shape(q)
+    if k == 0:
+        return tuple(tuple(s % m if i == j else 0 for j in range(g)) for i in range(g))
+    lhs = intmat.hstack(intmat.kron(intmat.transpose(q), q),
+                        [[m if i == j else 0 for j in range(g * k)] for i in range(g * k)])
+    sol = intmat.solve(lhs, [[-s * q[idx % g][idx // g]] for idx in range(g * k)])
+    if sol is None:
+        return None
+    y = [[sol[j * k + i][0] for j in range(g)] for i in range(k)]
+    phi = intmat.matmul(q, y)
+    for i in range(g):
+        phi[i][i] += s
+    assert all(x % m == 0 for row in intmat.matmul(phi, q) for x in row)
+    return tuple(tuple(x % m for x in row) for row in phi)
+
+
+def zmod_walk_oracle(mod, s_set, bound):
+    """The Z/m syzygy walk: every syzygy lattice up to the bound, built
+    first, then one section solve per candidate s per level."""
+    m, g = mod.m, mod.generators
+    order, paths = old_monoid_orbit(s_set.generators, m)
+    lattices = [_relation_lattice(mod)]
+    for _ in range(bound):
+        lattices.append(intmat.solution_lattice(
+            lattices[-1], [[m if i == j else 0 for j in range(g)] for i in range(g)]))
+    levels = []
+    for level, q in enumerate(lattices):
+        for s in order:
+            phi = old_section_solve(q, s, m)
+            if phi is not None:
+                levels.append(ZSplitWitness(s, _product_expression(paths[s]), phi))
+                return DimValue.exact(level), tuple(levels)
+        levels.append(ZSplitWitness(None, None, None, tuple(order)))
+    return DimValue.over(bound), tuple(levels)
+
+
+def test_zmod_walk_never_certifies_past_level_zero():
+    rng = random.Random(4242)
+    tally = {True: 0, False: 0}
+    for m in (4, 6, 8, 9, 12, 18, 27, 36):
+        units = [u for u in range(2, m) if math.gcd(u, m) == 1]
+        sharing = [u for u in range(2, m) if math.gcd(u, m) > 1]
+        divisors = [d for d in range(2, m) if m % d == 0]
+        for trial in range(12):
+            if trial % 2:
+                mod = random_zmod(rng, ring="Z_mod", m=m, span=m)
+            else:
+                # sums of cyclic Z/d with d | m: mostly not projective
+                orders = [rng.choice(divisors) for _ in range(rng.randint(1, 2))]
+                mod = z_module_from_factors("Z_mod", m, rng.randint(0, 1), orders)
+            pool = units if trial % 4 < 2 else sharing + units
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+            s_set = z_multset("Z_mod", gens, m=m)
+            bound = rng.randint(0, 3)
+            res = z_s_pd(mod, s_set, bound)
+            value, walk = zmod_walk_oracle(mod, s_set, bound)
+            assert value in (DimValue.exact(0), DimValue.over(bound))
+            assert res.value == value
+            assert res.levels[0] == walk[0]
+            assert len(res.levels) == 1
+            tally[value.known] += 1
+    assert tally[True] >= 20 and tally[False] >= 20
+
+
 def test_spd_over_zmod_frozen():
-    res = z_s_pd(z_module("Z_mod", [[2]], m=4), z_multset("Z_mod", [3], m=4))
+    mod, s_set = z_module("Z_mod", [[2]], m=4), z_multset("Z_mod", [3], m=4)
+    res = z_s_pd(mod, s_set)
     assert res.value == DimValue.over(8)
-    assert len(res.levels) == 9
-    assert all(not lvl.verdict for lvl in res.levels)
+    assert len(res.levels) == 1
+    assert not res.levels[0].verdict
     assert res.levels[0].attempted == (1, 3)
+    # the old walk fails at all nine levels 0..8 on the way to the same answer
+    value, walk = zmod_walk_oracle(mod, s_set, 8)
+    assert value == res.value
+    assert len(walk) == 9 and all(not lvl.verdict for lvl in walk)
     res = z_s_pd(z_free("Z_mod", 1, m=4), z_multset("Z_mod", [3], m=4))
     assert res.value == DimValue.exact(0)
     # once some product of the generators hits 0 mod m everything splits
