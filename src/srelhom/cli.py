@@ -13,6 +13,7 @@ field in JSON-pointer style.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import pathlib
@@ -291,7 +292,9 @@ def _cmd_resolve(args, fixtures):
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="srelhom",
         description="exact computations in S-relative homological algebra")

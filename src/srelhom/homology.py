@@ -35,6 +35,7 @@ from .modules import (
     Module,
     ModuleMap,
     SExactReport,
+    _derived_module,
     cap_chain,
     character_dual,
     free_map_from_generator_images,
@@ -306,7 +307,7 @@ class HomCochain:
             acts = np.stack([np.kron(gfmat.identity(r), a)
                              for a in self.target.actions]) if r * n else \
                 np.zeros((self.target.ring.dim, r * n, r * n), dtype=np.int64)
-            self._modules[k] = Module(self.target.ring, acts, check=False)
+            self._modules[k] = _derived_module(self.target.ring, acts)
         return self._modules[k]
 
     def diff_matrix(self, k: int) -> np.ndarray:

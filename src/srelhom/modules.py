@@ -10,6 +10,31 @@ projectives with injectives.
 
 All witness searches scan the multiplicative set in canonical order and
 return the first success, so results are deterministic.
+
+Validation happens at the trust boundary.  The public constructors
+check in full: Module(...) the representation property and the unit,
+ModuleMap(...) that the matrix intertwines the actions; module_from_spec
+and map_from_spec build through them.  So do the maps that come out of a
+solved system whose correctness is the point (split witnesses, maps
+induced on Ext, horseshoe boundaries, injective cocovers, candidate
+isomorphisms), so that a wrong solve raises.
+
+Objects derived here from valid ones, by operations that keep them
+valid, skip the check.  _derived_module builds direct sums, submodules,
+quotients, character duals, zero and free modules, and the Hom cochain
+modules of homology; ModuleMap._trusted
+builds composites, sums, identities, zero maps, scalings, maps out of
+free modules, direct-sum injections and projections, the hom_space
+basis, inclusions, projections, corestrictions, inverse witnesses and
+dual maps.  Where such a constructor takes raw input it checks the one
+fact its derivation needs: that the span is invariant
+(submodule_from_columns, quotient_by_columns) and the columns
+independent (submodule_from_columns).  The test suite swaps both private
+constructors for the validating ones, replays a registry sample and
+expects the same verdicts, so every skipped check stays reachable.
+
+Free modules are cached on their ring, one object per rank, so their
+resolutions and duals are shared.
 """
 
 from __future__ import annotations
@@ -73,17 +98,19 @@ class Module:
     structure table) and that the unit acts as the identity.
     """
 
-    def __init__(self, ring: FiniteAlgebra, actions, check: bool = True):
-        self.ring = ring
+    def __init__(self, ring: FiniteAlgebra, actions):
         arr = np.array(actions, dtype=np.int64)
         if arr.ndim != 3 or arr.shape[0] != ring.dim or arr.shape[1] != arr.shape[2]:
             raise InputError("actions must have shape (%d, m, m)" % ring.dim)
-        self.actions = np.mod(arr, ring.p)
-        self.vdim = int(arr.shape[1])
+        self._store(ring, np.mod(arr, ring.p))
+        self._validate()
+
+    def _store(self, ring: FiniteAlgebra, actions: np.ndarray) -> None:
+        self.ring = ring
+        self.actions = actions
+        self.vdim = int(actions.shape[1])
         self.free_rank: int | None = None
         self._cache: dict = {}
-        if check:
-            self._validate()
 
     def _validate(self):
         p, d = self.ring.p, self.ring.dim
@@ -125,6 +152,17 @@ class Module:
         return "Module(dim=%d%s over %r)" % (self.vdim, tag, self.ring)
 
 
+def _derived_module(ring: FiniteAlgebra, acts: np.ndarray) -> Module:
+    """A module whose actions form a representation by construction.
+
+    acts is a reduced int64 array of shape (ring.dim, m, m) that nothing
+    mutates afterwards; it is stored unchecked.
+    """
+    mod = Module.__new__(Module)
+    mod._store(ring, acts)
+    return mod
+
+
 def same_module(a: Module, b: Module) -> bool:
     if a is b:
         return True
@@ -157,6 +195,18 @@ class ModuleMap:
                     "matrix does not intertwine the action of %s"
                     % self.source.ring.basis_labels[i])
 
+    @classmethod
+    def _trusted(cls, source: Module, target: Module,
+                 matrix: np.ndarray) -> "ModuleMap":
+        """A map that is R-linear by construction, stored unchecked.
+
+        matrix is a reduced int64 array of shape (target.vdim,
+        source.vdim) that nothing mutates afterwards.
+        """
+        f = cls.__new__(cls)
+        f.source, f.target, f.matrix = source, target, matrix
+        return f
+
     @property
     def ring(self) -> FiniteAlgebra:
         return self.source.ring
@@ -165,46 +215,57 @@ class ModuleMap:
         """self after other."""
         if not same_module(self.source, other.target):
             raise NotComposable("composition source/target mismatch")
-        return ModuleMap(other.source, self.target,
-                         (self.matrix @ other.matrix) % self.ring.p)
+        return ModuleMap._trusted(other.source, self.target,
+                                  (self.matrix @ other.matrix) % self.ring.p)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         if not (same_module(self.source, other.source)
                 and same_module(self.target, other.target)):
             raise NotComposable("sum of maps with different endpoints")
-        return ModuleMap(self.source, self.target,
-                         (self.matrix + other.matrix) % self.ring.p)
+        return ModuleMap._trusted(self.source, self.target,
+                                  (self.matrix + other.matrix) % self.ring.p)
 
     def is_zero(self) -> bool:
         return not self.matrix.any()
 
     @staticmethod
     def identity(m: Module) -> "ModuleMap":
-        return ModuleMap(m, m, gfmat.identity(m.vdim))
+        return ModuleMap._trusted(m, m, gfmat.identity(m.vdim))
 
     @staticmethod
     def zero(source: Module, target: Module) -> "ModuleMap":
-        return ModuleMap(source, target, gfmat.zeros(target.vdim, source.vdim))
+        if not same_ring(source.ring, target.ring):
+            raise RingMismatch("map between modules over different rings")
+        return ModuleMap._trusted(source, target,
+                                  gfmat.zeros(target.vdim, source.vdim))
 
 
 def scaling_map(m: Module, elt: RingElement) -> ModuleMap:
     """Multiplication by a ring element as an endomorphism."""
-    return ModuleMap(m, m, m.action_of(elt))
+    return ModuleMap._trusted(m, m, m.action_of(elt))
 
 
 # -- basic constructors ------------------------------------------------------
 
 
 def zero_module(ring: FiniteAlgebra) -> Module:
-    return Module(ring, np.zeros((ring.dim, 0, 0), dtype=np.int64), check=False)
+    return _derived_module(ring, np.zeros((ring.dim, 0, 0), dtype=np.int64))
 
 
 def free_module(ring: FiniteAlgebra, k: int) -> Module:
-    """R^k with basis blocks of ring coordinates, generator j in block j."""
-    lms = ring.left_muls()
-    acts = np.stack([np.kron(gfmat.identity(k), lm) for lm in lms])
-    mod = Module(ring, acts, check=False)
-    mod.free_rank = k
+    """R^k with basis blocks of ring coordinates, generator j in block j.
+
+    Built once per (ring, k) and cached on the ring, so every caller
+    shares one module object and its cached resolutions.
+    """
+    if not is_json_int(k) or k < 0:
+        raise InputError("free rank must be a nonnegative integer, got %r" % (k,))
+    mod = ring._free_modules.get(k)
+    if mod is None:
+        acts = np.stack([np.kron(gfmat.identity(k), lm) for lm in ring.left_muls()])
+        mod = _derived_module(ring, acts)
+        mod.free_rank = k
+        mod = ring._free_modules.setdefault(k, mod)
     return mod
 
 
@@ -227,6 +288,8 @@ def free_map_from_generator_images(free_src: Module, target: Module,
     action of e_i applied to the j-th image.
     """
     ring = target.ring
+    if not same_ring(free_src.ring, ring):
+        raise RingMismatch("map between modules over different rings")
     k = free_src.free_rank
     if k is None or free_src.vdim != k * ring.dim:
         raise InputError("source must be a free module built by free_module")
@@ -238,7 +301,7 @@ def free_map_from_generator_images(free_src: Module, target: Module,
         blocks.append(np.stack([target.actions[i] @ y for i in range(ring.dim)],
                                axis=1) % ring.p)
     mat = np.hstack(blocks) if blocks else gfmat.zeros(target.vdim, 0)
-    return ModuleMap(free_src, target, mat)
+    return ModuleMap._trusted(free_src, target, mat)
 
 
 def ring_matrix_of_free_map(f: ModuleMap) -> np.ndarray:
@@ -275,13 +338,13 @@ def direct_sum(*mods: Module) -> tuple[Module, list[ModuleMap], list[ModuleMap]]
         offs.append(pos)
         acts[:, pos:pos + m.vdim, pos:pos + m.vdim] = m.actions
         pos += m.vdim
-    summed = Module(ring, acts, check=False)
+    summed = _derived_module(ring, acts)
     injections, projections = [], []
     for m, off in zip(mods, offs):
         inj = gfmat.zeros(total, m.vdim)
         inj[off:off + m.vdim] = gfmat.identity(m.vdim)
-        injections.append(ModuleMap(m, summed, inj))
-        projections.append(ModuleMap(summed, m, inj.T))
+        injections.append(ModuleMap._trusted(m, summed, inj))
+        projections.append(ModuleMap._trusted(summed, m, inj.T.copy()))
     return summed, injections, projections
 
 
@@ -314,7 +377,7 @@ def hom_space(src: Module, tgt: Module) -> list[ModuleMap]:
     if n * m == 0:
         return []
     basis = gfmat.nullspace(_intertwining_rows(src, tgt), src.ring.p)
-    return [ModuleMap(src, tgt, basis[:, j].reshape(n, m))
+    return [ModuleMap._trusted(src, tgt, basis[:, j].reshape(n, m))
             for j in range(basis.shape[1])]
 
 
@@ -324,17 +387,25 @@ def hom_space(src: Module, tgt: Module) -> list[ModuleMap]:
 def submodule_from_columns(mod: Module, cols: np.ndarray) -> tuple[Module, ModuleMap]:
     """Submodule spanned by independent columns, with its inclusion.
 
-    The span must be invariant under the ring action.
+    The span must be invariant under the ring action.  The solve for the
+    actions on the columns proves invariance, and the unit then acts as
+    the identity exactly when the columns are independent, so the
+    submodule is valid with no further check.
     """
     p, d = mod.ring.p, mod.ring.dim
+    cols = np.mod(np.asarray(cols, dtype=np.int64), p)
     n, k = cols.shape
     # the images of the columns under every basis action, side by side
     moved = np.einsum("iab,bc->aic", mod.actions, cols).reshape(n, d * k) % p
     sol = gfmat.solve(cols, moved, p)
     if sol is None:
         raise InputError("columns do not span an action-invariant subspace")
-    sub = Module(mod.ring, sol.reshape(k, d, k).transpose(1, 0, 2))
-    return sub, ModuleMap(sub, mod, cols)
+    acts = np.ascontiguousarray(sol.reshape(k, d, k).transpose(1, 0, 2))
+    if not np.array_equal(np.tensordot(mod.ring.unit, acts, 1) % p,
+                          gfmat.identity(k)):
+        raise InputError("columns are not independent")
+    sub = _derived_module(mod.ring, acts)
+    return sub, ModuleMap._trusted(sub, mod, cols)
 
 
 def quotient_by_columns(mod: Module, cols: np.ndarray
@@ -342,22 +413,25 @@ def quotient_by_columns(mod: Module, cols: np.ndarray
     """Quotient of a module by an invariant column span.
 
     Returns (Q, projection, section) where section is a matrix choosing
-    coset representatives, with projection @ section = identity.
+    coset representatives, with projection @ section = identity.  The
+    span must be invariant under the ring action; the projection killing
+    the moved span is that check, and it makes Q valid.
     """
     p = mod.ring.p
     basis = gfmat.column_space(cols, p)
     k = basis.shape[1]
     n = mod.vdim
     if k == 0:
-        q = Module(mod.ring, mod.actions, check=False)
-        return q, ModuleMap(mod, q, gfmat.identity(n)), gfmat.identity(n)
+        q = _derived_module(mod.ring, mod.actions)
+        return q, ModuleMap._trusted(mod, q, gfmat.identity(n)), gfmat.identity(n)
     comp = gfmat.extend_to_basis(basis, p)
     inv = gfmat.inverse(np.hstack([basis, comp]), p)
     proj = inv[k:, :]
-    acts = np.stack([(proj @ mod.actions[i] @ comp) % p
-                     for i in range(mod.ring.dim)])
-    q = Module(mod.ring, acts)
-    return q, ModuleMap(mod, q, proj), comp
+    moved = (proj @ mod.actions) % p
+    if ((moved @ basis) % p).any():
+        raise InputError("columns do not span an action-invariant subspace")
+    q = _derived_module(mod.ring, (moved @ comp) % p)
+    return q, ModuleMap._trusted(mod, q, proj), comp
 
 
 def subquotient(f: ModuleMap, part: str) -> tuple[Module, ModuleMap]:
@@ -390,7 +464,7 @@ def image_factorization(f: ModuleMap) -> tuple[Module, ModuleMap, ModuleMap]:
     cores_mat = gfmat.solve(incl.matrix, f.matrix, f.ring.p)
     if cores_mat is None:
         raise InternalInvariantViolation("image columns do not span the image")
-    return img, incl, ModuleMap(f.source, img, cores_mat)
+    return img, incl, ModuleMap._trusted(f.source, img, cores_mat)
 
 
 # -- S-relative notions -------------------------------------------------------
@@ -538,7 +612,7 @@ def s_iso_inverse(f: ModuleMap, s_set: MultSet) -> tuple[ModuleMap, RingElement]
         raise InternalInvariantViolation(
             "S-isomorphism admits no inverse witness in S; this is an engine bug")
     k = int(np.argmax(ok))
-    return ModuleMap(tgt, src, sols[:, k].reshape(m, n)), elements[k]
+    return ModuleMap._trusted(tgt, src, sols[:, k].reshape(m, n)), elements[k]
 
 
 # -- character duality --------------------------------------------------------
@@ -555,13 +629,13 @@ def character_dual(mod: Module) -> Module:
     """
     if "dual" not in mod._cache:
         acts = np.ascontiguousarray(mod.actions.transpose(0, 2, 1))
-        mod._cache["dual"] = Module(mod.ring, acts, check=False)
+        mod._cache["dual"] = _derived_module(mod.ring, acts)
     return mod._cache["dual"]
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(character_dual(f.target), character_dual(f.source),
-                     f.matrix.T.copy())
+    return ModuleMap._trusted(character_dual(f.target), character_dual(f.source),
+                              f.matrix.T.copy())
 
 
 # -- isomorphism search -------------------------------------------------------

@@ -127,9 +127,10 @@ class FiniteAlgebra:
         unit: length-d int64 array, the multiplicative identity.
 
     Instances are immutable by convention.  Derived data (left
-    multiplication matrices, the radical, the ideal list, resolutions of
-    modules over the ring) is cached on first use; caches only ever gain
-    entries, so sharing an instance across threads is safe for readers.
+    multiplication matrices, the radical, the ideal list, the free
+    modules R^k and through them their resolutions) is cached on first
+    use; caches only ever gain entries, so sharing an instance across
+    threads is safe for readers.
     """
 
     def __init__(self, p: int, basis_labels, table, unit):
@@ -146,6 +147,7 @@ class FiniteAlgebra:
         self._radical = None
         self._ideal_list = None
         self._elements = None
+        self._free_modules: dict = {}  # rank k -> R^k, filled by free_module
 
     # -- construction-time validation ------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import srelhom
-from srelhom.cli import main
+from srelhom.cli import build_parser, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
 
@@ -382,3 +383,80 @@ def test_package_runs_as_a_module():
                           capture_output=True, env=env, check=False)
     assert done.returncode == 0
     assert json.loads(done.stdout)["witness"] == "e1"
+
+
+def lone_call(*argv):
+    """Exit code and stdout of one command in a fresh interpreter."""
+    src = str(pathlib.Path(srelhom.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "srelhom", *argv],
+                         capture_output=True, text=True, check=False,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return out.returncode, out.stdout
+
+
+def test_back_to_back_calls_match_lone_calls(capsys):
+    # the parser is built once per process; reusing it, also after a
+    # parse error, must not change what any call prints
+    assert build_parser() is build_parser()
+    spd = ("spd", "--ring", "example36.json", "--multset", "S1s.json",
+           "--module", "m2.json", "--bound", "8", "--json")
+    bad = ("spd", "--ring", "example36.json", "--no-such-flag")
+    lemma = ("verify", "lemma-1.1", "--trials", "5", "--seed", "0", "--json")
+    in_process = []
+    for argv in (spd, bad, lemma, spd):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process[1] == (2, "")
+    lone = {argv: lone_call(*argv) for argv in (spd, bad, lemma)}
+    assert in_process == [lone[argv] for argv in (spd, bad, lemma, spd)]
+
+
+E36 = ("--ring", "example36.json")
+PINNED = [
+    (("spd", *E36, "--multset", "S1s.json", "--module", "m2.json", "--bound", "8"),
+     "35e7f861b1a99b7fb8d9069f827565ca45e89f032a820b14f90850992f3a99c2",
+     "b7d4c0e7213f66ea1d1f890c458c632afaaf59c5aba026de0382faeac3dd7995"),
+    (("spd", *E36, "--multset", "trivial.json", "--module", "m2.json", "--bound", "8"),
+     "bca12aaab5383368ba5cef763451808c5b6245fbaa89aeaee13a82077800c47d",
+     "50d0f167d929fa748e3531676ec3f0d7468ccdc0541a2c3d6dda0a9e5a9a5cfd"),
+    (("sid", *E36, "--multset", "S1s.json", "--module", "m2.json", "--bound", "8"),
+     "f76ed5633aef8324b740ef7afa5f2ec4eb431fb78912a7a7ef416958edd654a9",
+     "8511564751dc642bac1c8db2107df66fa8b70dfa2c659be965b5ab31615b1066"),
+    (("ext", *E36, "--module", "m2.json", "--other", "m2.json", "--degree", "1"),
+     "be43396f98d43a30310edc6cfda37b273e574db0ef6835a8a953cbd68ffb0118",
+     "55ae2664e9c26025029c04d42bf5632c7d66a227e54e0abe2a3b8717a91b0bdb"),
+    (("resolve", *E36, "--module", "m2.json", "--depth", "4"),
+     "9ad42f3069be3dae6ee0e8299802132aaea351d352ff8c7dbb5f142a35794ad7",
+     "9ad42f3069be3dae6ee0e8299802132aaea351d352ff8c7dbb5f142a35794ad7"),
+    (("ssemisimple", *E36, "--multset", "S1s.json"),
+     "2a89e4faa7b325ace7d9cdbacb14fa6ed619177210d57d6d9e09ff715aca74f6",
+     "eddace6909a4f8ecf53523f96998a01aa2f4bff0b73c98b8408a896ecbc0c960"),
+    (("storsion", *E36, "--multset", "S1s.json", "--module", "m2.json"),
+     "1899bbb31960ca69e95e6a045b12fb932877b9dee718dd7c5c8254db1fcbc896",
+     "eddace6909a4f8ecf53523f96998a01aa2f4bff0b73c98b8408a896ecbc0c960"),
+    (("localprofile", *E36, "--module", "m2.json", "--bound", "6"),
+     "604e278ab696ff0632578599818d61dad9711289265700e2dc9f29dc965879aa",
+     "5ba675f913bb3e98697b1706de3ac83cb441704301160814cfe163f06102620c"),
+    (("sgldim", *E36, "--multset", "S1s.json", "--bound", "4", "--trials", "5",
+      "--seed", "0"),
+     "94beb2e331f83a70f30dab15b53b4e7afb690811a25478d2b05f54b3f0831203",
+     "da7188e9af01dd19ee223d67ab07017abd62a0466683a37590dde14199ccaed0"),
+    (("factorcheck", "--a", "3", "--multset", "gen2.json", "--module", "z3.json"),
+     "27eb44ca13531dff98f8618168f8628687da1815873e3704b7f33099c825dfbe",
+     "f29a264fc7fe6450e84e047385ecdd08182247728dbba7e8598aa7daa4c83325"),
+]
+
+
+@pytest.mark.parametrize("argv, table_sha, json_sha", PINNED,
+                         ids=[" ".join(a for a in argv if not a.startswith("--"))
+                              for argv, _, _ in PINNED])
+def test_fixture_outputs_are_pinned(capsys, argv, table_sha, json_sha):
+    # sha256 of stdout, pinned from the README and fixture commands; a
+    # change here is a change of the output contract
+    for extra, want in (((), table_sha), (("--json",), json_sha)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want

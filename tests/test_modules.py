@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from srelhom.errors import InputError, NotSIso
+from srelhom.errors import InputError, NotSIso, RingMismatch
 from srelhom.rings import mult_closure, prime_field, truncated_polynomial
 from srelhom.modules import (
     Module,
@@ -27,12 +27,14 @@ from srelhom.modules import (
     map_to_spec,
     module_from_spec,
     module_to_spec,
+    quotient_by_columns,
     regular_module,
     ring_matrix_of_free_map,
     s_exactness_check,
     s_iso_inverse,
     scaling_map,
     same_module,
+    submodule_from_columns,
     subquotient,
     zero_module,
 )
@@ -62,6 +64,46 @@ def test_free_module_and_generators(ring2):
     assert free.vdim == 6
     g0 = generator_vector(ring2, 2, 0)
     assert g0.tolist() == [1, 1, 0, 0, 0, 0]
+
+
+def test_free_module_is_one_object_per_ring_and_rank(ring2):
+    free = free_module(ring2, 2)
+    assert free_module(ring2, 2) is free
+    assert free.free_rank == 2
+    assert regular_module(ring2) is free_module(ring2, 1)
+    assert free_module(ring2, 0).vdim == 0
+    assert free_module(product_ring(), 2) is not free
+
+
+@pytest.mark.parametrize("rank", [True, False, -1, 2.0, "2", None])
+def test_free_module_rejects_a_rank_that_is_not_a_natural_number(ring2, rank):
+    with pytest.raises(InputError):
+        free_module(ring2, rank)
+    # a rejected rank never reaches the cache, so True cannot alias R^1
+    assert ring2._free_modules == {}
+
+
+def test_derived_constructors_check_the_facts_they_rely_on(t2, ring2):
+    reg = regular_module(t2)
+    # span of the unit is not invariant: t * 1 = t lies outside it
+    unit_col = np.array([[1], [0]], dtype=np.int64)
+    with pytest.raises(InputError, match="invariant"):
+        submodule_from_columns(reg, unit_col)
+    with pytest.raises(InputError, match="invariant"):
+        quotient_by_columns(reg, unit_col)
+    # the span of t is invariant, but the columns repeat it
+    t_col = np.array([[0], [1]], dtype=np.int64)
+    with pytest.raises(InputError, match="independent"):
+        submodule_from_columns(reg, np.hstack([t_col, t_col]))
+    sub, incl = submodule_from_columns(reg, t_col + 2)
+    assert sub.vdim == 1 and incl.matrix.tolist() == [[0], [1]]
+    quot, proj, _ = quotient_by_columns(reg, t_col)
+    assert quot.vdim == 1 and proj.matrix.tolist() == [[1, 0]]
+    with pytest.raises(RingMismatch):
+        ModuleMap.zero(reg, regular_module(ring2))
+    with pytest.raises(RingMismatch):
+        free_map_from_generator_images(free_module(ring2, 1), reg,
+                                       np.zeros((2, 1), dtype=np.int64))
 
 
 def test_ring_matrix_round_trip(ring2):

@@ -9,7 +9,16 @@ import pytest
 import srelhom.homology
 from srelhom import gfmat
 from srelhom.errors import InputError, UnknownTheorem
-from srelhom.modules import ModuleMap
+import srelhom.modules as modules_mod
+from srelhom.modules import (
+    Module,
+    ModuleMap,
+    direct_sum,
+    dual_map,
+    hom_space,
+    regular_module,
+    scaling_map,
+)
 from srelhom.rings import prime_field
 import srelhom.checks as checks_mod
 from srelhom.checks import (
@@ -21,6 +30,8 @@ from srelhom.checks import (
     replay,
     verify,
 )
+
+from conftest import product_ring, quotient_module
 
 IN_SCOPE = [
     "lemma-1.1", "lemma-1.2", "theorem-1.3", "cor-1.4",
@@ -217,3 +228,56 @@ def test_replay_in_a_fresh_process_matches_the_suite(theorem):
     expected = [in_suite.verdict, in_suite.detail]
     assert [cold.verdict, cold.detail] == expected
     assert json.loads(fresh.stdout) == expected
+
+
+def _registry_sample():
+    """(verdict, detail) of trials 0-2 of every entry at seed 0, memo cold."""
+    checks_mod.clear_memo()
+    out = {}
+    for theorem, entry in REGISTRY.items():
+        for trial in range(3):
+            outcome = replay({"theorem": theorem, "trial": trial, "seed": 0,
+                              "bound": entry.bound, "max_rank": entry.max_rank})
+            out[theorem, trial] = (outcome.verdict, outcome.detail)
+    checks_mod.clear_memo()
+    return out
+
+
+def _derived_tour():
+    """Matrices of derived maps that the registry sample does not build."""
+    ring = product_ring()
+    m2 = quotient_module(ring, [[1, 0, 0], [0, 0, 1]])
+    reg = regular_module(ring)
+    total, injs, projs = direct_sum(m2, reg)
+    homs = hom_space(reg, total)
+    summed = homs[0] + homs[-1]
+    composed = ModuleMap.identity(total).compose(summed).compose(projs[1])
+    maps = [*homs, summed, composed, dual_map(composed),
+            scaling_map(total, ring.element([1, 0, 1]))]
+    return [f.matrix.tolist() for f in maps]
+
+
+def test_validating_twin_gives_the_same_verdicts(monkeypatch):
+    # derived maps and modules skip validation (ModuleMap._trusted and
+    # _derived_module); routed through the validating constructors
+    # instead, the same sample must run clean and say the same things
+    trusted = _registry_sample(), _derived_tour()
+    built = {"maps": 0, "modules": 0}
+
+    def validating_map(source, target, matrix):
+        built["maps"] += 1
+        return ModuleMap(source, target, matrix)
+
+    def validating_module(ring, acts):
+        built["modules"] += 1
+        return Module(ring, acts)
+
+    monkeypatch.setattr(ModuleMap, "_trusted", staticmethod(validating_map))
+    original = modules_mod._derived_module
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("srelhom") and getattr(mod, "_derived_module", None) is original:
+            monkeypatch.setattr(mod, "_derived_module", validating_module)
+    twin = _registry_sample(), _derived_tour()
+    assert built["maps"] > 1000 and built["modules"] > 100
+    assert twin == trusted
+    assert {verdict for verdict, _ in twin[0].values()} >= {"pass", "vacuous"}
