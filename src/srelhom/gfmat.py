@@ -1,8 +1,20 @@
 """Dense exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  Shapes
-with zero rows or zero columns are legal everywhere; they show up
-constantly as zero modules and empty syzygies.
+At the boundary matrices are numpy int64 arrays with entries reduced into
+[0, p).  Shapes with zero rows or zero columns are legal everywhere; they
+show up constantly as zero modules and empty syzygies.
+
+Inside, every routine converts its input once to Python lists of ints
+(one list per row), runs the one Gauss-Jordan kernel _eliminate on them
+in place, reads its answer off the rows and converts back once.  The
+systems the package builds are tiny and sparse: most have a handful of
+cells, many are empty, and the larger ones are a few percent nonzero.
+Their cost is per pivot, not per cell, and a list kernel that touches
+only the rows with a nonzero in the pivot column, and only from the
+pivot column on, does far less than the numpy calls a vectorised pivot
+step needs.  On dense matrices it loses to a vectorised elimination from
+a few dozen rows on (ROADMAP item 4 has the measured crossover), but
+nothing in the package builds those.
 
 Every routine is deterministic: pivots are always the first nonzero entry
 scanning down a column, so echelon forms, nullspace bases and particular
@@ -34,6 +46,7 @@ __all__ = [
     "column_space",
     "in_column_span",
     "extend_to_basis",
+    "complete_basis",
 ]
 
 
@@ -60,6 +73,57 @@ def modinv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def _rows(a: np.ndarray, p: int) -> list[list[int]]:
+    """a reduced mod p as fresh Python row lists."""
+    return (np.asarray(a, dtype=np.int64) % p).tolist()
+
+
+def _array(rows: list[list[int]], nrows: int, ncols: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+
+def _unit_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def _eliminate(rows: list[list[int]], p: int, limit: int) -> list[int]:
+    """Gauss-Jordan elimination of rows in place; returns the pivot columns.
+
+    rows are lists of ints in [0, p).  Only the first limit columns may
+    hold pivots; the rest are carried along.  The pivot of a column is
+    its first nonzero entry at or below the next pivot row.  A pivot row
+    is zero left of its pivot, so each row operation touches only the
+    columns from the pivot on, and rows already 0 in the pivot column are
+    skipped.
+    """
+    nrows = len(rows)
+    pivots = []
+    top = 0
+    for col in range(limit):
+        if top == nrows:
+            break
+        for i in range(top, nrows):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[top]
+        rows[top] = prow
+        lead = prow[col]
+        if lead != 1:
+            inv = modinv(lead, p)
+            prow[col:] = [x * inv % p for x in prow[col:]]
+        tail = prow[col:]
+        for row in rows:
+            f = row[col]
+            if f and row is not prow:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+        top += 1
+    return pivots
+
+
 def rref(a: np.ndarray, p: int,
          pivot_cols: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of a mod p.
@@ -70,32 +134,14 @@ def rref(a: np.ndarray, p: int,
     right-hand sides, and rows below the pivot rows are zero on the first
     k columns only.
     """
-    r = np.mod(a.astype(np.int64, copy=True), p)
-    nrows, ncols = r.shape
-    limit = ncols if pivot_cols is None else pivot_cols
-    pivots = []
-    row = 0
-    for col in range(limit):
-        if row >= nrows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot_row = row + int(nz[0])
-        if pivot_row != row:
-            r[[row, pivot_row]] = r[[pivot_row, row]]
-        r[row] = (r[row] * modinv(int(r[row, col]), p)) % p
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
-        pivots.append(col)
-        row += 1
-    return r, tuple(pivots)
+    nrows, ncols = a.shape
+    rows = _rows(a, p)
+    pivots = _eliminate(rows, p, ncols if pivot_cols is None else pivot_cols)
+    return _array(rows, nrows, ncols), tuple(pivots)
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    return len(rref(a, p)[1])
+    return len(_eliminate(_rows(a, p), p, a.shape[1]))
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -105,15 +151,17 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     a 1 in that coordinate, so the basis is in "column echelon" shape and
     is unique for a given input.
     """
-    r, pivots = rref(a, p)
     ncols = a.shape[1]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = zeros(ncols, len(free))
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, c in enumerate(pivots):
-            basis[c, k] = (-r[i, j]) % p
-    return basis
+    rows = _rows(a, p)
+    pivots = _eliminate(rows, p, ncols)
+    taken = set(pivots)
+    free = [j for j in range(ncols) if j not in taken]
+    basis = [None] * ncols
+    for row, c in zip(rows, pivots):
+        basis[c] = [-row[j] % p for j in free]
+    for j, unit in zip(free, _unit_rows(len(free))):
+        basis[j] = unit
+    return _array(basis, ncols, len(free))
 
 
 def solve_each(a: np.ndarray, b: np.ndarray,
@@ -125,12 +173,18 @@ def solve_each(a: np.ndarray, b: np.ndarray,
     """
     if a.shape[0] != b.shape[0]:
         raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
-    ncols = a.shape[1]
-    r, pivots = rref(np.hstack([a, b]), p, pivot_cols=ncols)
-    ok = ~r[len(pivots):, ncols:].any(axis=0)
-    x = zeros(ncols, b.shape[1])
-    x[list(pivots)] = r[:len(pivots), ncols:]
-    return ok, x
+    ncols, width = a.shape[1], b.shape[1]
+    rows = [ra + rb for ra, rb in zip(_rows(a, p), _rows(b, p))]
+    pivots = _eliminate(rows, p, ncols)
+    # a column is consistent when it is 0 on every row below the pivots;
+    # the leading zeros give zip one column per right-hand side even when
+    # no row is left
+    rest = [row[ncols:] for row in rows[len(pivots):]]
+    ok = [not any(col) for col in zip([0] * width, *rest)]
+    x = [[0] * width for _ in range(ncols)]
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols:]
+    return np.array(ok, dtype=bool), _array(x, ncols, width)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -147,19 +201,24 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square matrix mod p, read off one rref of [a | I].
+
+    a is invertible exactly when the pivots are the columns 0..n-1 of a;
+    the right block is then the inverse.  Raises ValueError otherwise.
+    """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("inverse of non-square matrix")
-    x = solve(a, identity(n), p)
-    if x is None or rank(a, p) != n:
+    rows = [row + unit for row, unit in zip(_rows(a, p), _unit_rows(n))]
+    if _eliminate(rows, p, n) != list(range(n)):
         raise ValueError("matrix is singular mod %d" % p)
-    return x
+    return _array([row[n:] for row in rows], n, n)
 
 
 def column_space(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the column span: the pivot columns of a."""
-    _, pivots = rref(a, p)
-    return np.mod(a[:, list(pivots)], p)
+    reduced = np.asarray(a, dtype=np.int64) % p
+    return reduced[:, _eliminate(reduced.tolist(), p, reduced.shape[1])]
 
 
 def in_column_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
@@ -175,8 +234,23 @@ def extend_to_basis(cols: np.ndarray, p: int) -> np.ndarray:
     decides them all.  Returns an n x (n - k) matrix D such that
     [cols | D] is invertible.
     """
+    return complete_basis(cols, p)[0]
+
+
+def complete_basis(cols: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E): D = extend_to_basis(cols, p) and E = [cols | D]^-1.
+
+    Both come from the one rref([cols | I]).  Its right block E is the
+    product of the row operations, so E @ [cols | I] is that rref.  The
+    pivot columns of [cols | I] are, in order, the columns of [cols | D],
+    and the rref turns them into the unit vectors: E @ [cols | D] = I.
+    """
     n, k = cols.shape
-    _, pivots = rref(np.hstack([cols, identity(n)]), p)
-    if pivots[:k] != tuple(range(k)):
+    rows = [row + unit for row, unit in zip(_rows(cols, p), _unit_rows(n))]
+    pivots = _eliminate(rows, p, n + k)
+    if pivots[:k] != list(range(k)):
         raise ValueError("columns are not independent")
-    return identity(n)[:, [c - k for c in pivots[k:]]]
+    d = [[0] * (n - k) for _ in range(n)]
+    for m, c in enumerate(pivots[k:]):
+        d[c - k][m] = 1
+    return _array(d, n, n - k), _array([row[k:] for row in rows], n, n)

@@ -424,8 +424,7 @@ def quotient_by_columns(mod: Module, cols: np.ndarray
     if k == 0:
         q = _derived_module(mod.ring, mod.actions)
         return q, ModuleMap._trusted(mod, q, gfmat.identity(n)), gfmat.identity(n)
-    comp = gfmat.extend_to_basis(basis, p)
-    inv = gfmat.inverse(np.hstack([basis, comp]), p)
+    comp, inv = gfmat.complete_basis(basis, p)
     proj = inv[k:, :]
     moved = (proj @ mod.actions) % p
     if ((moved @ basis) % p).any():

@@ -468,14 +468,8 @@ def _quotient_is_field(ring: FiniteAlgebra, basis: np.ndarray) -> bool:
     d, k = ring.dim, basis.shape[1]
     if k == d:
         return False  # improper
-    if k == 0:
-        section = np.eye(d, dtype=np.int64)
-        proj = np.eye(d, dtype=np.int64)
-    else:
-        section = gfmat.extend_to_basis(basis, ring.p)
-        full = np.hstack([basis, section])
-        inv = gfmat.inverse(full, ring.p)
-        proj = inv[k:, :]
+    section, inv = gfmat.complete_basis(basis, ring.p)
+    proj = inv[k:, :]
     q = d - k
     # multiplication on quotient coordinates; field iff every nonzero
     # element multiplies invertibly
@@ -591,13 +585,8 @@ def quotient_algebra(ring: FiniteAlgebra, ideal: Ideal) -> QuotientData:
     if ideal.fdim == ring.dim:
         raise InputError("cannot form quotient by the improper ideal")
     p, d, k = ring.p, ring.dim, ideal.fdim
-    if k == 0:
-        section = np.eye(d, dtype=np.int64)
-        proj = np.eye(d, dtype=np.int64)
-    else:
-        section = gfmat.extend_to_basis(ideal.basis, p)
-        inv = gfmat.inverse(np.hstack([ideal.basis, section]), p)
-        proj = inv[k:, :]
+    section, inv = gfmat.complete_basis(ideal.basis, p)
+    proj = inv[k:, :]
     q = d - k
     table = np.zeros((q, q, q), dtype=np.int64)
     for i in range(q):

@@ -207,3 +207,145 @@ def test_extend_to_basis_rejects_dependent_columns(p):
         gfmat.extend_to_basis(np.hstack([v, (2 * v) % p]), p)
     with pytest.raises(ValueError):
         gfmat.extend_to_basis(gfmat.zeros(3, 1), p)
+
+
+# -- the numpy elimination as a test-local oracle ----------------------------
+
+
+def oracle_rref(a, p, pivot_cols=None):
+    """The vectorised per-pivot elimination gfmat used before its list kernel."""
+    r = np.mod(a.astype(np.int64, copy=True), p)
+    nrows, ncols = r.shape
+    limit = ncols if pivot_cols is None else pivot_cols
+    pivots = []
+    row = 0
+    for col in range(limit):
+        if row >= nrows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot_row = row + int(nz[0])
+        if pivot_row != row:
+            r[[row, pivot_row]] = r[[pivot_row, row]]
+        r[row] = (r[row] * gfmat.modinv(int(r[row, col]), p)) % p
+        others = np.nonzero(r[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, tuple(pivots)
+
+
+def oracle_nullspace(a, p):
+    r, pivots = oracle_rref(a, p)
+    ncols = a.shape[1]
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = gfmat.zeros(ncols, len(free))
+    for k, j in enumerate(free):
+        basis[j, k] = 1
+        for i, c in enumerate(pivots):
+            basis[c, k] = (-r[i, j]) % p
+    return basis
+
+
+def oracle_solve_each(a, b, p):
+    ncols = a.shape[1]
+    r, pivots = oracle_rref(np.hstack([a, b]), p, pivot_cols=ncols)
+    ok = ~r[len(pivots):, ncols:].any(axis=0)
+    x = gfmat.zeros(ncols, b.shape[1])
+    x[list(pivots)] = r[:len(pivots), ncols:]
+    return ok, x
+
+
+def oracle_inverse(a, p):
+    n = a.shape[0]
+    ok, x = oracle_solve_each(a, gfmat.identity(n), p)
+    if not ok.all() or len(oracle_rref(a, p)[1]) != n:
+        return None
+    return x
+
+
+def oracle_extend_to_basis(cols, p):
+    n, k = cols.shape
+    _, pivots = oracle_rref(np.hstack([cols, gfmat.identity(n)]), p)
+    if pivots[:k] != tuple(range(k)):
+        return None
+    return gfmat.identity(n)[:, [c - k for c in pivots[k:]]]
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def oracle_matrices(rng, p):
+    """Seeded matrices of every shape up to 9 x 9: dense, sparse, with
+    repeated rows, all unreduced, some negative."""
+    for rows in range(10):
+        for cols in range(10):
+            for density in (1.0, 0.25):
+                flat = [rng.randrange(-2 * p, 3 * p) if rng.random() < density
+                        else 0 for _ in range(rows * cols)]
+                a = np.array(flat, dtype=np.int64).reshape(rows, cols)
+                if rows > 1 and rng.random() < 0.5:
+                    a[rng.randrange(rows)] = 2 * a[rng.randrange(rows)] - p
+                yield a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_rref_matches_the_numpy_oracle(p):
+    rng = random.Random(1000 + p)
+    for a in oracle_matrices(rng, p):
+        before = a.copy()
+        for pivot_cols in [None] + list(range(a.shape[1] + 1)):
+            r, pivots = gfmat.rref(a, p, pivot_cols=pivot_cols)
+            want_r, want_pivots = oracle_rref(a, p, pivot_cols=pivot_cols)
+            assert_same_array(r, want_r)
+            assert pivots == want_pivots
+        assert_same_array(a, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_routines_match_their_definitions_over_the_oracle(p):
+    rng = random.Random(1100 + p)
+    for a in oracle_matrices(rng, p):
+        before = a.copy()
+        rows, cols = a.shape
+        reduced = a % p
+        pivots = oracle_rref(a, p)[1]
+        assert gfmat.rank(a, p) == len(pivots)
+        assert_same_array(gfmat.nullspace(a, p), oracle_nullspace(a, p))
+        assert_same_array(gfmat.column_space(a, p), reduced[:, list(pivots)])
+        b = np.array([rng.randrange(-p, 2 * p) for _ in range(rows * 3)],
+                     dtype=np.int64).reshape(rows, 3)
+        if cols:
+            b[:, 0] = a @ np.array([rng.randrange(p) for _ in range(cols)])
+        b_before = b.copy()
+        ok, x = gfmat.solve_each(a, b, p)
+        want_ok, want_x = oracle_solve_each(a, b, p)
+        assert_same_array(ok, want_ok)
+        assert_same_array(x, want_x)
+        assert_same_array(b, b_before)
+        if rows == cols:
+            want = oracle_inverse(a, p)
+            if want is None:
+                with pytest.raises(ValueError):
+                    gfmat.inverse(a, p)
+            else:
+                assert_same_array(gfmat.inverse(a, p), want)
+        for basis in (reduced, gfmat.column_space(a, p)):
+            basis_before = basis.copy()
+            want = oracle_extend_to_basis(basis, p)
+            if want is None:
+                with pytest.raises(ValueError):
+                    gfmat.complete_basis(basis, p)
+                continue
+            assert_same_array(gfmat.extend_to_basis(basis, p), want)
+            d, e = gfmat.complete_basis(basis, p)
+            assert_same_array(d, want)
+            assert_same_array(e, oracle_inverse(np.hstack([basis, d]), p))
+            assert_same_array(basis, basis_before)
+        assert_same_array(a, before)
