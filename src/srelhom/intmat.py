@@ -10,6 +10,11 @@ Solutions are read off a Smith form in one place, solve_each(a, b) ->
 (ok, X): one smith_normal_form(a) decides every column of b, ok[k] says
 whether a@x == b[:, k] has an integer solution, and then X[:, k] is the
 solution for that column alone.  solve is its all-or-nothing wrapper.
+
+Module structure is read off a Smith form too.  cokernel_invariants(a)
+gives the free rank and invariant factors of Z^rows / col(a) from one
+smith_normal_form(a); quotient_invariants(basis, gens) handles a
+sublattice quotient by first solving gens in the basis.
 """
 
 from .errors import InputError, InternalInvariantViolation
@@ -121,12 +126,13 @@ def _min_pivot(a, t, rows, cols):
     return best
 
 
-def smith_normal_form(a, check=True):
+def smith_normal_form(a):
     """Return (u, d, v) with u*a*v == d diagonal.
 
     Diagonal entries are nonnegative and satisfy d[i] | d[i+1]; u and v are
-    unimodular.  check=True re-multiplies and takes determinants, raising
-    InternalInvariantViolation on any discrepancy.
+    unimodular.  Every call re-multiplies, takes determinants and checks
+    the divisibility chain, raising InternalInvariantViolation on any
+    discrepancy.
     """
     rows, cols = shape(a)
     work = copy(a)
@@ -201,17 +207,16 @@ def smith_normal_form(a, check=True):
                 work[i][j] = -work[i][j]
             for j in range(rows):
                 u[i][j] = -u[i][j]
-    if check:
-        if matmul(matmul(u, copy(a)), v) != work:
-            raise InternalInvariantViolation("smith transform does not reproduce input")
-        if abs(det(u)) != 1 or abs(det(v)) != 1:
-            raise InternalInvariantViolation("smith transform is not unimodular")
-        diag = [work[i][i] for i in range(min(rows, cols))]
-        for x, y in zip(diag, diag[1:]):
-            if x == 0 and y != 0:
-                raise InternalInvariantViolation("zero before nonzero on smith diagonal")
-            if x and y % x:
-                raise InternalInvariantViolation("smith diagonal violates divisibility")
+    if matmul(matmul(u, copy(a)), v) != work:
+        raise InternalInvariantViolation("smith transform does not reproduce input")
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
+        raise InternalInvariantViolation("smith transform is not unimodular")
+    diag = [work[i][i] for i in range(min(rows, cols))]
+    for x, y in zip(diag, diag[1:]):
+        if x == 0 and y != 0:
+            raise InternalInvariantViolation("zero before nonzero on smith diagonal")
+        if x and y % x:
+            raise InternalInvariantViolation("smith diagonal violates divisibility")
     return u, work, v
 
 
@@ -302,6 +307,17 @@ def solution_lattice(a, gens):
     return column_lattice_basis(projected)
 
 
+def cokernel_invariants(a):
+    """Invariant factors of Z^rows / (column lattice of a), one Smith form.
+
+    Returns (free_rank, factors) with factors > 1 in divisibility order.
+    """
+    rows, _ = shape(a)
+    _, d, _ = smith_normal_form(a)
+    diag = [x for x in diagonal_of(d) if x]
+    return rows - len(diag), tuple(x for x in diag if x > 1)
+
+
 def quotient_invariants(basis, gens):
     """Invariant factors of lattice(basis)/lattice(gens).
 
@@ -318,7 +334,4 @@ def quotient_invariants(basis, gens):
     y = solve(basis, gens)
     if y is None:
         raise InputError("generators outside the ambient lattice")
-    _, d, _ = smith_normal_form(y)
-    diag = [x for x in diagonal_of(d) if x]
-    factors = tuple(x for x in diag if x > 1)
-    return bcols - len(diag), factors
+    return cokernel_invariants(y)

@@ -127,9 +127,9 @@ class FiniteAlgebra:
         unit: length-d int64 array, the multiplicative identity.
 
     Instances are immutable by convention.  Derived data (left
-    multiplication matrices, the radical, the ideal list, the free
-    modules R^k and through them their resolutions) is cached on first
-    use; caches only ever gain entries, so sharing an instance across
+    multiplication matrices, the radical, the ideal list, the prime
+    complements, the free modules R^k and through them their
+    resolutions) is cached on first use; caches only ever gain entries, so sharing an instance across
     threads is safe for readers.
     """
 
@@ -148,6 +148,7 @@ class FiniteAlgebra:
         self._ideal_list = None
         self._elements = None
         self._free_modules: dict = {}  # rank k -> R^k, filled by free_module
+        self._complements: dict = {}  # prime key -> R minus the prime
 
     # -- construction-time validation ------------------------------------
 
@@ -371,23 +372,19 @@ class MultSet:
 def mult_closure(ring: FiniteAlgebra, seeds) -> MultSet:
     """Smallest multiplicatively closed set containing 1 and the seeds.
 
-    Accepts RingElement or raw coefficient vectors.  Fixpoint closure
-    under pairwise products; termination is bounded by ring size.
+    Accepts RingElement or raw coefficient vectors.  Semi-naive fixpoint:
+    each round multiplies only the elements new in the last round by all
+    elements (the ring is commutative, so that covers every pair once
+    both factors are in); termination is bounded by ring size.
     """
     current: set[RingElement] = {ring.one}
     for s in seeds:
         current.add(s if isinstance(s, RingElement) else ring.element(s))
-    while True:
-        new = set()
-        items = sorted(current)
-        for x in items:
-            for y in items:
-                z = x * y
-                if z not in current:
-                    new.add(z)
-        if not new:
-            break
-        current |= new
+    frontier = current
+    while frontier:
+        new = {x * y for x in frontier for y in current} - current
+        current = current | new
+        frontier = new
     elements = tuple(sorted(current))
     return MultSet(ring, elements, any(e.is_zero() for e in elements))
 
@@ -539,19 +536,24 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
 def complement_multset(ring: FiniteAlgebra, prime: Ideal) -> MultSet:
     """The multiplicative set R minus a prime ideal, in canonical order.
 
-    Raises NotPrime if the ideal is not flagged prime or if the
+    Built and validated once per prime and cached on the ring, keyed by
+    the ideal's subspace key.  Raises NotPrime if the ideal is not flagged prime or if the
     complement fails the closure check (defensive; cannot happen for a
     genuine prime).
     """
     if not prime.is_prime:
         raise NotPrime("complement requires a prime ideal, got %s" % prime.label())
-    members = prime.element_set()
-    elements = tuple(e for e in ring.elements() if e.vec not in members)
-    ms = MultSet(ring, elements, any(e.is_zero() for e in elements))
-    try:
-        ms.validate()
-    except InputError as exc:
-        raise NotPrime("ideal %s is not prime: %s" % (prime.label(), exc)) from exc
+    key = prime.key()
+    ms = ring._complements.get(key)
+    if ms is None:
+        members = prime.element_set()
+        elements = tuple(e for e in ring.elements() if e.vec not in members)
+        ms = MultSet(ring, elements, any(e.is_zero() for e in elements))
+        try:
+            ms.validate()
+        except InputError as exc:
+            raise NotPrime("ideal %s is not prime: %s" % (prime.label(), exc)) from exc
+        ms = ring._complements.setdefault(key, ms)
     return ms
 
 

@@ -22,6 +22,21 @@ of them.  The level-0 candidates are every residue of the S-orbit mod m,
 so a failed search has tried all of S-bar: it proves the dimension
 infinite, reported as ">bound".  Over Z relation lattices are free, so
 S-pd is at most 1 and the search runs at levels 0 and 1.
+
+Which s split at level 0 is read off the invariant factors.  s*id_M
+factors through the free cover exactly when s kills the class of the
+cover in Ext^1(M, syzygy), that is when s kills Ext^1(M, -).  Over Z,
+Ext^1(Z/d, Z/d) = Z/d, so this holds exactly when the torsion exponent
+divides s.  Over Z/p^k the periodic resolution of Z/p^j gives
+Ext^1(Z/p^j, N) = ker(p^(k-j) on N) / p^j N, which p^j and p^(k-j)
+both kill, and for N = Z/p^j it is Z/p^min(j, k-j); so s splits M
+exactly when p^max min(j, k-j) divides s, the max running over the
+invariant factors of M.  Across the primes of m this is divisibility
+by the split modulus E = lcm over invariant factors d of gcd(d, m/d),
+whose p-part is exactly that power.  So the search is an orbit test:
+the first residue of the S-orbit divisible by E names the witness, and
+one section solve for that s alone builds its certificate.  When no
+residue is divisible by E, level 0 fails without solving anything.
 """
 
 from __future__ import annotations
@@ -181,14 +196,7 @@ def _relation_lattice(mod: ZMod):
 
 @lru_cache(maxsize=None)
 def _structure(mod: ZMod):
-    g = mod.generators
-    if g == 0:
-        return 0, ()
-    lat = _relation_lattice(mod)
-    _, cols = intmat.shape(lat)
-    if cols == 0:
-        return g, ()
-    return intmat.quotient_invariants(intmat.identity(g), lat)
+    return intmat.cokernel_invariants(_relation_lattice(mod))
 
 
 # -- multiplicative sets ------------------------------------------------------
@@ -330,10 +338,10 @@ class ZSplitWitness:
     """Split search outcome at one syzygy level.
 
     section is the matrix of a generator-level map phi with pi*phi equal
-    to multiplication by s; attempted lists the products tried, in search
-    order, when no section exists.  Every s of a level is a right-hand
-    side of one system, decided by one intmat.solve_each call, the one
-    place solutions are read off a Smith form.
+    to multiplication by s, for the first s of the orbit that splits;
+    attempted lists every product of the orbit, in search order, when
+    none does.  Which s split is read off the invariant factors (the
+    split modulus), so only a success solves a system, for its one s.
     """
 
     s: int | None
@@ -370,30 +378,47 @@ class ZDimResult:
         return "%s = %s (bound %d)" % (self.kind, self.value, self.bound)
 
 
-def _section_solve(q, candidates, order, links, modulus):
+def _split_modulus(mod: ZMod) -> int:
+    """The E with: s splits the free cover of mod exactly when E | s.
+
+    Over Z this is the torsion exponent.  Over Z/m it is the lcm of
+    gcd(d, m/d) over the invariant factors d, whose p-part is
+    p^(max min(j, k-j)) for p^k || m (see the module docstring).
+    """
+    _, tors = mod.structure()
+    if mod.ring == "Z":
+        return tors[-1] if tors else 1
+    return math.lcm(*(math.gcd(d, mod.m // d) for d in tors))
+
+
+def _section_solve(q, candidates, order, links, modulus, split):
     """Split search at one level: the first s with a section, or every s.
 
     A section is phi = s*I + q@y with phi@q == 0 (mod modulus; None =
     exact); q is a relation-lattice basis for a module on len(q)
     generators, so phi is a well-defined section of the free cover scaled
     by s.  candidates[i] is the s that reached the residue order[i] (the
-    residue itself mod m, the product of its path over Z); every s is one
-    right-hand side of the same system, decided by one solve_each call.
+    residue itself mod m, the product of its path over Z).  The s that
+    split are the multiples of the split modulus, so the orbit test picks
+    the first residue divisible by it and only that s is solved for; a
+    failed search solves nothing.
     """
+    c = next((i for i, r in enumerate(order) if r % split == 0), None)
+    if c is None:
+        return ZSplitWitness(None, None, None, tuple(candidates))
+    s = candidates[c]
     g, k = intmat.shape(q)
-    c, phi = 0, intmat.zeros(g, g)
+    phi = intmat.zeros(g, g)
     if k:
         lhs = intmat.kron(intmat.transpose(q), q)
         if modulus:
             lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
                                       for i in range(g * k)])
-        rhs = [[-s * q[idx % g][idx // g] for s in candidates] for idx in range(g * k)]
+        rhs = [[-s * q[idx % g][idx // g]] for idx in range(g * k)]
         ok, sol = intmat.solve_each(lhs, rhs)
-        c = next((c for c, good in enumerate(ok) if good), None)
-        if c is None:
-            return ZSplitWitness(None, None, None, tuple(candidates))
-        phi = intmat.matmul(q, [[sol[j * k + i][c] for j in range(g)] for i in range(k)])
-    s = candidates[c]
+        if not ok[0]:
+            raise InternalInvariantViolation("orbit test and section solve disagree")
+        phi = intmat.matmul(q, [[sol[j * k + i][0] for j in range(g)] for i in range(k)])
     for i in range(g):
         phi[i][i] += s
     check = intmat.matmul(phi, q)
@@ -410,31 +435,34 @@ def _section_solve(q, candidates, order, links, modulus):
 def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
     """S-projective dimension by one split search per level.
 
-    Over Z/m one search at level 0 decides the value, and a failure is a
-    proof of infinity reported as ">bound" (see the module docstring).
-    Over Z the relation lattice is free, so a failure at level 0 is
-    followed by level 1, which splits with s = 1.
+    Each search is an orbit test against the split modulus of the module
+    (one Smith form, shared with structure()), plus one section solve
+    when some s splits.  Over Z/m one search at level 0 decides the
+    value, and a failure is a proof of infinity reported as ">bound" (see
+    the module docstring).  Over Z the relation lattice is free, so a
+    failure at level 0 is followed by level 1, which splits with s = 1.
     """
     _match_rings(mod, s_set)
     if bound < 0:
         raise InputError("bound must be >= 0")
     q = _relation_lattice(mod)
+    split = _split_modulus(mod)
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
-        level0 = _section_solve(q, order, order, links, mod.m)
+        level0 = _section_solve(q, order, order, links, mod.m, split)
         value = DimValue.exact(0) if level0.verdict else DimValue.over(bound)
         return ZDimResult("S-pd", mod, s_set, bound, value, (level0,))
-    _, tors = mod.structure()
-    order, links = _monoid_orbit(s_set.generators, tors[-1] if tors else 1)
+    order, links = _monoid_orbit(s_set.generators, split)
     candidates = _orbit_products(order, links)
-    levels = (_section_solve(q, candidates, order, links, None),)
+    levels = (_section_solve(q, candidates, order, links, None, split),)
     if levels[0].verdict:
         value = DimValue.exact(0)
     elif bound == 0:
         value = DimValue.over(bound)
     else:
         k = intmat.shape(q)[1]
-        levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None),)
+        # a free syzygy: its split modulus is 1
+        levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None, 1),)
         if not levels[1].verdict:
             raise InternalInvariantViolation("free syzygy admitted no section")
         value = DimValue.exact(1)
@@ -474,21 +502,22 @@ def z_ext(source: ZMod, target: ZMod, degree: int) -> ZMod:
         k = intmat.shape(p_lat)[1]
         t = intmat.shape(r_lat)[1]
         if degree == 0:
+            inside = intmat.kron(intmat.identity(g), r_lat) if t else intmat.zeros(h * g, 0)
             if k == 0:
-                hom_basis = intmat.identity(h * g)
+                # free source: Hom is all of Z^(h*g) modulo the target relations
+                free, tors = intmat.cokernel_invariants(inside)
             else:
                 hom_basis = intmat.solution_lattice(
                     intmat.kron(intmat.transpose(p_lat), intmat.identity(h)),
                     intmat.kron(intmat.identity(k), r_lat) if t else intmat.zeros(h * k, 0))
-            inside = intmat.kron(intmat.identity(g), r_lat) if t else intmat.zeros(h * g, 0)
-            free, tors = intmat.quotient_invariants(hom_basis, inside)
+                free, tors = intmat.quotient_invariants(hom_basis, inside)
             return z_module_from_factors(ring, m, free, tors)
         if k == 0:
             return z_module_from_factors(ring, m, 0, ())
         gens = intmat.kron(intmat.transpose(p_lat), intmat.identity(h))
         if t:
             gens = intmat.hstack(gens, intmat.kron(intmat.identity(k), r_lat))
-        free, tors = intmat.quotient_invariants(intmat.identity(h * k), gens)
+        free, tors = intmat.cokernel_invariants(gens)
         return z_module_from_factors(ring, m, free, tors)
     lats = [_relation_lattice(source)]
     for _ in range(degree):

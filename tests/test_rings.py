@@ -1,6 +1,7 @@
 """Algebra construction, ideals, multiplicative sets, wire format."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from srelhom.errors import (
     NotPrime,
     NotPrimeChar,
 )
+from srelhom.instances import bundled_rings, random_element
 from srelhom.rings import (
+    Ideal,
     MultSet,
     build_algebra,
     complement_multset,
@@ -141,6 +144,27 @@ def test_mult_closure(ring2):
     assert len(degen) == 2
 
 
+def all_pairs_closure(ring, seeds):
+    """The closure as it was: every pairwise product in every round."""
+    current = {ring.one} | set(seeds)
+    while True:
+        new = {x * y for x in current for y in current} - current
+        if not new:
+            return tuple(sorted(current))
+        current |= new
+
+
+def test_mult_closure_matches_the_all_pairs_fixpoint():
+    rng = random.Random(2718)
+    for _, ring in bundled_rings():
+        for _ in range(12):
+            seeds = [random_element(ring, rng) for _ in range(rng.randrange(4))]
+            closed = mult_closure(ring, seeds)
+            assert closed.elements == all_pairs_closure(ring, seeds)
+            assert closed.degenerate == any(e.is_zero() for e in closed.elements)
+            closed.validate()
+
+
 def test_multset_validate_catches_gaps(ring2):
     e1 = ring2.element([1, 0, 0])
     broken = MultSet(ring2, (e1,), False)  # missing the unit
@@ -159,6 +183,22 @@ def test_complement_multset(ring2):
     non_prime = [i for i in ideals if not i.is_prime][0]
     with pytest.raises(NotPrime):
         complement_multset(ring2, non_prime)
+
+
+def test_complement_multset_is_built_once_per_prime(ring2):
+    for prime in enumerate_ideals(ring2).primes:
+        comp = complement_multset(ring2, prime)
+        # an equal ideal held in another object shares the cached set
+        twin = Ideal(ring2, prime.basis.copy(), True, prime.is_maximal)
+        assert complement_multset(ring2, twin) is comp
+    # (f) flagged prime by hand: its complement is not closed (e1*e2 = 0),
+    # and the failure is raised on every call, never cached
+    f_ideal = [i for i in enumerate_ideals(ring2) if i.fdim == 1
+               and i.contains(ring2.element([0, 0, 1]))][0]
+    fake = Ideal(ring2, f_ideal.basis, True, False)
+    for _ in range(2):
+        with pytest.raises(NotPrime, match="is not prime"):
+            complement_multset(ring2, fake)
 
 
 def test_quotient_algebra(ring2):

@@ -1,23 +1,26 @@
 import math
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
+from itertools import product
 
 import pytest
 
 from conftest import product_ring
 
-from srelhom import intmat
+from srelhom import intmat, zmodules
 from srelhom.dimensions import DimValue
 from srelhom.errors import (
     DividesS,
     InputError,
+    InternalInvariantViolation,
     RingMismatch,
     UnsupportedPair,
 )
 from srelhom.modules import regular_module
 from srelhom.rings import enumerate_ideals, mult_closure, quotient_algebra
 from srelhom.zmodules import (
+    RING_TAGS,
     FactorRingReport,
     ZMod,
     ZMultSet,
@@ -27,6 +30,7 @@ from srelhom.zmodules import (
     _orbit_products,
     _product_expression,
     _relation_lattice,
+    _split_modulus,
     change_of_rings_check,
     factor_ring_check,
     z_cyclic,
@@ -167,6 +171,19 @@ def test_lattice_helpers():
     assert (free, tors) == (1, (2, 6))
     with pytest.raises(InputError):
         intmat.quotient_invariants([[2]], [[3]])
+
+
+def test_cokernel_invariants_match_the_quotient_of_the_identity_lattice():
+    rng = random.Random(909)
+    for trial in range(80):
+        rows, cols = (2, 0) if trial == 0 else (rng.randrange(1, 5), rng.randrange(0, 5))
+        a = random_int_matrix(rng, rows, cols, -8, 8)
+        if trial % 4 == 1:
+            a = [[3 * x for x in row] for row in a]
+        assert intmat.cokernel_invariants(a) == \
+            intmat.quotient_invariants(intmat.identity(rows), a)
+    assert intmat.cokernel_invariants([]) == (0, ())
+    assert intmat.cokernel_invariants([[2, 0], [0, 6], [0, 0]]) == (1, (2, 6))
 
 
 # -- presentations ------------------------------------------------------------
@@ -384,6 +401,102 @@ def old_section_solve(q, s, m):
         phi[i][i] += s
     assert all(x % m == 0 for row in intmat.matmul(phi, q) for x in row)
     return tuple(tuple(x % m for x in row) for row in phi)
+
+
+def multi_column_section_solve(q, candidates, order, links, modulus):
+    """The level search before the orbit test: one right-hand side per
+    candidate s, all decided by one solve_each call."""
+    g, k = intmat.shape(q)
+    c, phi = 0, intmat.zeros(g, g)
+    if k:
+        lhs = intmat.kron(intmat.transpose(q), q)
+        if modulus:
+            lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
+                                      for i in range(g * k)])
+        rhs = [[-s * q[idx % g][idx // g] for s in candidates] for idx in range(g * k)]
+        ok, sol = intmat.solve_each(lhs, rhs)
+        c = next((c for c, good in enumerate(ok) if good), None)
+        if c is None:
+            return ZSplitWitness(None, None, None, tuple(candidates))
+        phi = intmat.matmul(q, [[sol[j * k + i][c] for j in range(g)] for i in range(k)])
+    s = candidates[c]
+    for i in range(g):
+        phi[i][i] += s
+    assert not any((x % modulus) if modulus else x
+                   for row in intmat.matmul(phi, q) for x in row)
+    if modulus:
+        phi = [[x % modulus for x in row] for row in phi]
+    return ZSplitWitness(s, _product_expression(_orbit_path(links, order[c])),
+                         tuple(tuple(row) for row in phi))
+
+
+def multi_column_levels(mod, s_set, bound):
+    """The levels of z_s_pd rebuilt on the multi-column search."""
+    q = _relation_lattice(mod)
+    if mod.ring == "Z_mod":
+        order, links = _monoid_orbit(s_set.generators, mod.m)
+        return (multi_column_section_solve(q, order, order, links, mod.m),)
+    _, tors = mod.structure()
+    order, links = _monoid_orbit(s_set.generators, tors[-1] if tors else 1)
+    candidates = _orbit_products(order, links)
+    levels = (multi_column_section_solve(q, candidates, order, links, None),)
+    if not levels[0].verdict and bound:
+        k = intmat.shape(q)[1]
+        levels += (multi_column_section_solve(intmat.zeros(k, 0), candidates, order,
+                                              links, None),)
+    return levels
+
+
+def witness_fields(levels):
+    return [(w.s, w.expression, w.section, w.attempted) for w in levels]
+
+
+def test_orbit_test_matches_the_multi_column_search():
+    rng = random.Random(8088)
+    tally = Counter()
+    cases = [("Z", None)] * 4 + [("Z_mod", m) for m in (4, 8, 9, 12, 16, 18, 27, 36, 72)]
+    for ring, m in cases:
+        if ring == "Z":
+            coprime, sharing = [5, 7, 11], [2, 3, 4, 6, 9, 10, 12]
+        else:
+            coprime = [u for u in range(2, m) if math.gcd(u, m) == 1]
+            sharing = [u for u in range(2, m) if math.gcd(u, m) > 1]
+        divisors = [d for d in range(2, m or 13) if (m or 72) % d == 0]
+        for trial in range(16):
+            if trial % 2:
+                mod = random_zmod(rng, ring=ring, m=m, span=m or 8)
+            else:
+                orders = [rng.choice(divisors) for _ in range(rng.randint(1, 2))]
+                mod = z_module_from_factors(ring, m, rng.randint(0, 1), orders)
+            pool = coprime if trial % 4 < 2 else sharing + coprime
+            s_set = z_multset(ring, [rng.choice(pool) for _ in range(rng.randint(1, 2))], m=m)
+            bound = rng.randint(0, 3)
+            res = z_s_pd(mod, s_set, bound)
+            assert witness_fields(res.levels) == \
+                witness_fields(multi_column_levels(mod, s_set, bound))
+            tally[ring, res.levels[0].verdict] += 1
+    assert min(tally[key] for key in product(RING_TAGS, (True, False))) >= 10, tally
+
+
+def test_split_rule_on_cyclic_prime_powers():
+    # Ext^1 over Z/p^k of Z/p^j is killed exactly by p^min(j, k-j)
+    for p in (2, 3):
+        for k in range(1, 5):
+            m = p ** k
+            for j in range(k + 1):
+                mod = z_module("Z_mod", [[p ** j]], m=m)
+                need = p ** min(j, k - j)
+                assert _split_modulus(mod) == need
+                q = _relation_lattice(mod)
+                for s in range(m):
+                    assert (old_section_solve(q, s, m) is not None) == (s % need == 0)
+
+
+def test_orbit_test_and_section_solve_must_agree(monkeypatch):
+    # Z/2 over Z/4 needs s divisible by 2; claim every s splits
+    monkeypatch.setattr(zmodules, "_split_modulus", lambda mod: 1)
+    with pytest.raises(InternalInvariantViolation, match="disagree"):
+        z_s_pd(z_module("Z_mod", [[2]], m=4), z_multset("Z_mod", [3], m=4))
 
 
 def zmod_walk_oracle(mod, s_set, bound):
