@@ -457,25 +457,39 @@ def _gldim_block(name, ring, s_set, cfg):
         lambda: s_gldim(ring, s_set, bound=cfg.bound, trials=4, seed=cfg.seed))
 
 
+def _cyclic_suprema(name, ring, s_set, cfg):
+    """Suprema of S-pd and S-id over the cyclic modules R/I."""
+
+    def sweep():
+        cyclic = [_cyclic(ring, ideal) for ideal in _ideals(name, ring)]
+        return (dim_max(*(s_pd(c, s_set, cfg.bound).value for c in cyclic)),
+                dim_max(*(s_id(c, s_set, cfg.bound).value for c in cyclic)))
+
+    return _memoized(("cyclic", name, _s_key(s_set), cfg.bound), sweep)
+
+
 def _trial_prop_3_2(rng, cfg):
     name, ring = rng.choice(_pool())
     s = _menu_multset(rng, name, ring)
-    gld = _gldim_block(name, ring, s, cfg)
-    pd_sup = dim_max(*[pd for _, pd, _ in gld.per_ideal])
-    id_sup = dim_max(*[idv for _, _, idv in gld.per_ideal])
+    pd_sup, id_sup = _cyclic_suprema(name, ring, s, cfg)
+    gldim = _gldim_block(name, ring, s, cfg).candidate
     agree = pd_sup.eq(id_sup)
     if agree is False:
         return TrialOutcome("fail", "cyclic S-pd and S-id suprema differ (%s vs %s)"
                             % (pd_sup, id_sup), _context_doc(ring, s))
+    cyclic_sup = dim_max(pd_sup, id_sup)
+    if cyclic_sup.eq(gldim) is False:
+        return TrialOutcome("fail", "cyclic supremum %s differs from S-gl.dim %s"
+                            % (cyclic_sup, gldim), _context_doc(ring, s))
     mod = random_module(ring, rng, max_rank=cfg.max_rank)
-    pd_le = s_pd(mod, s, cfg.bound).value.le(gld.candidate)
-    id_le = s_id(mod, s, cfg.bound).value.le(gld.candidate)
+    pd_le = s_pd(mod, s, cfg.bound).value.le(gldim)
+    id_le = s_id(mod, s, cfg.bound).value.le(gldim)
     if pd_le is False or id_le is False:
-        return TrialOutcome("fail", "random module exceeds the global candidate",
+        return TrialOutcome("fail", "random module exceeds S-gl.dim",
                             _context_doc(ring, s, module=module_to_spec(mod)))
     if agree and pd_le and id_le:
         return TrialOutcome("pass", "suprema agree at %s and samples stay below"
-                            % gld.cyclic_candidate)
+                            % cyclic_sup)
     return TrialOutcome("vacuous", "candidate comparisons undecided at bound")
 
 
@@ -496,7 +510,7 @@ def _trial_cor_3_3(rng, cfg):
     agree = lhs.eq(sup)
     if agree is False:
         return TrialOutcome(
-            "fail", "global candidate %s differs from maximal-local supremum %s"
+            "fail", "S-gl.dim %s differs from maximal-local supremum %s"
             % (lhs, sup),
             _context_doc(ring, trivial,
                          table=[(m.label(), str(v)) for m, v in locals_]))
@@ -505,7 +519,7 @@ def _trial_cor_3_3(rng, cfg):
         local_pd = s_pd(mod, complement_multset(ring, maximal), cfg.bound).value
         if local_pd.le(lhs) is False:
             return TrialOutcome(
-                "fail", "local dimension at %s exceeds the global candidate"
+                "fail", "local dimension at %s exceeds S-gl.dim"
                 % maximal.label(),
                 _context_doc(ring, trivial, module=module_to_spec(mod)))
     if agree:
@@ -520,7 +534,7 @@ def _trial_cor_3_5(rng, cfg):
     def block():
         sem = is_s_semisimple(ring, s)
         gld = _gldim_block(name, ring, s, cfg)
-        dim_zero = gld.candidate == DimValue.exact(0) and not gld.exceedances
+        dim_zero = gld.candidate == DimValue.exact(0)
         ext_route = True
         for ideal in _ideals(name, ring):
             cyc = _cyclic(ring, ideal)
@@ -567,8 +581,8 @@ def _trial_example_3_6(rng, cfg):
         walk = s_pd(m2, s_trivial, 8)
         checks = {
             "semisimple witness e1": sem.verdict and sem.s.label() == "e1",
-            "S-gl.dim 0, no exceedances":
-                gld.candidate == DimValue.exact(0) and not gld.exceedances,
+            "S-gl.dim 0 with witness e1":
+                gld.candidate == DimValue.exact(0) and gld.witness.label() == "e1",
             "trivial-S walk exceeds bound 8": walk.value == DimValue.over(8),
         }
         return s, checks
@@ -688,17 +702,17 @@ REGISTRY = {
         "classical dimension equals the supremum of prime-local dimensions",
         _trial_prop_2_12, bound=6),
     "prop-3.2": RegistryEntry(
-        "the cyclic S-pd supremum matches the cyclic S-id supremum and bounds "
+        "the cyclic S-pd and S-id suprema agree, equal S-gl.dim and bound "
         "sampled modules", _trial_prop_3_2, bound=4),
     "cor-3.3": RegistryEntry(
-        "the global-dimension candidate equals the supremum over maximal-ideal "
-        "complements", _trial_cor_3_3, bound=4, max_rank=1),
+        "S-gl.dim for S = {1} equals the supremum of S-gl.dim over the "
+        "maximal-ideal complements", _trial_cor_3_3, bound=4, max_rank=1),
     "cor-3.5": RegistryEntry(
         "S-semisimplicity criteria (scaling family, S-gl.dim 0, Ext route) agree",
         _trial_cor_3_5, bound=4),
     "example-3.6": RegistryEntry(
-        "the bundled product ring has S-gl.dim 0 for S={1,e1} yet an infinite "
-        "classical walk", _trial_example_3_6),
+        "the bundled product ring has S-gl.dim 0 for S={1,e1}, as e1 kills its "
+        "radical, yet an infinite classical walk", _trial_example_3_6),
     "prop-4.1": RegistryEntry(
         "change of rings along a quotient obeys the two-term upper bound",
         _trial_prop_4_1, bound=6),

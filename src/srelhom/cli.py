@@ -159,22 +159,17 @@ def _cmd_sgldim(args, fixtures):
     s_set = _load_multset(ring, args, fixtures)
     rep = s_gldim(ring, s_set, bound=args.bound, trials=args.trials,
                   seed=args.seed or 0)
+    witness = rep.witness.label() if rep.witness is not None else None
     doc = {
         "candidate": _dim_json(rep.candidate),
-        "cyclic_candidate": _dim_json(rep.cyclic_candidate),
-        "exceedances": len(rep.exceedances),
+        "witness": witness,
         "trials": rep.trials,
         "seed": rep.seed,
-        "per_ideal": [[label, _dim_json(pd), _dim_json(idv)]
-                      for label, pd, idv in rep.per_ideal],
-        "caveat": rep.caveat,
     }
-    lines = ["S-gl.dim candidate = %s (bound %d, %d trials, %d exceedances)"
-             % (rep.candidate, args.bound, rep.trials, len(rep.exceedances))]
-    lines += ["  %-14s S-pd %-4s S-id %-4s" % (label, pd, idv)
-              for label, pd, idv in rep.per_ideal]
-    lines.append("note: %s" % rep.caveat)
-    _emit(args, doc, lines)
+    line = "S-gl.dim = %s (bound %d, %d trials)" % (rep.candidate, args.bound, rep.trials)
+    if witness is not None:
+        line += "; witness %s kills the radical" % witness
+    _emit(args, doc, [line])
     return EXIT_OK
 
 
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, multset=True, module=True, bound=True)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("sgldim", help="S-global dimension candidate")
+    p = sub.add_parser("sgldim", help="S-global dimension: 0, or >bound (a proof of infinity)")
     common(p, multset=True, bound=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)

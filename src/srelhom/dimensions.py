@@ -18,6 +18,14 @@ rings of depth 0, so by Auslander-Buchsbaum (pd) and Bass (id) a finite
 dimension there is 0.  A failed level-0 search has tried every s in S:
 it proves the dimension infinite, reported as the ">bound" value.
 
+The same reduction decides the S-global dimension in closed form: it is
+the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
+is semisimple and infinite otherwise.  e_S R is semisimple exactly when
+its radical e_S rad R is 0, that is when t^d = u e_S kills rad R.  t^d
+lies in S, and t^d is a multiple of every s in S, so some s in S kills
+rad R exactly when t^d does.  Hence S-gl.dim R = 0 with witness the
+first s in S that kills rad R, and infinite when there is none.
+
 Values are either exact or "larger than the search bound", and every
 comparison on them is three-valued (True / False / None) because bound
 truncation can leave a relation undecided.  None never counts as a
@@ -38,6 +46,7 @@ from .errors import (
     InternalInvariantViolation,
     MiddleNotCertified,
     NotSExact,
+    RingMismatch,
 )
 from .rings import (
     FiniteAlgebra,
@@ -47,6 +56,7 @@ from .rings import (
     complement_multset,
     enumerate_ideals,
     mult_closure,
+    same_ring,
 )
 from .modules import (
     Module,
@@ -57,8 +67,6 @@ from .modules import (
     free_module,
     hom_space,
     is_s_isomorphism,
-    quotient_by_columns,
-    regular_module,
     s_exactness_check,
     same_module,
 )
@@ -220,6 +228,11 @@ class SplitWitness:
         return bool(np.array_equal(comp.matrix, want))
 
 
+def _require_same_ring(ring: FiniteAlgebra, s_set: MultSet) -> None:
+    if not same_ring(ring, s_set.ring):
+        raise RingMismatch("module and multiplicative set over different rings")
+
+
 def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     """Find the first s in S, in canonical order, for which the cover splits.
 
@@ -236,6 +249,7 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     s in S are decided by one elimination.
     """
     ring = cover.ring
+    _require_same_ring(ring, s_set)
     p, d = ring.p, ring.dim
     if kind == "section":
         pres, x_acts = cover.matrix, cover.target.actions
@@ -403,63 +417,51 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
 
 # -- global dimension ----------------------------------------------------------
 
-GLDIM_CAVEAT = ("candidate comes from the cyclic-module sweep; whether the "
-                "supremum is attained on cyclic modules is open, so the "
-                "randomized trials corroborate the value without proving it")
-
 
 @dataclass(frozen=True)
 class GlobalDimReport:
-    """Cyclic-sweep candidate for the S-global dimension plus trial audit."""
+    """S-global dimension in closed form, with the audit it passed.
+
+    candidate is DimValue.exact(0) with witness the first s in S that
+    kills rad R, or DimValue.over(bound), a proof of infinity, with
+    witness None.  trials random modules were checked against it.
+    """
 
     ring: FiniteAlgebra
     s_set: MultSet
     bound: int
-    per_ideal: tuple[tuple[str, DimValue, DimValue], ...]
-    cyclic_candidate: DimValue
     candidate: DimValue
+    witness: RingElement | None
     trials: int
     seed: int
-    exceedances: tuple[tuple[int, DimValue], ...]
-    caveat: str = GLDIM_CAVEAT
-
-    @property
-    def raised(self) -> bool:
-        return bool(self.exceedances)
 
 
 def s_gldim(ring: FiniteAlgebra, s_set: MultSet, bound: int = DEFAULT_BOUND,
             trials: int = 16, seed: int = 0) -> GlobalDimReport:
-    """Candidate S-global dimension: cyclic sweep plus randomized audit.
+    """S-global dimension: 0 when some s in S kills rad R, else infinite.
 
-    The candidate is max over all ideals I of max(S-pd(R/I), S-id(R/I)).
-    Each trial draws a random module and checks it does not decidably
-    exceed the candidate; an exceedance raises the candidate and is
-    recorded, flagging the run.
+    The proof is in the module docstring; each s costs one matrix
+    product against the radical basis.  Each of the trials draws a
+    random module whose S-pd and S-id must not exceed the value; an
+    exceedance is an engine bug and raises.
     """
+    _require_same_ring(ring, s_set)
+    if bound < 0:
+        raise InputError("bound must be nonnegative")
     if trials < 0:
         raise InputError("trials must be >= 0")
-    reg = regular_module(ring)
-    per_ideal = []
-    cyclic = DimValue.exact(0)
-    for ideal in enumerate_ideals(ring):
-        cyc, _, _ = quotient_by_columns(reg, ideal.basis)
-        pd_val = s_pd(cyc, s_set, bound).value
-        id_val = s_id(cyc, s_set, bound).value
-        per_ideal.append((ideal.label(), pd_val, id_val))
-        cyclic = dim_max(cyclic, pd_val, id_val)
-    candidate = cyclic
+    rad = ring.radical_basis()
+    witness = next((s for s in s_set
+                    if not ((ring.left_mul_matrix(s.vec) @ rad) % ring.p).any()), None)
+    value = DimValue.exact(0) if witness is not None else DimValue.over(bound)
     rng = random.Random("sgldim:%d" % seed)
-    exceed = []
-    for t in range(trials):
+    for _ in range(trials):
         mod = random_module(ring, rng)
-        val = dim_max(s_pd(mod, s_set, bound).value,
-                      s_id(mod, s_set, bound).value)
-        if val.le(candidate) is False:
-            exceed.append((t, val))
-            candidate = dim_max(candidate, val)
-    return GlobalDimReport(ring, s_set, bound, tuple(per_ideal), cyclic,
-                           candidate, trials, seed, tuple(exceed))
+        sampled = dim_max(s_pd(mod, s_set, bound).value, s_id(mod, s_set, bound).value)
+        if sampled.le(value) is False:
+            raise InternalInvariantViolation(
+                "sampled module has dimension %s above S-gl.dim %s" % (sampled, value))
+    return GlobalDimReport(ring, s_set, bound, value, witness, trials, seed)
 
 
 # -- semisimplicity ------------------------------------------------------------
@@ -492,6 +494,7 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
     ideal whose right-hand sides alone depend on s, so one elimination
     per ideal decides every s.
     """
+    _require_same_ring(ring, s_set)
     p = ring.p
     ideals = enumerate_ideals(ring)
     elements = tuple(s_set)

@@ -81,7 +81,6 @@ __all__ = [
     "s_iso_inverse",
     "character_dual",
     "dual_map",
-    "find_module_isomorphism",
     "module_to_spec",
     "module_from_spec",
     "map_to_spec",
@@ -635,49 +634,6 @@ def character_dual(mod: Module) -> Module:
 def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap._trusted(character_dual(f.target), character_dual(f.source),
                               f.matrix.T.copy())
-
-
-# -- isomorphism search -------------------------------------------------------
-
-
-def find_module_isomorphism(a: Module, b: Module, seed: int = 0,
-                            enumerate_cap: int = 4096,
-                            random_tries: int = 512) -> ModuleMap | None:
-    """Search for an invertible R-map a -> b.
-
-    Exhaustive over hom-space coefficient vectors when that space is
-    small, seeded random sampling otherwise.  A None result is conclusive
-    only in the exhaustive regime.
-    """
-    import itertools
-    import random
-
-    if a.vdim != b.vdim:
-        return None
-    if a.vdim == 0:
-        return ModuleMap.zero(a, b)
-    basis = hom_space(a, b)
-    if not basis:
-        return None
-    p = a.ring.p
-    h = len(basis)
-    mats = np.stack([m.matrix for m in basis])
-    if p ** h <= enumerate_cap:
-        combos = itertools.product(range(p), repeat=h)
-    else:
-        rng = random.Random("iso:%d:%d" % (seed, h))
-        combos = (tuple(rng.randrange(p) for _ in range(h))
-                  for _ in range(random_tries))
-    for coeffs in combos:
-        if not any(coeffs):
-            continue
-        cand = np.zeros_like(mats[0])
-        for c, mtx in zip(coeffs, mats):
-            if c:
-                cand = (cand + c * mtx) % p
-        if gfmat.rank(cand, p) == a.vdim:
-            return ModuleMap(a, b, cand)
-    return None
 
 
 # -- JSON wire format ---------------------------------------------------------

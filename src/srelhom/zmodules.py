@@ -181,21 +181,30 @@ def z_module_from_factors(ring: str, m: int | None, free_rank: int, torsion) -> 
     return ZMod(ring, m, tuple(rows))
 
 
+def _as_z_module(mod: ZMod) -> ZMod:
+    """Reinterpret a Z/m-module as a Z-module (ring relations made explicit)."""
+    g = mod.generators
+    scaled = [[mod.m if i == j else 0 for j in range(g)] for i in range(g)]
+    mat = intmat.hstack([list(r) for r in mod.rows], scaled) if mod.relations else scaled
+    return ZMod("Z", None, tuple(tuple(row) for row in mat))
+
+
 def _relation_lattice(mod: ZMod):
     """Triangular basis of the full integer relation lattice (ring
     relations included over Z/m)."""
-    g = mod.generators
-    mat = [list(row) for row in mod.rows]
     if mod.ring == "Z_mod":
-        scaled = [[mod.m if i == j else 0 for j in range(g)] for i in range(g)]
-        mat = intmat.hstack(mat, scaled) if mod.relations else scaled
-    if not mat or not mat[0]:
-        return intmat.zeros(g, 0)
-    return intmat.column_lattice_basis(mat)
+        mod = _as_z_module(mod)
+    if not mod.relations:
+        return intmat.zeros(mod.generators, 0)
+    return intmat.column_lattice_basis([list(row) for row in mod.rows])
 
 
 @lru_cache(maxsize=None)
 def _structure(mod: ZMod):
+    # a Z/m-module and its Z view have one relation lattice, so they
+    # share one cache entry and one Smith form
+    if mod.ring == "Z_mod":
+        return _structure(_as_z_module(mod))
     return intmat.cokernel_invariants(_relation_lattice(mod))
 
 
@@ -539,14 +548,6 @@ def z_ext(source: ZMod, target: ZMod, degree: int) -> ZMod:
 
 
 # -- factor ring comparison ---------------------------------------------------
-
-
-def _as_z_module(mod: ZMod) -> ZMod:
-    """Reinterpret a Z/m-module as a Z-module (ring relations made explicit)."""
-    g = mod.generators
-    scaled = [[mod.m if i == j else 0 for j in range(g)] for i in range(g)]
-    mat = intmat.hstack([list(r) for r in mod.rows], scaled) if mod.relations else scaled
-    return ZMod("Z", None, tuple(tuple(row) for row in mat))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
+
 from srelhom import (
     REGISTRY,
     character_dual,
+    comparison_isomorphisms,
     ext,
     factor_ring_check,
-    find_module_isomorphism,
     full_suite,
     is_s_semisimple,
     module_from_spec,
@@ -26,6 +28,7 @@ from srelhom import (
     quotient_by_columns,
     random_z_module,
     regular_module,
+    resolution,
     ring_from_spec,
     s_gldim,
     s_id,
@@ -69,7 +72,7 @@ def test_worked_example_reproduction():
 
         gld = s_gldim(ring, s1, bound=8, trials=100, seed=0)
         assert str(gld.candidate) == "0"
-        assert gld.trials == 100 and gld.exceedances == ()
+        assert gld.trials == 100 and gld.witness.label() == "e1"
 
         walk = s_pd(m2, trivial, bound=8)
         assert str(walk.value) == ">8"
@@ -110,12 +113,16 @@ def test_ext_oracle_equivalence():
             src = random_module(ring, rng, max_rank=2)
             tgt = random_module(ring, rng, max_rank=2)
             degree = rng.randrange(4)
-            minimal = ext(src, tgt, degree)
-            seeded = ext(src, tgt, degree, style="seeded-random", seed=trial)
+            minimal, seeded, there, back = comparison_isomorphisms(
+                resolution(src), resolution(src, "seeded-random", seed=trial),
+                tgt, degree)
             assert minimal.dim == seeded.dim, (trial, degree)
-            iso = find_module_isomorphism(minimal.module, seeded.module,
-                                          seed=trial)
-            assert iso is not None, (trial, degree)
+            # the canonical comparison maps are mutually inverse
+            p = ring.p
+            assert np.array_equal((back.matrix @ there.matrix) % p,
+                                  np.identity(minimal.dim, dtype=np.int64)), (trial, degree)
+            assert np.array_equal((there.matrix @ back.matrix) % p,
+                                  np.identity(seeded.dim, dtype=np.int64)), (trial, degree)
 
 
 def test_statement_sweep_has_no_failures():
@@ -157,7 +164,7 @@ def test_degenerate_multiplicative_sets():
             rng = random.Random("degenerate:%d" % ring.dim)
 
             gld = s_gldim(ring, with_zero, bound=4, trials=5, seed=0)
-            assert str(gld.candidate) == "0" and not gld.exceedances
+            assert str(gld.candidate) == "0" and gld.witness == ring.zero
 
             top, _, _ = quotient_by_columns(regular_module(ring),
                                             ring.radical_basis())

@@ -78,8 +78,15 @@ def test_table_and_json_agree_on_numbers(tmp_path, capsys):
             "--bound", "4", "--trials", "5", "--seed", "0")
     _, table, _ = run(capsys, *args)
     _, doc, _ = run_json(capsys, *args)
-    assert "candidate = %s" % doc["candidate"] in table
-    assert "%d exceedances" % doc["exceedances"] in table
+    assert doc == {"candidate": ">4", "witness": None, "trials": 5, "seed": 0}
+    assert "S-gl.dim = %s (bound 4, %d trials)" % (doc["candidate"], doc["trials"]) in table
+
+    args = ("sgldim", "--ring", "example36.json", "--multset", "S1s.json",
+            "--bound", "4", "--trials", "5", "--seed", "0")
+    _, table, _ = run(capsys, *args)
+    _, doc, _ = run_json(capsys, *args)
+    assert doc["candidate"] == 0
+    assert "S-gl.dim = 0" in table and "witness %s" % doc["witness"] in table
 
     quot = tmp_path / "regularquot.json"
     quot.write_text(json.dumps(
@@ -372,6 +379,9 @@ def test_negative_sgldim_trials_exit_2(capsys):
     code, _, err = run(capsys, "sgldim", "--ring", "f2t2.json",
                        "--multset", "trivial.json", "--trials", "-1")
     assert code == 2 and "trials" in err
+    code, _, err = run(capsys, "sgldim", "--ring", "f2t2.json",
+                       "--multset", "trivial.json", "--bound", "-1", "--trials", "0")
+    assert code == 2 and "bound" in err
 
 
 def test_package_runs_as_a_module():
@@ -442,8 +452,8 @@ PINNED = [
      "5ba675f913bb3e98697b1706de3ac83cb441704301160814cfe163f06102620c"),
     (("sgldim", *E36, "--multset", "S1s.json", "--bound", "4", "--trials", "5",
       "--seed", "0"),
-     "94beb2e331f83a70f30dab15b53b4e7afb690811a25478d2b05f54b3f0831203",
-     "da7188e9af01dd19ee223d67ab07017abd62a0466683a37590dde14199ccaed0"),
+     "d71e9c4ae9db4dcfad42ec1f2c28e134870e3edf29baf95545d477b6ad5d1e08",
+     "36835ffcba37ccd7f7f666f746fb940a9887c7310cfe0a82f9c53d930ee36a9a"),
     (("factorcheck", "--a", "3", "--multset", "gen2.json", "--module", "z3.json"),
      "27eb44ca13531dff98f8618168f8628687da1815873e3704b7f33099c825dfbe",
      "f29a264fc7fe6450e84e047385ecdd08182247728dbba7e8598aa7daa4c83325"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import product_ring, quotient_module
 from srelhom.checks import _multset_menu
 from srelhom.rings import (
     complement_multset,
+    direct_product,
     enumerate_ideals,
     mult_closure,
     prime_field,
@@ -45,13 +47,16 @@ from srelhom.instances import (
     middle_free_triple,
     nested_multsets,
     random_module,
+    random_multset,
     random_s_iso,
     random_split_triple,
 )
 from srelhom.errors import (
     InputError,
+    InternalInvariantViolation,
     MiddleNotCertified,
     NotSExact,
+    RingMismatch,
 )
 
 
@@ -191,6 +196,22 @@ def test_explicit_cocover_into_a_non_injective_target_is_rejected(ring2, s_one, 
     default = is_s_injective(m2, s_one)
     w = is_s_injective(m2, s_one, cocover=injective_cocover(m2))
     assert (w.s, w.attempted) == (default.s, default.attempted)
+
+
+def test_multiplicative_set_over_another_ring_is_rejected(ring2, t2):
+    # F2 x F2 has the dimension of F2[t]/(t^2), so only the ring check
+    # tells them apart; ring2 has another dimension altogether
+    reg = regular_module(t2)
+    f2xf2 = direct_product(prime_field(2), prime_field(2))
+    for s_set in (mult_closure(f2xf2, []), mult_closure(ring2, [])):
+        calls = (lambda: s_pd(reg, s_set), lambda: s_id(reg, s_set),
+                 lambda: is_s_projective(reg, s_set),
+                 lambda: is_s_injective(reg, s_set),
+                 lambda: s_gldim(t2, s_set, trials=0),
+                 lambda: is_s_semisimple(t2, s_set))
+        for call in calls:
+            with pytest.raises(RingMismatch, match="different rings"):
+                call()
 
 
 # -- projective dimension ------------------------------------------------------
@@ -423,30 +444,84 @@ def test_field_has_global_dimension_zero():
     f3 = prime_field(3)
     rep = s_gldim(f3, mult_closure(f3, []), trials=10, seed=1)
     assert rep.candidate == DimValue.exact(0)
-    assert rep.cyclic_candidate == DimValue.exact(0)
-    assert not rep.exceedances and not rep.raised
+    assert rep.witness == f3.one
 
 
 def test_product_ring_semisimple_relative_to_e1(ring2, s_e1):
     rep = s_gldim(ring2, s_e1, trials=30, seed=0)
     assert rep.candidate == DimValue.exact(0)
-    assert rep.trials == 30 and not rep.exceedances
-    assert len(rep.per_ideal) == 6
-    assert all(pd == DimValue.exact(0) and idv == DimValue.exact(0)
-               for _, pd, idv in rep.per_ideal)
-    assert "cyclic" in rep.caveat
+    assert rep.trials == 30 and rep.seed == 0
+    # 1 does not kill the radical (f), e1 does
+    assert rep.witness == ring2.element([1, 0, 0])
 
 
 def test_negative_trials_are_rejected(ring2, s_one):
     with pytest.raises(InputError, match="trials"):
         s_gldim(ring2, s_one, trials=-1)
+    # a negative bound is rejected even when no audit runs
+    with pytest.raises(InputError, match="bound"):
+        s_gldim(ring2, s_one, bound=-1, trials=0)
 
 
 def test_product_ring_classical_dimension_beyond_bound(ring2, s_one):
     rep = s_gldim(ring2, s_one, bound=8, trials=3, seed=5)
     assert rep.candidate == DimValue.over(8)
-    assert rep.cyclic_candidate == DimValue.over(8)
-    assert not rep.exceedances
+    assert rep.witness is None
+
+
+def test_audit_exceedance_raises(monkeypatch, ring2, s_one):
+    # a radical wrongly reported as 0 makes the closed form claim S-gl.dim
+    # 0; the sampled modules of infinite S-pd must expose it
+    monkeypatch.setattr(ring2, "radical_basis", lambda: np.zeros((3, 0), dtype=np.int64))
+    with pytest.raises(InternalInvariantViolation, match="S-gl.dim"):
+        s_gldim(ring2, s_one, trials=16, seed=1)
+
+
+def cyclic_sweep_gldim(ring, s_set, bound, trials, seed):
+    """S-gl.dim as s_gldim computed it before the closed form: the max of
+    S-pd and S-id over every cyclic module R/I, raised by any of `trials`
+    random modules that exceeds it."""
+    reg = regular_module(ring)
+    value = DimValue.exact(0)
+    for ideal in enumerate_ideals(ring):
+        cyc, _, _ = quotient_by_columns(reg, ideal.basis)
+        value = dim_max(value, s_pd(cyc, s_set, bound).value,
+                        s_id(cyc, s_set, bound).value)
+    rng = random.Random("sgldim:%d" % seed)
+    for _ in range(trials):
+        mod = random_module(ring, rng)
+        sampled = dim_max(s_pd(mod, s_set, bound).value, s_id(mod, s_set, bound).value)
+        if sampled.le(value) is False:
+            value = dim_max(value, sampled)
+    return value
+
+
+def gldim_cases():
+    """The ring pool, each with its menu sets, prime complements and six
+    random closures."""
+    for name, ring in bundled_rings():
+        rng = random.Random("gldim-cases:%s" % name)
+        sets = list(_multset_menu(name, ring))
+        sets += [complement_multset(ring, prime)
+                 for prime in enumerate_ideals(ring).primes]
+        sets += [random_multset(ring, rng) for _ in range(6)]
+        for s_set in sets:
+            yield name, ring, s_set
+
+
+def test_closed_form_matches_the_cyclic_sweep():
+    cases = list(gldim_cases())
+    assert len(cases) == 66
+    decided = Counter()
+    for name, ring, s_set in cases:
+        witness = is_s_semisimple(ring, s_set).s
+        for bound in (0, 4, 8):
+            rep = s_gldim(ring, s_set, bound=bound, trials=2, seed=bound)
+            want = cyclic_sweep_gldim(ring, s_set, bound, trials=2, seed=bound)
+            assert rep.candidate == want, (name, s_set.labels(), bound)
+            assert rep.witness == witness, (name, s_set.labels(), bound)
+            decided[rep.candidate.known] += 1
+    assert decided[True] and decided[False]
 
 
 # -- semisimplicity --------------------------------------------------------------
@@ -493,7 +568,7 @@ def test_semisimple_matches_global_dimension_zero(ring2, s_e1, s_one):
     for ring, s_set in cases:
         sem = is_s_semisimple(ring, s_set).verdict
         rep = s_gldim(ring, s_set, bound=4, trials=6, seed=2)
-        glzero = rep.candidate == DimValue.exact(0) and not rep.exceedances
+        glzero = rep.candidate == DimValue.exact(0)
         assert sem == glzero
 
 

@@ -692,6 +692,26 @@ def test_factor_ring_uniformly_torsion_module_is_inapplicable():
     assert zero.statement.startswith("zero module: ")
 
 
+def test_factor_ring_checks_reduce_their_module_once(monkeypatch):
+    # Z/3 as a Z/9-module and as a Z-module share one relation lattice,
+    # so one Smith form serves both structures; S = <2> splits neither
+    # side, so no section is solved
+    calls = []
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form",
+                        lambda a: calls.append(intmat.shape(a)) or snf(a))
+    zmodules._structure.cache_clear()
+    mod, s_set = z_module("Z_mod", [[3]], m=9), z_multset("Z", [2])
+    rep = factor_ring_check(9, mod, s_set)
+    assert str(rep.bar_result.value) == ">8" and rep.z_result.value == DimValue.exact(1)
+    assert len(calls) == 1
+    # change of rings adds only the Smith form of Z/9 itself
+    calls.clear()
+    zmodules._structure.cache_clear()
+    change_of_rings_check(9, mod, s_set)
+    assert len(calls) == 2
+
+
 def test_factor_ring_divides_errors():
     with pytest.raises(DividesS):
         factor_ring_check(4, z_module("Z_mod", [[2]], m=4), z_multset("Z", [2]))
