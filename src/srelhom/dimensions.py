@@ -150,9 +150,6 @@ class DimValue:
             return False if self.value + 1 >= other.value else None
         return None
 
-    def gt(self, other: "DimValue") -> bool | None:
-        return other.lt(self)
-
     def eq(self, other: "DimValue") -> bool | None:
         if self.known and other.known:
             return self.value == other.value

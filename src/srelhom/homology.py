@@ -50,6 +50,7 @@ from .modules import (
     ring_matrix_of_free_map,
     s_exactness_check,
     s_iso_inverse,
+    same_module,
     submodule_from_columns,
     subquotient,
     quotient_by_columns,
@@ -208,7 +209,7 @@ class AssembledResolution(BaseResolution):
     vanishing composites, and exactness by rank counting.
     """
 
-    def __init__(self, module: Module, maps: list[ModuleMap], check: bool = True):
+    def __init__(self, module: Module, maps: list[ModuleMap]):
         if not maps:
             raise InputError("resolution needs at least the augmentation")
         self.module = module
@@ -217,8 +218,7 @@ class AssembledResolution(BaseResolution):
         for free in self.frees:
             if free.free_rank is None:
                 raise InputError("resolution terms must be free modules")
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         p = self.module.ring.p
@@ -456,7 +456,7 @@ def comparison_isomorphisms(res_a: BaseResolution, res_b: BaseResolution,
     homotopic to the identity, hence act as the identity on cohomology;
     the returned maps are exact inverses.
     """
-    if res_a.module is not res_b.module and res_a.module.vdim != res_b.module.vdim:
+    if not same_module(res_a.module, res_b.module):
         raise InputError("resolutions of different modules")
     ide = ModuleMap.identity(res_a.module)
     lift_ab = chain_lift(ide, res_a, res_b, n)

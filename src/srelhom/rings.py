@@ -51,8 +51,9 @@ __all__ = [
     "ring_from_spec",
 ]
 
-# Exhaustive element sweeps (radical, ideal enumeration, complements) are
-# only sensible for small rings; this cap keeps them honest.
+# Listing the elements (for the ideal lattice, prime complements and
+# everything that ranges over them) is only sensible for small rings;
+# this cap keeps it honest.
 MAX_ENUMERABLE = 1 << 16
 
 # Matrices are int64 arrays reduced into [0, p); products and matrix
@@ -127,10 +128,12 @@ class FiniteAlgebra:
         unit: length-d int64 array, the multiplicative identity.
 
     Instances are immutable by convention.  Derived data (left
-    multiplication matrices, the radical, the ideal list, the prime
-    complements, the free modules R^k and through them their
-    resolutions) is cached on first use; caches only ever gain entries, so sharing an instance across
-    threads is safe for readers.
+    multiplication matrices, the radical, the element list, the ideal
+    list, the prime complements, the free modules R^k and through them
+    their resolutions) is cached on first use; caches only ever gain
+    entries, so sharing an instance across threads is safe for readers.
+    Only the element list and what is built from it are bound by
+    MAX_ENUMERABLE.
     """
 
     def __init__(self, p: int, basis_labels, table, unit):
@@ -236,28 +239,38 @@ class FiniteAlgebra:
             ]
         return self._elements
 
-    def is_nilpotent(self, elt: RingElement) -> bool:
-        m = self.left_mul_matrix(elt.array)
-        power = np.eye(self.dim, dtype=np.int64)
-        for _ in range(self.dim):
-            power = (power @ m) % self.p
-        return not power.any()
-
     def radical_basis(self) -> np.ndarray:
         """Basis (columns) of the ideal of nilpotent elements.
 
         For a finite-dimensional commutative algebra this is the Jacobson
-        radical.  Computed by exhaustive element sweep, which the size cap
-        keeps cheap.
+        radical.  x -> x^p is F_p-linear, and a nilpotent x has x^d = 0,
+        so the radical is the kernel of Frobenius^k for any p^k >= d: its
+        matrix has the columns e_i^(p^k).  The basis is the rows of the
+        kernel's reduced echelon form in reverse order, which is what a
+        greedy pass over the nilpotent elements in canonical order picks:
+        the smallest nonzero one, then the smallest outside the span so
+        far, and so on.
         """
         if self._radical is None:
-            nil_vecs = [e.array for e in self.elements() if self.is_nilpotent(e)]
-            if nil_vecs:
-                stacked = np.stack(nil_vecs, axis=1)
-                self._radical = gfmat.column_space(stacked, self.p)
-            else:
-                self._radical = gfmat.zeros(self.dim, 0)
+            q = 1
+            while q < self.dim:
+                q *= self.p
+            frob = np.stack([self._power_vec(e, q)
+                             for e in np.eye(self.dim, dtype=np.int64)], axis=1)
+            kernel = gfmat.nullspace(frob, self.p)
+            echelon, _ = gfmat.rref(kernel.T, self.p)
+            self._radical = echelon[::-1].T.copy()
         return self._radical
+
+    def _power_vec(self, v: np.ndarray, n: int) -> np.ndarray:
+        """v^n by square-and-multiply."""
+        out = self.unit
+        while n:
+            if n & 1:
+                out = self.mul_vec(out, v)
+            v = self.mul_vec(v, v)
+            n >>= 1
+        return out
 
     def __repr__(self):
         return "FiniteAlgebra(p=%d, basis=%s)" % (self.p, list(self.basis_labels))
@@ -418,14 +431,6 @@ class Ideal:
             return elt.is_zero()
         return gfmat.in_column_span(self.basis, elt.array, self.ring.p)
 
-    def element_set(self) -> frozenset:
-        combos = itertools.product(range(self.ring.p), repeat=self.fdim)
-        out = set()
-        for c in combos:
-            v = (self.basis @ np.array(c, dtype=np.int64)) % self.ring.p
-            out.add(tuple(int(x) for x in v))
-        return frozenset(out)
-
     def label(self) -> str:
         if self.fdim == 0:
             return "(0)"
@@ -460,27 +465,6 @@ class IdealList:
         return tuple(i for i in self.ideals if i.fdim < self.ring.dim)
 
 
-def _quotient_is_field(ring: FiniteAlgebra, basis: np.ndarray) -> bool:
-    """Is R / (span basis) a field?  Assumes basis spans an ideal."""
-    d, k = ring.dim, basis.shape[1]
-    if k == d:
-        return False  # improper
-    section, inv = gfmat.complete_basis(basis, ring.p)
-    proj = inv[k:, :]
-    q = d - k
-    # multiplication on quotient coordinates; field iff every nonzero
-    # element multiplies invertibly
-    for coeffs in itertools.product(range(ring.p), repeat=q):
-        if not any(coeffs):
-            continue
-        rep = (section @ np.array(coeffs, dtype=np.int64)) % ring.p
-        lm = ring.left_mul_matrix(rep)
-        qmat = (proj @ lm @ section) % ring.p
-        if gfmat.rank(qmat, ring.p) != q:
-            return False
-    return True
-
-
 def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     """All ideals of the ring, with primality and maximality flags.
 
@@ -488,6 +472,11 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     cyclic ideals Rr (column spaces of multiplication matrices) and close
     the collection under pairwise sum.  Exhaustive over ring elements;
     guarded by the enumeration cap.  Results are cached on the ring.
+
+    A proper ideal is maximal when no proper ideal of larger dimension
+    contains it; I lies in J exactly when rank [J | I] = dim J.  In a
+    finite ring every prime P is maximal (R/P is a finite domain, hence a
+    field), so the prime flag is the maximal flag.
     """
     if ring._ideal_list is not None:
         return ring._ideal_list
@@ -508,28 +497,17 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
                     seen[key] = summed
                     new_work.append((key, summed))
         work = new_work
+    bases = [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
+    proper = [b for b in bases if b.shape[1] < ring.dim]
     ideals = []
-    for key in sorted(seen, key=lambda k: (len(k), k)):
-        basis = seen[key]
-        proper = basis.shape[1] < ring.dim
-        prime = proper and _quotient_is_field(ring, basis)
-        ideals.append(Ideal(ring, basis, prime, False))
-    # maximality from the finished lattice: nothing strictly between I and R
-    by_key = {i.key(): i for i in ideals}
-    finished = []
-    for ideal in ideals:
-        maximal = False
-        if ideal.fdim < ring.dim:
-            maximal = True
-            mine = ideal.element_set()
-            for other in ideals:
-                if other.fdim <= ideal.fdim or other.fdim == ring.dim:
-                    continue
-                if mine < other.element_set():
-                    maximal = False
-                    break
-        finished.append(Ideal(ring, ideal.basis, ideal.is_prime, maximal))
-    ring._ideal_list = IdealList(ring, tuple(finished))
+    for basis in bases:
+        k = basis.shape[1]
+        maximal = k < ring.dim and not any(
+            other.shape[1] > k
+            and gfmat.rank(np.hstack([other, basis]), p) == other.shape[1]
+            for other in proper)
+        ideals.append(Ideal(ring, basis, maximal, maximal))
+    ring._ideal_list = IdealList(ring, tuple(ideals))
     return ring._ideal_list
 
 
@@ -546,8 +524,12 @@ def complement_multset(ring: FiniteAlgebra, prime: Ideal) -> MultSet:
     key = prime.key()
     ms = ring._complements.get(key)
     if ms is None:
-        members = prime.element_set()
-        elements = tuple(e for e in ring.elements() if e.vec not in members)
+        # x lies in P exactly when the rows of [P | D]^-1 below P kill it
+        _, inv = gfmat.complete_basis(prime.basis, ring.p)
+        everything = ring.elements()
+        vecs = np.array([e.vec for e in everything], dtype=np.int64)
+        outside = ((vecs @ inv[prime.fdim:].T) % ring.p).any(axis=1)
+        elements = tuple(e for e, out in zip(everything, outside) if out)
         ms = MultSet(ring, elements, any(e.is_zero() for e in elements))
         try:
             ms.validate()

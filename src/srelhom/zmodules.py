@@ -572,8 +572,9 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
     Z/a by exactly one, provided no product of the generators of S is
     divisible by a (checked by reachability; DividesS otherwise).  A
     uniformly S-torsion module is S-isomorphic to 0, so, like the zero
-    module, it is outside the identity's reach: "inapplicable".  A walk
-    on the Z/a side that exhausts the bound leaves the comparison vacuous.
+    module, it is outside the identity's reach: "inapplicable".  ">bound"
+    over Z/a is a proof of infinity, so the identity has no finite value
+    to compare and the check is vacuous.
     """
     if not isinstance(a, int) or a < 2:
         raise InputError("factor modulus must be an integer >= 2")

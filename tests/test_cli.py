@@ -10,6 +10,7 @@ import pytest
 
 import srelhom
 from srelhom.cli import build_parser, main
+from srelhom.rings import ring_to_spec, truncated_polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
 
@@ -122,6 +123,23 @@ def test_localprofile_agreement(capsys):
     assert code == 0
     assert doc["formula_ok"] is True
     assert len(doc["entries"]) == 2
+
+
+def test_spd_above_the_enumeration_cap(tmp_path, capsys):
+    # F2[t]/(t^17) has 2^17 elements; S-pd needs only the radical, while
+    # the local profile ranges over the primes and still hits the cap
+    ring = tmp_path / "t17.json"
+    ring.write_text(json.dumps(ring_to_spec(truncated_polynomial(2, 17))))
+    labels = ["1", "t"] + ["t%d" % n for n in range(2, 17)]
+    simple = tmp_path / "k.json"
+    simple.write_text(json.dumps({"kind": "action", "dim": 1, "action": {
+        label: [1 if label == "1" else 0] for label in labels}}))
+    code, doc, _ = run_json(capsys, "spd", "--ring", str(ring), "--multset",
+                            "trivial.json", "--module", str(simple), "--bound", "4")
+    assert code == 0 and doc["value"] == ">4"
+    code, _, err = run(capsys, "localprofile", "--ring", str(ring),
+                       "--module", str(simple), "--bound", "4")
+    assert code == 2 and "too large to enumerate" in err
 
 
 def test_resolution_round_trip(tmp_path, capsys):

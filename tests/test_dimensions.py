@@ -527,6 +527,19 @@ def test_closed_form_matches_the_cyclic_sweep():
 # -- semisimplicity --------------------------------------------------------------
 
 
+def test_dimensions_above_the_enumeration_cap():
+    # F2[t]/(t^17) has 2^17 elements; the dimension code needs only the
+    # radical, which is linear algebra at any size
+    ring = truncated_polynomial(2, 17)
+    s_one = mult_closure(ring, [])
+    k = quotient_module(ring, [ring.basis_element(1).vec])
+    assert k.vdim == 1
+    assert s_pd(k, s_one, 4).value == DimValue.over(4)
+    assert s_id(k, s_one, 4).value == DimValue.over(4)
+    assert s_gldim(ring, s_one, 4).candidate == DimValue.over(4)
+    assert ext(k, k, 1).dim == 1
+
+
 def test_field_semisimple_with_unit_witness():
     f2 = prime_field(2)
     rep = is_s_semisimple(f2, mult_closure(f2, []))

@@ -263,6 +263,14 @@ def test_comparison_isomorphisms_are_exact_inverses(m2):
                           np.identity(ext_b.dim, dtype=np.int64))
 
 
+def test_comparison_rejects_resolutions_of_different_modules(ring2, m2):
+    # the two simple modules of F2 x F2[t]/(t^2) have equal dimension
+    other = quotient_module(ring2, [[0, 1, 0], [0, 0, 1]])
+    assert other.vdim == m2.vdim
+    with pytest.raises(InputError, match="different modules"):
+        comparison_isomorphisms(free_resolution(m2, 2), free_resolution(other, 2), m2, 1)
+
+
 def test_injective_cocover(ring2, m2):
     iota = injective_cocover(m2)
     assert iota.source is m2

@@ -1,5 +1,6 @@
 """Algebra construction, ideals, multiplicative sets, wire format."""
 
+import itertools
 import json
 import random
 
@@ -18,6 +19,7 @@ from srelhom.errors import (
 )
 from srelhom.instances import bundled_rings, random_element
 from srelhom.rings import (
+    MAX_ENUMERABLE,
     Ideal,
     MultSet,
     build_algebra,
@@ -107,6 +109,118 @@ def test_radical_of_truncated_polynomial(t2):
     rad = t2.radical_basis()
     assert rad.shape == (2, 1)
     assert rad[:, 0].tolist() == [0, 1]
+
+
+def group_algebra(p, orders):
+    """F_p[C_n1 x C_n2 x ...] on the basis of group elements."""
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    index = {g: i for i, g in enumerate(elems)}
+    d = len(elems)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for g in elems:
+        for h in elems:
+            gh = tuple((a + b) % n for a, b, n in zip(g, h, orders))
+            table[index[g], index[h], index[gh]] = 1
+    labels = ["g" + "".join(map(str, g)) for g in elems]
+    return build_algebra(p, labels, table, [1] + [0] * (d - 1))
+
+
+def oracle_rings():
+    """The pool, every proper quotient of it, and five more rings."""
+    rings = []
+    for _, ring in bundled_rings():
+        rings.append(ring)
+        rings += [quotient_algebra(ring, ideal).algebra
+                  for ideal in enumerate_ideals(ring).proper]
+    return rings + [
+        truncated_polynomial(3, 3),
+        group_algebra(2, [4]),
+        group_algebra(3, [3]),
+        group_algebra(2, [2, 2]),
+        direct_product(prime_field(7), truncated_polynomial(7, 2)),
+    ]
+
+
+# The element sweeps the linear algebra replaced, kept as oracles.
+
+def sweep_radical(ring):
+    """Span of the nilpotent elements, met in canonical order."""
+    def is_nilpotent(elt):
+        m = ring.left_mul_matrix(elt.array)
+        power = np.eye(ring.dim, dtype=np.int64)
+        for _ in range(ring.dim):
+            power = (power @ m) % ring.p
+        return not power.any()
+    nil_vecs = [e.array for e in ring.elements() if is_nilpotent(e)]
+    if not nil_vecs:
+        return gfmat.zeros(ring.dim, 0)
+    return gfmat.column_space(np.stack(nil_vecs, axis=1), ring.p)
+
+
+def quotient_is_field(ring, basis):
+    """Does every nonzero element of R / (span basis) act invertibly?"""
+    d, k = ring.dim, basis.shape[1]
+    if k == d:
+        return False
+    section, inv = gfmat.complete_basis(basis, ring.p)
+    proj = inv[k:, :]
+    for coeffs in itertools.product(range(ring.p), repeat=d - k):
+        if not any(coeffs):
+            continue
+        rep = (section @ np.array(coeffs, dtype=np.int64)) % ring.p
+        qmat = (proj @ ring.left_mul_matrix(rep) @ section) % ring.p
+        if gfmat.rank(qmat, ring.p) != d - k:
+            return False
+    return True
+
+
+def element_set(ideal):
+    p = ideal.ring.p
+    return frozenset(
+        tuple(int(x) for x in (ideal.basis @ np.array(c, dtype=np.int64)) % p)
+        for c in itertools.product(range(p), repeat=ideal.fdim))
+
+
+def element_set_maximal(ideal, ideals):
+    """Proper, and no proper ideal holds a strict superset of its elements."""
+    dim = ideal.ring.dim
+    if ideal.fdim == dim:
+        return False
+    mine = element_set(ideal)
+    return not any(ideal.fdim < other.fdim < dim and mine < element_set(other)
+                   for other in ideals)
+
+
+def test_linear_algebra_matches_the_element_sweeps():
+    rings = oracle_rings()
+    assert len(rings) == 32
+    primes_seen = 0
+    for ring in rings:
+        rad = ring.radical_basis()
+        want = sweep_radical(ring)
+        assert rad.dtype == want.dtype and np.array_equal(rad, want), ring
+        ideals = enumerate_ideals(ring)
+        for ideal in ideals:
+            assert ideal.is_prime == quotient_is_field(ring, ideal.basis)
+            assert ideal.is_maximal == element_set_maximal(ideal, ideals)
+        for prime in ideals.primes:
+            members = element_set(prime)
+            want = tuple(e for e in ring.elements() if e.vec not in members)
+            assert complement_multset(ring, prime).elements == want
+            primes_seen += 1
+    assert primes_seen == 41
+
+
+def test_radical_and_cap_above_the_enumeration_limit():
+    # 2^17 elements: the radical is linear algebra, the ideal lattice is not
+    ring = truncated_polynomial(2, 17)
+    assert ring.size > MAX_ENUMERABLE
+    rad = ring.radical_basis()
+    assert rad.shape == (17, 16)
+    # t^16, t^15, ..., t: the smallest vector first, as a sweep would meet them
+    assert np.array_equal(rad, np.eye(17, dtype=np.int64)[:, :0:-1])
+    with pytest.raises(InputError, match="too large to enumerate"):
+        enumerate_ideals(ring)
 
 
 def test_ideals_of_truncated_polynomial(t2):
