@@ -399,6 +399,12 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     dimension of the character dual; any disagreement is an engine bug,
     not a property of the input.  The dual is cached on the module, so
     the cocover and the dual route share one resolution.
+
+    The two routes are not independent: the cocover is the transpose of
+    the dual's cover, and _split_search transposes a retraction problem
+    back, so both routes solve the same solve_each system.  The check
+    catches only faults outside that system; ROADMAP lists an
+    independent route as open.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")

@@ -44,6 +44,7 @@ __all__ = [
     "solve_each",
     "inverse",
     "column_space",
+    "columns_outside_span",
     "in_column_span",
     "extend_to_basis",
     "complete_basis",
@@ -219,6 +220,17 @@ def column_space(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the column span: the pivot columns of a."""
     reduced = np.asarray(a, dtype=np.int64) % p
     return reduced[:, _eliminate(reduced.tolist(), p, reduced.shape[1])]
+
+
+def columns_outside_span(span: np.ndarray, cols: np.ndarray, p: int) -> list[int]:
+    """Indices j of the columns of cols outside the span of span and cols[:, :j].
+
+    They are the pivots of the cols block in rref([span | cols]), which
+    depend on the column span of span only.
+    """
+    width = span.shape[1]
+    _, pivots = rref(np.hstack([span, cols]), p)
+    return [c - width for c in pivots if c >= width]
 
 
 def in_column_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:

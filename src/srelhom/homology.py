@@ -1,12 +1,16 @@
 """Free resolutions, Ext, and the S-relative long exact sequence.
 
-The resolution of M is built by iterated covers: choose generators of the
-current syzygy, map a free module onto it, take the kernel, repeat.  The
-"minimal" style lifts an F_p-basis of K / rad K; over a local ring that
-is a minimal generating set, over a product ring it may overshoot the
-true minimum but keeps ranks small.  "plain" covers every F_p basis
-vector, and "seeded-random" pads the minimal generators with random
-redundant ones for resolution-independence testing.
+The resolution of M is built in ambient coordinates.  Each syzygy K_i is
+kept as a basis of columns in the previous free module F_{i-1} (M itself
+at level 0): choose generators among those columns, map a free module
+F_i onto them, and one nullspace of that boundary is the basis of K_{i+1}
+in F_i.  A syzygy is built as a Module only when a caller asks for it.
+The "minimal" style takes the basis columns that leave rad K and the
+columns before them, so it lifts an F_p-basis of K / rad K; over a local
+ring that is a minimal generating set, over a product ring it may
+overshoot the true minimum but keeps ranks small.  "plain" covers every
+basis column, and "seeded-random" pads the minimal generators with
+random redundant ones for resolution-independence testing.
 
 Ext^n(M, N) is computed as cohomology of Hom(F_., N).  Since every F_k is
 free of rank r_k, Hom(F_k, N) is N^{r_k}, and the differential is the
@@ -115,12 +119,16 @@ class BaseResolution:
 
 
 class Resolution(BaseResolution):
-    """A lazily extended free resolution of a module.
+    """A lazily extended free resolution of a module, in ambient coordinates.
 
-    syzygies[i] is K_i with K_0 = M; covers[i]: F_i ->> K_i is the chosen
-    surjection and inclusions[i]: K_i -> F_{i-1} (i >= 1) embeds each
-    syzygy into the previous free module.  The boundary d_i is
-    inclusion . cover.
+    Level i keeps the free module F_i, the boundary d_i: F_i -> F_{i-1}
+    (d_0 is the augmentation F_0 ->> M) and the kernel columns of d_i in
+    F_i, which are the basis of the syzygy K_{i+1}.  The basis of K_0 = M
+    is the unit vectors of M.  No syzygy is built as a Module while the
+    resolution grows: syzygy(i), inclusion(i) and cover(i) build K_i, its
+    embedding K_i -> F_{i-1} and the cover F_i ->> K_i when they are
+    called, and give the same objects the syzygy-by-syzygy construction
+    gives.
     """
 
     def __init__(self, module: Module, style: str = "minimal", seed: int = 0):
@@ -130,34 +138,50 @@ class Resolution(BaseResolution):
         self.style = style
         self.seed = seed
         self.frees: list[Module] = []
-        self.covers: list[ModuleMap] = []
-        self.syzygies: list[Module] = [module]
-        self.inclusions: list[ModuleMap | None] = [None]
-        self._boundaries: dict[int, ModuleMap] = {}
+        self._boundaries: list[ModuleMap] = []
+        self._kernels: list[np.ndarray] = []
+        self._gens: list[np.ndarray] = []
+        self._syzygies: dict[int, tuple[Module, ModuleMap]] = {}
+        self._covers: dict[int, ModuleMap] = {}
 
     @property
     def ring(self) -> FiniteAlgebra:
         return self.module.ring
 
-    def _generator_columns(self, k_mod: Module, level: int) -> np.ndarray:
-        ring = self.ring
-        p = ring.p
+    def _basis(self, level: int) -> tuple[Module, np.ndarray]:
+        """(host, columns): the basis of K_level as columns in its host.
+
+        The host is M at level 0 and F_{level-1} above it.
+        """
+        if level == 0:
+            return self.module, gfmat.identity(self.module.vdim)
+        return self.frees[level - 1], self._kernels[level - 1]
+
+    def _generator_columns(self, host: Module, basis: np.ndarray,
+                           level: int) -> np.ndarray:
+        """Generators of K_level, as columns in the coordinates of its basis.
+
+        rad.K is spanned by the ideal generators of the radical acting on
+        the basis columns in the host.  The minimal generators are the unit
+        vectors of the basis columns that leave the span of rad.K and of
+        the columns before them.  The basis is injective, so these are the
+        unit vectors that extend_to_basis picks against rad K in the
+        coordinates of K.
+        """
+        p = self.ring.p
+        k = basis.shape[1]
         if self.style == "plain":
-            return gfmat.identity(k_mod.vdim)
-        rad = ring.radical_basis()
-        rad_cols = []
-        for j in range(rad.shape[1]):
-            rad_cols.append(k_mod.action_of(rad[:, j]))
-        if rad_cols:
-            rad_span = gfmat.column_space(np.hstack(rad_cols), p)
-        else:
-            rad_span = gfmat.zeros(k_mod.vdim, 0)
-        gens = gfmat.extend_to_basis(rad_span, p)
-        if self.style == "seeded-random" and k_mod.vdim:
-            rng = random.Random("res:%d:%d:%d" % (self.seed, level, k_mod.vdim))
+            return gfmat.identity(k)
+        rad = self.ring.radical_generators()
+        d, n, t = self.ring.dim, host.vdim, rad.shape[1]
+        acts = (rad.T @ host.actions.reshape(d, n * n) % p).reshape(t, n, n)
+        rad_k = (acts @ basis % p).transpose(1, 0, 2).reshape(n, t * k)
+        gens = gfmat.identity(k)[:, gfmat.columns_outside_span(rad_k, basis, p)]
+        if self.style == "seeded-random" and k:
+            rng = random.Random("res:%d:%d:%d" % (self.seed, level, k))
             extra = []
             for _ in range(rng.randint(1, 2)):
-                vec = np.array([rng.randrange(p) for _ in range(k_mod.vdim)],
+                vec = np.array([rng.randrange(p) for _ in range(k)],
                                dtype=np.int64)
                 if vec.any():
                     extra.append(vec.reshape(-1, 1))
@@ -166,38 +190,60 @@ class Resolution(BaseResolution):
         return gens
 
     def ensure(self, index: int) -> None:
-        """Extend so that frees[0..index] and their covers exist."""
+        """Extend so that frees[0..index] and their boundaries exist.
+
+        d_i sends the generators to their columns in the host, so its
+        matrix is basis @ A for the matrix A of the cover F_i ->> K_i.  The
+        basis is injective, so basis @ A and A have the same row space and
+        the same canonical nullspace: one nullspace of d_i is both the
+        surjectivity check (rank dim K_i) and the basis of K_{i+1}.
+        """
+        p = self.ring.p
         while len(self.frees) <= index:
             level = len(self.frees)
-            k_mod = self.syzygies[level]
-            gens = self._generator_columns(k_mod, level)
+            host, basis = self._basis(level)
+            gens = self._generator_columns(host, basis, level)
             free = free_module(self.ring, gens.shape[1])
-            cover = free_map_from_generator_images(free, k_mod, gens)
-            if gfmat.rank(cover.matrix, self.ring.p) != k_mod.vdim:
+            bd = free_map_from_generator_images(free, host, basis @ gens % p)
+            kernel = gfmat.nullspace(bd.matrix, p)
+            if free.vdim - kernel.shape[1] != basis.shape[1]:
                 raise InternalInvariantViolation("cover is not surjective")
             self.frees.append(free)
-            self.covers.append(cover)
-            ker_cols = gfmat.nullspace(cover.matrix, self.ring.p)
-            nxt, incl = submodule_from_columns(free, ker_cols)
-            self.syzygies.append(nxt)
-            self.inclusions.append(incl)
+            self._boundaries.append(bd)
+            self._kernels.append(kernel)
+            self._gens.append(gens)
+
+    def _syzygy_with_inclusion(self, i: int) -> tuple[Module, ModuleMap]:
+        if i not in self._syzygies:
+            self.ensure(i - 1)
+            self._syzygies[i] = submodule_from_columns(*self._basis(i))
+        return self._syzygies[i]
 
     def syzygy(self, i: int) -> Module:
         """K_i, with K_0 = M and K_{i+1} = Ker(F_i ->> K_i)."""
-        if i >= len(self.syzygies):
-            self.ensure(i - 1)
-        return self.syzygies[i]
+        if i == 0:
+            return self.module
+        return self._syzygy_with_inclusion(i)[0]
+
+    def inclusion(self, i: int) -> ModuleMap:
+        """The embedding K_i -> F_{i-1} (i >= 1) on the kernel columns."""
+        if i < 1:
+            raise InputError("syzygy inclusions start at level 1")
+        return self._syzygy_with_inclusion(i)[1]
 
     def cover(self, i: int) -> ModuleMap:
-        self.ensure(i)
-        return self.covers[i]
+        """The surjection F_i ->> K_i; cover(0) is the augmentation."""
+        if i == 0:
+            return self.boundary(0)
+        if i not in self._covers:
+            self.ensure(i)
+            self._covers[i] = free_map_from_generator_images(
+                self.frees[i], self.syzygy(i), self._gens[i])
+        return self._covers[i]
 
     def boundary(self, k: int) -> ModuleMap:
-        if k == 0:
-            return self.cover(0)
-        if k not in self._boundaries:
+        if k >= len(self.frees):
             self.ensure(k)
-            self._boundaries[k] = self.inclusions[k].compose(self.covers[k])
         return self._boundaries[k]
 
 
@@ -303,11 +349,12 @@ class HomCochain:
     def module(self, k: int) -> Module:
         if k not in self._modules:
             r = self.res.rank(k)
-            n = self.target.vdim
-            acts = np.stack([np.kron(gfmat.identity(r), a)
-                             for a in self.target.actions]) if r * n else \
-                np.zeros((self.target.ring.dim, r * n, r * n), dtype=np.int64)
-            self._modules[k] = _derived_module(self.target.ring, acts)
+            ring, n = self.target.ring, self.target.vdim
+            # block-diagonal: the action on N repeated on each of r blocks
+            acts = np.zeros((ring.dim, r, n, r, n), dtype=np.int64)
+            acts[:, range(r), :, range(r), :] = self.target.actions
+            self._modules[k] = _derived_module(
+                ring, acts.reshape(ring.dim, r * n, r * n))
         return self._modules[k]
 
     def diff_matrix(self, k: int) -> np.ndarray:

@@ -179,8 +179,7 @@ def middle_free_triple(ring: FiniteAlgebra, rng: random.Random,
 
     mod = random_module(ring, rng, max_rank)
     res = resolution(mod)
-    res.ensure(0)
-    return res.inclusions[1], res.cover(0)
+    return res.inclusion(1), res.cover(0)
 
 
 def random_s_iso(ring: FiniteAlgebra, s_set: MultSet,

@@ -294,13 +294,10 @@ def free_map_from_generator_images(free_src: Module, target: Module,
         raise InputError("source must be a free module built by free_module")
     if images.shape != (target.vdim, k):
         raise InputError("need one image column per generator")
-    blocks = []
-    for j in range(k):
-        y = images[:, j]
-        blocks.append(np.stack([target.actions[i] @ y for i in range(ring.dim)],
-                               axis=1) % ring.p)
-    mat = np.hstack(blocks) if blocks else gfmat.zeros(target.vdim, 0)
-    return ModuleMap._trusted(free_src, target, mat)
+    # (target.actions @ images)[i, :, j] is e_i applied to image j
+    mat = (target.actions @ images % ring.p).transpose(1, 2, 0)
+    return ModuleMap._trusted(free_src, target,
+                              mat.reshape(target.vdim, k * ring.dim))
 
 
 def ring_matrix_of_free_map(f: ModuleMap) -> np.ndarray:

@@ -128,12 +128,12 @@ class FiniteAlgebra:
         unit: length-d int64 array, the multiplicative identity.
 
     Instances are immutable by convention.  Derived data (left
-    multiplication matrices, the radical, the element list, the ideal
-    list, the prime complements, the free modules R^k and through them
-    their resolutions) is cached on first use; caches only ever gain
-    entries, so sharing an instance across threads is safe for readers.
-    Only the element list and what is built from it are bound by
-    MAX_ENUMERABLE.
+    multiplication matrices, the radical and its ideal generators, the
+    element list, the ideal list, the prime complements, the free modules
+    R^k and through them their resolutions) is cached on first use;
+    caches only ever gain entries, so sharing an instance across threads
+    is safe for readers.  Only the element list and what is built from it
+    are bound by MAX_ENUMERABLE.
     """
 
     def __init__(self, p: int, basis_labels, table, unit):
@@ -148,6 +148,7 @@ class FiniteAlgebra:
         self._validate()
         self._left_muls = None
         self._radical = None
+        self._radical_gens = None
         self._ideal_list = None
         self._elements = None
         self._free_modules: dict = {}  # rank k -> R^k, filled by free_module
@@ -261,6 +262,24 @@ class FiniteAlgebra:
             echelon, _ = gfmat.rref(kernel.T, self.p)
             self._radical = echelon[::-1].T.copy()
         return self._radical
+
+    def radical_generators(self) -> np.ndarray:
+        """Columns of radical_basis() that generate the radical as an ideal.
+
+        Each lies outside rad^2 plus the columns before it, so they span
+        rad modulo rad^2, and by Nakayama's lemma (rad is nilpotent) they
+        generate rad.  Hence rad.K is the span of g.K over these g, for
+        every module K.
+        """
+        if self._radical_gens is None:
+            rad = self.radical_basis()
+            k = rad.shape[1]
+            # column (a, b) of squares is rad_a * rad_b
+            left = np.tensordot(rad.T, self.table, 1) % self.p
+            squares = np.tensordot(left, rad, axes=(1, 0)) % self.p
+            squares = squares.transpose(1, 0, 2).reshape(self.dim, k * k)
+            self._radical_gens = rad[:, gfmat.columns_outside_span(squares, rad, self.p)]
+        return self._radical_gens
 
     def _power_vec(self, v: np.ndarray, n: int) -> np.ndarray:
         """v^n by square-and-multiply."""

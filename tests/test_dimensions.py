@@ -359,9 +359,9 @@ def test_s_id_builds_the_dual_cover_once(monkeypatch):
     built = []
     original = Resolution._generator_columns
 
-    def spy(self, k_mod, level):
+    def spy(self, host, basis, level):
         built.append((self.module, level))
-        return original(self, k_mod, level)
+        return original(self, host, basis, level)
 
     monkeypatch.setattr(Resolution, "_generator_columns", spy)
     s_id(mod, mult_closure(ring, []), bound=0)

@@ -201,6 +201,20 @@ def test_extend_to_basis_matches_greedy_definition(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
+def test_columns_outside_span_matches_greedy_definition(p):
+    rng = random.Random(950 + p)
+    for _ in range(40):
+        n = rng.randrange(7)
+        span = random_matrix(rng, n, rng.randrange(4), p)
+        cols = random_matrix(rng, n, rng.randrange(6), p)
+        # column j is taken when it raises the rank of span and cols[:, :j]
+        want = [j for j in range(cols.shape[1])
+                if gfmat.rank(np.hstack([span, cols[:, :j + 1]]), p)
+                > gfmat.rank(np.hstack([span, cols[:, :j]]), p)]
+        assert gfmat.columns_outside_span(span, cols, p) == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
 def test_extend_to_basis_rejects_dependent_columns(p):
     v = np.array([[1], [2], [0]], dtype=np.int64) % p
     with pytest.raises(ValueError):

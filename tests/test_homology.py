@@ -1,25 +1,33 @@
 """Resolutions, Ext, connecting maps, long S-exact sequences."""
 
 import json
+import random
+from math import comb
 
 import numpy as np
 import pytest
 
-from srelhom.errors import InputError, NotSExact
-from srelhom.rings import mult_closure, truncated_polynomial
+from srelhom import gfmat, homology
+from srelhom.dimensions import s_pd
+from srelhom.errors import InputError, InternalInvariantViolation, NotSExact
+from srelhom.instances import bundled_rings, random_module
+from srelhom.rings import enumerate_ideals, mult_closure, truncated_polynomial
 from srelhom.modules import (
     ModuleMap,
     cap_chain,
     character_dual,
+    free_map_from_generator_images,
     free_module,
     hom_space,
     regular_module,
     s_exactness_check,
     scaling_map,
+    submodule_from_columns,
     subquotient,
     zero_module,
 )
 from srelhom.homology import (
+    STYLES,
     AssembledResolution,
     Resolution,
     chain_lift,
@@ -37,6 +45,7 @@ from srelhom.homology import (
 )
 
 from conftest import product_ring, quotient_module
+from test_rings import group_algebra
 
 
 def residue_field(t2):
@@ -293,3 +302,141 @@ def test_resolution_wire_depth_guard(ring2, m2):
     back = resolution_from_spec(ring2, doc)
     with pytest.raises(InputError):
         ext_with_resolution(back, m2, 2)  # needs boundary at level 3
+
+
+# -- the syzygy-module walk that ambient coordinates replaced -----------------
+
+
+class SyzygyWalkResolution:
+    """The resolution built syzygy by syzygy, kept as an oracle.
+
+    Level i builds K_i as a Module, picks generators against rad K_i in
+    its own coordinates, covers it and builds K_{i+1} from the kernel of
+    the cover through submodule_from_columns; d_i is inclusion . cover.
+    """
+
+    def __init__(self, module, style="minimal", seed=0):
+        self.module, self.style, self.seed = module, style, seed
+        self.frees, self.covers = [], []
+        self.syzygies, self.inclusions = [module], [None]
+
+    def _generator_columns(self, k_mod, level):
+        ring, p = self.module.ring, self.module.ring.p
+        if self.style == "plain":
+            return gfmat.identity(k_mod.vdim)
+        rad = ring.radical_basis()
+        rad_cols = [k_mod.action_of(rad[:, j]) for j in range(rad.shape[1])]
+        rad_span = (gfmat.column_space(np.hstack(rad_cols), p) if rad_cols
+                    else gfmat.zeros(k_mod.vdim, 0))
+        gens = gfmat.extend_to_basis(rad_span, p)
+        if self.style == "seeded-random" and k_mod.vdim:
+            rng = random.Random("res:%d:%d:%d" % (self.seed, level, k_mod.vdim))
+            extra = []
+            for _ in range(rng.randint(1, 2)):
+                vec = np.array([rng.randrange(p) for _ in range(k_mod.vdim)],
+                               dtype=np.int64)
+                if vec.any():
+                    extra.append(vec.reshape(-1, 1))
+            if extra:
+                gens = np.hstack([gens] + extra)
+        return gens
+
+    def ensure(self, index):
+        ring = self.module.ring
+        while len(self.frees) <= index:
+            level = len(self.frees)
+            k_mod = self.syzygies[level]
+            gens = self._generator_columns(k_mod, level)
+            free = free_module(ring, gens.shape[1])
+            cover = free_map_from_generator_images(free, k_mod, gens)
+            if gfmat.rank(cover.matrix, ring.p) != k_mod.vdim:
+                raise InternalInvariantViolation("cover is not surjective")
+            self.frees.append(free)
+            self.covers.append(cover)
+            nxt, incl = submodule_from_columns(
+                free, gfmat.nullspace(cover.matrix, ring.p))
+            self.syzygies.append(nxt)
+            self.inclusions.append(incl)
+
+    def boundary(self, k):
+        self.ensure(k)
+        if k == 0:
+            return self.covers[0]
+        return self.inclusions[k].compose(self.covers[k])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_modules():
+    """random_module draws and every cyclic quotient R/I, over the pool
+    and over F2[C2 x C2], whose maximal ideal needs two generators."""
+    rng = random.Random(20)
+    rings = [ring for _, ring in bundled_rings()] + [group_algebra(2, [2, 2])]
+    for ring in rings:
+        for _ in range(4):
+            yield random_module(ring, rng)
+        for ideal in enumerate_ideals(ring).proper:
+            yield quotient_module(ring, ideal.basis.T.tolist())
+
+
+def test_ambient_resolution_matches_the_syzygy_walk():
+    count = 0
+    for mod in oracle_modules():
+        for style in STYLES:
+            # plain ranks grow by a factor of dim R per level
+            depth = 2 if style == "plain" else 4
+            for seed in (0, 3) if style == "seeded-random" else (0,):
+                res = Resolution(mod, style, seed)
+                walk = SyzygyWalkResolution(mod, style, seed)
+                for k in range(depth + 1):
+                    assert same_bytes(res.boundary(k).matrix, walk.boundary(k).matrix)
+                    assert res.frees[k] is walk.frees[k]
+                for i in range(1, depth + 1):
+                    assert same_bytes(res.syzygy(i).actions, walk.syzygies[i].actions)
+                    assert same_bytes(res.inclusion(i).matrix,
+                                      walk.inclusions[i].matrix)
+                    assert same_bytes(res.cover(i).matrix, walk.covers[i].matrix)
+                    assert res.cover(i).target is res.syzygy(i)
+                assert same_bytes(res.cover(0).matrix, walk.covers[0].matrix)
+                count += 1
+    assert count > 100
+
+
+def test_ensure_builds_no_syzygy_module(monkeypatch):
+    built_on = []
+    original = homology.submodule_from_columns
+
+    def spy(mod, cols):
+        built_on.append(mod)
+        return original(mod, cols)
+
+    monkeypatch.setattr(homology, "submodule_from_columns", spy)
+    ring = product_ring()
+    rng = random.Random(5)
+    s_one = mult_closure(ring, [])
+    for _ in range(6):
+        mod = random_module(ring, rng)
+        for n in range(3):
+            ext(mod, mod, n)
+        s_pd(mod, s_one)
+        res = resolution(mod)
+        assert not any(any(m is f for f in res.frees) for m in built_on)
+    # built on demand, on the free module the syzygy sits in
+    k1 = res.syzygy(1)
+    assert built_on[-1] is res.frees[0] and k1.vdim == res.inclusion(1).matrix.shape[1]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_ext_of_the_trivial_module_over_elementary_abelian_groups(r):
+    # Ext^*(k, k) over F2[C2^r] is a polynomial ring in r generators of
+    # degree 1, so Ext^n has dimension C(n + r - 1, n)
+    ring = group_algebra(2, [2] * r)
+    unit = ring.unit.tolist()
+    augmentation = [[u + int(i == j) for i, u in enumerate(unit)]
+                    for j in range(1, ring.dim)]
+    k = quotient_module(ring, augmentation)
+    assert k.vdim == 1
+    for n in range(3):
+        assert ext(k, k, n).dim == comb(n + r - 1, n)

@@ -223,6 +223,21 @@ def test_radical_and_cap_above_the_enumeration_limit():
         enumerate_ideals(ring)
 
 
+def test_radical_generators_generate_the_radical_minimally():
+    big = [group_algebra(2, [2] * 5), truncated_polynomial(2, 17)]
+    for ring in oracle_rings() + big:
+        p, rad, gens = ring.p, ring.radical_basis(), ring.radical_generators()
+        # the ideal they generate is the radical
+        ideal = np.hstack([gens] + [lm @ gens % p for lm in ring.left_muls()])
+        assert gfmat.rank(ideal, p) == rad.shape[1]
+        assert gfmat.rank(np.hstack([rad, ideal]), p) == rad.shape[1]
+        # and there are dim rad / rad^2 of them
+        squares = np.hstack([gfmat.zeros(ring.dim, 0)] + [
+            ring.left_mul_matrix(rad[:, a]) @ rad % p for a in range(rad.shape[1])])
+        assert gens.shape[1] == rad.shape[1] - gfmat.rank(squares, p)
+    assert [ring.radical_generators().shape[1] for ring in big] == [5, 1]
+
+
 def test_ideals_of_truncated_polynomial(t2):
     ideals = enumerate_ideals(t2)
     assert len(ideals) == 3
