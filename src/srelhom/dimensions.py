@@ -243,10 +243,31 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     inverse L of C, where Phi: F -> F sends generator j to y_j and kills
     Ker C.  Then C . psi = s Id_X exactly when C y_j = s C(1_j) for every
     j.  The unknowns are the r images y_j, and the right-hand sides of all
-    s in S are decided by one elimination.
+    s in S are decided by one elimination.  Ker C and L come from one
+    more elimination, of [C | I].
+
+    Two questions need no system.  When X = 0, or when 0 is the first
+    element of S (0 sorts first, so this is 0 in S), the right-hand side
+    of elements[0] is 0, whose canonical solution is y = 0: the answer is
+    elements[0] with nothing attempted before it and the zero map.
     """
+    _require_same_ring(cover.ring, s_set)
+    elements = tuple(s_set)
+    certified = cover.target if kind == "section" else cover.source
+    if certified.vdim == 0 or elements[0].is_zero():
+        witness = SplitWitness(kind, cover, elements[0],
+                               ModuleMap.zero(cover.target, cover.source))
+    else:
+        witness = _split_system(kind, cover, elements)
+    if witness.verdict and not witness.verify():
+        raise InternalInvariantViolation("split witness failed re-verification")
+    return witness
+
+
+def _split_system(kind: str, cover: ModuleMap,
+                  elements: tuple[RingElement, ...]) -> SplitWitness:
+    """_split_search's system, for a nonzero X and 0 outside S."""
     ring = cover.ring
-    _require_same_ring(ring, s_set)
     p, d = ring.p, ring.dim
     if kind == "section":
         pres, x_acts = cover.matrix, cover.target.actions
@@ -256,37 +277,34 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
         f_acts = cover.target.actions.transpose(0, 2, 1)
     n_x, n_f = pres.shape
     r = n_f // d
-    elements = tuple(s_set)
-    # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
-    # whose ring coordinates k_j sit in block j
-    kernel = gfmat.nullspace(pres, p)
+    kernel, right_inv = gfmat.kernel_and_right_inverse(pres, p)
+    if right_inv is None:
+        raise InternalInvariantViolation("split search cover is not onto")
     m = kernel.shape[1]
-    kills = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
-                      f_acts).reshape(m * n_f, r * n_f) % p
-    hits = np.kron(gfmat.identity(r), pres)
-    # right-hand sides: s C(1_j) for every generator j, one column per s
+    top = m * n_f
+    # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
+    # whose ring coordinates k_j sit in block j.  Below them, r diagonal
+    # copies of C state C y_j = s C(1_j), one right-hand side per s.
+    coeff = np.zeros((top + r * n_x, r * n_f), dtype=np.int64)
+    coeff[:top] = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
+                            f_acts).reshape(top, r * n_f)
+    hits = coeff[top:].reshape(r, n_x, r, n_f)
+    hits[range(r), :, range(r), :] = pres
     gens = (pres.reshape(n_x, r, d) @ ring.unit) % p
     moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
     s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
-    rhs = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements)) % p
-    coeff = np.vstack([kills, hits])
-    rhs = np.vstack([gfmat.zeros(kills.shape[0], rhs.shape[1]), rhs])
+    rhs = np.zeros((top + r * n_x, len(elements)), dtype=np.int64)
+    rhs[top:] = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements))
     ok, ys = gfmat.solve_each(coeff, rhs, p)
     if not ok.any():
         return SplitWitness(kind, cover, None, None, elements)
     k = int(np.argmax(ok))
     images = ys[:, k].reshape(r, n_f)
     phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
-    right_inv = gfmat.solve(pres, gfmat.identity(n_x), p)
-    if right_inv is None:
-        raise InternalInvariantViolation("split search cover is not onto")
     psi = (phi @ right_inv) % p
     mapping = ModuleMap(cover.target, cover.source,
                         psi if kind == "section" else psi.T)
-    witness = SplitWitness(kind, cover, elements[k], mapping, elements[:k])
-    if not witness.verify():
-        raise InternalInvariantViolation("split witness failed re-verification")
-    return witness
+    return SplitWitness(kind, cover, elements[k], mapping, elements[:k])
 
 
 def _require_free(mod: Module, what: str) -> None:

@@ -21,11 +21,15 @@ scanning down a column, so echelon forms, nullspace bases and particular
 solutions are canonical functions of the input.  Nothing here mutates its
 arguments.
 
-Solutions are read off an elimination in one place, solve_each(a, b, p)
--> (ok, X): one rref of [a | b] decides every column of b, ok[k] says
-whether a @ x = b[:, k] is consistent, and then X[:, k] is the canonical
-solution for that column alone.  Columns of X where ok is False carry no
-meaning.  solve is its all-or-nothing wrapper.
+Solutions are read off an elimination in one place, _solution, under
+solve_each(a, b, p) -> (ok, X): one rref of [a | b] decides every column
+of b, ok[k] says whether a @ x = b[:, k] is consistent, and then X[:, k]
+is the canonical solution for that column alone.  Columns of X where ok
+is False carry no meaning.  solve is its all-or-nothing wrapper.  Two
+routines read more than one answer off a single rref of [a | I]:
+kernel_and_right_inverse(a, p) -> (K, L) is nullspace(a, p) together
+with solve(a, I, p), and complete_basis(cols, p) -> (D, E) is a basis
+completion together with its inverse.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "nullspace",
     "solve",
     "solve_each",
+    "kernel_and_right_inverse",
     "inverse",
     "column_space",
     "columns_outside_span",
@@ -154,7 +159,12 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """
     ncols = a.shape[1]
     rows = _rows(a, p)
-    pivots = _eliminate(rows, p, ncols)
+    return _kernel(rows, _eliminate(rows, p, ncols), ncols, p)
+
+
+def _kernel(rows: list[list[int]], pivots: list[int], ncols: int,
+            p: int) -> np.ndarray:
+    """The nullspace basis read off rows eliminated on their first ncols."""
     taken = set(pivots)
     free = [j for j in range(ncols) if j not in taken]
     basis = [None] * ncols
@@ -163,6 +173,25 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     for j, unit in zip(free, _unit_rows(len(free))):
         basis[j] = unit
     return _array(basis, ncols, len(free))
+
+
+def kernel_and_right_inverse(a: np.ndarray,
+                             p: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(nullspace(a, p), solve(a, identity, p)) from one rref of [a | I].
+
+    The row operations depend on a only, so the left block is rref(a) and
+    gives the canonical kernel.  The right inverse is solve_each's answer
+    for b = I.  Rows below the pivots are rows of an invertible matrix in
+    the I block, never zero, so a right inverse exists exactly when every
+    row holds a pivot; it is None otherwise.
+    """
+    nrows, ncols = a.shape
+    rows = [row + unit for row, unit in zip(_rows(a, p), _unit_rows(nrows))]
+    pivots = _eliminate(rows, p, ncols)
+    kernel = _kernel(rows, pivots, ncols, p)
+    if len(pivots) < nrows:
+        return kernel, None
+    return kernel, _solution(rows, pivots, ncols, nrows)
 
 
 def solve_each(a: np.ndarray, b: np.ndarray,
@@ -182,10 +211,16 @@ def solve_each(a: np.ndarray, b: np.ndarray,
     # no row is left
     rest = [row[ncols:] for row in rows[len(pivots):]]
     ok = [not any(col) for col in zip([0] * width, *rest)]
+    return np.array(ok, dtype=bool), _solution(rows, pivots, ncols, width)
+
+
+def _solution(rows: list[list[int]], pivots: list[int], ncols: int,
+              width: int) -> np.ndarray:
+    """The canonical X of a @ X = b off the rref of [a | b]: free rows 0."""
     x = [[0] * width for _ in range(ncols)]
     for row, c in zip(rows, pivots):
         x[c] = row[ncols:]
-    return np.array(ok, dtype=bool), _array(x, ncols, width)
+    return _array(x, ncols, width)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

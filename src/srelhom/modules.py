@@ -136,12 +136,9 @@ class Module:
     def action_of(self, elt) -> np.ndarray:
         """Action matrix of an arbitrary ring element."""
         vec = elt.array if isinstance(elt, RingElement) else np.array(elt, dtype=np.int64)
-        out = np.zeros((self.vdim, self.vdim), dtype=np.int64)
-        for i in range(self.ring.dim):
-            c = int(vec[i]) % self.ring.p
-            if c:
-                out = (out + c * self.actions[i]) % self.ring.p
-        return out
+        n, p = self.vdim, self.ring.p
+        # one product over the basis: entries stay below dim * p^2
+        return ((vec % p) @ self.actions.reshape(self.ring.dim, n * n) % p).reshape(n, n)
 
     def is_zero(self) -> bool:
         return self.vdim == 0

@@ -363,3 +363,42 @@ def test_routines_match_their_definitions_over_the_oracle(p):
             assert_same_array(e, oracle_inverse(np.hstack([basis, d]), p))
             assert_same_array(basis, basis_before)
         assert_same_array(a, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_kernel_and_right_inverse_equals_nullspace_and_solve(p):
+    rng = random.Random(1200 + p)
+    right_inverse_found = set()
+    for a in oracle_matrices(rng, p):
+        before = a.copy()
+        rows = a.shape[0]
+        kernel, right_inv = gfmat.kernel_and_right_inverse(a, p)
+        assert_same_array(kernel, gfmat.nullspace(a, p))
+        want = gfmat.solve(a, gfmat.identity(rows), p)
+        if want is None:
+            assert right_inv is None
+        else:
+            assert_same_array(right_inv, want)
+            assert_same_array((a @ right_inv) % p, gfmat.identity(rows))
+        right_inverse_found.add(right_inv is not None)
+        assert_same_array(a, before)
+    # the 0-row and 0-column shapes are in the draw, and both outcomes occur
+    assert right_inverse_found == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_kernel_and_right_inverse_of_a_rank_deficient_matrix(p):
+    # rank 1, so no right inverse; the kernel is still the canonical one
+    a = gfmat.mat([[1, 2, 0], [2, 4, 0]], p)
+    kernel, right_inv = gfmat.kernel_and_right_inverse(a, p)
+    assert right_inv is None
+    assert_same_array(kernel, gfmat.nullspace(a, p))
+    assert kernel.shape == (3, 3 - gfmat.rank(a, p))
+    assert not ((a @ kernel) % p).any()
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        kernel, right_inv = gfmat.kernel_and_right_inverse(gfmat.zeros(*shape), p)
+        assert_same_array(kernel, gfmat.identity(shape[1]))
+        if shape[0]:
+            assert right_inv is None
+        else:
+            assert_same_array(right_inv, gfmat.zeros(shape[1], 0))

@@ -314,3 +314,32 @@ def test_map_wire_round_trip(ring2, m2):
 def test_map_wire_diagnostics(ring2, m2):
     with pytest.raises(InputError, match="matrix"):
         map_from_spec(regular_module(ring2), m2, {"matrix": [[1], [0]]})
+
+
+def loop_action_of(module, vec):
+    """The action of a ring element as a sum over basis coordinates."""
+    p = module.ring.p
+    out = gfmat.zeros(module.vdim, module.vdim)
+    for i in range(module.ring.dim):
+        c = int(vec[i]) % p
+        if c:
+            out = (out + c * module.actions[i]) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_action_of_matches_the_sum_over_basis_coordinates(p):
+    ring = truncated_polynomial(p, 3)
+    rng = random.Random("action-of:%d" % p)
+    modules = [zero_module(ring), free_module(ring, 2), regular_module(ring)]
+    modules.append(character_dual(free_module(ring, 1)))
+    for module in modules:
+        for _ in range(10):
+            # unreduced and negative coordinates, as raw vectors and elements
+            vec = [rng.randrange(-2 * p, 3 * p) for _ in range(ring.dim)]
+            got = module.action_of(vec)
+            want = loop_action_of(module, vec)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            element = ring.element([c % p for c in vec])
+            assert np.array_equal(module.action_of(element), want)

@@ -1,22 +1,31 @@
-"""The split search against the hom-space algorithm it replaced.
+"""The split search against the algorithms it replaced.
 
-The reference below is the earlier algorithm: a basis of Hom(target,
+reference_search is the hom-space algorithm: a basis of Hom(target,
 source) from the Kronecker system, then one solve per element of S in
 canonical order.  The presentation-sized search must agree with it on
 verdict, witness and the attempted elements, and every map it returns
 must re-verify.
+
+kron_search is the presentation-sized search as it was before it became
+one elimination per question: a full system assembled with np.kron and
+np.vstack on every question, the kernel from nullspace and the right
+inverse from a second solve.  The search must return its s, attempted
+list and mapping matrix byte for byte, the zero-map answers for X = 0
+and 0 in S included.  A shortcut answering elements[1], or a right
+inverse read off the rows in the wrong order, fails that comparison.
 """
 
 import random
 
 import numpy as np
 import pytest
+from conftest import quotient_module
 
-from srelhom import gfmat
+from srelhom import dimensions, gfmat
 from srelhom.dimensions import _split_search
 from srelhom.homology import injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
-from srelhom.modules import hom_space, subquotient
+from srelhom.modules import free_module, hom_space, subquotient, zero_module
 from srelhom.rings import complement_multset, enumerate_ideals, mult_closure
 
 
@@ -85,3 +94,111 @@ def test_split_search_matches_hom_space_reference(name):
     # both kinds are exercised, and something is decided on every ring
     assert {kind for kind, _ in seen} == {"section", "retraction"}
     assert any(verdict for _, verdict in seen)
+
+
+def kron_search(kind, cover, s_set):
+    """(s, attempted, mapping matrix or None) by the full kron/vstack system."""
+    ring = cover.ring
+    p, d = ring.p, ring.dim
+    if kind == "section":
+        pres, x_acts = cover.matrix, cover.target.actions
+        f_acts = cover.source.actions
+    else:
+        pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
+        f_acts = cover.target.actions.transpose(0, 2, 1)
+    n_x, n_f = pres.shape
+    r = n_f // d
+    elements = tuple(s_set)
+    kernel = gfmat.nullspace(pres, p)
+    m = kernel.shape[1]
+    kills = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
+                      f_acts).reshape(m * n_f, r * n_f) % p
+    hits = np.kron(gfmat.identity(r), pres)
+    gens = (pres.reshape(n_x, r, d) @ ring.unit) % p
+    moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
+    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
+    rhs = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements)) % p
+    coeff = np.vstack([kills, hits])
+    rhs = np.vstack([gfmat.zeros(kills.shape[0], rhs.shape[1]), rhs])
+    ok, ys = gfmat.solve_each(coeff, rhs, p)
+    if not ok.any():
+        return None, elements, None
+    k = int(np.argmax(ok))
+    images = ys[:, k].reshape(r, n_f)
+    phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
+    psi = (phi @ gfmat.solve(pres, gfmat.identity(n_x), p)) % p
+    return elements[k], elements[:k], np.ascontiguousarray(
+        psi if kind == "section" else psi.T)
+
+
+def degenerate_multset(ring):
+    """The closure of a nonzero nilpotent, or of 0 where there is none."""
+    rad = ring.radical_basis()
+    seed = rad[:, 0] if rad.shape[1] else np.zeros(ring.dim, dtype=np.int64)
+    s_set = mult_closure(ring, [seed])
+    assert s_set.degenerate and s_set.elements[0].is_zero()
+    return s_set
+
+
+def edge_questions(module):
+    """Covers at levels 0 and 1, a plain cover, and two injective cocovers."""
+    iota = injective_cocover(module)
+    cosyzygy, _ = subquotient(iota, "cokernel")
+    return [("section", resolution(module).cover(0)),
+            ("section", resolution(module).cover(1)),
+            ("section", resolution(module, "plain").cover(0)),
+            ("retraction", iota),
+            ("retraction", injective_cocover(cosyzygy))]
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_split_search_matches_the_kron_system_byte_for_byte(name):
+    ring = RINGS[name]
+    rng = random.Random("kron-oracle:%s" % name)
+    # R/rad R is the module that fails to split when the radical is not 0
+    residue = quotient_module(ring, ring.radical_basis().T.tolist())
+    modules = [zero_module(ring), free_module(ring, 2), residue]
+    modules += [random_module(ring, rng) for _ in range(3)]
+    s_sets = [mult_closure(ring, []), degenerate_multset(ring),
+              random_multset(ring, rng)]
+    s_sets += [complement_multset(ring, m) for m in enumerate_ideals(ring).maximals]
+    outcomes = set()
+    for module in modules:
+        for s_set in s_sets:
+            for kind, cover in edge_questions(module):
+                got = _split_search(kind, cover, s_set)
+                s, attempted, matrix = kron_search(kind, cover, s_set)
+                assert (got.verdict, got.s, got.attempted) == (s is not None, s, attempted)
+                if matrix is None:
+                    assert got.mapping is None
+                else:
+                    assert got.mapping.matrix.dtype == matrix.dtype
+                    assert got.mapping.matrix.shape == matrix.shape
+                    assert got.mapping.matrix.tobytes() == matrix.tobytes()
+                certified = cover.target if kind == "section" else cover.source
+                outcomes.add((certified.vdim == 0, s_set.degenerate, got.verdict))
+    # zero modules, degenerate sets, and hits and misses on the rest
+    assert {(True, False, True), (False, True, True), (False, False, True)} <= outcomes
+    if ring.radical_basis().shape[1]:
+        assert (False, False, False) in outcomes
+
+
+@pytest.mark.parametrize("name", ["F2[t]/(t^2)", "F3xF3[t]/(t^2)"])
+def test_zero_module_and_zero_in_s_solve_nothing(name, monkeypatch):
+    ring = RINGS[name]
+    module = random_module(ring, random.Random("no-system:%s" % name))
+    questions = [("section", resolution(module).cover(0)),
+                 ("retraction", injective_cocover(module))]
+    trivial = [(kind, cover, degenerate_multset(ring)) for kind, cover in questions]
+    trivial += [(kind, cover, mult_closure(ring, []))
+                for kind, cover in edge_questions(zero_module(ring))]
+
+    def no_elimination(*args):
+        raise AssertionError("a system was solved")
+
+    monkeypatch.setattr(dimensions.gfmat, "solve_each", no_elimination)
+    monkeypatch.setattr(dimensions.gfmat, "kernel_and_right_inverse", no_elimination)
+    for kind, cover, s_set in trivial:
+        got = _split_search(kind, cover, s_set)
+        assert got.s == s_set.elements[0] and got.attempted == ()
+        assert got.mapping.is_zero() and got.verify()
