@@ -26,15 +26,16 @@ lies in S, and t^d is a multiple of every s in S, so some s in S kills
 rad R exactly when t^d does.  Hence S-gl.dim R = 0 with witness the
 first s in S that kills rad R, and infinite when there is none.
 
-Values are either exact or "larger than the search bound", and every
-comparison on them is three-valued (True / False / None) because bound
-truncation can leave a relation undecided.  None never counts as a
-violation; reports surface it as a separate "vacuous" verdict.
+So every value computed here is exact: 0, or infinity, which prints as
+">bound" (the bound shapes only that token); over Z the integer backend
+adds the value 1.  Comparisons on values are the total order of
+{0, 1, 2, ...} with infinity on top, and always decide.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -105,11 +106,13 @@ DEFAULT_BOUND = 8
 
 @dataclass(frozen=True)
 class DimValue:
-    """An exact dimension n, or ">n" when the search bound was exhausted.
+    """An exact dimension: n, or infinity, printed ">n" (beyond=True).
 
-    Structural equality (==) is agreement of the record, so two ">8"
-    values compare equal; the methods le/lt/eq are the three-valued
-    order relations on the dimensions themselves.
+    A failed search proves the dimension infinite (module docstring), so
+    ">n" is infinity and n only shapes the printed token.  The methods
+    le/lt/eq are the two-valued order with infinity on top, and infinity
+    absorbs shift and dim_add.  Structural equality (==) also compares
+    the printed bound, so ">8" != ">7" although both are infinity.
     """
 
     value: int
@@ -127,64 +130,37 @@ class DimValue:
     def known(self) -> bool:
         return not self.beyond
 
+    @property
+    def _rank(self) -> float:
+        return math.inf if self.beyond else self.value
+
     def shift(self, k: int) -> "DimValue":
-        return DimValue(self.value + k, self.beyond)
+        return self if self.beyond else DimValue.exact(self.value + k)
 
-    def le(self, other: "DimValue") -> bool | None:
-        if self.known and other.known:
-            return self.value <= other.value
-        if self.known:
-            # other >= other.value + 1
-            return True if self.value <= other.value + 1 else None
-        if other.known:
-            # self >= self.value + 1
-            return False if self.value + 1 > other.value else None
-        return None
+    def le(self, other: "DimValue") -> bool:
+        return self._rank <= other._rank
 
-    def lt(self, other: "DimValue") -> bool | None:
-        if self.known and other.known:
-            return self.value < other.value
-        if self.known:
-            return True if self.value <= other.value else None
-        if other.known:
-            return False if self.value + 1 >= other.value else None
-        return None
+    def lt(self, other: "DimValue") -> bool:
+        return self._rank < other._rank
 
-    def eq(self, other: "DimValue") -> bool | None:
-        if self.known and other.known:
-            return self.value == other.value
-        if self.known:
-            return False if self.value <= other.value else None
-        if other.known:
-            return False if other.value <= self.value else None
-        return None
+    def eq(self, other: "DimValue") -> bool:
+        return self._rank == other._rank
 
     def __str__(self) -> str:
         return (">" if self.beyond else "") + str(self.value)
 
 
 def dim_max(*vals: DimValue) -> DimValue:
-    """Least upper bound under the ">n means at least n+1" reading."""
-    best = vals[0]
-    for v in vals[1:]:
-        if best.known and v.known:
-            best = DimValue.exact(max(best.value, v.value))
-        elif best.known:
-            best = DimValue.over(max(v.value, best.value - 1))
-        elif v.known:
-            best = DimValue.over(max(best.value, v.value - 1))
-        else:
-            best = DimValue.over(max(best.value, v.value))
-    return best
+    """Plain maximum with infinity on top (the largest printed bound among
+    infinite values)."""
+    return max(vals, key=lambda v: (v.beyond, v.value))
 
 
 def dim_add(a: DimValue, b: DimValue) -> DimValue:
-    """Sum; one unknown side keeps the sum a strict lower bound."""
-    if a.known and b.known:
-        return DimValue.exact(a.value + b.value)
-    if a.known or b.known:
-        return DimValue.over(a.value + b.value)
-    return DimValue.over(a.value + b.value + 1)
+    """Sum; an infinite side absorbs the other."""
+    if a.beyond or b.beyond:
+        return a if a.beyond else b
+    return DimValue.exact(a.value + b.value)
 
 
 # -- split certificates --------------------------------------------------------
@@ -479,7 +455,7 @@ def s_gldim(ring: FiniteAlgebra, s_set: MultSet, bound: int = DEFAULT_BOUND,
     for _ in range(trials):
         mod = random_module(ring, rng)
         sampled = dim_max(s_pd(mod, s_set, bound).value, s_id(mod, s_set, bound).value)
-        if sampled.le(value) is False:
+        if not sampled.le(value):
             raise InternalInvariantViolation(
                 "sampled module has dimension %s above S-gl.dim %s" % (sampled, value))
     return GlobalDimReport(ring, s_set, bound, value, witness, trials, seed)
@@ -565,8 +541,7 @@ class LocalProfile:
     """Dimension of one module localized at every prime, with the sup test.
 
     formula_ok records whether the supremum of the per-prime values
-    equals the classical value (S = {1}); two beyond-bound values count
-    as agreement.
+    equals the classical value (S = {1}), infinity equal to infinity.
     """
 
     module: Module
@@ -591,7 +566,7 @@ def local_profile(module: Module, kind: str = "pd",
         entries.append(LocalEntry(prime, mult, walker(module, mult, bound)))
     classical = walker(module, mult_closure(ring, []), bound)
     sup_value = dim_max(*(e.result.value for e in entries))
-    formula_ok = sup_value == classical.value
+    formula_ok = sup_value.eq(classical.value)
     return LocalProfile(module, kind, bound, tuple(entries), classical,
                         sup_value, formula_ok)
 
@@ -601,7 +576,7 @@ def local_profile(module: Module, kind: str = "pd",
 
 @dataclass(frozen=True)
 class Assertion:
-    """One checked relation: verdict is pass, fail, vacuous, or inapplicable."""
+    """One checked relation: verdict is pass, fail, or inapplicable."""
 
     name: str
     statement: str
@@ -629,29 +604,15 @@ class InequalityReport:
         raise InputError("no assertion named %r" % (name,))
 
 
-def _three_way(name: str, statement: str, outcome: bool | None,
-               note: str = "") -> Assertion:
-    if outcome is True:
-        verdict = "pass"
-    elif outcome is False:
-        verdict = "fail"
-    else:
-        verdict = "vacuous"
-        note = note or "undecided at bound"
-    return Assertion(name, statement, verdict, note)
+def _decided(name: str, statement: str, holds: bool) -> Assertion:
+    return Assertion(name, statement, "pass" if holds else "fail")
 
 
-def _conditional(name: str, statement: str, hypothesis: bool | None,
-                 conclusions: list[bool | None], note: str = "") -> Assertion:
-    if hypothesis is False:
+def _conditional(name: str, statement: str, hypothesis: bool,
+                 conclusions: list[bool]) -> Assertion:
+    if not hypothesis:
         return Assertion(name, statement, "inapplicable", "hypothesis fails")
-    if hypothesis is None:
-        return Assertion(name, statement, "vacuous", "hypothesis undecided at bound")
-    if any(c is False for c in conclusions):
-        return Assertion(name, statement, "fail", note)
-    if all(c is True for c in conclusions):
-        return Assertion(name, statement, "pass", note)
-    return Assertion(name, statement, "vacuous", "conclusion undecided at bound")
+    return _decided(name, statement, all(conclusions))
 
 
 def _require_s_exact(f: ModuleMap, g: ModuleMap, s_set: MultSet) -> None:
@@ -687,8 +648,9 @@ def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,
 
     Unconditional bounds and conditional gap statements are always
     evaluated; the split additivity equalities run only when a
-    retraction certifying the S-splitting accompanies the input.
-    Relations undecidable at the bound come back "vacuous".
+    retraction certifying the S-splitting accompanies the input.  Every
+    value is exact, infinity included, so each relation passes, fails,
+    or is inapplicable; none is vacuous.
     """
     f, g = triple
     _require_s_exact(f, g, s_set)
@@ -702,7 +664,7 @@ def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,
     assertions = []
 
     rhs = dim_max(pd_a, pd_b).shift(1)
-    assertions.append(_three_way(
+    assertions.append(_decided(
         "pd-bound-on-quotient",
         "pd(C) = %s <= 1 + max(pd(A), pd(B)) = %s" % (pd_c, rhs),
         pd_c.le(rhs)))
@@ -715,7 +677,7 @@ def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,
         [pd_a.eq(gap), pd_b.lt(gap)]))
 
     rhs = dim_max(id_b, id_c).shift(1)
-    assertions.append(_three_way(
+    assertions.append(_decided(
         "id-bound-on-sub",
         "id(A) = %s <= 1 + max(id(B), id(C)) = %s" % (id_a, rhs),
         id_a.le(rhs)))
@@ -736,12 +698,12 @@ def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,
             "inapplicable", "no split witness supplied"))
     else:
         rhs = dim_max(pd_a, pd_c)
-        assertions.append(_three_way(
+        assertions.append(_decided(
             "pd-split-additivity",
             "pd(B) = %s equals max(pd(A), pd(C)) = %s" % (pd_b, rhs),
             pd_b.eq(rhs)))
         rhs = dim_max(id_a, id_c)
-        assertions.append(_three_way(
+        assertions.append(_decided(
             "id-split-additivity",
             "id(B) = %s equals max(id(A), id(C)) = %s" % (id_b, rhs),
             id_b.eq(rhs)))

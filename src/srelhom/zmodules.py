@@ -21,7 +21,8 @@ Auslander-Buchsbaum; a product of the factors' witnesses is one s for all
 of them.  The level-0 candidates are every residue of the S-orbit mod m,
 so a failed search has tried all of S-bar: it proves the dimension
 infinite, reported as ">bound".  Over Z relation lattices are free, so
-S-pd is at most 1 and the search runs at levels 0 and 1.
+S-pd is 0 or 1: a failed level 0 is always followed by level 1, which
+splits with s = 1.
 
 Which s split at level 0 is read off the invariant factors.  s*id_M
 factors through the free cover exactly when s kills the class of the
@@ -368,7 +369,7 @@ class ZDimResult:
     """S-pd with its split searches, one per level tried.
 
     Over Z/m levels holds the one search at level 0.  Over Z a failed
-    level 0 is followed by level 1 when the bound allows it.  certificate
+    level 0 is followed by level 1, so the value is 0 or 1.  certificate
     is the last search of a known value.
     """
 
@@ -449,7 +450,8 @@ def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
     when some s splits.  Over Z/m one search at level 0 decides the
     value, and a failure is a proof of infinity reported as ">bound" (see
     the module docstring).  Over Z the relation lattice is free, so a
-    failure at level 0 is followed by level 1, which splits with s = 1.
+    failure at level 0 is followed by level 1, which splits with s = 1,
+    whatever the bound.
     """
     _match_rings(mod, s_set)
     if bound < 0:
@@ -465,17 +467,13 @@ def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
     candidates = _orbit_products(order, links)
     levels = (_section_solve(q, candidates, order, links, None, split),)
     if levels[0].verdict:
-        value = DimValue.exact(0)
-    elif bound == 0:
-        value = DimValue.over(bound)
-    else:
-        k = intmat.shape(q)[1]
-        # a free syzygy: its split modulus is 1
-        levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None, 1),)
-        if not levels[1].verdict:
-            raise InternalInvariantViolation("free syzygy admitted no section")
-        value = DimValue.exact(1)
-    return ZDimResult("S-pd", mod, s_set, bound, value, levels)
+        return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(0), levels)
+    k = intmat.shape(q)[1]
+    # a free syzygy: its split modulus is 1
+    levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None, 1),)
+    if not levels[1].verdict:
+        raise InternalInvariantViolation("free syzygy admitted no section")
+    return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(1), levels)
 
 
 # -- Ext ----------------------------------------------------------------------
@@ -573,8 +571,9 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
     divisible by a (checked by reachability; DividesS otherwise).  A
     uniformly S-torsion module is S-isomorphic to 0, so, like the zero
     module, it is outside the identity's reach: "inapplicable".  ">bound"
-    over Z/a is a proof of infinity, so the identity has no finite value
-    to compare and the check is vacuous.
+    over Z/a is a proof of infinity, where the identity, which assumes a
+    finite dimension, does not apply: "vacuous", decided before any
+    comparison (over Z the value is 0 or 1, never infinity + 1 = infinity).
     """
     if not isinstance(a, int) or a < 2:
         raise InputError("factor modulus must be an integer >= 2")
@@ -591,17 +590,16 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
     z_result = z_s_pd(_as_z_module(mod), s_set, bound)
     statement = "S-pd over Z = %s vs %s + 1 over Z/%d" % (
         z_result.value, bar_result.value, a)
-    comparison = z_result.value.eq(bar_result.value.shift(1))
     if z_uniform_torsion(mod, sbar).verdict:
         # both dimensions degenerate on a module S-isomorphic to 0; the
         # offset identity only speaks about the others
         verdict = "inapplicable"
         kind = "zero module" if mod.is_zero() else "uniformly S-torsion module"
         statement = "%s: %s" % (kind, statement)
-    elif not bar_result.value.known or comparison is None:
+    elif not bar_result.value.known:
         verdict = "vacuous"
     else:
-        verdict = "pass" if comparison else "fail"
+        verdict = "pass" if z_result.value.eq(bar_result.value.shift(1)) else "fail"
     return FactorRingReport(a, s_set, bound, z_result, bar_result, verdict, statement)
 
 
@@ -637,7 +635,8 @@ def change_of_rings_check(theta, mod, s_set, bound: int = 8) -> ChangeOfRingsRep
 
     theta is either an integer a >= 2 (the projection Z -> Z/a, with M a
     Z/a-module and S over Z) or a QuotientData for a finite algebra.
-    Any other shape raises UnsupportedPair.
+    Any other shape raises UnsupportedPair.  Every value is exact, with
+    infinity absorbing the sum, so the verdict is pass or fail.
     """
     if isinstance(theta, bool) or not isinstance(theta, (int, QuotientData)):
         raise UnsupportedPair("theta must be an integer modulus or a finite quotient")
@@ -665,8 +664,7 @@ def change_of_rings_check(theta, mod, s_set, bound: int = 8) -> ChangeOfRingsRep
         mid = s_pd(mod, theta.theta_multset(s_set), bound)
         rhs = s_pd(_pull_back_module(theta, regular_module(theta.algebra)), s_set, bound)
         pair = "finite-quotient"
-    comparison = lhs.value.le(dim_add(mid.value, rhs.value))
-    verdict = "pass" if comparison else "vacuous" if comparison is None else "fail"
+    verdict = "pass" if lhs.value.le(dim_add(mid.value, rhs.value)) else "fail"
     statement = "S-pd over the source = %s vs %s + %s" % (
         lhs.value, mid.value, rhs.value)
     return ChangeOfRingsReport(pair, lhs, mid, rhs, verdict, statement)

@@ -43,7 +43,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
 
 # sha256 of `srelhom verify all --seed 0 --json`; a change that moves it
 # changes observable behaviour and must say so
-VERIFY_ALL_SHA256 = "d032eff02b8a70e96df1b42cf9106f19ae634f61b6442f2285975c5ea77bb484"
+VERIFY_ALL_SHA256 = "16ae32a9d8a6509e9c5253cabf9d2492623faaed29eea0c4aa5cb041ec32bc1e"
 
 
 def _fixture(name):
@@ -207,3 +207,10 @@ def test_reports_are_byte_identical_across_runs():
         assert first.stdout and first.stdout == second.stdout
         # same behaviour: the report's digest is pinned
         assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_ALL_SHA256
+        # every dimension comparison decides; the only vacuous trials
+        # draw an infinite S-pd or S-id where the statement assumes a
+        # finite one
+        summary = json.loads(first.stdout)
+        assert summary["failures"] == 0
+        vacuous = {r["theorem"]: r["vacuous"] for r in summary["reports"] if r["vacuous"]}
+        assert vacuous == {"prop-2.5": 7, "prop-2.6": 5}

@@ -32,6 +32,7 @@ from srelhom.dimensions import (
     SplitWitness,
     _split_search,
     check_inequalities,
+    dim_add,
     dim_max,
     dimension_shift_check,
     is_s_injective,
@@ -70,43 +71,61 @@ def test_dim_value_rendering():
     assert not DimValue.over(2).known
 
 
-def test_dim_value_three_way_le():
-    two, five = DimValue.exact(2), DimValue.exact(5)
+def test_dim_value_le_is_two_valued():
+    two, five, ten = DimValue.exact(2), DimValue.exact(5), DimValue.exact(10)
     over3, over8 = DimValue.over(3), DimValue.over(8)
-    assert two.le(five) is True
-    assert five.le(two) is False
-    # exact vs beyond: 2 <= (something >= 9) decided, 5 <= (something >= 4) not
-    assert two.le(over8) is True
-    assert DimValue.exact(9).le(over8) is True
-    assert DimValue.exact(10).le(over8) is None
-    # beyond vs exact: >8 means at least 9
-    assert over8.le(five) is False
-    assert over3.le(five) is None
-    assert over3.le(over8) is None
+    # ">n" is infinity: above every exact value whatever n, and equal to
+    # every other ">m"
+    table = [
+        (two, five, True), (five, two, False), (two, two, True),
+        (two, over8, True), (ten, over8, True), (ten, over3, True),
+        (over8, five, False), (over3, five, False), (over3, ten, False),
+        (over3, over8, True), (over8, over3, True),
+    ]
+    for a, b, want in table:
+        assert a.le(b) is want, (a, b)
 
 
-def test_dim_value_three_way_eq_lt():
-    assert DimValue.exact(4).eq(DimValue.exact(4)) is True
-    assert DimValue.exact(4).eq(DimValue.exact(5)) is False
-    assert DimValue.exact(4).eq(DimValue.over(8)) is False
-    assert DimValue.exact(9).eq(DimValue.over(8)) is None
-    assert DimValue.over(8).eq(DimValue.over(8)) is None
-    assert DimValue.exact(0).lt(DimValue.over(8)) is True
-    assert DimValue.over(8).lt(DimValue.exact(4)) is False
-    assert DimValue.over(8).lt(DimValue.over(8)) is None
-    # structural equality is a separate, decidable notion
+def test_dim_value_eq_lt_are_two_valued():
+    four, five, nine = DimValue.exact(4), DimValue.exact(5), DimValue.exact(9)
+    over4, over8 = DimValue.over(4), DimValue.over(8)
+    eq_table = [
+        (four, four, True), (four, five, False), (four, over8, False),
+        (nine, over8, False), (over8, nine, False), (over8, over8, True),
+        (over4, over8, True),
+    ]
+    lt_table = [
+        (four, five, True), (five, four, False), (four, four, False),
+        (DimValue.exact(0), over8, True), (nine, over8, True),
+        (over8, four, False), (over8, nine, False), (over8, over8, False),
+        (over4, over8, False), (over8, over4, False),
+    ]
+    for a, b, want in eq_table:
+        assert a.eq(b) is want, (a, b)
+    for a, b, want in lt_table:
+        assert a.lt(b) is want, (a, b)
+    # structural equality also compares the printed bound
     assert DimValue.over(8) == DimValue.over(8)
     assert DimValue.over(8) != DimValue.over(7)
 
 
 def test_dim_max_and_shift():
-    assert dim_max(DimValue.exact(1), DimValue.exact(4)) == DimValue.exact(4)
-    assert dim_max(DimValue.over(8), DimValue.exact(2)) == DimValue.over(8)
-    # max(>3, 6) is at least 6 but only ">5" is certain
-    assert dim_max(DimValue.over(3), DimValue.exact(6)) == DimValue.over(5)
-    assert dim_max(DimValue.over(3), DimValue.over(8)) == DimValue.over(8)
-    assert DimValue.over(8).shift(1) == DimValue.over(9)
-    assert DimValue.exact(3).shift(-1) == DimValue.exact(2)
+    one, two, four = DimValue.exact(1), DimValue.exact(2), DimValue.exact(4)
+    over3, over8 = DimValue.over(3), DimValue.over(8)
+    assert dim_max(one, four) == four
+    assert dim_max(DimValue.exact(0)) == DimValue.exact(0)
+    assert dim_max(over8, two) == over8
+    # infinity is on top whatever its printed bound; among infinite
+    # values the largest bound is the one printed
+    assert dim_max(over3, DimValue.exact(6)) == over3
+    assert dim_max(over3, over8) == dim_max(over8, over3) == over8
+    # infinity absorbs shift and dim_add
+    assert over8.shift(1) == over8 and over8.shift(-1) == over8
+    assert str(over8.shift(1)) == ">8"
+    assert DimValue.exact(3).shift(-1) == two
+    assert dim_add(one, two) == DimValue.exact(3)
+    assert dim_add(over3, two) == over3 and dim_add(two, over3) == over3
+    assert dim_add(over3, over8).eq(over8)
 
 
 # -- split certification -------------------------------------------------------
@@ -642,21 +661,23 @@ def _t2_short_sequence(t2):
     return incl, proj
 
 
-def test_classical_sequence_hits_vacuous_bounds(t2):
+def test_classical_sequence_decides_every_clause(t2):
+    # 0 -> (t) -> R -> k -> 0 over F_2[t]/(t^2): pd and id are infinite
+    # at both ends and 0 in the middle, and every clause decides
     s_one = mult_closure(t2, [])
     incl, proj = _t2_short_sequence(t2)
     rep = check_inequalities((incl, proj), s_one, bound=8)
     assert rep.ok
+    assert [str(r.value) for r in rep.pd_results] == [">8", "0", ">8"]
+    assert [str(r.value) for r in rep.id_results] == [">8", "0", ">8"]
     quotient_bound = rep.by_name("pd-bound-on-quotient")
-    assert quotient_bound.verdict == "vacuous"
-    assert ">8" in quotient_bound.statement and ">9" in quotient_bound.statement
-    gap = rep.by_name("pd-gap")
-    assert gap.verdict == "vacuous"
-    assert gap.note == "conclusion undecided at bound"
+    assert quotient_bound.verdict == "pass"
+    assert quotient_bound.statement == "pd(C) = >8 <= 1 + max(pd(A), pd(B)) = >8"
+    # pd(B) = 0 < infinity = pd(C), so pd(A) = infinity - 1 = infinity
+    for name in ("pd-gap", "id-bound-on-sub", "id-gap"):
+        assert rep.by_name(name).verdict == "pass", name
     assert rep.by_name("pd-split-additivity").verdict == "inapplicable"
-    # computed dimensions recorded alongside the verdicts
-    assert str(rep.pd_results[1].value) == "0"
-    assert str(rep.pd_results[2].value) == ">8"
+    assert {a.verdict for a in rep.assertions} == {"pass", "inapplicable"}
 
 
 def test_direct_sum_satisfies_additivity_exactly(t2):

@@ -430,8 +430,9 @@ def multi_column_section_solve(q, candidates, order, links, modulus):
                          tuple(tuple(row) for row in phi))
 
 
-def multi_column_levels(mod, s_set, bound):
-    """The levels of z_s_pd rebuilt on the multi-column search."""
+def multi_column_levels(mod, s_set):
+    """The levels of z_s_pd rebuilt on the multi-column search; over Z a
+    failed level 0 is followed by level 1 whatever the bound."""
     q = _relation_lattice(mod)
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
@@ -440,7 +441,7 @@ def multi_column_levels(mod, s_set, bound):
     order, links = _monoid_orbit(s_set.generators, tors[-1] if tors else 1)
     candidates = _orbit_products(order, links)
     levels = (multi_column_section_solve(q, candidates, order, links, None),)
-    if not levels[0].verdict and bound:
+    if not levels[0].verdict:
         k = intmat.shape(q)[1]
         levels += (multi_column_section_solve(intmat.zeros(k, 0), candidates, order,
                                               links, None),)
@@ -473,9 +474,20 @@ def test_orbit_test_matches_the_multi_column_search():
             bound = rng.randint(0, 3)
             res = z_s_pd(mod, s_set, bound)
             assert witness_fields(res.levels) == \
-                witness_fields(multi_column_levels(mod, s_set, bound))
+                witness_fields(multi_column_levels(mod, s_set))
             tally[ring, res.levels[0].verdict] += 1
     assert min(tally[key] for key in product(RING_TAGS, (True, False))) >= 10, tally
+
+
+def test_bound_zero_over_z_still_decides_level_one():
+    # S-pd over Z is 0 or 1, so bound 0 truncates nothing: 3 never kills
+    # Z/2, and the free syzygy splits with s = 1
+    res = z_s_pd(z_cyclic(2), z_multset("Z", [3]), bound=0)
+    assert res.value == DimValue.exact(1)
+    assert len(res.levels) == 2 and not res.levels[0].verdict
+    cert = res.certificate
+    assert cert is res.levels[1] and cert.s == 1 and cert.expression == "1"
+    assert cert.section == ((1,),)
 
 
 def test_split_rule_on_cyclic_prime_powers():
