@@ -36,8 +36,16 @@ invariant factors of M.  Across the primes of m this is divisibility
 by the split modulus E = lcm over invariant factors d of gcd(d, m/d),
 whose p-part is exactly that power.  So the search is an orbit test:
 the first residue of the S-orbit divisible by E names the witness, and
-one section solve for that s alone builds its certificate.  When no
-residue is divisible by E, level 0 fails without solving anything.
+when no residue is divisible by E, level 0 fails.
+
+The certificate of that s is read off the Smith form U*q*V = D of the
+relation-lattice basis q, the one that gives the structure.  A section
+is phi = s*I + q*y with phi*q = 0 (mod m over Z/m).  Put y = V*Y*U;
+then U*phi*q*V = s*D + D*Y*D, so a diagonal Y with s*d + d*Y*d = 0 at
+each diagonal entry d of D gives one.  Over Z that is Y = -s/d, which
+exists exactly when every d divides s.  Over Z/m every d divides m, and
+Y solves d*Y = -s (mod m/d), which exists exactly when gcd(d, m/d)
+divides s: the split modulus again.  No further system is solved.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +91,7 @@ class ZMod:
     rows[i][j] is the coefficient of generator i in relation j; a module
     with no relations has rows of length zero.  Structure invariants
     (free rank, invariant factors) are computed lazily from the Smith
-    form of the relation lattice and cached on the instance type.
+    form of the relation lattice and cached by _structure.
     """
 
     ring: str
@@ -107,7 +116,8 @@ class ZMod:
 
     def structure(self):
         """(free_rank, invariant factors > 1) as an abelian group."""
-        return _structure(self)
+        lattice = _structure(self)
+        return lattice.free, lattice.tors
 
     def exponent(self) -> int | None:
         """Smallest e > 0 with e*torsion = 0; None when a free part survives."""
@@ -190,23 +200,47 @@ def _as_z_module(mod: ZMod) -> ZMod:
     return ZMod("Z", None, tuple(tuple(row) for row in mat))
 
 
-def _relation_lattice(mod: ZMod):
-    """Triangular basis of the full integer relation lattice (ring
-    relations included over Z/m)."""
-    if mod.ring == "Z_mod":
-        mod = _as_z_module(mod)
-    if not mod.relations:
-        return intmat.zeros(mod.generators, 0)
-    return intmat.column_lattice_basis([list(row) for row in mod.rows])
+class _Lattice(NamedTuple):
+    """The relation lattice of a module and its one verified Smith form.
+
+    q is the triangular basis of the full integer relation lattice (ring
+    relations included over Z/m), u*q*v == d its Smith form, and (free,
+    tors) the structure read off d.  Matrices are tuples of tuples, so a
+    cached entry cannot be changed by its readers.
+    """
+
+    q: tuple
+    u: tuple
+    d: tuple
+    v: tuple
+    free: int
+    tors: tuple
+
+
+def _frozen(a) -> tuple:
+    return tuple(tuple(row) for row in a)
 
 
 @lru_cache(maxsize=None)
-def _structure(mod: ZMod):
+def _structure(mod: ZMod) -> _Lattice:
     # a Z/m-module and its Z view have one relation lattice, so they
     # share one cache entry and one Smith form
     if mod.ring == "Z_mod":
         return _structure(_as_z_module(mod))
-    return intmat.cokernel_invariants(_relation_lattice(mod))
+    if mod.relations:
+        q = intmat.column_lattice_basis([list(row) for row in mod.rows])
+    else:
+        q = intmat.zeros(mod.generators, 0)
+    u, d, v = intmat.smith_normal_form(q)
+    diag = [x for x in intmat.diagonal_of(d) if x]
+    return _Lattice(_frozen(q), _frozen(u), _frozen(d), _frozen(v),
+                    mod.generators - len(diag), tuple(x for x in diag if x > 1))
+
+
+def _relation_lattice(mod: ZMod) -> tuple:
+    """Triangular basis of the full integer relation lattice (ring
+    relations included over Z/m), read from the cache entry."""
+    return _structure(mod).q
 
 
 # -- multiplicative sets ------------------------------------------------------
@@ -351,7 +385,9 @@ class ZSplitWitness:
     to multiplication by s, for the first s of the orbit that splits;
     attempted lists every product of the orbit, in search order, when
     none does.  Which s split is read off the invariant factors (the
-    split modulus), so only a success solves a system, for its one s.
+    split modulus), and the section of that s is read off the Smith form
+    of the relation lattice, so no search solves a system.  The section
+    is one valid choice among many.
     """
 
     s: int | None
@@ -401,17 +437,41 @@ def _split_modulus(mod: ZMod) -> int:
     return math.lcm(*(math.gcd(d, mod.m // d) for d in tors))
 
 
-def _section_solve(q, candidates, order, links, modulus, split):
+def _diagonal_solve(diag, s, modulus):
+    """The diagonal of Y with s*d + d*Y*d == 0 at each d in diag, or None.
+
+    Over Z (modulus None) Y = -s/d, so every d must divide s.  Over Z/m
+    each d divides m, and Y solves d*Y == -s (mod m/d), which needs
+    gcd(d, m/d) to divide s; Y is the least such residue.
+    """
+    ys = []
+    for d in diag:
+        if modulus is None:
+            if s % d:
+                return None
+            ys.append(-s // d)
+            continue
+        n = modulus // d
+        g = math.gcd(d, n)
+        if s % g:
+            return None
+        ys.append(-s // g * pow(d // g, -1, n // g) % (n // g))
+    return ys
+
+
+def _section_solve(q, smith, candidates, order, links, modulus, split):
     """Split search at one level: the first s with a section, or every s.
 
     A section is phi = s*I + q@y with phi@q == 0 (mod modulus; None =
     exact); q is a relation-lattice basis for a module on len(q)
     generators, so phi is a well-defined section of the free cover scaled
-    by s.  candidates[i] is the s that reached the residue order[i] (the
-    residue itself mod m, the product of its path over Z).  The s that
-    split are the multiples of the split modulus, so the orbit test picks
-    the first residue divisible by it and only that s is solved for; a
-    failed search solves nothing.
+    by s.  smith is the Smith form (u, d, v) of q, None when q has no
+    columns (a free module, where phi = s*I).  candidates[i] is the s that
+    reached the residue order[i] (the residue itself mod m, the product of
+    its path over Z).  The s that split are the multiples of the split
+    modulus, so the orbit test picks the first residue divisible by it;
+    its section is y = v@Y@u with Y diagonal from _diagonal_solve (see the
+    module docstring).  A failed search solves nothing.
     """
     c = next((i for i, r in enumerate(order) if r % split == 0), None)
     if c is None:
@@ -420,15 +480,12 @@ def _section_solve(q, candidates, order, links, modulus, split):
     g, k = intmat.shape(q)
     phi = intmat.zeros(g, g)
     if k:
-        lhs = intmat.kron(intmat.transpose(q), q)
-        if modulus:
-            lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
-                                      for i in range(g * k)])
-        rhs = [[-s * q[idx % g][idx // g]] for idx in range(g * k)]
-        ok, sol = intmat.solve_each(lhs, rhs)
-        if not ok[0]:
+        u, d, v = smith
+        ys = _diagonal_solve(intmat.diagonal_of(d), s, modulus)
+        if ys is None:
             raise InternalInvariantViolation("orbit test and section solve disagree")
-        phi = intmat.matmul(q, [[sol[j * k + i][0] for j in range(g)] for i in range(k)])
+        yu = [[y * x for x in row] for y, row in zip(ys, u)]
+        phi = intmat.matmul(q, intmat.matmul(v, yu))
     for i in range(g):
         phi[i][i] += s
     check = intmat.matmul(phi, q)
@@ -445,32 +502,33 @@ def _section_solve(q, candidates, order, links, modulus, split):
 def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
     """S-projective dimension by one split search per level.
 
-    Each search is an orbit test against the split modulus of the module
-    (one Smith form, shared with structure()), plus one section solve
-    when some s splits.  Over Z/m one search at level 0 decides the
-    value, and a failure is a proof of infinity reported as ">bound" (see
-    the module docstring).  Over Z the relation lattice is free, so a
-    failure at level 0 is followed by level 1, which splits with s = 1,
-    whatever the bound.
+    Each search is an orbit test against the split modulus of the module,
+    and a success reads its section off the Smith form of the relation
+    lattice, the one cached with structure(): no system is solved.  Over
+    Z/m one search at level 0 decides the value, and a failure is a proof
+    of infinity reported as ">bound" (see the module docstring).  Over Z
+    the relation lattice is free, so a failure at level 0 is followed by
+    level 1, which splits with s = 1, whatever the bound.
     """
     _match_rings(mod, s_set)
     if bound < 0:
         raise InputError("bound must be >= 0")
-    q = _relation_lattice(mod)
+    lattice = _structure(mod)
+    smith = lattice.u, lattice.d, lattice.v
     split = _split_modulus(mod)
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
-        level0 = _section_solve(q, order, order, links, mod.m, split)
+        level0 = _section_solve(lattice.q, smith, order, order, links, mod.m, split)
         value = DimValue.exact(0) if level0.verdict else DimValue.over(bound)
         return ZDimResult("S-pd", mod, s_set, bound, value, (level0,))
     order, links = _monoid_orbit(s_set.generators, split)
     candidates = _orbit_products(order, links)
-    levels = (_section_solve(q, candidates, order, links, None, split),)
+    levels = (_section_solve(lattice.q, smith, candidates, order, links, None, split),)
     if levels[0].verdict:
         return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(0), levels)
-    k = intmat.shape(q)[1]
+    k = intmat.shape(lattice.q)[1]
     # a free syzygy: its split modulus is 1
-    levels += (_section_solve(intmat.zeros(k, 0), candidates, order, links, None, 1),)
+    levels += (_section_solve(intmat.zeros(k, 0), None, candidates, order, links, None, 1),)
     if not levels[1].verdict:
         raise InternalInvariantViolation("free syzygy admitted no section")
     return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(1), levels)

@@ -25,6 +25,7 @@ from srelhom.zmodules import (
     ZMod,
     ZMultSet,
     ZSplitWitness,
+    _diagonal_solve,
     _monoid_orbit,
     _orbit_path,
     _orbit_products,
@@ -377,12 +378,19 @@ def test_spd_section_is_verifiable():
     for _ in range(30):
         mod = random_zmod(rng, max_gens=2)
         res = z_s_pd(mod, z_multset("Z", [2, 3]))
-        if res.value == DimValue.exact(0) and mod.generators:
-            phi = [list(row) for row in res.certificate.section]
-            lat = _relation_lattice(mod)
-            if intmat.shape(lat)[1]:
-                prod = intmat.matmul(phi, lat)
-                assert all(x == 0 for row in prod for x in row)
+        if res.value == DimValue.exact(0):
+            assert_section_verifies(_relation_lattice(mod), res.certificate)
+
+
+def assert_section_verifies(q, witness, m=None):
+    """witness.section is a section of the cover scaled by witness.s: phi
+    kills the relation lattice q (mod m; None = exact) and phi - s*I
+    lies in q, so pi*phi = s."""
+    phi = [list(row) for row in witness.section]
+    assert not any((x % m) if m else x for row in intmat.matmul(phi, q) for x in row)
+    shifted = [[x - (witness.s if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(phi)]
+    assert intmat.solve(q, shifted) is not None
 
 
 def old_section_solve(q, s, m):
@@ -449,7 +457,18 @@ def multi_column_levels(mod, s_set):
 
 
 def witness_fields(levels):
-    return [(w.s, w.expression, w.section, w.attempted) for w in levels]
+    """Everything a search decides; the section is one choice among many,
+    so it is checked by assert_section_verifies instead."""
+    return [(w.s, w.expression, w.attempted) for w in levels]
+
+
+def assert_levels_verify(mod, levels):
+    # level 0 splits the module's cover; level 1 (over Z) its free syzygy
+    q = _relation_lattice(mod)
+    lattices = (q, intmat.zeros(intmat.shape(q)[1], 0))
+    for q, witness in zip(lattices, levels):
+        if witness.verdict:
+            assert_section_verifies(q, witness, mod.m)
 
 
 def test_orbit_test_matches_the_multi_column_search():
@@ -473,8 +492,15 @@ def test_orbit_test_matches_the_multi_column_search():
             s_set = z_multset(ring, [rng.choice(pool) for _ in range(rng.randint(1, 2))], m=m)
             bound = rng.randint(0, 3)
             res = z_s_pd(mod, s_set, bound)
-            assert witness_fields(res.levels) == \
-                witness_fields(multi_column_levels(mod, s_set))
+            want = multi_column_levels(mod, s_set)
+            if ring == "Z":
+                value = DimValue.exact(len(want) - 1)
+            else:
+                value = DimValue.exact(0) if want[0].verdict else DimValue.over(bound)
+            assert res.value == value
+            assert len(res.levels) == len(want)
+            assert witness_fields(res.levels) == witness_fields(want)
+            assert_levels_verify(mod, res.levels)
             tally[ring, res.levels[0].verdict] += 1
     assert min(tally[key] for key in product(RING_TAGS, (True, False))) >= 10, tally
 
@@ -502,6 +528,29 @@ def test_split_rule_on_cyclic_prime_powers():
                 q = _relation_lattice(mod)
                 for s in range(m):
                     assert (old_section_solve(q, s, m) is not None) == (s % need == 0)
+
+
+def test_diagonal_solve_matches_the_kron_solve_at_every_residue():
+    # the closed form of the section, residue by residue, against the
+    # kron system and the split modulus on non-cyclic modules
+    rng = random.Random(1407)
+    for m in (4, 8, 9, 12, 16, 18, 27, 36, 72, 100):
+        tried = 0
+        while tried < 3:
+            mod = random_zmod(rng, ring="Z_mod", m=m, max_gens=3, span=m)
+            free, tors = mod.structure()
+            if free + len(tors) < 2:
+                continue
+            tried += 1
+            lattice = zmodules._structure(mod)
+            diag = intmat.diagonal_of(lattice.d)
+            need = _split_modulus(mod)
+            for s in range(m):
+                ys = _diagonal_solve(diag, s, m)
+                assert (ys is not None) == (old_section_solve(lattice.q, s, m) is not None)
+                assert (ys is not None) == (s % need == 0)
+                if ys is not None:
+                    assert all((s * d + d * y * d) % m == 0 for d, y in zip(diag, ys))
 
 
 def test_orbit_test_and_section_solve_must_agree(monkeypatch):
@@ -553,8 +602,9 @@ def test_zmod_walk_never_certifies_past_level_zero():
             value, walk = zmod_walk_oracle(mod, s_set, bound)
             assert value in (DimValue.exact(0), DimValue.over(bound))
             assert res.value == value
-            assert res.levels[0] == walk[0]
             assert len(res.levels) == 1
+            assert witness_fields(res.levels) == witness_fields(walk[:1])
+            assert_levels_verify(mod, res.levels)
             tally[value.known] += 1
     assert tally[True] >= 20 and tally[False] >= 20
 
@@ -722,6 +772,60 @@ def test_factor_ring_checks_reduce_their_module_once(monkeypatch):
     zmodules._structure.cache_clear()
     change_of_rings_check(9, mod, s_set)
     assert len(calls) == 2
+
+
+def test_one_smith_form_per_question(monkeypatch):
+    # one lattice basis and one Smith form per relation lattice: the
+    # structure, the split modulus and the section all read one entry
+    calls = Counter()
+    snf, basis = intmat.smith_normal_form, intmat.column_lattice_basis
+    monkeypatch.setattr(intmat, "smith_normal_form",
+                        lambda a: calls.update(["snf"]) or snf(a))
+    monkeypatch.setattr(intmat, "column_lattice_basis",
+                        lambda a: calls.update(["basis"]) or basis(a))
+
+    def counts(call):
+        calls.clear()
+        call()
+        return calls["snf"], calls["basis"]
+
+    rows = [[2, 4], [6, 3]]
+    mod12, modz = z_module("Z_mod", rows, m=12), z_module("Z", rows)
+    s_set = z_multset("Z", [5, 2])
+    questions = [
+        # both searches split, so each builds a section
+        (lambda: z_s_pd(mod12, z_multset("Z_mod", [5, 2], m=12)), (1, 1)),
+        (lambda: z_s_pd(modz, z_multset("Z", [2, 9])), (1, 1)),
+        (lambda: factor_ring_check(12, mod12, s_set), (1, 1)),
+        (lambda: change_of_rings_check(12, mod12, s_set), (2, 2)),
+    ]
+    for call, want in questions:
+        zmodules._structure.cache_clear()
+        assert counts(call) == want
+        assert counts(call) == (0, 0)
+        zmodules._structure.cache_clear()
+        assert counts(call) == want
+    assert z_s_pd(modz, z_multset("Z", [2, 9])).certificate.s == 18
+
+
+def test_cache_entries_are_immutable():
+    rng = random.Random(1408)
+    for ring, m in (("Z", None), ("Z_mod", 12), ("Z_mod", 8)):
+        for _ in range(6):
+            mod = random_zmod(rng, ring=ring, m=m, span=m or 6)
+            s_set = z_multset(ring, [rng.choice([2, 3, 5])], m=m)
+            zmodules._structure.cache_clear()
+            lattice = zmodules._structure(mod)
+            for mat in (lattice.q, lattice.u, lattice.d, lattice.v):
+                assert isinstance(mat, tuple)
+                assert all(isinstance(row, tuple) for row in mat)
+            ext = z_ext(mod, mod, 1)
+            zmodules._structure.cache_clear()
+            spd = z_s_pd(mod, s_set)
+            # the same calls on one warm entry give the cold answers
+            zmodules._structure.cache_clear()
+            assert z_ext(mod, mod, 1) == ext
+            assert z_s_pd(mod, s_set) == spd
 
 
 def test_factor_ring_divides_errors():
