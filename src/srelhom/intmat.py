@@ -4,17 +4,8 @@ Matrices are lists of row lists.  Everything here is arbitrary precision:
 no floats, no modular shortcuts.  The centrepiece is the Smith normal form
 with minimal-pivot selection; the transforms it returns are checked for
 unimodularity before they leave this module, so downstream lattice code
-can trust U*A*V == D unconditionally.
-
-Solutions are read off a Smith form in one place, solve_each(a, b) ->
-(ok, X): one smith_normal_form(a) decides every column of b, ok[k] says
-whether a@x == b[:, k] has an integer solution, and then X[:, k] is the
-solution for that column alone.  solve is its all-or-nothing wrapper.
-
-Module structure is read off a Smith form too.  cokernel_invariants(a)
-gives the free rank and invariant factors of Z^rows / col(a) from one
-smith_normal_form(a); quotient_invariants(basis, gens) handles a
-sublattice quotient by first solving gens in the basis.
+can trust U*A*V == D unconditionally.  column_lattice_basis gives the
+triangular basis whose Smith form the integer backend caches.
 """
 
 from .errors import InputError, InternalInvariantViolation
@@ -58,36 +49,6 @@ def matmul(a, b):
                 brow = b[k]
                 for j in range(cb):
                     orow[j] += aik * brow[j]
-    return out
-
-def transpose(a):
-    rows, cols = shape(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def hstack(a, b):
-    ra, _ = shape(a)
-    rb, _ = shape(b)
-    if ra != rb and a and b:
-        raise InputError("hstack row mismatch")
-    if not a:
-        return copy(b)
-    if not b:
-        return copy(a)
-    return [list(a[i]) + list(b[i]) for i in range(ra)]
-
-
-def kron(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            v = a[i][j]
-            if v:
-                for k in range(rb):
-                    for l in range(cb):
-                        out[i * rb + k][j * cb + l] = v * b[k][l]
     return out
 
 
@@ -225,52 +186,6 @@ def diagonal_of(d):
     return [d[i][i] for i in range(min(rows, cols))]
 
 
-def solve_each(a, b):
-    """Solve a@x == b[:, k] over Z for every column k by one Smith form.
-
-    Returns (ok, x): ok[k] says whether column k has an integer solution,
-    and then x[:, k] is the solution solve would give that column alone
-    (free coordinates in the Smith basis set to 0).  Columns of x where
-    ok is False carry no meaning.
-    """
-    rows, cols = shape(a)
-    rb, cb = shape(b)
-    if rb != rows:
-        raise InputError("solve shape mismatch")
-    u, d, v = smith_normal_form(a)
-    w = matmul(u, b)
-    diag = diagonal_of(d)
-    ok = [True] * cb
-    y = zeros(cols, cb)
-    for i in range(rows):
-        di = diag[i] if i < len(diag) else 0
-        wi = w[i]
-        for j in range(cb):
-            if di:
-                if wi[j] % di:
-                    ok[j] = False
-                else:
-                    y[i][j] = wi[j] // di
-            elif wi[j]:
-                ok[j] = False
-    return ok, matmul(v, y)
-
-
-def solve(a, b):
-    """One integer solution x of a@x == b (column-stacked), or None."""
-    ok, x = solve_each(a, b)
-    return x if all(ok) else None
-
-
-def kernel_basis(a):
-    """Columns spanning {x : a@x == 0}; a saturated basis, possibly empty."""
-    rows, cols = shape(a)
-    _, d, v = smith_normal_form(a)
-    diag = diagonal_of(d)
-    keep = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    return [[v[i][j] for j in keep] for i in range(cols)]
-
-
 def column_lattice_basis(a):
     """Triangular basis of the lattice spanned by the columns of a."""
     rows, cols = shape(a)
@@ -295,43 +210,3 @@ def column_lattice_basis(a):
                 work[big][i] -= q * work[small][i]
     kept = work[:basis_start]
     return [[kept[j][i] for j in range(len(kept))] for i in range(rows)]
-
-
-def solution_lattice(a, gens):
-    """Basis of {x : a@x lies in the column lattice of gens}."""
-    rows, cols = shape(a)
-    stacked = hstack(a, gens) if gens and gens[0] else copy(a)
-    ker = kernel_basis(stacked)
-    _, kcols = shape(ker)
-    projected = [[ker[i][j] for j in range(kcols)] for i in range(cols)]
-    return column_lattice_basis(projected)
-
-
-def cokernel_invariants(a):
-    """Invariant factors of Z^rows / (column lattice of a), one Smith form.
-
-    Returns (free_rank, factors) with factors > 1 in divisibility order.
-    """
-    rows, _ = shape(a)
-    _, d, _ = smith_normal_form(a)
-    diag = [x for x in diagonal_of(d) if x]
-    return rows - len(diag), tuple(x for x in diag if x > 1)
-
-
-def quotient_invariants(basis, gens):
-    """Invariant factors of lattice(basis)/lattice(gens).
-
-    gens must lie inside the basis lattice.  Returns (free_rank, factors)
-    with factors > 1 in divisibility order.
-    """
-    rows, bcols = shape(basis)
-    if bcols == 0:
-        if gens and gens[0]:
-            raise InputError("generators outside the trivial lattice")
-        return 0, ()
-    if not gens or not gens[0]:
-        return bcols, ()
-    y = solve(basis, gens)
-    if y is None:
-        raise InputError("generators outside the ambient lattice")
-    return cokernel_invariants(y)

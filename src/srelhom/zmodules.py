@@ -46,6 +46,24 @@ each diagonal entry d of D gives one.  Over Z that is Y = -s/d, which
 exists exactly when every d divides s.  Over Z/m every d divides m, and
 Y solves d*Y = -s (mod m/d), which exists exactly when gcd(d, m/d)
 divides s: the split modulus again.  No further system is solved.
+
+Ext is read off the invariant factors as well, one pair of cyclic
+summands at a time, since Ext is additive in both arguments.  Over Z
+write M = Z^a + sum Z/d_i and N = Z^b + sum Z/e_j.  The resolution
+0 -> Z -(d)-> Z -> Z/d gives Hom(Z/d, Z/e) = Ext^1(Z/d, Z/e) =
+Z/gcd(d, e), Hom(Z/d, Z) = 0 and Ext^1(Z/d, Z) = Z/d, and Z is free.
+So Hom(M, N) = Z^(ab) + (Z/e_j)^a + sum Z/gcd(d_i, e_j), Ext^1(M, N) =
+(Z/d_i)^b + sum Z/gcd(d_i, e_j), and Ext^n = 0 for n >= 2, Z being
+hereditary.  Over Z/m every invariant factor divides m, a free summand
+showing as m.  Z/d has the periodic resolution
+... -> Z/m -(m/d)-> Z/m -(d)-> Z/m -> Z/d, which Hom(-, Z/e) turns into
+Z/e -(d)-> Z/e -(m/d)-> Z/e -(d)-> ...  So Hom(Z/d, Z/e) = Z/gcd(d, e),
+and for n >= 1 Ext^n is ker(m/d)/d*(Z/e) in odd degrees and
+ker(d)/(m/d)*(Z/e) in even ones.  On Z/e, ker(c) has order gcd(c, e)
+and c*(Z/e) has order e/gcd(c, e), so both are cyclic of order
+gcd(d, e)*gcd(m/d, e)/e: odd and even degrees agree.  The cyclic orders
+are gathered into invariant factors by gcd/lcm insertion into a
+divisibility chain, with no Smith form and no factoring.
 """
 
 from __future__ import annotations
@@ -151,7 +169,7 @@ def z_free(ring: str, rank: int, m: int | None = None) -> ZMod:
 
 def z_cyclic(n: int) -> ZMod:
     """Z/n as a Z-module (n = 0 gives Z)."""
-    return ZMod("Z", None, (((n,) if n else ()),)) if n else ZMod("Z", None, ((),))
+    return ZMod("Z", None, ((n,) if n else (),))
 
 
 def random_z_module(rng, ring: str = "Z", m: int | None = None,
@@ -195,9 +213,8 @@ def z_module_from_factors(ring: str, m: int | None, free_rank: int, torsion) -> 
 def _as_z_module(mod: ZMod) -> ZMod:
     """Reinterpret a Z/m-module as a Z-module (ring relations made explicit)."""
     g = mod.generators
-    scaled = [[mod.m if i == j else 0 for j in range(g)] for i in range(g)]
-    mat = intmat.hstack([list(r) for r in mod.rows], scaled) if mod.relations else scaled
-    return ZMod("Z", None, tuple(tuple(row) for row in mat))
+    return ZMod("Z", None, tuple(row + tuple(mod.m if i == j else 0 for j in range(g))
+                                 for i, row in enumerate(mod.rows)))
 
 
 class _Lattice(NamedTuple):
@@ -235,12 +252,6 @@ def _structure(mod: ZMod) -> _Lattice:
     diag = [x for x in intmat.diagonal_of(d) if x]
     return _Lattice(_frozen(q), _frozen(u), _frozen(d), _frozen(v),
                     mod.generators - len(diag), tuple(x for x in diag if x > 1))
-
-
-def _relation_lattice(mod: ZMod) -> tuple:
-    """Triangular basis of the full integer relation lattice (ring
-    relations included over Z/m), read from the cache entry."""
-    return _structure(mod).q
 
 
 # -- multiplicative sets ------------------------------------------------------
@@ -545,62 +556,53 @@ def _ring_of(a: ZMod, b: ZMod):
     return a.ring, a.m
 
 
+def _invariant_factors(orders) -> tuple:
+    """Invariant factors (> 1, each dividing the next) of a sum of Z/n.
+
+    Each order x enters the divisibility chain from the top:
+    Z/c + Z/x = Z/lcm(c, x) + Z/gcd(c, x), so the top entry becomes the
+    lcm, which every entry below still divides, and the gcd moves down.
+    What is left at the bottom divides the old bottom entry.
+    """
+    chain = []
+    for x in orders:
+        for i in range(len(chain) - 1, -1, -1):
+            if x == 1:
+                break
+            g = math.gcd(chain[i], x)
+            chain[i] = chain[i] // g * x
+            x = g
+        if x > 1:
+            chain.insert(0, x)
+    return tuple(chain)
+
+
 def z_ext(source: ZMod, target: ZMod, degree: int) -> ZMod:
     """Ext^degree(source, target) as a module over the common ring.
 
-    Over Z this uses the length-one free resolution by the relation
-    lattice; over Z/m the periodic resolution of lifted kernels, with
-    cocycles and coboundaries handled as integer lattices.
+    Read off the invariant factors of both modules, summand by summand
+    (see the module docstring): no lattice is built and no system is
+    solved, so the only Smith forms are the cached ones behind
+    structure().
     """
     ring, m = _ring_of(source, target)
     if degree < 0:
         raise InputError("negative Ext degree")
-    if source.is_zero() or target.is_zero():
-        return z_module_from_factors(ring, m, 0, ())
-    h = target.generators
-    g = source.generators
+    a, ds = source.structure()
+    b, es = target.structure()
     if ring == "Z":
         if degree >= 2:
             return z_module_from_factors(ring, m, 0, ())
-        p_lat = _relation_lattice(source)
-        r_lat = _relation_lattice(target)
-        k = intmat.shape(p_lat)[1]
-        t = intmat.shape(r_lat)[1]
         if degree == 0:
-            inside = intmat.kron(intmat.identity(g), r_lat) if t else intmat.zeros(h * g, 0)
-            if k == 0:
-                # free source: Hom is all of Z^(h*g) modulo the target relations
-                free, tors = intmat.cokernel_invariants(inside)
-            else:
-                hom_basis = intmat.solution_lattice(
-                    intmat.kron(intmat.transpose(p_lat), intmat.identity(h)),
-                    intmat.kron(intmat.identity(k), r_lat) if t else intmat.zeros(h * k, 0))
-                free, tors = intmat.quotient_invariants(hom_basis, inside)
-            return z_module_from_factors(ring, m, free, tors)
-        if k == 0:
-            return z_module_from_factors(ring, m, 0, ())
-        gens = intmat.kron(intmat.transpose(p_lat), intmat.identity(h))
-        if t:
-            gens = intmat.hstack(gens, intmat.kron(intmat.identity(k), r_lat))
-        free, tors = intmat.cokernel_invariants(gens)
-        return z_module_from_factors(ring, m, free, tors)
-    lats = [_relation_lattice(source)]
-    for _ in range(degree):
-        lats.append(intmat.solution_lattice(
-            lats[-1], [[m if i == j else 0 for j in range(g)] for i in range(g)]))
-    rn = _relation_lattice(target)
-    lam = intmat.kron(intmat.identity(g), rn)
-    ker_basis = intmat.solution_lattice(
-        intmat.kron(intmat.transpose(lats[degree]), intmat.identity(h)), lam)
-    if degree == 0:
-        img = lam
+            free, orders = a * b, [e for e in es for _ in range(a)]
+        else:
+            free, orders = 0, [d for d in ds for _ in range(b)]
+        orders += [math.gcd(d, e) for d in ds for e in es]
+    elif degree == 0:
+        free, orders = 0, [math.gcd(d, e) for d in ds for e in es]
     else:
-        img = intmat.hstack(
-            intmat.kron(intmat.transpose(lats[degree - 1]), intmat.identity(h)), lam)
-    free, tors = intmat.quotient_invariants(ker_basis, img)
-    if free:
-        raise InternalInvariantViolation("infinite Ext over a finite ring")
-    return z_module_from_factors(ring, m, 0, tors)
+        free, orders = 0, [math.gcd(d, e) * math.gcd(m // d, e) // e for d in ds for e in es]
+    return z_module_from_factors(ring, m, free, _invariant_factors(orders))
 
 
 # -- factor ring comparison ---------------------------------------------------

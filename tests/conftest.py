@@ -13,6 +13,7 @@ from srelhom.modules import (
     regular_module,
     subquotient,
 )
+from srelhom.zmodules import z_module
 
 
 def product_ring():
@@ -30,6 +31,31 @@ def quotient_module(ring, relation_vectors):
     rel = free_map_from_generator_images(free, regular_module(ring), images)
     mod, _ = subquotient(rel, "cokernel")
     return mod
+
+
+def scrambled_z_module(rng, ring="Z", m=None):
+    """Z^free + sum Z/d under a few unimodular row and column operations,
+    which keep the module up to isomorphism.  Over Z/m each d divides m
+    (d = m is a free summand); over Z, d runs over 2..12."""
+    top = m or 12
+    orders = [rng.choice([d for d in range(2, top + 1) if m is None or m % d == 0])
+              for _ in range(rng.randint(0, 2))]
+    free = rng.randint(0 if orders else 1, 1)
+    gens, rels = free + len(orders), len(orders)
+    rows = [[0] * rels for _ in range(gens)]
+    for j, d in enumerate(orders):
+        rows[free + j][j] = d
+    for _ in range(3):
+        if gens > 1:
+            i, k = rng.sample(range(gens), 2)
+            c = rng.choice((-1, 1))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+        if rels > 1:
+            i, k = rng.sample(range(rels), 2)
+            c = rng.choice((-1, 1))
+            for row in rows:
+                row[i] += c * row[k]
+    return z_module(ring, rows, m=m)
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ import sys
 
 import numpy as np
 
+from conftest import scrambled_z_module
+from lattice_oracle import lattice_z_ext
 from srelhom import (
     REGISTRY,
     character_dual,
@@ -97,7 +99,7 @@ def test_factor_ring_offset_identity():
 
 
 def test_ext_oracle_equivalence():
-    with criterion(3, "Ext against closed form and resolution choice"):
+    with criterion(3, "Ext against closed form, lattices, resolution choice"):
         for d in range(2, 13):
             for e in range(2, 13):
                 g = math.gcd(d, e)
@@ -105,6 +107,15 @@ def test_ext_oracle_equivalence():
                 for degree in (0, 1):
                     got = z_ext(z_cyclic(d), z_cyclic(e), degree)
                     assert got.structure() == want, (d, e, degree)
+
+        # the invariant-factor Ext against resolutions by integer lattices
+        rng = random.Random("ext-lattice")
+        for ring, m in [("Z", None)] * 4 + [("Z_mod", m) for m in (4, 8, 9, 12, 18, 36)]:
+            for _ in range(10):
+                src, tgt = (scrambled_z_module(rng, ring, m) for _ in range(2))
+                for degree in range(4):
+                    assert z_ext(src, tgt, degree) == lattice_z_ext(src, tgt, degree), \
+                        (src, tgt, degree)
 
         pool = bundled_rings()
         rng = random.Random("ext-invariance")

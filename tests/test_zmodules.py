@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from conftest import product_ring
+import lattice_oracle as oracle
+from conftest import product_ring, scrambled_z_module
 
 from srelhom import intmat, zmodules
 from srelhom.dimensions import DimValue
@@ -26,11 +27,11 @@ from srelhom.zmodules import (
     ZMultSet,
     ZSplitWitness,
     _diagonal_solve,
+    _invariant_factors,
     _monoid_orbit,
     _orbit_path,
     _orbit_products,
     _product_expression,
-    _relation_lattice,
     _split_modulus,
     change_of_rings_check,
     factor_ring_check,
@@ -102,15 +103,15 @@ def test_solve_and_kernel():
         a = random_int_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5), -9, 9)
         x = random_int_matrix(rng, len(a[0]), 2, -9, 9)
         b = intmat.matmul(a, x)
-        found = intmat.solve(a, b)
+        found = oracle.solve(a, b)
         assert found is not None
         assert intmat.matmul(a, found) == b
-        ker = intmat.kernel_basis(a)
+        ker = oracle.kernel_basis(a)
         kcols = intmat.shape(ker)[1]
         zero = intmat.zeros(len(a), kcols)
         assert intmat.matmul(a, ker) == zero if kcols else True
-    assert intmat.solve([[2]], [[3]]) is None
-    assert intmat.solve([[2, 4], [0, 6]], [[6], [6]]) == [[1], [1]]
+    assert oracle.solve([[2]], [[3]]) is None
+    assert oracle.solve([[2, 4], [0, 6]], [[6], [6]]) == [[1], [1]]
 
 
 def lattice_pivots(a):
@@ -140,15 +141,15 @@ def test_intmat_solve_each_matches_solving_one_column_at_a_time():
             j = rng.randrange(width)
             for i in range(rows):
                 b[i][j] = planted[i][0]
-        ok, x = intmat.solve_each(a, b)
+        ok, x = oracle.solve_each(a, b)
         assert len(ok) == width and len(x) == k
         for j in range(width):
             col = [[b[i][j]] for i in range(rows)]
             # consistent exactly when the column does not enlarge the lattice
-            consistent = lattice_pivots(intmat.hstack(a, col)) == lattice_pivots(a)
+            consistent = lattice_pivots(oracle.hstack(a, col)) == lattice_pivots(a)
             assert ok[j] == consistent
             seen[consistent] += 1
-            sol = intmat.solve(a, col)
+            sol = oracle.solve(a, col)
             assert (sol is not None) == ok[j]
             if ok[j]:
                 assert [[x[i][j]] for i in range(k)] == sol
@@ -158,20 +159,20 @@ def test_intmat_solve_each_matches_solving_one_column_at_a_time():
 
 def test_intmat_solve_each_rejects_mismatched_rows():
     with pytest.raises(InputError):
-        intmat.solve_each(intmat.zeros(2, 2), intmat.zeros(3, 1))
+        oracle.solve_each(intmat.zeros(2, 2), intmat.zeros(3, 1))
 
 
 def test_lattice_helpers():
     basis = intmat.column_lattice_basis([[2, 4, 3], [0, 0, 0]])
     assert basis == [[1], [0]]
     # {x : 2x in 4Z} = 2Z
-    assert intmat.solution_lattice([[2]], [[4]]) == [[2]]
-    free, tors = intmat.quotient_invariants(intmat.identity(2), [[2, 0], [0, 6]])
+    assert oracle.solution_lattice([[2]], [[4]]) == [[2]]
+    free, tors = oracle.quotient_invariants(intmat.identity(2), [[2, 0], [0, 6]])
     assert (free, tors) == (0, (2, 6))
-    free, tors = intmat.quotient_invariants(intmat.identity(3), [[2, 0], [0, 6], [0, 0]])
+    free, tors = oracle.quotient_invariants(intmat.identity(3), [[2, 0], [0, 6], [0, 0]])
     assert (free, tors) == (1, (2, 6))
     with pytest.raises(InputError):
-        intmat.quotient_invariants([[2]], [[3]])
+        oracle.quotient_invariants([[2]], [[3]])
 
 
 def test_cokernel_invariants_match_the_quotient_of_the_identity_lattice():
@@ -181,10 +182,10 @@ def test_cokernel_invariants_match_the_quotient_of_the_identity_lattice():
         a = random_int_matrix(rng, rows, cols, -8, 8)
         if trial % 4 == 1:
             a = [[3 * x for x in row] for row in a]
-        assert intmat.cokernel_invariants(a) == \
-            intmat.quotient_invariants(intmat.identity(rows), a)
-    assert intmat.cokernel_invariants([]) == (0, ())
-    assert intmat.cokernel_invariants([[2, 0], [0, 6], [0, 0]]) == (1, (2, 6))
+        assert oracle.cokernel_invariants(a) == \
+            oracle.quotient_invariants(intmat.identity(rows), a)
+    assert oracle.cokernel_invariants([]) == (0, ())
+    assert oracle.cokernel_invariants([[2, 0], [0, 6], [0, 0]]) == (1, (2, 6))
 
 
 # -- presentations ------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_spd_section_is_verifiable():
         mod = random_zmod(rng, max_gens=2)
         res = z_s_pd(mod, z_multset("Z", [2, 3]))
         if res.value == DimValue.exact(0):
-            assert_section_verifies(_relation_lattice(mod), res.certificate)
+            assert_section_verifies(zmodules._structure(mod).q, res.certificate)
 
 
 def assert_section_verifies(q, witness, m=None):
@@ -390,7 +391,7 @@ def assert_section_verifies(q, witness, m=None):
     assert not any((x % m) if m else x for row in intmat.matmul(phi, q) for x in row)
     shifted = [[x - (witness.s if i == j else 0) for j, x in enumerate(row)]
                for i, row in enumerate(phi)]
-    assert intmat.solve(q, shifted) is not None
+    assert oracle.solve(q, shifted) is not None
 
 
 def old_section_solve(q, s, m):
@@ -398,9 +399,9 @@ def old_section_solve(q, s, m):
     g, k = intmat.shape(q)
     if k == 0:
         return tuple(tuple(s % m if i == j else 0 for j in range(g)) for i in range(g))
-    lhs = intmat.hstack(intmat.kron(intmat.transpose(q), q),
+    lhs = oracle.hstack(oracle.kron(oracle.transpose(q), q),
                         [[m if i == j else 0 for j in range(g * k)] for i in range(g * k)])
-    sol = intmat.solve(lhs, [[-s * q[idx % g][idx // g]] for idx in range(g * k)])
+    sol = oracle.solve(lhs, [[-s * q[idx % g][idx // g]] for idx in range(g * k)])
     if sol is None:
         return None
     y = [[sol[j * k + i][0] for j in range(g)] for i in range(k)]
@@ -417,12 +418,12 @@ def multi_column_section_solve(q, candidates, order, links, modulus):
     g, k = intmat.shape(q)
     c, phi = 0, intmat.zeros(g, g)
     if k:
-        lhs = intmat.kron(intmat.transpose(q), q)
+        lhs = oracle.kron(oracle.transpose(q), q)
         if modulus:
-            lhs = intmat.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
+            lhs = oracle.hstack(lhs, [[modulus if i == j else 0 for j in range(g * k)]
                                       for i in range(g * k)])
         rhs = [[-s * q[idx % g][idx // g] for s in candidates] for idx in range(g * k)]
-        ok, sol = intmat.solve_each(lhs, rhs)
+        ok, sol = oracle.solve_each(lhs, rhs)
         c = next((c for c, good in enumerate(ok) if good), None)
         if c is None:
             return ZSplitWitness(None, None, None, tuple(candidates))
@@ -441,7 +442,7 @@ def multi_column_section_solve(q, candidates, order, links, modulus):
 def multi_column_levels(mod, s_set):
     """The levels of z_s_pd rebuilt on the multi-column search; over Z a
     failed level 0 is followed by level 1 whatever the bound."""
-    q = _relation_lattice(mod)
+    q = zmodules._structure(mod).q
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
         return (multi_column_section_solve(q, order, order, links, mod.m),)
@@ -464,7 +465,7 @@ def witness_fields(levels):
 
 def assert_levels_verify(mod, levels):
     # level 0 splits the module's cover; level 1 (over Z) its free syzygy
-    q = _relation_lattice(mod)
+    q = zmodules._structure(mod).q
     lattices = (q, intmat.zeros(intmat.shape(q)[1], 0))
     for q, witness in zip(lattices, levels):
         if witness.verdict:
@@ -525,7 +526,7 @@ def test_split_rule_on_cyclic_prime_powers():
                 mod = z_module("Z_mod", [[p ** j]], m=m)
                 need = p ** min(j, k - j)
                 assert _split_modulus(mod) == need
-                q = _relation_lattice(mod)
+                q = zmodules._structure(mod).q
                 for s in range(m):
                     assert (old_section_solve(q, s, m) is not None) == (s % need == 0)
 
@@ -565,9 +566,9 @@ def zmod_walk_oracle(mod, s_set, bound):
     first, then one section solve per candidate s per level."""
     m, g = mod.m, mod.generators
     order, paths = old_monoid_orbit(s_set.generators, m)
-    lattices = [_relation_lattice(mod)]
+    lattices = [zmodules._structure(mod).q]
     for _ in range(bound):
-        lattices.append(intmat.solution_lattice(
+        lattices.append(oracle.solution_lattice(
             lattices[-1], [[m if i == j else 0 for j in range(g)] for i in range(g)]))
     levels = []
     for level, q in enumerate(lattices):
@@ -721,6 +722,70 @@ def test_ext_errors():
         z_ext(z_cyclic(2), z_free("Z_mod", 1, m=4), 1)
     with pytest.raises(InputError):
         z_ext(z_cyclic(2), z_cyclic(2), -1)
+
+
+def test_ext_matches_the_lattice_oracle_on_random_presentations():
+    # the closed form against the lattice resolutions, as whole modules
+    rng = random.Random(1501)
+    tally = Counter()
+    moduli = (2, 3, 4, 6, 8, 9, 12, 16, 18, 27, 30, 36, 72, 100)
+    for ring, m in [("Z", None)] + [("Z_mod", m) for m in moduli]:
+        for trial in range(60 if ring == "Z" else 20):
+            draw = random_zmod if trial % 3 == 0 else scrambled_z_module
+            a, b = (draw(rng, ring=ring, m=m) for _ in range(2))
+            for degree in range(5):
+                got = z_ext(a, b, degree)
+                assert got == oracle.lattice_z_ext(a, b, degree), (a, b, degree)
+                tally[ring, degree, got.is_zero()] += 1
+    # squarefree m (2, 3, 6, 30) is a product of fields: no higher Ext
+    nonzero = [("Z", 0), ("Z", 1)] + [("Z_mod", degree) for degree in range(5)]
+    assert min(tally[ring, degree, False] for ring, degree in nonzero) >= 15, tally
+
+
+def test_ext_matches_the_lattice_oracle_on_every_cyclic_pair():
+    # every Z/d, Z/e with d, e | m (Z/1 = 0, Z/m free) in degrees 0-5:
+    # the periodic resolution gives one order for odd and even degrees
+    for m in range(2, 37):
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for d, e in product(divisors, divisors):
+            a, b = z_module("Z_mod", [[d]], m=m), z_module("Z_mod", [[e]], m=m)
+            want = [oracle.lattice_z_ext(a, b, degree) for degree in range(6)]
+            assert all(w == want[1] for w in want[1:]), (m, d, e)
+            assert [z_ext(a, b, degree) for degree in range(6)] == want, (m, d, e)
+
+
+def test_invariant_factors_match_the_smith_form_of_the_diagonal():
+    rng = random.Random(1502)
+    cases = [[], [1], [1, 1], [4, 4, 4], [2, 3], [4, 9, 25], [8, 4, 2, 1], [6, 10, 15],
+             [12, 18, 1, 12]]
+    pool = [1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 27, 30, 49, 72]
+    cases += [[rng.choice(pool) for _ in range(rng.randrange(7))] for _ in range(300)]
+    for orders in cases:
+        diag = [[orders[i] if i == j else 0 for j in range(len(orders))]
+                for i in range(len(orders))]
+        assert (0, _invariant_factors(orders)) == oracle.cokernel_invariants(diag), orders
+
+
+def test_ext_reads_one_smith_form_per_module(monkeypatch):
+    # cold: one Smith form per distinct relation lattice; warm: none
+    calls = []
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    rng = random.Random(1503)
+    for ring, m in (("Z", None), ("Z_mod", 12), ("Z_mod", 8)):
+        for trial in range(30):
+            a = random_zmod(rng, ring=ring, m=m, span=m or 6)
+            # an equal copy shares the cache entry of a
+            b = ZMod(ring, m, a.rows) if trial % 5 == 0 else \
+                random_zmod(rng, ring=ring, m=m, span=m or 6)
+            for degree in range(4):
+                zmodules._structure.cache_clear()
+                calls.clear()
+                z_ext(a, b, degree)
+                assert len(calls) == len({a, b})
+                calls.clear()
+                z_ext(a, b, degree)
+                assert not calls
 
 
 # -- factor ring comparison ---------------------------------------------------
