@@ -19,6 +19,11 @@ cocycle representatives, so maps induced in either variable descend to
 cohomology explicitly; connecting maps are built exactly as in the snake
 construction, with S-isomorphism correctors splicing the exact core of an
 S-exact sequence back to its stated endpoints.
+
+The long sequence has one construction, Hom(L, -) over one resolution of
+L.  The character dual D is exact and Ext^k(DN, DM) = Ext^k(M, N)
+naturally, so Hom(-, N) of 0 -> A -> B -> C -> 0 is built as Hom(DN, -)
+of 0 -> DC -> DB -> DA -> 0.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .modules import (
     _derived_module,
     cap_chain,
     character_dual,
+    dual_map,
     free_map_from_generator_images,
     free_module,
     generator_vector,
@@ -73,7 +79,6 @@ __all__ = [
     "ext_map_on_target",
     "ext_map_on_source",
     "chain_lift",
-    "horseshoe",
     "ConnectingData",
     "long_ext_sequence",
     "injective_cocover",
@@ -515,72 +520,6 @@ def comparison_isomorphisms(res_a: BaseResolution, res_b: BaseResolution,
     return ext_a, ext_b, a_to_b, b_to_a
 
 
-# -- horseshoe ----------------------------------------------------------------
-
-
-def horseshoe(incl: ModuleMap, proj: ModuleMap, res_sub: Resolution,
-              res_quot: Resolution, depth: int
-              ) -> tuple[AssembledResolution, list[ModuleMap]]:
-    """Resolution of the middle of an exact 0 -> A -> B -> C -> 0.
-
-    Levelwise F^A_k + F^C_k with boundary [[a_k, tau_k], [0, c_k]]; the
-    correction maps tau_k: F^C_k -> F^A_{k-1} are solved level by level so
-    composites vanish.  Returns the assembled resolution and the taus
-    (tau_k at list index k, index 0 unused).
-    """
-    ring = incl.ring
-    p = ring.p
-    mid = incl.target
-    res_sub.ensure(depth)
-    res_quot.ensure(depth)
-    # sigma_0 lifts the quotient augmentation through proj
-    r_q0 = res_quot.rank(0)
-    gens0 = np.stack([generator_vector(ring, r_q0, j) for j in range(r_q0)],
-                     axis=1) if r_q0 else gfmat.zeros(res_quot.frees[0].vdim, 0)
-    lifted = gfmat.solve(proj.matrix,
-                         (res_quot.augmentation.matrix @ gens0) % p, p)
-    if lifted is None:
-        raise InternalInvariantViolation("projection is not surjective")
-    sigma0 = free_map_from_generator_images(res_quot.frees[0], mid, lifted)
-    taus: list[ModuleMap | None] = [None]
-    maps: list[ModuleMap] = []
-    frees: list[Module] = []
-    for k in range(depth + 1):
-        r_a, r_c = res_sub.rank(k), res_quot.rank(k)
-        free_b = free_module(ring, r_a + r_c)
-        frees.append(free_b)
-        if k == 0:
-            aug_mat = np.hstack([
-                (incl.matrix @ res_sub.augmentation.matrix) % p,
-                sigma0.matrix,
-            ])
-            maps.append(ModuleMap(free_b, mid, aug_mat))
-            continue
-        # solve tau_k on generators of F^C_k
-        gens = np.stack([generator_vector(ring, r_c, j) for j in range(r_c)],
-                        axis=1) if r_c else gfmat.zeros(res_quot.frees[k].vdim, 0)
-        if k == 1:
-            rhs = (-(sigma0.matrix @ res_quot.boundary(1).matrix @ gens)) % p
-            sys_mat = (incl.matrix @ res_sub.augmentation.matrix) % p
-        else:
-            rhs = (-(taus[k - 1].matrix @ res_quot.boundary(k).matrix @ gens)) % p
-            sys_mat = res_sub.boundary(k - 1).matrix
-        images = gfmat.solve(sys_mat, rhs, p)
-        if images is None:
-            raise InternalInvariantViolation("horseshoe correction inconsistent")
-        tau_k = free_map_from_generator_images(res_quot.frees[k],
-                                               res_sub.frees[k - 1], images)
-        taus.append(tau_k)
-        top = np.hstack([res_sub.boundary(k).matrix, tau_k.matrix])
-        bottom = np.hstack([
-            gfmat.zeros(res_quot.frees[k - 1].vdim, res_sub.frees[k].vdim),
-            res_quot.boundary(k).matrix,
-        ])
-        maps.append(ModuleMap(frees[k], frees[k - 1], np.vstack([top, bottom])))
-    assembled = AssembledResolution(mid, maps)
-    return assembled, taus
-
-
 # -- connecting maps and the long sequence ------------------------------------
 
 
@@ -616,7 +555,8 @@ class ConnectingData:
     modules and chain_maps give the capped chain 0 -> X_0 -> X_1 -> ...;
     delta_indices locates the connecting maps inside chain_maps.  The
     correctors record the S-isomorphisms splicing the exact core of the
-    input back to its stated end terms, with their inverse witnesses.
+    input back to its stated end terms, with their inverse witnesses; in
+    the contravariant case, those of the dual sequence's exact core.
     """
 
     variance: str
@@ -678,10 +618,20 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
     through degree n.  variance "contravariant" applies Hom(-, other) and
     runs 0 -> Ext^0(C,N) -> Ext^0(B,N) -> Ext^0(A,N) -> Ext^1(C,N) -> ...
 
-    Connecting maps are the classical snake maps of the exact core,
-    corrected on both sides by the induced maps of the inverse
-    S-isomorphisms, exactly as the construction of the sequence dictates.
-    The returned report checks S-exactness at every interior position.
+    Connecting maps are the classical snake maps of the exact core over
+    one resolution of L, corrected on both sides by the induced maps of
+    the inverse S-isomorphisms.  The returned report checks S-exactness
+    at every interior position.
+
+    The contravariant chain is the covariant one of the character dual
+    0 -> DC -> DB -> DA -> 0 (maps Dg, Df) with L = DN.  D is exact and
+    R-linear, so the dual sequence is S-exact; Hom_R(DN, DP) = Hom_R(P, N),
+    so Ext^k(DN, DM) = Ext^k(M, N) naturally in both arguments.  Since
+    Ker Df = Ann(Im f) and Im Dg = Ann(Ker g), s Ker Df <= Im Dg exactly
+    when s Ker g <= Im f, and s Im Dg <= Ker Df exactly when
+    s Im f <= Ker g: the middle witness of the original sequence, which
+    is checked first so that NotSExact names its positions, serves the
+    dual one.
     """
     f, g = short
     if variance not in ("covariant", "contravariant"):
@@ -694,71 +644,34 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
         raise NotSExact("input sequence is not S-exact; first failure at "
                         "position %d" % bad[0])
     s_mid = base.positions[1].witness
+    if variance == "contravariant":
+        f, g, other = dual_map(g), dual_map(f), character_dual(other)
     core = _exact_core(f, g, s_set, s_mid)
-    ker_g, incl_k = core["kernel"], core["kernel_inclusion"]
-    img_g = core["image"]
-    cores_g = core["corestriction"]
-    if variance == "covariant":
-        res = resolution(other, "minimal")
-        res.ensure(n + 1)
-        cochains = {name: HomCochain(res, mod) for name, mod in
-                    (("A", f.source), ("B", f.target), ("C", g.target),
-                     ("K", ker_g), ("I", img_g))}
-        exts = {name: [ext_from_cochain(cochains[name], k) for k in range(n + 1)]
-                for name in ("A", "B", "C", "I")}
-        ext_k_next = [ext_from_cochain(cochains["K"], k) for k in range(n + 2)]
-        chain: list[ModuleMap] = []
-        deltas: list[int] = []
-        for k in range(n + 1):
-            chain.append(ext_map_on_target(exts["A"][k], exts["B"][k], f))
-            chain.append(ext_map_on_target(exts["B"][k], exts["C"][k], g))
-            if k < n:
-                to_img = ext_map_on_target(exts["C"][k], exts["I"][k],
-                                           core["t2_inv"])
-                snake = _connecting_on_target(cochains["B"], incl_k, cores_g,
-                                              exts["I"][k], ext_k_next[k + 1])
-                fix = ext_map_on_target(ext_k_next[k + 1], exts["A"][k + 1],
-                                        core["t1_inv"])
-                deltas.append(len(chain))
-                chain.append(fix.compose(snake).compose(to_img))
-    else:
-        res_a = resolution(f.source, "minimal")
-        res_c = resolution(g.target, "minimal")
-        res_k = resolution(ker_g, "minimal")
-        res_i = resolution(img_g, "minimal")
-        for r in (res_a, res_c, res_k, res_i):
-            r.ensure(n + 1)
-        res_b, taus = horseshoe(incl_k, cores_g, res_k, res_i, n + 1)
-        lift_f = chain_lift(f, res_a, res_b, n + 1)
-        lift_g = chain_lift(g, res_b, res_c, n + 1)
-        lift_t1i = chain_lift(core["t1_inv"], res_k, res_a, n + 1)
-        lift_t2i = chain_lift(core["t2_inv"], res_c, res_i, n + 1)
-        hcs = {"A": HomCochain(res_a, other), "B": HomCochain(res_b, other),
-               "C": HomCochain(res_c, other), "K": HomCochain(res_k, other),
-               "I": HomCochain(res_i, other)}
-        exts = {name: [ext_from_cochain(hcs[name], k) for k in range(n + 1)]
-                for name in ("A", "B", "C", "K")}
-        ext_i_next = [ext_from_cochain(hcs["I"], k) for k in range(n + 2)]
-        chain = []
-        deltas = []
-        for k in range(n + 1):
-            chain.append(ext_map_on_source(lift_g[k], exts["C"][k], exts["B"][k]))
-            chain.append(ext_map_on_source(lift_f[k], exts["B"][k], exts["A"][k]))
-            if k < n:
-                to_ker = ext_map_on_source(lift_t1i[k], exts["A"][k], exts["K"][k])
-                # snake: precompose a representative with tau_{k+1}
-                tau_ring = ring_matrix_of_free_map(taus[k + 1])
-                u = _hom_block_matrix(other, tau_ring.transpose(1, 0, 2))
-                mat = ext_i_next[k + 1].class_of((u @ exts["K"][k].reps) % f.ring.p)
-                snake = ModuleMap(exts["K"][k].module,
-                                  ext_i_next[k + 1].module, mat)
-                fix = ext_map_on_source(lift_t2i[k + 1], ext_i_next[k + 1],
-                                        exts["C"][k + 1])
-                deltas.append(len(chain))
-                chain.append(fix.compose(snake).compose(to_ker))
+    res = resolution(other, "minimal")
+    res.ensure(n + 1)
+    cochains = {name: HomCochain(res, mod) for name, mod in
+                (("A", f.source), ("B", f.target), ("C", g.target),
+                 ("K", core["kernel"]), ("I", core["image"]))}
+    exts = {name: [ext_from_cochain(cochains[name], k) for k in range(n + 1)]
+            for name in ("A", "B", "C", "I")}
+    ext_k_next = [ext_from_cochain(cochains["K"], k) for k in range(n + 2)]
+    chain: list[ModuleMap] = []
+    deltas: list[int] = []
+    for k in range(n + 1):
+        chain.append(ext_map_on_target(exts["A"][k], exts["B"][k], f))
+        chain.append(ext_map_on_target(exts["B"][k], exts["C"][k], g))
+        if k < n:
+            to_img = ext_map_on_target(exts["C"][k], exts["I"][k],
+                                       core["t2_inv"])
+            snake = _connecting_on_target(
+                cochains["B"], core["kernel_inclusion"], core["corestriction"],
+                exts["I"][k], ext_k_next[k + 1])
+            fix = ext_map_on_target(ext_k_next[k + 1], exts["A"][k + 1],
+                                    core["t1_inv"])
+            deltas.append(len(chain) + 1)  # full below starts with 0 -> X_0
+            chain.append(fix.compose(snake).compose(to_img))
     z = zero_module(f.ring)
     full = [ModuleMap.zero(z, chain[0].source)] + chain
-    deltas = [i + 1 for i in deltas]
     report = s_exactness_check(full, s_set)
     modules = [z] + [m.target for m in full]
     return ConnectingData(variance, n, modules, full, deltas, report, core)

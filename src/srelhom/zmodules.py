@@ -221,9 +221,10 @@ class _Lattice(NamedTuple):
     """The relation lattice of a module and its one verified Smith form.
 
     q is the triangular basis of the full integer relation lattice (ring
-    relations included over Z/m), u*q*v == d its Smith form, and (free,
-    tors) the structure read off d.  Matrices are tuples of tuples, so a
-    cached entry cannot be changed by its readers.
+    relations included over Z/m), u*q*v == d its Smith form, (free, tors)
+    the structure read off d, and z_view the module over Z with this
+    relation lattice.  Matrices are tuples of tuples, so a cached entry
+    cannot be changed by its readers.
     """
 
     q: tuple
@@ -232,6 +233,7 @@ class _Lattice(NamedTuple):
     v: tuple
     free: int
     tors: tuple
+    z_view: ZMod
 
 
 def _frozen(a) -> tuple:
@@ -251,7 +253,8 @@ def _structure(mod: ZMod) -> _Lattice:
     u, d, v = intmat.smith_normal_form(q)
     diag = [x for x in intmat.diagonal_of(d) if x]
     return _Lattice(_frozen(q), _frozen(u), _frozen(d), _frozen(v),
-                    mod.generators - len(diag), tuple(x for x in diag if x > 1))
+                    mod.generators - len(diag), tuple(x for x in diag if x > 1),
+                    mod)
 
 
 # -- multiplicative sets ------------------------------------------------------
@@ -647,7 +650,7 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
             "%d divides the product %s" % (a, _product_expression(_orbit_path(links, 0))))
     sbar = ZMultSet("Z_mod", a, tuple(g % a for g in s_set.generators))
     bar_result = z_s_pd(mod, sbar, bound)
-    z_result = z_s_pd(_as_z_module(mod), s_set, bound)
+    z_result = z_s_pd(_structure(mod).z_view, s_set, bound)
     statement = "S-pd over Z = %s vs %s + 1 over Z/%d" % (
         z_result.value, bar_result.value, a)
     if z_uniform_torsion(mod, sbar).verdict:
@@ -711,7 +714,7 @@ def change_of_rings_check(theta, mod, s_set, bound: int = 8) -> ChangeOfRingsRep
         if any(g % a == 0 for g in s_set.generators):
             raise DividesS("the projection kills a generator of S")
         induced = ZMultSet("Z_mod", a, tuple(g % a for g in s_set.generators))
-        lhs = z_s_pd(_as_z_module(mod), s_set, bound)
+        lhs = z_s_pd(_structure(mod).z_view, s_set, bound)
         mid = z_s_pd(mod, induced, bound)
         rhs = z_s_pd(z_cyclic(a), s_set, bound)
         pair = "Z->Z/%d" % a

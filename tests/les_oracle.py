@@ -1,0 +1,165 @@
+"""The horseshoe construction of the contravariant long Ext sequence.
+
+The library builds Hom(-, N) applied to an S-exact 0 -> A -> B -> C -> 0
+as Hom(DN, -) applied to its character dual 0 -> DC -> DB -> DA -> 0.
+This module keeps the direct construction as a test oracle: resolutions
+of A, C and of the exact core's ends, a horseshoe resolution of B, chain
+lifts of f, g and the inverse correctors, and a snake map that
+precomposes with the horseshoe's correction maps.  Tests compare the two
+routes on seeded triples.
+"""
+
+import numpy as np
+
+from srelhom import gfmat
+from srelhom.errors import InputError, InternalInvariantViolation, NotSExact
+from srelhom.homology import (
+    AssembledResolution,
+    ConnectingData,
+    HomCochain,
+    Resolution,
+    _exact_core,
+    _hom_block_matrix,
+    chain_lift,
+    ext_from_cochain,
+    ext_map_on_source,
+    resolution,
+)
+from srelhom.modules import (
+    Module,
+    ModuleMap,
+    cap_chain,
+    free_map_from_generator_images,
+    free_module,
+    generator_vector,
+    ring_matrix_of_free_map,
+    s_exactness_check,
+    zero_module,
+)
+
+
+def horseshoe(incl: ModuleMap, proj: ModuleMap, res_sub: Resolution,
+              res_quot: Resolution, depth: int
+              ) -> tuple[AssembledResolution, list[ModuleMap]]:
+    """Resolution of the middle of an exact 0 -> A -> B -> C -> 0.
+
+    Levelwise F^A_k + F^C_k with boundary [[a_k, tau_k], [0, c_k]]; the
+    correction maps tau_k: F^C_k -> F^A_{k-1} are solved level by level so
+    composites vanish.  Returns the assembled resolution and the taus
+    (tau_k at list index k, index 0 unused).
+    """
+    ring = incl.ring
+    p = ring.p
+    mid = incl.target
+    res_sub.ensure(depth)
+    res_quot.ensure(depth)
+    # sigma_0 lifts the quotient augmentation through proj
+    r_q0 = res_quot.rank(0)
+    gens0 = np.stack([generator_vector(ring, r_q0, j) for j in range(r_q0)],
+                     axis=1) if r_q0 else gfmat.zeros(res_quot.frees[0].vdim, 0)
+    lifted = gfmat.solve(proj.matrix,
+                         (res_quot.augmentation.matrix @ gens0) % p, p)
+    if lifted is None:
+        raise InternalInvariantViolation("projection is not surjective")
+    sigma0 = free_map_from_generator_images(res_quot.frees[0], mid, lifted)
+    taus: list[ModuleMap | None] = [None]
+    maps: list[ModuleMap] = []
+    frees: list[Module] = []
+    for k in range(depth + 1):
+        r_a, r_c = res_sub.rank(k), res_quot.rank(k)
+        free_b = free_module(ring, r_a + r_c)
+        frees.append(free_b)
+        if k == 0:
+            aug_mat = np.hstack([
+                (incl.matrix @ res_sub.augmentation.matrix) % p,
+                sigma0.matrix,
+            ])
+            maps.append(ModuleMap(free_b, mid, aug_mat))
+            continue
+        # solve tau_k on generators of F^C_k
+        gens = np.stack([generator_vector(ring, r_c, j) for j in range(r_c)],
+                        axis=1) if r_c else gfmat.zeros(res_quot.frees[k].vdim, 0)
+        if k == 1:
+            rhs = (-(sigma0.matrix @ res_quot.boundary(1).matrix @ gens)) % p
+            sys_mat = (incl.matrix @ res_sub.augmentation.matrix) % p
+        else:
+            rhs = (-(taus[k - 1].matrix @ res_quot.boundary(k).matrix @ gens)) % p
+            sys_mat = res_sub.boundary(k - 1).matrix
+        images = gfmat.solve(sys_mat, rhs, p)
+        if images is None:
+            raise InternalInvariantViolation("horseshoe correction inconsistent")
+        tau_k = free_map_from_generator_images(res_quot.frees[k],
+                                               res_sub.frees[k - 1], images)
+        taus.append(tau_k)
+        top = np.hstack([res_sub.boundary(k).matrix, tau_k.matrix])
+        bottom = np.hstack([
+            gfmat.zeros(res_quot.frees[k - 1].vdim, res_sub.frees[k].vdim),
+            res_quot.boundary(k).matrix,
+        ])
+        maps.append(ModuleMap(frees[k], frees[k - 1], np.vstack([top, bottom])))
+    assembled = AssembledResolution(mid, maps)
+    return assembled, taus
+
+
+def direct_long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
+                             n: int, s_set) -> ConnectingData:
+    """Hom(-, other) applied to an S-exact 0 -> A -> B -> C -> 0, directly.
+
+    The chain runs 0 -> Ext^0(C,N) -> Ext^0(B,N) -> Ext^0(A,N) ->
+    Ext^1(C,N) -> ... through degree n.  The connecting maps are the snake
+    maps of the exact core over a horseshoe resolution of B, corrected by
+    the maps that chain lifts of the inverse correctors induce.
+    """
+    f, g = short
+    if n < 0:
+        raise InputError("degree must be nonnegative")
+    base = s_exactness_check(cap_chain([f, g]), s_set)
+    if not base.ok:
+        bad = [pos.index for pos in base.positions if pos.witness is None]
+        raise NotSExact("input sequence is not S-exact; first failure at "
+                        "position %d" % bad[0])
+    s_mid = base.positions[1].witness
+    core = _exact_core(f, g, s_set, s_mid)
+    ker_g, incl_k = core["kernel"], core["kernel_inclusion"]
+    img_g = core["image"]
+    cores_g = core["corestriction"]
+    res_a = resolution(f.source, "minimal")
+    res_c = resolution(g.target, "minimal")
+    res_k = resolution(ker_g, "minimal")
+    res_i = resolution(img_g, "minimal")
+    for r in (res_a, res_c, res_k, res_i):
+        r.ensure(n + 1)
+    res_b, taus = horseshoe(incl_k, cores_g, res_k, res_i, n + 1)
+    lift_f = chain_lift(f, res_a, res_b, n + 1)
+    lift_g = chain_lift(g, res_b, res_c, n + 1)
+    lift_t1i = chain_lift(core["t1_inv"], res_k, res_a, n + 1)
+    lift_t2i = chain_lift(core["t2_inv"], res_c, res_i, n + 1)
+    hcs = {"A": HomCochain(res_a, other), "B": HomCochain(res_b, other),
+           "C": HomCochain(res_c, other), "K": HomCochain(res_k, other),
+           "I": HomCochain(res_i, other)}
+    exts = {name: [ext_from_cochain(hcs[name], k) for k in range(n + 1)]
+            for name in ("A", "B", "C", "K")}
+    ext_i_next = [ext_from_cochain(hcs["I"], k) for k in range(n + 2)]
+    chain = []
+    deltas = []
+    for k in range(n + 1):
+        chain.append(ext_map_on_source(lift_g[k], exts["C"][k], exts["B"][k]))
+        chain.append(ext_map_on_source(lift_f[k], exts["B"][k], exts["A"][k]))
+        if k < n:
+            to_ker = ext_map_on_source(lift_t1i[k], exts["A"][k], exts["K"][k])
+            # snake: precompose a representative with tau_{k+1}
+            tau_ring = ring_matrix_of_free_map(taus[k + 1])
+            u = _hom_block_matrix(other, tau_ring.transpose(1, 0, 2))
+            mat = ext_i_next[k + 1].class_of((u @ exts["K"][k].reps) % f.ring.p)
+            snake = ModuleMap(exts["K"][k].module,
+                              ext_i_next[k + 1].module, mat)
+            fix = ext_map_on_source(lift_t2i[k + 1], ext_i_next[k + 1],
+                                    exts["C"][k + 1])
+            deltas.append(len(chain))
+            chain.append(fix.compose(snake).compose(to_ker))
+    z = zero_module(f.ring)
+    full = [ModuleMap.zero(z, chain[0].source)] + chain
+    deltas = [i + 1 for i in deltas]
+    report = s_exactness_check(full, s_set)
+    modules = [z] + [m.target for m in full]
+    return ConnectingData("contravariant", n, modules, full, deltas, report, core)

@@ -2,16 +2,30 @@
 
 import json
 import random
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 
 from srelhom import gfmat, homology
+from srelhom.checks import _cyclic_triple, _nonunit_element
 from srelhom.dimensions import s_pd
 from srelhom.errors import InputError, InternalInvariantViolation, NotSExact
-from srelhom.instances import bundled_rings, random_module
-from srelhom.rings import enumerate_ideals, mult_closure, truncated_polynomial
+from srelhom.instances import (
+    bundled_rings,
+    middle_free_triple,
+    random_module,
+    random_multset,
+    random_s_exact_triple,
+    random_split_triple,
+)
+from srelhom.rings import (
+    build_algebra,
+    enumerate_ideals,
+    mult_closure,
+    truncated_polynomial,
+)
 from srelhom.modules import (
     ModuleMap,
     cap_chain,
@@ -36,7 +50,6 @@ from srelhom.homology import (
     ext_map_on_target,
     ext_with_resolution,
     free_resolution,
-    horseshoe,
     injective_cocover,
     long_ext_sequence,
     resolution,
@@ -45,6 +58,7 @@ from srelhom.homology import (
 )
 
 from conftest import product_ring, quotient_module
+from les_oracle import direct_long_ext_sequence, horseshoe
 from test_rings import group_algebra
 
 
@@ -256,8 +270,78 @@ def test_long_sequence_rejects_non_s_exact(ring2, s_one):
     e1 = ring2.element([1, 0, 0])
     f = scaling_map(reg, e1)
     c, g = subquotient(f, "cokernel")
-    with pytest.raises(NotSExact):
-        long_ext_sequence((f, g), reg, 1, "covariant", s_one)
+    for variance in ("covariant", "contravariant"):
+        with pytest.raises(NotSExact, match="position 1$"):
+            long_ext_sequence((f, g), reg, 1, variance, s_one)
+
+
+def square_zero_ring():
+    """F_2[x, y]/(x, y)^2: local and not self-injective, so DR is not R."""
+    table = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        table[0, i, i] = table[i, 0, i] = 1
+    return build_algebra(2, ["1", "x", "y"], table, [1, 0, 0])
+
+
+def _les_oracle_case(seed, non_fields, square_zero):
+    """(ring, S, f, g, N, n) for one seeded comparison.
+
+    Seeds below 150 cycle through the three triple families on the pool,
+    degenerate S included.  Random triples rarely force a nonzero
+    connecting map, so seeds 150-199 take 0 -> Rv -> R -> R/(v) -> 0
+    against R/(w) over the non-field pool rings at S = {1}.  Every pool
+    ring is a product of chain rings, over which every module is
+    isomorphic to its dual, so seeds 200-239 draw the families over
+    F_2[x, y]/(x, y)^2, where it need not be.
+    """
+    rng = random.Random("les-oracle:%d" % seed)
+    _, ring = rng.choice(bundled_rings())
+    if seed >= 200:
+        ring = square_zero
+    s = random_multset(ring, rng)
+    if 150 <= seed < 200:
+        ring = rng.choice(non_fields)
+        s = mult_closure(ring, [])
+        f, g = _cyclic_triple(ring, _nonunit_element(ring, rng))
+        other = quotient_module(ring, [list(_nonunit_element(ring, rng).vec)])
+    else:
+        if seed % 3 == 0:
+            f, g = random_s_exact_triple(ring, s, rng)
+        elif seed % 3 == 1:
+            f, g, _ = random_split_triple(ring, s, rng)
+        else:
+            f, g = middle_free_triple(ring, rng)
+        other = random_module(ring, rng, max_rank=2)
+    return ring, s, f, g, other, rng.randint(0, 2 if seed >= 200 else 3)
+
+
+def test_contravariant_sequence_matches_the_horseshoe_oracle():
+    # the dual route against the direct horseshoe construction: the same
+    # verdict, module dimensions, position witnesses and delta ranks
+    tally = Counter()
+    non_fields = [ring for _, ring in bundled_rings() if ring.dim > 1]
+    square_zero = square_zero_ring()
+    for seed in range(240):
+        ring, s, f, g, other, n = _les_oracle_case(seed, non_fields, square_zero)
+        got = long_ext_sequence((f, g), other, n, "contravariant", s)
+        want = direct_long_ext_sequence((f, g), other, n, s)
+        assert got.variance == "contravariant"
+        assert got.ok == want.ok, seed
+        assert [m.vdim for m in got.modules] == [m.vdim for m in want.modules], seed
+        assert got.report.witnesses() == want.report.witnesses(), seed
+        ranks = [gfmat.rank(got.delta(k).matrix, ring.p) for k in range(1, n + 1)]
+        assert ranks == [gfmat.rank(want.delta(k).matrix, ring.p)
+                         for k in range(1, n + 1)], seed
+        tally["nonzero delta"] += any(ranks)
+        if ring is square_zero:
+            # DN has the top of N as its socle, so a module whose socle
+            # and top differ in dimension is not its own dual
+            rad = other.actions[1:]
+            socle = gfmat.nullspace(np.vstack(rad), 2).shape[1]
+            top = other.vdim - gfmat.rank(np.hstack(rad), 2)
+            tally["dual differs"] += socle != top
+    assert tally["nonzero delta"] >= 15, tally
+    assert tally["dual differs"] >= 10, tally
 
 
 def test_comparison_isomorphisms_are_exact_inverses(m2):

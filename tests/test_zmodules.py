@@ -35,6 +35,7 @@ from srelhom.zmodules import (
     _split_modulus,
     change_of_rings_check,
     factor_ring_check,
+    random_z_module,
     z_cyclic,
     z_direct_sum,
     z_ext,
@@ -53,13 +54,6 @@ from srelhom.zmodules import (
 
 def random_int_matrix(rng, rows, cols, lo=-20, hi=20):
     return [[rng.randrange(lo, hi + 1) for _ in range(cols)] for _ in range(rows)]
-
-
-def random_zmod(rng, ring="Z", m=None, max_gens=3, max_rels=3, span=6):
-    g = rng.randrange(1, max_gens + 1)
-    a = rng.randrange(0, max_rels + 1)
-    rows = [[rng.randrange(-span, span + 1) for _ in range(a)] for _ in range(g)]
-    return z_module(ring, rows, m=m)
 
 
 # -- integer matrix layer -----------------------------------------------------
@@ -280,7 +274,7 @@ def test_torsion_frozen_examples():
 def test_torsion_matches_exhaustive_products():
     rng = random.Random(404)
     for _ in range(80):
-        mod = random_zmod(rng, max_gens=2, max_rels=3, span=5)
+        mod = random_z_module(rng, max_gens=2, max_rels=3, span=5)
         gens = tuple(rng.choice([2, 3, 5, 6, 7]) for _ in range(rng.randrange(1, 3)))
         s = z_multset("Z", gens)
         report = z_uniform_torsion(mod, s)
@@ -366,7 +360,7 @@ def test_spd_over_z_frozen():
 def test_spd_over_z_is_at_most_one():
     rng = random.Random(31)
     for _ in range(60):
-        mod = random_zmod(rng)
+        mod = random_z_module(rng)
         gens = tuple(rng.choice([2, 3, 5, 7]) for _ in range(rng.randrange(1, 3)))
         res = z_s_pd(mod, z_multset("Z", gens))
         assert res.value.known
@@ -377,7 +371,7 @@ def test_spd_section_is_verifiable():
     # the returned section must satisfy phi@Q = 0 exactly over Z
     rng = random.Random(92)
     for _ in range(30):
-        mod = random_zmod(rng, max_gens=2)
+        mod = random_z_module(rng, max_gens=2)
         res = z_s_pd(mod, z_multset("Z", [2, 3]))
         if res.value == DimValue.exact(0):
             assert_section_verifies(zmodules._structure(mod).q, res.certificate)
@@ -485,7 +479,7 @@ def test_orbit_test_matches_the_multi_column_search():
         divisors = [d for d in range(2, m or 13) if (m or 72) % d == 0]
         for trial in range(16):
             if trial % 2:
-                mod = random_zmod(rng, ring=ring, m=m, span=m or 8)
+                mod = random_z_module(rng, ring=ring, m=m, span=m or 8)
             else:
                 orders = [rng.choice(divisors) for _ in range(rng.randint(1, 2))]
                 mod = z_module_from_factors(ring, m, rng.randint(0, 1), orders)
@@ -538,7 +532,7 @@ def test_diagonal_solve_matches_the_kron_solve_at_every_residue():
     for m in (4, 8, 9, 12, 16, 18, 27, 36, 72, 100):
         tried = 0
         while tried < 3:
-            mod = random_zmod(rng, ring="Z_mod", m=m, max_gens=3, span=m)
+            mod = random_z_module(rng, ring="Z_mod", m=m, max_gens=3, span=m)
             free, tors = mod.structure()
             if free + len(tors) < 2:
                 continue
@@ -590,7 +584,7 @@ def test_zmod_walk_never_certifies_past_level_zero():
         divisors = [d for d in range(2, m) if m % d == 0]
         for trial in range(12):
             if trial % 2:
-                mod = random_zmod(rng, ring="Z_mod", m=m, span=m)
+                mod = random_z_module(rng, ring="Z_mod", m=m, span=m)
             else:
                 # sums of cyclic Z/d with d | m: mostly not projective
                 orders = [rng.choice(divisors) for _ in range(rng.randint(1, 2))]
@@ -633,7 +627,7 @@ def test_spd_over_prime_modulus_is_zero():
     rng = random.Random(55)
     for p in (2, 3, 5):
         for _ in range(10):
-            mod = random_zmod(rng, ring="Z_mod", m=p, span=p)
+            mod = random_z_module(rng, ring="Z_mod", m=p, span=p)
             res = z_s_pd(mod, z_multset("Z_mod", [p - 1], m=p), bound=3)
             assert res.value == DimValue.exact(0)
 
@@ -706,9 +700,9 @@ def test_ext_over_prime_modulus():
 def test_ext_additive_in_first_argument():
     rng = random.Random(606)
     for _ in range(25):
-        a = random_zmod(rng, max_gens=2, max_rels=2, span=4)
-        b = random_zmod(rng, max_gens=2, max_rels=2, span=4)
-        c = random_zmod(rng, max_gens=2, max_rels=2, span=4)
+        a = random_z_module(rng, max_gens=2, max_rels=2, span=4)
+        b = random_z_module(rng, max_gens=2, max_rels=2, span=4)
+        c = random_z_module(rng, max_gens=2, max_rels=2, span=4)
         for n in (0, 1):
             whole = z_ext(z_direct_sum(a, b), c, n).structure()
             left = z_ext(a, c, n).structure()
@@ -731,7 +725,7 @@ def test_ext_matches_the_lattice_oracle_on_random_presentations():
     moduli = (2, 3, 4, 6, 8, 9, 12, 16, 18, 27, 30, 36, 72, 100)
     for ring, m in [("Z", None)] + [("Z_mod", m) for m in moduli]:
         for trial in range(60 if ring == "Z" else 20):
-            draw = random_zmod if trial % 3 == 0 else scrambled_z_module
+            draw = random_z_module if trial % 3 == 0 else scrambled_z_module
             a, b = (draw(rng, ring=ring, m=m) for _ in range(2))
             for degree in range(5):
                 got = z_ext(a, b, degree)
@@ -774,10 +768,10 @@ def test_ext_reads_one_smith_form_per_module(monkeypatch):
     rng = random.Random(1503)
     for ring, m in (("Z", None), ("Z_mod", 12), ("Z_mod", 8)):
         for trial in range(30):
-            a = random_zmod(rng, ring=ring, m=m, span=m or 6)
+            a = random_z_module(rng, ring=ring, m=m, span=m or 6)
             # an equal copy shares the cache entry of a
             b = ZMod(ring, m, a.rows) if trial % 5 == 0 else \
-                random_zmod(rng, ring=ring, m=m, span=m or 6)
+                random_z_module(rng, ring=ring, m=m, span=m or 6)
             for degree in range(4):
                 zmodules._structure.cache_clear()
                 calls.clear()
@@ -839,6 +833,28 @@ def test_factor_ring_checks_reduce_their_module_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_factor_ring_checks_build_the_z_view_once(monkeypatch):
+    # the Z view of a Z/a-module is read from its cache entry: built once
+    # on a cold cache, never on a warm one
+    calls = []
+    as_z = zmodules._as_z_module
+    monkeypatch.setattr(zmodules, "_as_z_module",
+                        lambda mod: calls.append(mod) or as_z(mod))
+    rng = random.Random(1601)
+    for a in (3, 4, 9, 12):
+        for _ in range(5):
+            mod = random_z_module(rng, ring="Z_mod", m=a, span=a)
+            s_set = z_multset("Z", [rng.choice([5, 7, 11])])
+            for check in (factor_ring_check, change_of_rings_check):
+                zmodules._structure.cache_clear()
+                calls.clear()
+                cold = check(a, mod, s_set)
+                assert calls == [mod]
+                calls.clear()
+                assert check(a, mod, s_set) == cold
+                assert not calls
+
+
 def test_one_smith_form_per_question(monkeypatch):
     # one lattice basis and one Smith form per relation lattice: the
     # structure, the split modulus and the section all read one entry
@@ -877,7 +893,7 @@ def test_cache_entries_are_immutable():
     rng = random.Random(1408)
     for ring, m in (("Z", None), ("Z_mod", 12), ("Z_mod", 8)):
         for _ in range(6):
-            mod = random_zmod(rng, ring=ring, m=m, span=m or 6)
+            mod = random_z_module(rng, ring=ring, m=m, span=m or 6)
             s_set = z_multset(ring, [rng.choice([2, 3, 5])], m=m)
             zmodules._structure.cache_clear()
             lattice = zmodules._structure(mod)
@@ -915,7 +931,7 @@ def test_factor_ring_sweep():
             if any(g % a == 0 for g in gens):
                 continue
             for _ in range(12):
-                mod = random_zmod(rng, ring="Z_mod", m=a, span=a)
+                mod = random_z_module(rng, ring="Z_mod", m=a, span=a)
                 report = factor_ring_check(a, mod, z_multset("Z", gens))
                 if mod.is_zero():
                     assert report.verdict == "inapplicable"
@@ -936,7 +952,7 @@ def test_change_of_rings_z_to_zmod():
     rng = random.Random(13)
     for a in (3, 4, 5, 9):
         for _ in range(8):
-            mod = random_zmod(rng, ring="Z_mod", m=a, span=a)
+            mod = random_z_module(rng, ring="Z_mod", m=a, span=a)
             gens = tuple(rng.choice([g for g in (2, 3, 5, 7) if g % a])
                          for _ in range(rng.randrange(1, 3)))
             report = change_of_rings_check(a, mod, z_multset("Z", gens), bound=4)
