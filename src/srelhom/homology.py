@@ -79,6 +79,7 @@ __all__ = [
     "ext_map_on_target",
     "ext_map_on_source",
     "chain_lift",
+    "core_connecting_map",
     "ConnectingData",
     "long_ext_sequence",
     "injective_cocover",
@@ -546,6 +547,24 @@ def _connecting_on_target(hc_mid: HomCochain, incl: ModuleMap,
     if y is None:
         raise InternalInvariantViolation("connecting pullback failed")
     return ModuleMap(ext_quot_k.module, ext_sub_k1.module, ext_sub_k1.class_of(y))
+
+
+def core_connecting_map(g: ModuleMap, other: Module, n: int) -> ModuleMap:
+    """Snake map Ext^n(L, Im g) -> Ext^{n+1}(L, Ker g), with L = other.
+
+    0 -> Ker g -> B -> Im g -> 0 is exact whatever g: B -> C is; this is
+    its connecting map over one minimal resolution of L, with no
+    corrector.  For an S-exact 0 -> A -> B -> C -> 0 it is the middle
+    factor of the connecting map long_ext_sequence builds.
+    """
+    if n < 0:
+        raise InputError("degree must be nonnegative")
+    ker, incl = subquotient(g, "kernel")
+    img, _, cores = image_factorization(g)
+    res = resolution(other, "minimal")
+    return _connecting_on_target(HomCochain(res, g.source), incl, cores,
+                                 ext_with_resolution(res, img, n),
+                                 ext_with_resolution(res, ker, n + 1))
 
 
 @dataclass

@@ -16,8 +16,7 @@ check in full: Module(...) the representation property and the unit,
 ModuleMap(...) that the matrix intertwines the actions; module_from_spec
 and map_from_spec build through them.  So do the maps that come out of a
 solved system whose correctness is the point (split witnesses, maps
-induced on Ext, injective cocovers, candidate isomorphisms), so that
-a wrong solve raises.
+induced on Ext, injective cocovers), so that a wrong solve raises.
 
 Objects derived here from valid ones, by operations that keep them
 valid, skip the check.  _derived_module builds direct sums, submodules,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from srelhom import gfmat
 from srelhom.rings import (
+    build_algebra,
     direct_product,
     mult_closure,
     prime_field,
@@ -20,6 +22,24 @@ def product_ring():
     """F_2 x F_2[t]/(t^2) on basis e1, e2, f with f = (0, t)."""
     return direct_product(prime_field(2), truncated_polynomial(2, 2),
                           labels=["e1", "e2", "f"])
+
+
+def square_zero_ring():
+    """F_2[x, y]/(x, y)^2: local and not self-injective, so DR is not R."""
+    table = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        table[0, i, i] = table[i, 0, i] = 1
+    return build_algebra(2, ["1", "x", "y"], table, [1, 0, 0])
+
+
+def socle_and_top_differ(mod):
+    """Whether a module over square_zero_ring() has socle and top of
+    different dimensions.  DN has the top of N as its socle, so such a
+    module is not isomorphic to its character dual."""
+    rad = mod.actions[1:]
+    socle = gfmat.nullspace(np.vstack(rad), 2).shape[1]
+    top = mod.vdim - gfmat.rank(np.hstack(rad), 2)
+    return socle != top
 
 
 def quotient_module(ring, relation_vectors):

@@ -7,12 +7,32 @@ of A, C and of the exact core's ends, a horseshoe resolution of B, chain
 lifts of f, g and the inverse correctors, and a snake map that
 precomposes with the horseshoe's correction maps.  Tests compare the two
 routes on seeded triples.
+
+It also keeps the brute-force check of Corollary 1.4, shift_search: it
+enumerates every map between Ext^n(A, N) and Ext^{n+1}(C, N) (or the
+covariant pair) and reports the first S-isomorphism, under a cap on the
+number of candidates.  The library decides the corollary by the snake
+map of the exact core instead.
 """
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from srelhom import gfmat
-from srelhom.errors import InputError, InternalInvariantViolation, NotSExact
+from srelhom.dimensions import (
+    SplitWitness,
+    _require_s_exact,
+    is_s_injective,
+    is_s_projective,
+)
+from srelhom.errors import (
+    InputError,
+    InternalInvariantViolation,
+    MiddleNotCertified,
+    NotSExact,
+)
 from srelhom.homology import (
     AssembledResolution,
     ConnectingData,
@@ -21,6 +41,7 @@ from srelhom.homology import (
     _exact_core,
     _hom_block_matrix,
     chain_lift,
+    ext,
     ext_from_cochain,
     ext_map_on_source,
     resolution,
@@ -28,14 +49,18 @@ from srelhom.homology import (
 from srelhom.modules import (
     Module,
     ModuleMap,
+    SIsoWitness,
     cap_chain,
     free_map_from_generator_images,
     free_module,
     generator_vector,
+    hom_space,
+    is_s_isomorphism,
     ring_matrix_of_free_map,
     s_exactness_check,
     zero_module,
 )
+from srelhom.rings import MultSet
 
 
 def horseshoe(incl: ModuleMap, proj: ModuleMap, res_sub: Resolution,
@@ -163,3 +188,79 @@ def direct_long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
     report = s_exactness_check(full, s_set)
     modules = [z] + [m.target for m in full]
     return ConnectingData("contravariant", n, modules, full, deltas, report, core)
+
+
+@dataclass(frozen=True)
+class ShiftReport:
+    """Outcome of the degree-shift comparison across a certified middle term.
+
+    ok means some map between the two Ext modules is an S-isomorphism;
+    searched counts the candidates tried before finding it (or all of
+    them, on failure).
+    """
+
+    variance: str
+    degree: int
+    middle: SplitWitness
+    source_dim: int
+    target_dim: int
+    mapping: ModuleMap | None
+    witness: SIsoWitness | None
+    searched: int
+    ok: bool
+
+
+def shift_search(triple: tuple[ModuleMap, ModuleMap], other: Module,
+                 n: int, s_set: MultSet, variance: str = "auto",
+                 search_cap: int = 65536) -> ShiftReport:
+    """Compare Ext across a short sequence whose middle term S-splits.
+
+    With the middle term S-projective the contravariant comparison runs
+    Ext^n(A, other) against Ext^{n+1}(C, other); with it S-injective the
+    covariant one runs Ext^n(other, C) against Ext^{n+1}(other, A).  The
+    check searches the full hom space between the two Ext modules for an
+    S-isomorphism, so a zero map between uniformly S-torsion sides
+    qualifies.
+    """
+    if n < 0:
+        raise InputError("degree must be nonnegative")
+    f, g = triple
+    _require_s_exact(f, g, s_set)
+    mid = f.target
+    middle = None
+    if variance in ("auto", "contravariant"):
+        candidate = is_s_projective(mid, s_set)
+        if candidate.verdict:
+            variance, middle = "contravariant", candidate
+        elif variance == "contravariant":
+            raise MiddleNotCertified("middle term is not S-projective")
+    if middle is None:
+        candidate = is_s_injective(mid, s_set)
+        if candidate.verdict:
+            variance, middle = "covariant", candidate
+        else:
+            raise MiddleNotCertified("middle term certifies neither way")
+    if variance == "contravariant":
+        src = ext(f.source, other, n)
+        tgt = ext(g.target, other, n + 1)
+    else:
+        src = ext(other, g.target, n)
+        tgt = ext(other, f.source, n + 1)
+    basis = hom_space(src.module, tgt.module)
+    p = s_set.ring.p
+    if p ** len(basis) > search_cap:
+        raise InputError("hom search space has %d candidates, over the cap %d"
+                         % (p ** len(basis), search_cap))
+    searched = 0
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        mat = gfmat.zeros(tgt.module.vdim, src.module.vdim)
+        for c, h in zip(coeffs, basis):
+            mat = (mat + c * h.matrix) % p
+        cand = ModuleMap(src.module, tgt.module, mat)
+        searched += 1
+        witness = is_s_isomorphism(cand, s_set)
+        if witness.verdict:
+            return ShiftReport(variance, n, middle, src.dim, tgt.dim,
+                               cand, witness, searched, True)
+    return ShiftReport(variance, n, middle, src.dim, tgt.dim,
+                       None, None, searched, False)

@@ -21,7 +21,6 @@ from srelhom.instances import (
     random_split_triple,
 )
 from srelhom.rings import (
-    build_algebra,
     enumerate_ideals,
     mult_closure,
     truncated_polynomial,
@@ -57,7 +56,12 @@ from srelhom.homology import (
     resolution_to_spec,
 )
 
-from conftest import product_ring, quotient_module
+from conftest import (
+    product_ring,
+    quotient_module,
+    socle_and_top_differ,
+    square_zero_ring,
+)
 from les_oracle import direct_long_ext_sequence, horseshoe
 from test_rings import group_algebra
 
@@ -275,14 +279,6 @@ def test_long_sequence_rejects_non_s_exact(ring2, s_one):
             long_ext_sequence((f, g), reg, 1, variance, s_one)
 
 
-def square_zero_ring():
-    """F_2[x, y]/(x, y)^2: local and not self-injective, so DR is not R."""
-    table = np.zeros((3, 3, 3), dtype=np.int64)
-    for i in range(3):
-        table[0, i, i] = table[i, 0, i] = 1
-    return build_algebra(2, ["1", "x", "y"], table, [1, 0, 0])
-
-
 def _les_oracle_case(seed, non_fields, square_zero):
     """(ring, S, f, g, N, n) for one seeded comparison.
 
@@ -334,12 +330,7 @@ def test_contravariant_sequence_matches_the_horseshoe_oracle():
                          for k in range(1, n + 1)], seed
         tally["nonzero delta"] += any(ranks)
         if ring is square_zero:
-            # DN has the top of N as its socle, so a module whose socle
-            # and top differ in dimension is not its own dual
-            rad = other.actions[1:]
-            socle = gfmat.nullspace(np.vstack(rad), 2).shape[1]
-            top = other.vdim - gfmat.rank(np.hstack(rad), 2)
-            tally["dual differs"] += socle != top
+            tally["dual differs"] += socle_and_top_differ(other)
     assert tally["nonzero delta"] >= 15, tally
     assert tally["dual differs"] >= 10, tally
 
