@@ -70,7 +70,7 @@ from .modules import (
     s_exactness_check,
     same_module,
 )
-from .homology import core_connecting_map, injective_cocover, resolution
+from .homology import _require_one_ring, core_connecting_map, injective_cocover, resolution
 from .instances import random_module
 
 __all__ = [
@@ -754,6 +754,7 @@ def dimension_shift_check(triple: tuple[ModuleMap, ModuleMap], other: Module,
     if n < 0:
         raise InputError("degree must be nonnegative")
     f, g = triple
+    _require_one_ring(f.source, other)
     _require_s_exact(f, g, s_set)
     mid = f.target
     middle = is_s_projective(mid, s_set)

@@ -38,8 +38,9 @@ from .errors import (
     InputError,
     InternalInvariantViolation,
     NotSExact,
+    RingMismatch,
 )
-from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int
+from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int, same_ring
 from .modules import (
     Module,
     ModuleMap,
@@ -420,11 +421,17 @@ def ext_from_cochain(hc: HomCochain, n: int) -> ExtResult:
                      cycles, proj_map.matrix, reps)
 
 
+def _require_one_ring(a: Module, b: Module) -> None:
+    if not same_ring(a.ring, b.ring):
+        raise RingMismatch("Ext between modules over different rings")
+
+
 def ext(source: Module, target: Module, n: int, style: str = "minimal",
         seed: int = 0) -> ExtResult:
     """Ext^n_R(source, target) via a cached free resolution of source."""
     if n < 0:
         raise InputError("ext degree must be nonnegative")
+    _require_one_ring(source, target)
     res = resolution(source, style, seed)
     res.ensure(n + 1)
     return ext_from_cochain(HomCochain(res, target), n)
@@ -657,6 +664,7 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
         raise InputError("variance must be 'covariant' or 'contravariant'")
     if n < 0:
         raise InputError("degree must be nonnegative")
+    _require_one_ring(f.source, other)
     base = s_exactness_check(cap_chain([f, g]), s_set)
     if not base.ok:
         bad = [pos.index for pos in base.positions if pos.witness is None]

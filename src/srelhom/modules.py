@@ -539,6 +539,8 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
     for f, g in zip(maps, maps[1:]):
         if not same_module(f.target, g.source):
             raise NotComposable("chain does not compose")
+    if not same_ring(maps[0].ring, s_set.ring):
+        raise RingMismatch("module and multiplicative set over different rings")
     p = maps[0].ring.p
     elements = tuple(s_set)
     reports = []

@@ -10,6 +10,13 @@ complements.
 Element order matters: all "smallest witness" searches elsewhere scan
 elements lexicographically by coefficient vector, which this module fixes
 once via RingElement ordering and MultSet iteration order.
+
+Arithmetic on many elements is batched: FiniteAlgebra.products multiplies
+every row of one coefficient array by every row of another in one array
+product.  Closure, closure checks, table validation and quotient tables
+go through it and never multiply RingElements one pair at a time; they
+cut their rows into blocks so that no intermediate array holds more than
+about 2^20 entries.
 """
 
 from __future__ import annotations
@@ -61,6 +68,17 @@ MAX_ENUMERABLE = 1 << 16
 # 2^63.  65521 is the largest prime below 2^16.
 MAX_CHARACTERISTIC = 65521
 
+# Batched products are cut into row blocks so that no intermediate array
+# holds more than about this many int64 entries.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(n: int, row_entries: int) -> list[slice]:
+    """Consecutive slices of range(n), each of at most _BLOCK_ENTRIES
+    entries when one row costs row_entries (at least one row each)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -97,7 +115,7 @@ class RingElement:
     def __mul__(self, other: "RingElement") -> "RingElement":
         if not same_ring(self.ring, other.ring):
             raise RingMismatch("elements of different rings")
-        return self.ring.element(self.ring.mul_vec(self.array, other.array))
+        return self.ring.element(self.ring.products(self.array[None], other.array[None])[0, 0])
 
     def __add__(self, other: "RingElement") -> "RingElement":
         if not same_ring(self.ring, other.ring):
@@ -126,6 +144,10 @@ class FiniteAlgebra:
         basis_labels: tuple of d distinct label strings.
         table: (d, d, d) int64 array, table[i, j] = vector of e_i * e_j.
         unit: length-d int64 array, the multiplicative identity.
+
+    Arithmetic on many elements is batched through products(), one array
+    product per call; its callers in this module cut their rows into
+    blocks of at most about 2^20 intermediate entries.
 
     Instances are immutable by convention.  Derived data (left
     multiplication matrices, the radical and its ideal generators, the
@@ -168,25 +190,26 @@ class FiniteAlgebra:
             raise InputError("structure table must have shape (%d, %d, %d)" % (d, d, d))
         if self.unit.shape != (d,):
             raise InputError("unit vector must have length %d" % d)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if not np.array_equal(self.table[i, j], self.table[j, i]):
-                    raise NonCommutative(i, j, self.basis_labels)
-        # left multiplication matrices straight from the table
-        lm = [self.table[i].T.copy() for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                lhs_vec = self.table[i, j]
-                lhs = sum(int(lhs_vec[k]) * lm[k] for k in range(d)) % self.p
-                rhs = (lm[i] @ lm[j]) % self.p
-                if not np.array_equal(lhs, rhs):
-                    # (e_i e_j) e_k != e_i (e_j e_k) for the first bad k
-                    bad = np.nonzero(np.any((lhs - rhs) % self.p, axis=0))[0]
-                    raise NonAssociative(i, j, int(bad[0]), self.basis_labels)
-        unit_mat = sum(int(self.unit[i]) * lm[i] for i in range(d)) % self.p
-        diff = np.nonzero(np.any((unit_mat - np.eye(d, dtype=np.int64)) % self.p, axis=0))[0]
-        if diff.size:
-            raise BadUnit(int(diff[0]), self.basis_labels)
+        p, table = self.p, self.table
+        # the mask is symmetric with a false diagonal, so its first entry
+        # in row-major order is the first (i, j) with i < j
+        bad = (table != table.transpose(1, 0, 2)).any(axis=2)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise NonCommutative(int(i), int(j), self.basis_labels)
+        eye = np.eye(d, dtype=np.int64)
+        for rows in _row_blocks(d, d ** 3):
+            # [i, j, k] compares (e_i e_j) e_k with e_i (e_j e_k)
+            lhs = (table[rows].reshape(-1, d) @ table.reshape(d, d * d)) % p
+            rhs = self.products(eye[rows], table.reshape(d * d, d))
+            bad = (lhs.reshape(-1, d, d, d) != rhs.reshape(-1, d, d, d)).any(axis=3)
+            if bad.any():
+                i, j, k = np.argwhere(bad)[0]
+                raise NonAssociative(rows.start + int(i), int(j), int(k), self.basis_labels)
+        # row c is unit * e_c
+        bad = (self.products(self.unit[None], eye)[0] != eye).any(axis=1)
+        if bad.any():
+            raise BadUnit(int(bad.argmax()), self.basis_labels)
 
     # -- elements ---------------------------------------------------------
 
@@ -207,8 +230,18 @@ class FiniteAlgebra:
         vec[i] = 1
         return self.element(vec)
 
-    def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", u % self.p, v % self.p, self.table) % self.p
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Every product xs[a] * ys[b], as a (len(xs), len(ys), d) array.
+
+        Rows are coefficient vectors reduced into [0, p).  Two matrix
+        products, xs with the table and then ys with that, each summing d
+        terms below p^2 before it is reduced mod p; d * p^2 < 2^63 for
+        every p up to MAX_CHARACTERISTIC, so int64 is exact.
+        """
+        d = self.dim
+        # left[a, j] = xs[a] * e_j
+        left = (xs @ self.table.reshape(d, d * d)).reshape(-1, d, d) % self.p
+        return (ys @ left) % self.p
 
     def left_mul_matrix(self, vec) -> np.ndarray:
         """Matrix of multiplication by the element on the ring itself."""
@@ -256,9 +289,16 @@ class FiniteAlgebra:
             q = 1
             while q < self.dim:
                 q *= self.p
-            frob = np.stack([self._power_vec(e, q)
-                             for e in np.eye(self.dim, dtype=np.int64)], axis=1)
-            kernel = gfmat.nullspace(frob, self.p)
+            # square-and-multiply on all basis rows at once; the row-wise
+            # product of two batches is the diagonal of their products
+            powers = np.tile(self.unit, (self.dim, 1))
+            base = np.eye(self.dim, dtype=np.int64)
+            while q:
+                if q & 1:
+                    powers = np.einsum("aak->ak", self.products(powers, base))
+                base = np.einsum("aak->ak", self.products(base, base))
+                q >>= 1
+            kernel = gfmat.nullspace(powers.T, self.p)
             echelon, _ = gfmat.rref(kernel.T, self.p)
             self._radical = echelon[::-1].T.copy()
         return self._radical
@@ -280,16 +320,6 @@ class FiniteAlgebra:
             squares = squares.transpose(1, 0, 2).reshape(self.dim, k * k)
             self._radical_gens = rad[:, gfmat.columns_outside_span(squares, rad, self.p)]
         return self._radical_gens
-
-    def _power_vec(self, v: np.ndarray, n: int) -> np.ndarray:
-        """v^n by square-and-multiply."""
-        out = self.unit
-        while n:
-            if n & 1:
-                out = self.mul_vec(out, v)
-            v = self.mul_vec(v, v)
-            n >>= 1
-        return out
 
     def __repr__(self):
         return "FiniteAlgebra(p=%d, basis=%s)" % (self.p, list(self.basis_labels))
@@ -389,35 +419,62 @@ class MultSet:
         return [e.label() for e in self.elements]
 
     def validate(self) -> None:
-        """Check closure and unit membership; raises InputError if violated."""
-        if self.ring.one not in self.elements:
+        """Check closure and unit membership; raises InputError if violated.
+
+        All pairwise products are taken in row blocks; a gap is reported
+        for the first missing pair (x, y) in row-major order.
+        """
+        ring = self.ring
+        if ring.one not in self.elements:
             raise InputError("multiplicative set must contain 1")
-        members = set(self.elements)
-        for x in self.elements:
-            for y in self.elements:
-                if x * y not in members:
-                    raise InputError(
-                        "multiplicative set not closed: %s * %s = %s missing"
-                        % (x.label(), y.label(), (x * y).label()))
+        members = {e.vec for e in self.elements}
+        vecs = np.array([e.vec for e in self.elements], dtype=np.int64)
+        for start, prods in _product_blocks(ring, vecs, vecs):
+            if members.issuperset(prods):
+                continue
+            at = next(k for k, v in enumerate(prods) if v not in members)
+            a, b = divmod(at, len(vecs))
+            raise InputError(
+                "multiplicative set not closed: %s * %s = %s missing"
+                % (self.elements[start + a].label(), self.elements[b].label(),
+                   RingElement(prods[at], ring).label()))
+
+
+def _product_blocks(ring: FiniteAlgebra, xs: np.ndarray, ys: np.ndarray):
+    """Every product xs[a] * ys[b], one row block of xs at a time: yields
+    the block's first row and its products as coefficient tuples in
+    row-major order."""
+    d = ring.dim
+    for rows in _row_blocks(len(xs), d * max(d, len(ys))):
+        yield rows.start, list(map(tuple, ring.products(xs[rows], ys).reshape(-1, d).tolist()))
 
 
 def mult_closure(ring: FiniteAlgebra, seeds) -> MultSet:
     """Smallest multiplicatively closed set containing 1 and the seeds.
 
-    Accepts RingElement or raw coefficient vectors.  Semi-naive fixpoint:
-    each round multiplies only the elements new in the last round by all
-    elements (the ring is commutative, so that covers every pair once
-    both factors are in); termination is bounded by ring size.
+    Accepts RingElement or raw coefficient vectors.  Semi-naive fixpoint
+    on coefficient tuples: each round multiplies only the elements new in
+    the last round by all elements, in one batched product per row block
+    (the ring is commutative, so that covers every pair once both factors
+    are in); termination is bounded by ring size.
     """
-    current: set[RingElement] = {ring.one}
+    current = {ring.one.vec}
     for s in seeds:
-        current.add(s if isinstance(s, RingElement) else ring.element(s))
+        if not isinstance(s, RingElement):
+            s = ring.element(s)
+        elif not same_ring(s.ring, ring):
+            raise RingMismatch("elements of different rings")
+        current.add(s.vec)
     frontier = current
     while frontier:
-        new = {x * y for x in frontier for y in current} - current
+        new = set()
+        for _, prods in _product_blocks(ring, np.array(list(frontier), dtype=np.int64),
+                                        np.array(list(current), dtype=np.int64)):
+            new.update(prods)
+        new -= current
         current = current | new
         frontier = new
-    elements = tuple(sorted(current))
+    elements = tuple(RingElement(v, ring) for v in sorted(current))
     return MultSet(ring, elements, any(e.is_zero() for e in elements))
 
 
@@ -591,11 +648,7 @@ def quotient_algebra(ring: FiniteAlgebra, ideal: Ideal) -> QuotientData:
     section, inv = gfmat.complete_basis(ideal.basis, p)
     proj = inv[k:, :]
     q = d - k
-    table = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            prod = ring.mul_vec(section[:, i], section[:, j])
-            table[i, j] = (proj @ prod) % p
+    table = (ring.products(section.T, section.T) @ proj.T) % p
     unit = (proj @ ring.unit) % p
     labels = ["q%d" % i for i in range(q)]
     algebra = FiniteAlgebra(p, labels, table, unit)

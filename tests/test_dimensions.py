@@ -848,6 +848,15 @@ def test_shift_rejects_negative_degree(t2):
         dimension_shift_check((incl, proj), regular_module(t2), -1, s_one)
 
 
+def test_shift_rejects_other_rings(ring2, t2):
+    s_one = mult_closure(t2, [])
+    incl, proj = _t2_short_sequence(t2)
+    with pytest.raises(RingMismatch, match="Ext between modules over different rings"):
+        dimension_shift_check((incl, proj), regular_module(ring2), 1, s_one)
+    with pytest.raises(RingMismatch, match="multiplicative set over different rings"):
+        dimension_shift_check((incl, proj), regular_module(t2), 1, mult_closure(ring2, []))
+
+
 def test_generated_middle_free_triples_shift(ring2, s_e1):
     rng = random.Random(37)
     for _ in range(3):

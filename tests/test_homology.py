@@ -11,7 +11,7 @@ import pytest
 from srelhom import gfmat, homology
 from srelhom.checks import _cyclic_triple, _nonunit_element
 from srelhom.dimensions import s_pd
-from srelhom.errors import InputError, InternalInvariantViolation, NotSExact
+from srelhom.errors import InputError, InternalInvariantViolation, NotSExact, RingMismatch
 from srelhom.instances import (
     bundled_rings,
     middle_free_triple,
@@ -121,6 +121,14 @@ def test_ext_zero_module(ring2, m2):
 def test_ext_negative_degree_rejected(m2):
     with pytest.raises(InputError):
         ext(m2, m2, -1)
+
+
+def test_ext_rejects_modules_over_different_rings(ring2, t2):
+    # both directions: a target over another ring, a source over another
+    for source, target in ((regular_module(t2), regular_module(ring2)),
+                           (regular_module(ring2), regular_module(t2))):
+        with pytest.raises(RingMismatch, match="different rings"):
+            ext(source, target, 1)
 
 
 def test_ext_m2_frozen_values(ring2, m2):
@@ -277,6 +285,20 @@ def test_long_sequence_rejects_non_s_exact(ring2, s_one):
     for variance in ("covariant", "contravariant"):
         with pytest.raises(NotSExact, match="position 1$"):
             long_ext_sequence((f, g), reg, 1, variance, s_one)
+
+
+def test_long_sequence_rejects_other_rings(ring2, t2):
+    # the other module and S each over F_2 x F_2[t]/(t^2), the sequence
+    # over F_2[t]/(t^2)
+    reg = regular_module(t2)
+    img, incl = subquotient(scaling_map(reg, t2.basis_element(1)), "image")
+    k, proj = subquotient(incl, "cokernel")
+    s_one = mult_closure(t2, [])
+    for variance in ("covariant", "contravariant"):
+        with pytest.raises(RingMismatch, match="Ext between modules over different rings"):
+            long_ext_sequence((incl, proj), regular_module(ring2), 1, variance, s_one)
+        with pytest.raises(RingMismatch, match="multiplicative set over different rings"):
+            long_ext_sequence((incl, proj), k, 1, variance, mult_closure(ring2, []))
 
 
 def _les_oracle_case(seed, non_fields, square_zero):

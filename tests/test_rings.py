@@ -3,11 +3,12 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from srelhom import gfmat
+from srelhom import gfmat, rings
 from srelhom.errors import (
     BadUnit,
     CharacteristicTooLarge,
@@ -16,12 +17,14 @@ from srelhom.errors import (
     NonCommutative,
     NotPrime,
     NotPrimeChar,
+    RingMismatch,
 )
-from srelhom.instances import bundled_rings, random_element
+from srelhom.instances import bundled_rings, random_element, random_multset
 from srelhom.rings import (
     MAX_ENUMERABLE,
     Ideal,
     MultSet,
+    RingElement,
     build_algebra,
     complement_multset,
     direct_product,
@@ -103,6 +106,89 @@ def test_validation_rejects_bad_inputs():
     table[0, 0] = [1]
     with pytest.raises(BadUnit):
         build_algebra(2, ["e"], table, [0])
+
+
+def loop_table_check(p, labels, table, unit):
+    """The table checks as they were: one basis pair, then one basis
+    product of left multiplication matrices, at a time."""
+    d = len(labels)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not np.array_equal(table[i, j], table[j, i]):
+                raise NonCommutative(i, j, labels)
+    lm = [table[i].T.copy() for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            lhs_vec = table[i, j]
+            lhs = sum(int(lhs_vec[k]) * lm[k] for k in range(d)) % p
+            rhs = (lm[i] @ lm[j]) % p
+            if not np.array_equal(lhs, rhs):
+                # (e_i e_j) e_k != e_i (e_j e_k) for the first bad k
+                bad = np.nonzero(np.any((lhs - rhs) % p, axis=0))[0]
+                raise NonAssociative(i, j, int(bad[0]), labels)
+    unit_mat = sum(int(unit[i]) * lm[i] for i in range(d)) % p
+    diff = np.nonzero(np.any((unit_mat - np.eye(d, dtype=np.int64)) % p, axis=0))[0]
+    if diff.size:
+        raise BadUnit(int(diff[0]), labels)
+
+
+def raised(call):
+    """(class, args, message, attributes) of what call raises, else None."""
+    try:
+        call()
+    except InputError as exc:
+        return type(exc), exc.args, str(exc), vars(exc)
+    return None
+
+
+def corrupted_table(ring, rng, mode):
+    """The ring's table and unit with one entry changed: table[i, j, k]
+    alone ("asymmetric"), table[i, j, k] and table[j, i, k] alike
+    ("symmetric"), or one unit coordinate ("unit")."""
+    table, unit = ring.table.copy(), ring.unit.copy()
+    d, p = ring.dim, ring.p
+    i, j, k = (rng.randrange(d) for _ in range(3))
+    shift = rng.randrange(1, p)
+    if mode == "unit":
+        unit[k] = (unit[k] + shift) % p
+    else:
+        table[i, j, k] = (table[i, j, k] + shift) % p
+        if mode == "symmetric":
+            table[j, i, k] = table[i, j, k]
+    return table, unit
+
+
+@pytest.mark.parametrize("block_entries", [rings._BLOCK_ENTRIES, 1])
+def test_table_checks_match_the_loop_oracle(monkeypatch, block_entries):
+    # with one entry per block every row of the associativity check is
+    # its own block, so the first bad triple is found across blocks
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(1812)
+    pool = oracle_rings()
+    seen = Counter()
+    for _ in range(600):
+        ring = rng.choice(pool)
+        table, unit = corrupted_table(ring, rng, rng.choice(
+            ["asymmetric", "symmetric", "unit"]))
+        labels = ring.basis_labels
+        got = raised(lambda: build_algebra(ring.p, labels, table, unit))
+        want = raised(lambda: loop_table_check(ring.p, labels, table, unit))
+        assert got == want
+        seen[want[0].__name__ if want else "valid"] += 1
+    # every check is reached
+    assert min(seen[name] for name in
+               ("NonCommutative", "NonAssociative", "BadUnit", "valid")) >= 20, seen
+    # e_last^2 shifted by 1: the first bad triple lies past the first row
+    first_rows = []
+    for ring in pool[-5:]:
+        p, d, labels = ring.p, ring.dim, ring.basis_labels
+        table = ring.table.copy()
+        table[d - 1, d - 1] = (table[d - 1, d - 1] + ring.unit) % p
+        got = raised(lambda: build_algebra(p, labels, table, ring.unit))
+        assert got == raised(lambda: loop_table_check(p, labels, table, ring.unit))
+        if got and got[0] is NonAssociative:
+            first_rows.append(got[3]["triple"][0])
+    assert max(first_rows) > 0, first_rows
 
 
 def test_radical_of_truncated_polynomial(t2):
@@ -299,6 +385,92 @@ def test_multset_validate_catches_gaps(ring2):
     broken = MultSet(ring2, (e1,), False)  # missing the unit
     with pytest.raises(InputError):
         broken.validate()
+
+
+def pairwise_validate(s_set):
+    """MultSet.validate as it was: one element product per pair."""
+    if s_set.ring.one not in s_set.elements:
+        raise InputError("multiplicative set must contain 1")
+    members = set(s_set.elements)
+    for x in s_set.elements:
+        for y in s_set.elements:
+            if x * y not in members:
+                raise InputError(
+                    "multiplicative set not closed: %s * %s = %s missing"
+                    % (x.label(), y.label(), (x * y).label()))
+
+
+@pytest.mark.parametrize("block_entries", [rings._BLOCK_ENTRIES, 16])
+def test_multset_validate_matches_the_pairwise_oracle(monkeypatch, block_entries):
+    # 16 entries hold at most one row of products per block
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(4711)
+    sets = []
+    for ring in oracle_rings():
+        if ring.size > 81:
+            continue
+        sets += [random_multset(ring, rng, 3) for _ in range(4)]
+        sets += [complement_multset(ring, prime) for prime in enumerate_ideals(ring).primes]
+    gaps = Counter()
+    for full in sets:
+        full.validate()
+        pairwise_validate(full)
+        for drop in rng.sample(range(len(full)), min(3, len(full))):
+            rest = MultSet(full.ring, full.elements[:drop] + full.elements[drop + 1:],
+                           full.degenerate)
+            got = raised(rest.validate)
+            assert got == raised(lambda: pairwise_validate(rest))
+            gaps["closed" if got is None else got[2].split(":")[0]] += 1
+    assert len(sets) > 150, len(sets)
+    assert gaps["multiplicative set must contain 1"] >= 50, gaps
+    assert gaps["multiplicative set not closed"] >= 100, gaps
+
+
+def test_closure_of_one_plus_odd_powers_is_every_unit(monkeypatch):
+    # the units 1 + (t) of F_2[t]/(t^10), 512 of them, need rounds too
+    # wide for one block of products
+    ring = truncated_polynomial(2, 10)
+    seeds = [ring.element([1] + [int(n == k) for n in range(1, 10)]) for k in (1, 3, 5, 7, 9)]
+    calls = []
+    products = type(ring).products
+
+    def recording(self, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return products(self, xs, ys)
+
+    monkeypatch.setattr(type(ring), "products", recording)
+    closed = mult_closure(ring, seeds)
+    assert [e.vec for e in closed] == [(1,) + rest for rest in
+                                       itertools.product(range(2), repeat=9)]
+    assert not closed.degenerate
+    closure_calls = list(calls)
+    closed.validate()
+    d = ring.dim
+    assert all(n * d * max(d, m) <= rings._BLOCK_ENTRIES for n, m in calls)
+    # a round makes several calls when its frontier spans several blocks;
+    # calls of one round share the right factor, which grows every round
+    assert any(a[1] == b[1] for a, b in zip(closure_calls, closure_calls[1:]))
+    assert len(calls) - len(closure_calls) > 1
+
+
+def test_set_arithmetic_multiplies_no_element_pairs(monkeypatch, ring2):
+    def refuse(self, other):
+        raise AssertionError("per-element product")
+
+    prime = enumerate_ideals(ring2).primes[0]
+    monkeypatch.setattr(RingElement, "__mul__", refuse)
+    closed = mult_closure(ring2, [ring2.element([1, 0, 1])])
+    closed.validate()
+    complement_multset(ring2, prime).validate()
+    build_algebra(ring2.p, ring2.basis_labels, ring2.table, ring2.unit)
+    quotient_algebra(ring2, prime)
+    assert closed.labels() == ["e1", "e1+f", "e1+e2"]
+
+
+def test_mult_closure_rejects_seeds_of_another_ring(ring2):
+    t2 = truncated_polynomial(2, 2)
+    with pytest.raises(RingMismatch, match="elements of different rings"):
+        mult_closure(ring2, [t2.basis_element(1)])
 
 
 def test_complement_multset(ring2):
