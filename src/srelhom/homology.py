@@ -679,9 +679,12 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
     cochains = {name: HomCochain(res, mod) for name, mod in
                 (("A", f.source), ("B", f.target), ("C", g.target),
                  ("K", core["kernel"]), ("I", core["image"]))}
+    # the chain reads Ext^k of A, B, C for k <= n, of I for k < n and
+    # of K for 1 <= k <= n
     exts = {name: [ext_from_cochain(cochains[name], k) for k in range(n + 1)]
-            for name in ("A", "B", "C", "I")}
-    ext_k_next = [ext_from_cochain(cochains["K"], k) for k in range(n + 2)]
+            for name in ("A", "B", "C")}
+    exts["I"] = [ext_from_cochain(cochains["I"], k) for k in range(n)]
+    ext_k_next = {k: ext_from_cochain(cochains["K"], k) for k in range(1, n + 1)}
     chain: list[ModuleMap] = []
     deltas: list[int] = []
     for k in range(n + 1):

@@ -12,11 +12,14 @@ All witness searches scan the multiplicative set in canonical order and
 return the first success, so results are deterministic.
 
 Validation happens at the trust boundary.  The public constructors
-check in full: Module(...) the representation property and the unit,
-ModuleMap(...) that the matrix intertwines the actions; module_from_spec
-and map_from_spec build through them.  So do the maps that come out of a
-solved system whose correctness is the point (split witnesses, maps
-induced on Ext, injective cocovers), so that a wrong solve raises.
+check in full: Module(...) the representation property, commutativity
+and the unit, ModuleMap(...) that the matrix intertwines the actions;
+module_from_spec and map_from_spec build through them.  So do the maps
+that come out of a solved system whose correctness is the point (split
+witnesses, maps induced on Ext, injective cocovers), so that a wrong
+solve raises.  Module(...) takes every product A_i A_j and every sum
+over the table as arrays, in row blocks of i whose arrays hold at most
+about rings._BLOCK_ENTRIES (2^20) entries each.
 
 Objects derived here from valid ones, by operations that keep them
 valid, skip the check.  _derived_module builds direct sums, submodules,
@@ -33,7 +36,8 @@ constructors for the validating ones, replays a registry sample and
 expects the same verdicts, so every skipped check stays reachable.
 
 Free modules are cached on their ring, one object per rank, so their
-resolutions and duals are shared.
+resolutions and duals are shared.  R^k stores its dense block-diagonal
+action array, filled by one strided assignment.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     NotSIso,
     RingMismatch,
 )
-from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int, same_ring
+from .rings import FiniteAlgebra, MultSet, RingElement, _row_blocks, is_json_int, same_ring
 
 __all__ = [
     "Module",
@@ -111,25 +115,35 @@ class Module:
         self._cache: dict = {}
 
     def _validate(self):
-        p, d = self.ring.p, self.ring.dim
-        for i in range(d):
-            for j in range(i, d):
-                lhs = (self.actions[i] @ self.actions[j]) % p
-                rhs = np.zeros((self.vdim, self.vdim), dtype=np.int64)
-                for k in range(d):
-                    c = int(self.ring.table[i, j, k])
-                    if c:
-                        rhs = (rhs + c * self.actions[k]) % p
-                if not np.array_equal(lhs, rhs):
-                    raise InputError(
-                        "representation property fails at %s*%s"
-                        % (self.ring.basis_labels[i], self.ring.basis_labels[j]))
-                if not np.array_equal(lhs, (self.actions[j] @ self.actions[i]) % p):
-                    raise InputError(
-                        "action matrices for %s and %s do not commute"
-                        % (self.ring.basis_labels[i], self.ring.basis_labels[j]))
-        unit_action = self.action_of(self.ring.unit)
-        if not np.array_equal(unit_action, gfmat.identity(self.vdim)):
+        """Check the representation property, commutativity and the unit.
+
+        For every pair i <= j in row-major order, A_i A_j must equal
+        sum_k c_ijk A_k and then A_j A_i; the first pair that fails names
+        the check, and the unit is checked last.  The products are taken
+        as arrays, one row block of i at a time, cut as in rings so that
+        each array of a block holds at most about rings._BLOCK_ENTRIES
+        entries (d m^2 a row, at least one row a block).
+        """
+        ring, acts = self.ring, self.actions
+        p, d, m = ring.p, ring.dim, self.vdim
+        flat = acts.reshape(d, m * m)
+        for rows in _row_blocks(d, d * m * m):
+            # [a, j] holds A_i A_j, A_j A_i and sum_k c_ijk A_k for
+            # i = rows.start + a; the sums stay below d * p^2
+            left = (acts[rows, None] @ acts) % p
+            right = (acts @ acts[rows, None]) % p
+            table = (ring.table[rows].reshape(-1, d) @ flat % p).reshape(left.shape)
+            bad_rep = (left != table).any(axis=(2, 3))
+            upper = np.arange(d) >= np.arange(rows.start, rows.stop)[:, None]
+            bad = upper & (bad_rep | (left != right).any(axis=(2, 3)))
+            if bad.any():
+                a, j = np.argwhere(bad)[0]
+                labels = (ring.basis_labels[rows.start + a], ring.basis_labels[j])
+                if bad_rep[a, j]:
+                    raise InputError("representation property fails at %s*%s" % labels)
+                raise InputError("action matrices for %s and %s do not commute" % labels)
+        unit_action = self.action_of(ring.unit)
+        if not np.array_equal(unit_action, gfmat.identity(m)):
             raise InputError("unit does not act as the identity")
 
     def action_of(self, elt) -> np.ndarray:
@@ -257,8 +271,11 @@ def free_module(ring: FiniteAlgebra, k: int) -> Module:
         raise InputError("free rank must be a nonnegative integer, got %r" % (k,))
     mod = ring._free_modules.get(k)
     if mod is None:
-        acts = np.stack([np.kron(gfmat.identity(k), lm) for lm in ring.left_muls()])
-        mod = _derived_module(ring, acts)
+        d = ring.dim
+        # block-diagonal: L_i = table[i].T repeated on each of k blocks
+        acts = np.zeros((d, k, d, k, d), dtype=np.int64)
+        acts[:, range(k), :, range(k), :] = ring.table.transpose(0, 2, 1)
+        mod = _derived_module(ring, acts.reshape(d, k * d, k * d))
         mod.free_rank = k
         mod = ring._free_modules.setdefault(k, mod)
     return mod

@@ -13,14 +13,22 @@ once via RingElement ordering and MultSet iteration order.
 
 Arithmetic on many elements is batched: FiniteAlgebra.products multiplies
 every row of one coefficient array by every row of another in one array
-product.  Closure, closure checks, table validation and quotient tables
-go through it and never multiply RingElements one pair at a time; they
-cut their rows into blocks so that no intermediate array holds more than
-about 2^20 entries.
+product.  Closure, closure checks, table validation, quotient tables and
+the generators of the cyclic ideals go through it and never multiply
+RingElements one pair at a time; they cut their rows into blocks so that
+no intermediate array holds more than about 2^20 entries.  The ideal
+lattice compares subspaces by their reduced echelon keys: one rref per
+cyclic ideal and per pairwise sum, and one matrix product per ideal for
+the maximality flags.
+
+Table laws (commutativity, associativity, the unit) are checked where a
+table arrives from outside or from a caller's ideal; the named
+constructors, whose tables satisfy them by construction, skip them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -149,6 +157,13 @@ class FiniteAlgebra:
     product per call; its callers in this module cut their rows into
     blocks of at most about 2^20 intermediate entries.
 
+    The constructor checks p, the labels and the shapes, then the table
+    laws: commutativity, associativity and the unit.  prime_field,
+    truncated_polynomial and direct_product build through _lawful, which
+    skips the laws their tables satisfy by construction; build_algebra,
+    ring_from_spec and quotient_algebra (which trusts its caller's Ideal)
+    check them in full.
+
     Instances are immutable by convention.  Derived data (left
     multiplication matrices, the radical and its ideal generators, the
     element list, the ideal list, the prime complements, the free modules
@@ -159,6 +174,19 @@ class FiniteAlgebra:
     """
 
     def __init__(self, p: int, basis_labels, table, unit):
+        self._store(p, basis_labels, table, unit)
+        self._validate_laws()
+
+    @classmethod
+    def _lawful(cls, p: int, basis_labels, table, unit) -> "FiniteAlgebra":
+        """An algebra whose table is commutative and associative with the
+        given unit by construction: p, the labels and the shapes are
+        checked, the table laws are not."""
+        ring = cls.__new__(cls)
+        ring._store(p, basis_labels, table, unit)
+        return ring
+
+    def _store(self, p: int, basis_labels, table, unit) -> None:
         self.p = int(p)
         if self.p > MAX_CHARACTERISTIC:
             # checked before any array is reduced mod p
@@ -167,7 +195,7 @@ class FiniteAlgebra:
         self.dim = len(self.basis_labels)
         self.table = np.mod(np.array(table, dtype=np.int64), self.p)
         self.unit = np.mod(np.array(unit, dtype=np.int64), self.p)
-        self._validate()
+        self._validate_shapes()
         self._left_muls = None
         self._radical = None
         self._radical_gens = None
@@ -178,7 +206,7 @@ class FiniteAlgebra:
 
     # -- construction-time validation ------------------------------------
 
-    def _validate(self):
+    def _validate_shapes(self):
         if not _is_prime(self.p):
             raise NotPrimeChar(self.p)
         d = self.dim
@@ -190,7 +218,9 @@ class FiniteAlgebra:
             raise InputError("structure table must have shape (%d, %d, %d)" % (d, d, d))
         if self.unit.shape != (d,):
             raise InputError("unit vector must have length %d" % d)
-        p, table = self.p, self.table
+
+    def _validate_laws(self):
+        p, d, table = self.p, self.dim, self.table
         # the mask is symmetric with a false diagonal, so its first entry
         # in row-major order is the first (i, j) with i < j
         bad = (table != table.transpose(1, 0, 2)).any(axis=2)
@@ -350,7 +380,7 @@ def build_algebra(p: int, basis_labels, table, unit) -> FiniteAlgebra:
 
 
 def prime_field(p: int) -> FiniteAlgebra:
-    return FiniteAlgebra(p, ("1",), [[[1]]], [1])
+    return FiniteAlgebra._lawful(p, ("1",), [[[1]]], [1])
 
 
 def truncated_polynomial(p: int, k: int, var: str = "t") -> FiniteAlgebra:
@@ -364,7 +394,7 @@ def truncated_polynomial(p: int, k: int, var: str = "t") -> FiniteAlgebra:
             if i + j < k:
                 table[i, j, i + j] = 1
     unit = [1] + [0] * (k - 1)
-    return FiniteAlgebra(p, labels, table, unit)
+    return FiniteAlgebra._lawful(p, labels, table, unit)
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra,
@@ -386,7 +416,7 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra,
     table[:d1, :d1, :d1] = a.table
     table[d1:, d1:, d1:] = b.table
     unit = np.concatenate([a.unit, b.unit])
-    return FiniteAlgebra(a.p, labels, table, unit)
+    return FiniteAlgebra._lawful(a.p, labels, table, unit)
 
 
 # -- multiplicative sets ---------------------------------------------------
@@ -481,20 +511,32 @@ def mult_closure(ring: FiniteAlgebra, seeds) -> MultSet:
 # -- ideals -----------------------------------------------------------------
 
 
+def _echelon_key(rows: np.ndarray, p: int) -> tuple[tuple, np.ndarray]:
+    """Canonical key of the span of the rows: the nonzero rows of their
+    rref, as a tuple of tuples and as an array."""
+    echelon, pivots = gfmat.rref(rows, p)
+    echelon = echelon[: len(pivots)]
+    return tuple(map(tuple, echelon.tolist())), echelon
+
+
 def _subspace_key(basis: np.ndarray, p: int) -> tuple:
     """Canonical key for a subspace spanned by the given columns."""
-    if basis.shape[1] == 0:
-        return ()
-    r, pivots = gfmat.rref(basis.T, p)
-    return tuple(tuple(int(c) for c in row) for row in r[: len(pivots)])
+    return _echelon_key(basis.T, p)[0]
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of a finite algebra, stored as an F_p-subspace basis."""
+    """An ideal of a finite algebra, stored as an F_p-subspace basis.
+
+    basis is one representative basis, not a canonical one: in the ideal
+    lattice it is the pivot columns of the first spanning set
+    enumerate_ideals met for the ideal, so the discovery order fixes it
+    (and with it label()).  key() is the canonical form, the same for
+    every basis of the same subspace.
+    """
 
     ring: FiniteAlgebra
-    basis: np.ndarray  # dim x k columns, canonical
+    basis: np.ndarray  # dim x k independent columns, a representative
     is_prime: bool
     is_maximal: bool
 
@@ -545,43 +587,78 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     """All ideals of the ring, with primality and maximality flags.
 
     Every ideal is a sum of cyclic ideals, so we collect the distinct
-    cyclic ideals Rr (column spaces of multiplication matrices) and close
-    the collection under pairwise sum.  Exhaustive over ring elements;
-    guarded by the enumeration cap.  Results are cached on the ring.
+    cyclic ideals Rx and close the collection under pairwise sum.
+    Exhaustive over ring elements; guarded by the enumeration cap.
+    Results are cached on the ring.
+
+    An ideal is keyed by the reduced echelon form of a spanning set (the
+    subspace key).  Rx is spanned by the rows x*e_j, which one products
+    call per row block gives for every x; its key is one rref of them.
+    The key of a sum I + J is one rref of the two stacked keys.  Only a
+    new key costs a column_space, which picks the representative basis:
+    the pivot columns of the left multiplication matrix of the first x in
+    canonical order that generates the ideal, and for a sum those of
+    [basis of I | basis of J] for the first pair met.  The discovery
+    order (elements in canonical order, then each round's new ideals
+    against everything found before that round) therefore fixes every
+    representative, and with it Ideal.label().  A pair is skipped when
+    its sum is already known: a pair of equal ideals, and (J, I) when
+    (I, J) came earlier in the same round.  The list is sorted by
+    dimension and then by key.
 
     A proper ideal is maximal when no proper ideal of larger dimension
-    contains it; I lies in J exactly when rank [J | I] = dim J.  In a
-    finite ring every prime P is maximal (R/P is a finite domain, hence a
+    contains it.  With K the key of J and its pivot columns P, a vector v
+    lies in J exactly when v - v[P] K = 0, so one matrix product per
+    ideal tests its basis against every larger proper ideal.  In a finite
+    ring every prime P is maximal (R/P is a finite domain, hence a
     field), so the prime flag is the maximal flag.
     """
     if ring._ideal_list is not None:
         return ring._ideal_list
-    p = ring.p
-    seen: dict[tuple, np.ndarray] = {}
-    for elt in ring.elements():
-        basis = gfmat.column_space(ring.left_mul_matrix(elt.array), p)
-        seen.setdefault(_subspace_key(basis, p), basis)
-    work = list(seen.items())
+    p, d = ring.p, ring.dim
+    seen: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> (basis, echelon)
+    vecs = np.array([e.vec for e in ring.elements()], dtype=np.int64)
+    eye = np.eye(d, dtype=np.int64)
+    for rows in _row_blocks(len(vecs), d * d):
+        # gens[j] = x * e_j, column j of the multiplication matrix of x
+        for gens in ring.products(vecs[rows], eye):
+            key, echelon = _echelon_key(gens, p)
+            if key not in seen:
+                seen[key] = (gfmat.column_space(gens.T, p), echelon)
+    work = list(seen)
     while work:
         new_work = []
         items = list(seen.items())
-        for _, b1 in work:
-            for _, b2 in items:
-                summed = gfmat.column_space(np.hstack([b1, b2]), p)
-                key = _subspace_key(summed, p)
+        done = set()
+        for key1 in work:
+            b1, e1 = seen[key1]
+            done.add(key1)
+            for key2, (b2, e2) in items:
+                if key2 in done:
+                    continue
+                key, echelon = _echelon_key(np.vstack([e1, e2]), p)
                 if key not in seen:
-                    seen[key] = summed
-                    new_work.append((key, summed))
+                    seen[key] = (gfmat.column_space(np.hstack([b1, b2]), p), echelon)
+                    new_work.append(key)
         work = new_work
-    bases = [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
-    proper = [b for b in bases if b.shape[1] < ring.dim]
+    keys = sorted(seen, key=lambda k: (len(k), k))
+    dims = [len(k) for k in keys]
+    proper = bisect.bisect_left(dims, d)  # R itself comes last
+    # block j is the identity minus K_j on the rows P_j, so that
+    # v @ block j = v - v[P_j] K_j for the j-th ideal
+    residual = np.tile(eye, (proper, 1, 1))
+    for block, key in zip(residual, keys):
+        echelon = seen[key][1]
+        block[(echelon != 0).argmax(axis=1)] -= echelon
+    residual = residual.transpose(1, 0, 2).reshape(d, proper * d) % p
     ideals = []
-    for basis in bases:
-        k = basis.shape[1]
-        maximal = k < ring.dim and not any(
-            other.shape[1] > k
-            and gfmat.rank(np.hstack([other, basis]), p) == other.shape[1]
-            for other in proper)
+    for key, k in zip(keys, dims):
+        basis = seen[key][0]
+        # the proper ideals of larger dimension are those from index larger on
+        larger = bisect.bisect_right(dims, k)
+        maximal = k < d and bool(
+            ((basis.T @ residual[:, larger * d:]) % p)
+            .reshape(k, proper - larger, d).any(axis=(0, 2)).all())
         ideals.append(Ideal(ring, basis, maximal, maximal))
     ring._ideal_list = IdealList(ring, tuple(ideals))
     return ring._ideal_list

@@ -3,12 +3,14 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from srelhom import gfmat
+from srelhom import gfmat, rings
 from srelhom.errors import InputError, NotSIso, RingMismatch
+from srelhom.instances import bundled_rings
 from srelhom.rings import mult_closure, prime_field, truncated_polynomial
 from srelhom.modules import (
     Module,
@@ -51,6 +53,83 @@ def test_module_validation_rejects_non_representation(t2):
         Module(t2, acts)
 
 
+def loop_module_check(ring, acts):
+    """Module._validate as it was: for each pair i <= j, one product and
+    one sum over the table, then the commuted product; the unit last."""
+    p, d, m = ring.p, ring.dim, acts.shape[1]
+    for i in range(d):
+        for j in range(i, d):
+            lhs = (acts[i] @ acts[j]) % p
+            rhs = np.zeros((m, m), dtype=np.int64)
+            for k in range(d):
+                c = int(ring.table[i, j, k])
+                if c:
+                    rhs = (rhs + c * acts[k]) % p
+            if not np.array_equal(lhs, rhs):
+                raise InputError("representation property fails at %s*%s"
+                                 % (ring.basis_labels[i], ring.basis_labels[j]))
+            if not np.array_equal(lhs, (acts[j] @ acts[i]) % p):
+                raise InputError("action matrices for %s and %s do not commute"
+                                 % (ring.basis_labels[i], ring.basis_labels[j]))
+    unit_action = np.tensordot(ring.unit, acts, 1) % p
+    if not np.array_equal(unit_action, gfmat.identity(m)):
+        raise InputError("unit does not act as the identity")
+
+
+def module_check_outcome(call):
+    try:
+        call()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("block_entries", [rings._BLOCK_ENTRIES, 1])
+def test_module_validation_matches_the_loop_oracle(monkeypatch, block_entries):
+    # with one entry per block every ring basis element i is its own block
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(1913)
+    valid = []
+    for _, ring in bundled_rings():
+        valid += [free_module(ring, 1), free_module(ring, 2),
+                  character_dual(free_module(ring, 1)),
+                  quotient_module(ring, [[rng.randrange(ring.p) for _ in range(ring.dim)]])]
+    seen = Counter()
+
+    def compare(ring, acts):
+        got = module_check_outcome(lambda: Module(ring, acts))
+        assert got == module_check_outcome(lambda: loop_module_check(ring, acts))
+        seen["valid" if got is None else got[1].split(" ")[0]] += 1
+        return got
+
+    for mod in valid:
+        assert compare(mod.ring, mod.actions) is None
+        # every action zero: a representation in which the unit acts as 0
+        zero = np.zeros_like(mod.actions)
+        assert compare(mod.ring, zero) == (
+            None if mod.vdim == 0 else (InputError, "unit does not act as the identity"))
+    for _ in range(300):
+        mod = rng.choice(valid)
+        if mod.vdim == 0:
+            continue
+        acts = mod.actions.copy()
+        i, a, b = rng.randrange(mod.ring.dim), rng.randrange(mod.vdim), rng.randrange(mod.vdim)
+        acts[i, a, b] = (acts[i, a, b] + rng.randrange(1, mod.ring.p)) % mod.ring.p
+        compare(mod.ring, acts)
+    # F2 x F2: e1 e2 = 0 holds for the pair, but e2 e1 does not vanish
+    ring = rings.direct_product(prime_field(2), prime_field(2), labels=["e1", "e2"])
+    acts = np.array([[[1, 0], [0, 0]], [[0, 0], [1, 1]]], dtype=np.int64)
+    assert compare(ring, acts) == (InputError, "action matrices for e1 and e2 do not commute")
+    # F2[t]/(t^3) with t^2 acting wrongly: 1 acts as the identity, so the
+    # first failing pair is (t, t), past the block of the unit
+    ring = truncated_polynomial(2, 3)
+    acts = free_module(ring, 1).actions.copy()
+    acts[2, 0, 0] = 1
+    assert compare(ring, acts) == (InputError, "representation property fails at t*t")
+    assert seen["valid"] >= 28 and seen["unit"] >= 50, seen
+    assert seen["representation"] >= 100 and seen["action"] >= 10, seen
+
+
 def test_map_validation_rejects_non_intertwining(t2):
     reg = regular_module(t2)
     k = quotient_module(t2, [[0, 1]])
@@ -74,6 +153,15 @@ def test_free_module_is_one_object_per_ring_and_rank(ring2):
     assert regular_module(ring2) is free_module(ring2, 1)
     assert free_module(ring2, 0).vdim == 0
     assert free_module(product_ring(), 2) is not free
+
+
+def test_free_module_matches_the_kron_build():
+    for _, ring in bundled_rings():
+        for k in range(5):
+            got = free_module(ring, k).actions
+            want = np.stack([np.kron(gfmat.identity(k), lm) for lm in ring.left_muls()])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("rank", [True, False, -1, 2.0, "2", None])

@@ -22,6 +22,7 @@ from srelhom.errors import (
 from srelhom.instances import bundled_rings, random_element, random_multset
 from srelhom.rings import (
     MAX_ENUMERABLE,
+    FiniteAlgebra,
     Ideal,
     MultSet,
     RingElement,
@@ -191,6 +192,36 @@ def test_table_checks_match_the_loop_oracle(monkeypatch, block_entries):
     assert max(first_rows) > 0, first_rows
 
 
+def test_lawful_constructors_build_tables_that_pass_the_law_checks(monkeypatch):
+    # prime_field, truncated_polynomial and direct_product skip the table
+    # laws, which hold by construction; the loop check confirms them
+    primes = [2, 3, 5, 7, 65521]
+    fields = [prime_field(p) for p in primes]
+    truncated = [truncated_polynomial(p, k, var) for p in primes
+                 for k, var in zip(range(1, 7), "tuvxyz")]
+    pairs = [direct_product(a, b) for a, b in itertools.product(fields + truncated, repeat=2)
+             if a.p == b.p]
+    triples = [direct_product(pair, c, labels=["x%d" % n for n in range(pair.dim + 1)])
+               for pair in pairs for c in fields if pair.p == c.p]
+    built = fields + truncated + pairs + triples
+    assert len(built) == 5 + 30 + 245 + 245
+    for ring in built:
+        loop_table_check(ring.p, ring.basis_labels, ring.table, ring.unit)
+    # they never reach the law checks, and still check p, labels and shapes
+    def refuse(self):
+        raise AssertionError("table laws checked")
+    monkeypatch.setattr(FiniteAlgebra, "_validate_laws", refuse)
+    direct_product(truncated_polynomial(3, 4), prime_field(3))
+    with pytest.raises(NotPrimeChar):
+        truncated_polynomial(4, 2)
+    with pytest.raises(InputError, match="distinct"):
+        direct_product(prime_field(2), prime_field(2), labels=["e", "e"])
+    with pytest.raises(InputError, match="shape"):
+        FiniteAlgebra._lawful(2, ["1", "t"], [[[1]]], [1, 0])
+    with pytest.raises(AssertionError, match="table laws"):
+        build_algebra(2, ["1"], [[[1]]], [1])
+
+
 def test_radical_of_truncated_polynomial(t2):
     rad = t2.radical_basis()
     assert rad.shape == (2, 1)
@@ -322,6 +353,62 @@ def test_radical_generators_generate_the_radical_minimally():
             ring.left_mul_matrix(rad[:, a]) @ rad % p for a in range(rad.shape[1])])
         assert gens.shape[1] == rad.shape[1] - gfmat.rank(squares, p)
     assert [ring.radical_generators().shape[1] for ring in big] == [5, 1]
+
+
+def pairwise_closure_ideals(ring):
+    """enumerate_ideals as it was, as (basis, maximal) pairs in order: a
+    column_space and a subspace key for every element's multiplication
+    matrix and for every pairwise sum, maximality by one rank a pair."""
+    p = ring.p
+
+    def subspace_key(basis):
+        r, pivots = gfmat.rref(basis.T, p)
+        return tuple(tuple(int(c) for c in row) for row in r[: len(pivots)])
+
+    seen = {}
+    for elt in ring.elements():
+        basis = gfmat.column_space(ring.left_mul_matrix(elt.array), p)
+        seen.setdefault(subspace_key(basis), basis)
+    work = list(seen.items())
+    while work:
+        new_work = []
+        items = list(seen.items())
+        for _, b1 in work:
+            for _, b2 in items:
+                summed = gfmat.column_space(np.hstack([b1, b2]), p)
+                key = subspace_key(summed)
+                if key not in seen:
+                    seen[key] = summed
+                    new_work.append((key, summed))
+        work = new_work
+    bases = [seen[key] for key in sorted(seen, key=lambda k: (len(k), k))]
+    proper = [b for b in bases if b.shape[1] < ring.dim]
+    out = []
+    for basis in bases:
+        k = basis.shape[1]
+        maximal = k < ring.dim and not any(
+            other.shape[1] > k
+            and gfmat.rank(np.hstack([other, basis]), p) == other.shape[1]
+            for other in proper)
+        out.append((basis, maximal))
+    return out
+
+
+def test_ideal_lattice_matches_the_pairwise_closure():
+    # the oracle rings hold the pool; three group algebras of 256
+    # elements reach lattices of 9 to 47 ideals and sums of sums
+    more = [group_algebra(2, [2, 2, 2]), group_algebra(2, [4, 2]), group_algebra(2, [8])]
+    sizes = []
+    for ring in oracle_rings() + more:
+        got = enumerate_ideals(ring)
+        want = pairwise_closure_ideals(ring)
+        assert len(got) == len(want)
+        for ideal, (basis, maximal) in zip(got, want):
+            assert ideal.basis.dtype == basis.dtype and ideal.basis.shape == basis.shape
+            assert ideal.basis.tobytes() == basis.tobytes()
+            assert ideal.is_maximal is maximal and ideal.is_prime is maximal
+        sizes.append(len(got))
+    assert sizes[-3:] == [47, 23, 9], sizes
 
 
 def test_ideals_of_truncated_polynomial(t2):
