@@ -4,10 +4,12 @@ A module M is S-projective exactly when some s in S admits a section pi'
 of a free cover pi with pi . pi' = s Id, and dually S-injective with a
 retraction of the canonical embedding into an injective module.  Each
 such question is one linear system whose unknowns are the images of the
-generators of a free presentation; the right-hand sides of every s in S
-are decided by one elimination, and the witness is the first consistent
-s in canonical order, so reported witnesses are deterministic.  Every
-split map is re-verified before it is returned.
+generators of a free presentation and whose right-hand side is linear
+in s, so it is solved once with the d basis elements of R as right-hand
+sides (gfmat.solve_span), whatever the size of S: the s that split form
+the ideal ker W of its residual W, and the witness is the first member
+of S there in canonical order (MultSet.first_member).  Every split map
+is re-verified before it is returned.
 
 Over a finite F_p-algebra R both dimensions are 0 or infinite, so the
 split search at level 0 decides them.  S is finite, so one s kills an
@@ -65,10 +67,8 @@ from .modules import (
     cap_chain,
     character_dual,
     dual_map,
-    free_module,
     is_s_isomorphism,
     s_exactness_check,
-    same_module,
 )
 from .homology import _require_one_ring, core_connecting_map, injective_cocover, resolution
 from .instances import random_module
@@ -217,30 +217,30 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     psi is solved for through the presentation: it is Phi . L for a right
     inverse L of C, where Phi: F -> F sends generator j to y_j and kills
     Ker C.  Then C . psi = s Id_X exactly when C y_j = s C(1_j) for every
-    j.  The unknowns are the r images y_j, and the right-hand sides of all
-    s in S are decided by one elimination.  Ker C and L come from one
-    more elimination, of [C | I].
+    j.  The unknowns are the r images y_j; the right-hand sides are those
+    of s = e_i, so s splits exactly when W @ s = 0 for the residual W,
+    with images Y @ s.  These s form an ideal: if psi works for s, then
+    psi . r works for r s.  Ker C and L come from one more elimination,
+    of [C | I].
 
-    Two questions need no system.  When X = 0, or when 0 is the first
-    element of S (0 sorts first, so this is 0 in S), the right-hand side
-    of elements[0] is 0, whose canonical solution is y = 0: the answer is
-    elements[0] with nothing attempted before it and the zero map.
+    Two questions need no system.  When X = 0, W is empty; when 0 is in
+    S it is the first element (0 sorts first) and lies in every ideal.
+    Either way the answer is elements[0] with nothing attempted and the
+    zero map.
     """
     _require_same_ring(cover.ring, s_set)
-    elements = tuple(s_set)
     certified = cover.target if kind == "section" else cover.source
-    if certified.vdim == 0 or elements[0].is_zero():
-        witness = SplitWitness(kind, cover, elements[0],
+    if certified.vdim == 0 or s_set.degenerate:
+        witness = SplitWitness(kind, cover, s_set.elements[0],
                                ModuleMap.zero(cover.target, cover.source))
     else:
-        witness = _split_system(kind, cover, elements)
+        witness = _split_system(kind, cover, s_set)
     if witness.verdict and not witness.verify():
         raise InternalInvariantViolation("split witness failed re-verification")
     return witness
 
 
-def _split_system(kind: str, cover: ModuleMap,
-                  elements: tuple[RingElement, ...]) -> SplitWitness:
+def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     """_split_search's system, for a nonzero X and 0 outside S."""
     ring = cover.ring
     p, d = ring.p, ring.dim
@@ -259,7 +259,7 @@ def _split_system(kind: str, cover: ModuleMap,
     top = m * n_f
     # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
     # whose ring coordinates k_j sit in block j.  Below them, r diagonal
-    # copies of C state C y_j = s C(1_j), one right-hand side per s.
+    # copies of C state C y_j = s C(1_j); column i is the one of s = e_i.
     coeff = np.zeros((top + r * n_x, r * n_f), dtype=np.int64)
     coeff[:top] = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
                             f_acts).reshape(top, r * n_f)
@@ -267,63 +267,29 @@ def _split_system(kind: str, cover: ModuleMap,
     hits[range(r), :, range(r), :] = pres
     gens = (pres.reshape(n_x, r, d) @ ring.unit) % p
     moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
-    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
-    rhs = np.zeros((top + r * n_x, len(elements)), dtype=np.int64)
-    rhs[top:] = np.einsum("si,iaj->jas", s_vecs, moved).reshape(r * n_x, len(elements))
-    ok, ys = gfmat.solve_each(coeff, rhs, p)
-    if not ok.any():
-        return SplitWitness(kind, cover, None, None, elements)
-    k = int(np.argmax(ok))
-    images = ys[:, k].reshape(r, n_f)
+    rhs = np.zeros((top + r * n_x, d), dtype=np.int64)
+    rhs[top:] = moved.transpose(2, 1, 0).reshape(r * n_x, d)
+    residual, ys = gfmat.solve_span(coeff, rhs, p)
+    k = s_set.first_member(residual)
+    if k is None:
+        return SplitWitness(kind, cover, None, None, s_set.elements)
+    s = s_set.elements[k]
+    images = (ys @ s.array % p).reshape(r, n_f)
     phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
     psi = (phi @ right_inv) % p
     mapping = ModuleMap(cover.target, cover.source,
                         psi if kind == "section" else psi.T)
-    return SplitWitness(kind, cover, elements[k], mapping, elements[:k])
+    return SplitWitness(kind, cover, s, mapping, s_set.elements[:k])
 
 
-def _require_free(mod: Module, what: str) -> None:
-    ring = mod.ring
-    r, extra = divmod(mod.vdim, ring.dim)
-    if extra or not np.array_equal(mod.actions, free_module(ring, r).actions):
-        raise InputError("%s is not a free module R^r in standard coordinates" % what)
+def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
+    """Search for s in S and a section pi': M -> F of the minimal free cover pi."""
+    return _split_search("section", resolution(module).cover(0), s_set)
 
 
-def is_s_projective(module: Module, s_set: MultSet,
-                    cover: ModuleMap | None = None) -> SplitWitness:
-    """Search for s in S and a section pi': M -> F of a free cover pi.
-
-    An explicit cover must be a surjection onto the module from a free
-    module R^r in the coordinates of free_module; InputError otherwise.
-    """
-    if cover is None:
-        cover = resolution(module).cover(0)
-    else:
-        _require_free(cover.source, "cover source")
-        if not same_module(cover.target, module):
-            raise InputError("cover does not end at the module")
-        if gfmat.rank(cover.matrix, module.ring.p) != module.vdim:
-            raise InputError("cover is not onto the module")
-    return _split_search("section", cover, s_set)
-
-
-def is_s_injective(module: Module, s_set: MultSet,
-                   cocover: ModuleMap | None = None) -> SplitWitness:
-    """Search for s in S and a retraction q: I -> M of the injective cocover.
-
-    An explicit cocover must embed the module into the character dual of
-    a free module R^r, as injective_cocover builds it; InputError
-    otherwise.
-    """
-    if cocover is None:
-        cocover = injective_cocover(module)
-    else:
-        _require_free(character_dual(cocover.target), "cocover target's dual")
-        if not same_module(cocover.source, module):
-            raise InputError("cocover does not start at the module")
-        if gfmat.rank(cocover.matrix, module.ring.p) != module.vdim:
-            raise InputError("cocover is not injective")
-    return _split_search("retraction", cocover, s_set)
+def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
+    """Search for s in S and a retraction q: I -> M of the injective cocover."""
+    return _split_search("retraction", injective_cocover(module), s_set)
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -395,7 +361,7 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
 
     The two routes are not independent: the cocover is the transpose of
     the dual's cover, and _split_search transposes a retraction problem
-    back, so both routes solve the same solve_each system.  The check
+    back, so both routes solve the same solve_span system.  The check
     catches only faults outside that system; ROADMAP lists an
     independent route as open.
     """
@@ -436,19 +402,21 @@ def s_gldim(ring: FiniteAlgebra, s_set: MultSet, bound: int = DEFAULT_BOUND,
             trials: int = 16, seed: int = 0) -> GlobalDimReport:
     """S-global dimension: 0 when some s in S kills rad R, else infinite.
 
-    The proof is in the module docstring; each s costs one matrix
-    product against the radical basis.  Each of the trials draws a
-    random module whose S-pd and S-id must not exceed the value; an
-    exceedance is an engine bug and raises.
+    The proof is in the module docstring; the witness is the first
+    member of S in Ann rad R, the kernel of the products e_i r with the
+    radical basis.  Each of the trials draws a random module whose S-pd
+    and S-id must not exceed the value; an exceedance is an engine bug
+    and raises.
     """
     _require_same_ring(ring, s_set)
     if bound < 0:
         raise InputError("bound must be nonnegative")
     if trials < 0:
         raise InputError("trials must be >= 0")
-    rad = ring.radical_basis()
-    witness = next((s for s in s_set
-                    if not ((ring.left_mul_matrix(s.vec) @ rad) % ring.p).any()), None)
+    # [i, c] is e_i times the radical basis vector c
+    kills = ring.products(np.eye(ring.dim, dtype=np.int64), ring.radical_basis().T)
+    k = s_set.first_member(kills.reshape(ring.dim, -1).T)
+    witness = None if k is None else s_set.elements[k]
     value = DimValue.exact(0) if witness is not None else DimValue.over(bound)
     rng = random.Random("sgldim:%d" % seed)
     for _ in range(trials):
@@ -487,42 +455,36 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
     f_I: R -> I with f_I(i) = s i for all i in I; the single s has to
     work for all ideals simultaneously.  f_I is determined by y = f_I(1)
     in I, and f_I(g) = s g for each basis vector g of I is one system per
-    ideal whose right-hand sides alone depend on s, so one elimination
-    per ideal decides every s.
+    ideal, solved for s = e_i: s works for I exactly when W_I @ s = 0,
+    with y = X_I @ s in the basis of I.  The witness is the first member
+    of S in every ker W_I; each member before it fails on the first I.
     """
     _require_same_ring(ring, s_set)
-    p = ring.p
-    ideals = enumerate_ideals(ring)
-    elements = tuple(s_set)
-    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
-    solvable, solutions = [], []
+    p, d = ring.p, ring.dim
+    ideals = enumerate_ideals(ring).ideals
+    systems = []
     for ideal in ideals:
         basis, k = ideal.basis, ideal.fdim
         # mults[j] is multiplication by the j-th basis vector of I
         mults = np.einsum("aj,abc->jcb", basis, ring.table) % p
-        coeff = (mults @ basis).reshape(k * ring.dim, k) % p
-        rhs = (mults @ s_vecs.T).reshape(k * ring.dim, len(elements)) % p
-        ok, x = gfmat.solve_each(coeff, rhs, p)
-        solvable.append(ok)
-        solutions.append((basis @ x) % p)
-    failures = []
-    for col, s in enumerate(elements):
-        blocker = next((ideal for ideal, ok in zip(ideals, solvable)
-                        if not ok[col]), None)
-        if blocker is not None:
-            failures.append((s, blocker))
-            continue
-        family = []
-        for ideal, ys in zip(ideals, solutions):
-            y = ring.element(ys[:, col])
-            for j in range(ideal.fdim):
-                gen = ring.element(ideal.basis[:, j])
-                if gen * y != s * gen:
-                    raise InternalInvariantViolation(
-                        "semisimple generator fails re-check")
-            family.append((ideal, y))
-        return SemisimpleReport(ring, s_set, True, s, tuple(family), tuple(failures))
-    return SemisimpleReport(ring, s_set, False, None, (), tuple(failures))
+        coeff = (mults @ basis).reshape(k * d, k) % p
+        systems.append(gfmat.solve_span(coeff, mults.reshape(k * d, d), p))
+    k = s_set.first_member(np.vstack([w for w, _ in systems]))
+    tried = s_set.elements[:k]
+    blocked = np.array([((s_set.vectors[:len(tried)] @ w.T) % p).any(axis=1)
+                        for w, _ in systems])
+    failures = tuple((s, ideals[i]) for s, i in zip(tried, blocked.argmax(axis=0)))
+    if k is None:
+        return SemisimpleReport(ring, s_set, False, None, (), failures)
+    s = s_set.elements[k]
+    family = []
+    for ideal, (_, x) in zip(ideals, systems):
+        y = ring.element(ideal.basis @ (x @ s.array % p))
+        gens = ideal.basis.T
+        if (ring.products(gens, y.array[None]) != ring.products(gens, s.array[None])).any():
+            raise InternalInvariantViolation("semisimple generator fails re-check")
+        family.append((ideal, y))
+    return SemisimpleReport(ring, s_set, True, s, tuple(family), failures)
 
 
 # -- local profiles ------------------------------------------------------------
@@ -632,12 +594,11 @@ def split_witness_from_retraction(f: ModuleMap, retraction: ModuleMap,
     if retraction.source is not f.target and retraction.source.vdim != f.target.vdim:
         raise InputError("retraction source does not match the middle term")
     comp = retraction.compose(f)
-    tried = []
-    for s in s_set:
-        if np.array_equal(comp.matrix, f.source.action_of(s)):
-            return SplitWitness("retraction", f, s, retraction, tuple(tried))
-        tried.append(s)
-    raise InputError("retraction is not s Id for any s in S")
+    acts = f.source.actions
+    k = s_set.first_member(acts.reshape(len(acts), -1).T, comp.matrix.reshape(-1))
+    if k is None:
+        raise InputError("retraction is not s Id for any s in S")
+    return SplitWitness("retraction", f, s_set.elements[k], retraction, s_set.elements[:k])
 
 
 def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,

@@ -22,10 +22,16 @@ solutions are canonical functions of the input.  Nothing here mutates its
 arguments.
 
 Solutions are read off an elimination in one place, _solution, under
-solve_each(a, b, p) -> (ok, X): one rref of [a | b] decides every column
-of b, ok[k] says whether a @ x = b[:, k] is consistent, and then X[:, k]
-is the canonical solution for that column alone.  Columns of X where ok
-is False carry no meaning.  solve is its all-or-nothing wrapper.  Two
+solve_span(a, b, p) -> (W, X).  The row operations that reduce [a | b]
+depend on a only, so they are one invertible E and the rref is
+[E a | E b].  Hence for every combination c of b's columns the rref of
+[a | b @ c] is [E a | E b c]: a @ x = b @ c is consistent exactly when
+W @ c = 0, W the b-block below the pivots, and its canonical solution
+(free variables 0) is X @ c, X the b-block on the pivot rows placed at
+the pivot columns.  So a question whose right-hand side is linear in s
+takes the d basis elements of R as right-hand sides, whatever the size
+of S: the s that answer it form ker W.  solve_each is the case c = e_k,
+and solve its all-or-nothing wrapper.  Two
 routines read more than one answer off a single rref of [a | I]:
 kernel_and_right_inverse(a, p) -> (K, L) is nullspace(a, p) together
 with solve(a, I, p), and complete_basis(cols, p) -> (D, E) is a basis
@@ -45,6 +51,7 @@ __all__ = [
     "rank",
     "nullspace",
     "solve",
+    "solve_span",
     "solve_each",
     "kernel_and_right_inverse",
     "inverse",
@@ -180,7 +187,7 @@ def kernel_and_right_inverse(a: np.ndarray,
     """(nullspace(a, p), solve(a, identity, p)) from one rref of [a | I].
 
     The row operations depend on a only, so the left block is rref(a) and
-    gives the canonical kernel.  The right inverse is solve_each's answer
+    gives the canonical kernel.  The right inverse is solve_span's X
     for b = I.  Rows below the pivots are rows of an invertible matrix in
     the I block, never zero, so a right inverse exists exactly when every
     row holds a pivot; it is None otherwise.
@@ -194,24 +201,26 @@ def kernel_and_right_inverse(a: np.ndarray,
     return kernel, _solution(rows, pivots, ncols, nrows)
 
 
-def solve_each(a: np.ndarray, b: np.ndarray,
+def solve_span(a: np.ndarray, b: np.ndarray,
                p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a @ x = b[:, k] mod p for every column k by one elimination.
-
-    The row operations depend on a only, so each consistent column gets
-    the solution it would get alone: free variables set to 0.
-    """
+    """(W, X): a @ x = b @ c mod p is consistent exactly when W @ c = 0,
+    and X @ c is then its canonical solution (module docstring)."""
     if a.shape[0] != b.shape[0]:
         raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
     ncols, width = a.shape[1], b.shape[1]
     rows = [ra + rb for ra, rb in zip(_rows(a, p), _rows(b, p))]
     pivots = _eliminate(rows, p, ncols)
-    # a column is consistent when it is 0 on every row below the pivots;
-    # the leading zeros give zip one column per right-hand side even when
-    # no row is left
-    rest = [row[ncols:] for row in rows[len(pivots):]]
-    ok = [not any(col) for col in zip([0] * width, *rest)]
-    return np.array(ok, dtype=bool), _solution(rows, pivots, ncols, width)
+    residual = _array([row[ncols:] for row in rows[len(pivots):]],
+                      len(rows) - len(pivots), width)
+    return residual, _solution(rows, pivots, ncols, width)
+
+
+def solve_each(a: np.ndarray, b: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, X): ok[k] whether a @ x = b[:, k] mod p is consistent, and
+    X[:, k] then its canonical solution."""
+    residual, x = solve_span(a, b, p)
+    return ~residual.any(axis=0), x
 
 
 def _solution(rows: list[list[int]], pivots: list[int], ncols: int,

@@ -8,8 +8,10 @@ uniform S-torsion, S-exactness of a chain of maps, S-isomorphisms and
 their inverse witnesses, and the character dual that exchanges
 projectives with injectives.
 
-All witness searches scan the multiplicative set in canonical order and
-return the first success, so results are deterministic.
+Each S-question here (s M = 0, s Ker <= Im and s Im <= Ker, f g = s Id
+= g f) is linear in s, so the s that answer it are the kernel of one
+matrix W built from the basis of R, not from S; the witness is the first
+member of S in it in canonical order (MultSet.first_member).
 
 Validation happens at the trust boundary.  The public constructors
 check in full: Module(...) the representation property, commutativity
@@ -367,12 +369,6 @@ def _intertwining_rows(src: Module, tgt: Module) -> np.ndarray:
                       for a, b in zip(src.actions, tgt.actions)]) % src.ring.p
 
 
-def _actions_of(mod: Module, elements) -> np.ndarray:
-    """Action matrices of several ring elements, stacked on the first axis."""
-    s_vecs = np.array([s.vec for s in elements], dtype=np.int64)
-    return np.einsum("si,iab->sab", s_vecs, mod.actions) % mod.ring.p
-
-
 def hom_space(src: Module, tgt: Module) -> list[ModuleMap]:
     """Canonical F_p-basis of Hom_R(src, tgt).
 
@@ -483,8 +479,8 @@ class STorsionWitness:
     """Outcome of a uniform S-torsion test.
 
     On success, witness is the first s (canonical order) whose action
-    matrix vanishes.  On failure, failures records for every s a basis
-    index the action of s does not kill.
+    matrix vanishes.  On failure, failures records for every s the first
+    basis index the action of s does not kill.
     """
 
     verdict: bool
@@ -496,13 +492,16 @@ class STorsionWitness:
 def is_uniformly_s_torsion(mod: Module, s_set: MultSet) -> STorsionWitness:
     if not same_ring(mod.ring, s_set.ring):
         raise RingMismatch("module and multiplicative set over different rings")
+    p, m = mod.ring.p, mod.vdim
+    # s acts as s @ flat, so Ann M is the kernel of flat.T
+    flat = mod.actions.reshape(mod.ring.dim, m * m)
+    k = s_set.first_member(flat.T)
+    if k is not None:
+        return STorsionWitness(True, mod, s_set.elements[k], ())
     failures = []
-    for s in s_set:
-        act = mod.action_of(s)
-        if not act.any():
-            return STorsionWitness(True, mod, s, ())
-        bad_col = int(np.nonzero(act.any(axis=0))[0][0])
-        failures.append((s, bad_col))
+    for rows in _row_blocks(len(s_set), m * m):
+        acts = (s_set.vectors[rows] @ flat % p).reshape(-1, m, m)
+        failures += zip(s_set.elements[rows], acts.any(axis=1).argmax(axis=1).tolist())
     return STorsionWitness(False, mod, None, tuple(failures))
 
 
@@ -548,8 +547,10 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
 
     At each interior module the search finds the first s in canonical
     order with s Ker(outgoing) <= Im(incoming) and
-    s Im(incoming) <= Ker(outgoing).  The first containment is decided
-    for every s by one elimination against the image basis.
+    s Im(incoming) <= Ker(outgoing).  The first holds when the residual
+    of one elimination against the image basis, with the images of each
+    kernel vector under e_0..e_{d-1} as right-hand sides, kills s; the
+    second when the products outgoing . e_i . image, weighted by s, are 0.
     """
     if len(maps) < 2:
         raise InputError("need at least two maps to have an interior position")
@@ -558,21 +559,21 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
             raise NotComposable("chain does not compose")
     if not same_ring(maps[0].ring, s_set.ring):
         raise RingMismatch("module and multiplicative set over different rings")
-    p = maps[0].ring.p
-    elements = tuple(s_set)
+    p, d = maps[0].ring.p, maps[0].ring.dim
     reports = []
     for idx in range(1, len(maps)):
         incoming, outgoing = maps[idx - 1], maps[idx]
         mod = outgoing.source
         ker = gfmat.nullspace(outgoing.matrix, p)
         img = gfmat.column_space(incoming.matrix, p)
-        acts = _actions_of(mod, elements)
-        moved_ker = np.concatenate((acts @ ker) % p, axis=1)
-        ker_in_img = gfmat.solve_each(img, moved_ker, p)[0].reshape(
-            len(elements), ker.shape[1]).all(axis=1)
-        img_in_ker = ~((outgoing.matrix @ ((acts @ img) % p)) % p).any(axis=(1, 2))
-        hits = np.flatnonzero(ker_in_img & img_in_ker)
-        witness = elements[hits[0]] if hits.size else None
+        # column (j, i) is e_i times kernel vector j, so the residual's
+        # rows (row, j) hold the coefficients of s_i in column i
+        moved_ker = np.einsum("iab,bj->aji", mod.actions, ker) % p
+        moved_ker = moved_ker.reshape(mod.vdim, ker.shape[1] * d)
+        ker_in_img = gfmat.solve_span(img, moved_ker, p)[0].reshape(-1, d)
+        img_in_ker = ((outgoing.matrix @ mod.actions) % p @ img) % p
+        k = s_set.first_member(np.vstack([ker_in_img, img_in_ker.reshape(d, -1).T]))
+        witness = None if k is None else s_set.elements[k]
         reports.append(PositionReport(idx, mod, witness))
     return SExactReport(tuple(reports))
 
@@ -600,29 +601,31 @@ def s_iso_inverse(f: ModuleMap, s_set: MultSet) -> tuple[ModuleMap, RingElement]
     and cokernel).  The unknown g: target -> source satisfies the
     intertwining constraints of hom_space together with both composite
     identities; only the right-hand sides of the composites depend on s,
-    so every s is decided by one elimination and the first consistent one
-    wins.  When an endpoint is zero the system has no unknowns and is
+    linearly, so the system takes the d right-hand sides of the basis of
+    R.  The s with a witness are the kernel of its residual, the first
+    member of S there wins, and its g is the canonical solution for s.
+    When an endpoint is zero the system has no unknowns and is
     consistent exactly when s kills both ends.
     """
     report = is_s_isomorphism(f, s_set)
     if not report.verdict:
         raise NotSIso("map is not an S-isomorphism; no inverse witness exists")
     src, tgt = f.source, f.target
-    p = f.ring.p
+    p, d = f.ring.p, f.ring.dim
     m, n = src.vdim, tgt.vdim
-    elements = tuple(s_set)
     system = np.vstack([_intertwining_rows(tgt, src),
                         np.kron(f.matrix, gfmat.identity(n)) % p,
                         np.kron(gfmat.identity(m), f.matrix.T) % p])
-    want = np.vstack([gfmat.zeros(f.ring.dim * m * n, len(elements)),
-                      _actions_of(tgt, elements).reshape(len(elements), n * n).T,
-                      _actions_of(src, elements).reshape(len(elements), m * m).T])
-    ok, sols = gfmat.solve_each(system, want, p)
-    if not ok.any():
+    want = np.vstack([gfmat.zeros(d * m * n, d),
+                      tgt.actions.reshape(d, n * n).T,
+                      src.actions.reshape(d, m * m).T])
+    residual, sols = gfmat.solve_span(system, want, p)
+    k = s_set.first_member(residual)
+    if k is None:
         raise InternalInvariantViolation(
             "S-isomorphism admits no inverse witness in S; this is an engine bug")
-    k = int(np.argmax(ok))
-    return ModuleMap._trusted(tgt, src, sols[:, k].reshape(m, n)), elements[k]
+    s = s_set.elements[k]
+    return ModuleMap._trusted(tgt, src, (sols @ s.array % p).reshape(m, n)), s
 
 
 # -- character duality --------------------------------------------------------

@@ -7,9 +7,10 @@ relative to a multiplicative subset S of such a ring, so this module also
 houses multiplicative-set closure, ideal enumeration, and prime
 complements.
 
-Element order matters: all "smallest witness" searches elsewhere scan
-elements lexicographically by coefficient vector, which this module fixes
-once via RingElement ordering and MultSet iteration order.
+Element order matters: every witness is the first member of S, in the
+lexicographic order of coefficient vectors fixed by RingElement ordering
+and MultSet iteration, that meets a linear condition on s, and
+MultSet.first_member is the one place that picks it.
 
 Arithmetic on many elements is batched: FiniteAlgebra.products multiplies
 every row of one coefficient array by every row of another in one array
@@ -31,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -427,9 +429,9 @@ class MultSet:
     """A multiplicatively closed subset of a finite ring, 1 included.
 
     Elements are stored sorted in canonical order; iteration yields that
-    order, which is what every smallest-witness search relies on.  The
-    degenerate flag records whether 0 is a member (every module is then
-    uniformly S-torsion).
+    order, and first_member picks every witness in it.  The degenerate
+    flag records whether 0 is a member (every module is then uniformly
+    S-torsion).
     """
 
     ring: FiniteAlgebra
@@ -448,6 +450,26 @@ class MultSet:
     def labels(self) -> list[str]:
         return [e.label() for e in self.elements]
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The members' coefficient vectors as rows, in canonical order."""
+        return np.array([e.vec for e in self.elements],
+                        dtype=np.int64).reshape(-1, self.ring.dim)
+
+    def first_member(self, w: np.ndarray, target=0) -> int | None:
+        """Index of the first member s, in canonical order, with
+        w @ s = target mod p, or None if there is none.
+
+        w is reduced mod p and has d columns.  With target 0 the s that
+        qualify form ker w.  One product per row block of members; the
+        scan stops at the first block with a hit.
+        """
+        for rows in _row_blocks(len(self), len(w)):
+            misses = ((self.vectors[rows] @ w.T - target) % self.ring.p).any(axis=1)
+            if not misses.all():
+                return rows.start + int(misses.argmin())
+        return None
+
     def validate(self) -> None:
         """Check closure and unit membership; raises InputError if violated.
 
@@ -458,7 +480,7 @@ class MultSet:
         if ring.one not in self.elements:
             raise InputError("multiplicative set must contain 1")
         members = {e.vec for e in self.elements}
-        vecs = np.array([e.vec for e in self.elements], dtype=np.int64)
+        vecs = self.vectors
         for start, prods in _product_blocks(ring, vecs, vecs):
             if members.issuperset(prods):
                 continue
@@ -589,7 +611,9 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     Every ideal is a sum of cyclic ideals, so we collect the distinct
     cyclic ideals Rx and close the collection under pairwise sum.
     Exhaustive over ring elements; guarded by the enumeration cap.
-    Results are cached on the ring.
+    Results are cached on the ring.  x and cx generate the same ideal
+    for every c in F_p^*, and the x whose first nonzero coefficient is 1
+    comes first in canonical order, so only those x (and 0) are keyed.
 
     An ideal is keyed by the reduced echelon form of a spanning set (the
     subspace key).  Rx is spanned by the rows x*e_j, which one products
@@ -618,6 +642,7 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     p, d = ring.p, ring.dim
     seen: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> (basis, echelon)
     vecs = np.array([e.vec for e in ring.elements()], dtype=np.int64)
+    vecs = vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] <= 1]
     eye = np.eye(d, dtype=np.int64)
     for rows in _row_blocks(len(vecs), d * d):
         # gens[j] = x * e_j, column j of the multiplication matrix of x

@@ -42,6 +42,15 @@ def socle_and_top_differ(mod):
     return socle != top
 
 
+def degenerate_multset(ring):
+    """The closure of a nonzero nilpotent, or of 0 where there is none."""
+    rad = ring.radical_basis()
+    seed = rad[:, 0] if rad.shape[1] else np.zeros(ring.dim, dtype=np.int64)
+    s_set = mult_closure(ring, [seed])
+    assert s_set.degenerate and s_set.elements[0].is_zero()
+    return s_set
+
+
 def quotient_module(ring, relation_vectors):
     """R / (the submodule generated by the given ring elements)."""
     if not relation_vectors:

@@ -199,31 +199,6 @@ def test_tampered_witness_fails_verification(t2):
     assert not wrong.verify()
 
 
-def test_explicit_cover_from_a_non_free_module_is_rejected(ring2, s_one, m2):
-    with pytest.raises(InputError, match="not a free module"):
-        is_s_projective(m2, s_one, cover=ModuleMap.identity(m2))
-    with pytest.raises(InputError, match="not onto"):
-        is_s_projective(m2, s_one, cover=ModuleMap.zero(free_module(ring2, 1), m2))
-    cover = resolution(m2).cover(0)
-    with pytest.raises(InputError, match="does not end at the module"):
-        is_s_projective(regular_module(ring2), s_one, cover=cover)
-    # the minimal free cover passes the checks and gives the default answer
-    default = is_s_projective(m2, s_one)
-    w = is_s_projective(m2, s_one, cover=cover)
-    assert (w.s, w.attempted) == (default.s, default.attempted)
-
-
-def test_explicit_cocover_into_a_non_injective_target_is_rejected(ring2, s_one, m2):
-    with pytest.raises(InputError, match="not a free module"):
-        is_s_injective(m2, s_one, cocover=ModuleMap.identity(m2))
-    env = character_dual(free_module(ring2, 1))
-    with pytest.raises(InputError, match="not injective"):
-        is_s_injective(m2, s_one, cocover=ModuleMap.zero(m2, env))
-    default = is_s_injective(m2, s_one)
-    w = is_s_injective(m2, s_one, cocover=injective_cocover(m2))
-    assert (w.s, w.attempted) == (default.s, default.attempted)
-
-
 def test_multiplicative_set_over_another_ring_is_rejected(ring2, t2):
     # F2 x F2 has the dimension of F2[t]/(t^2), so only the ring check
     # tells them apart; ring2 has another dimension altogether

@@ -1,5 +1,6 @@
 """Exact linear algebra over prime fields: reduction, kernels, solving."""
 
+import itertools
 import random
 
 import numpy as np
@@ -169,6 +170,27 @@ def test_solve_each_matches_solving_one_column_at_a_time(p):
                 assert np.array_equal(x[:, j], sol)
                 assert np.array_equal((a @ x[:, j]) % p, b[:, j])
                 assert not x[free, j].any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_solve_span_decides_every_combination_of_the_columns(p):
+    """a @ x = b @ c is consistent exactly when W @ c = 0, and X @ c is
+    then the canonical solution that solve gives for b @ c alone."""
+    rng = random.Random(850 + p)
+    for trial in range(40):
+        rows, k, width = rng.randrange(6), rng.randrange(5), rng.randrange(4)
+        a = random_matrix(rng, rows, k, p)
+        b = random_matrix(rng, rows, width, p)
+        if width and rng.random() < 0.5:
+            b[:, 0] = (a @ random_matrix(rng, k, 1, p))[:, 0] % p
+        w, x = gfmat.solve_span(a, b, p)
+        assert w.shape == (rows - gfmat.rank(a, p), width) and x.shape == (k, width)
+        for c in itertools.product(range(p), repeat=width):
+            c = np.array(c, dtype=np.int64)
+            sol = gfmat.solve(a, (b @ c) % p, p)
+            assert (sol is not None) == (not ((w @ c) % p).any())
+            if sol is not None:
+                assert np.array_equal((x @ c) % p, sol)
 
 
 def test_solve_each_rejects_mismatched_rows():

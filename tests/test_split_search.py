@@ -8,25 +8,34 @@ must re-verify.
 
 kron_search is the presentation-sized search as it was before it became
 one elimination per question: a full system assembled with np.kron and
-np.vstack on every question, the kernel from nullspace and the right
-inverse from a second solve.  The search must return its s, attempted
-list and mapping matrix byte for byte, the zero-map answers for X = 0
-and 0 in S included.  A shortcut answering elements[1], or a right
-inverse read off the rows in the wrong order, fails that comparison.
+np.vstack on every question, one right-hand side per member of S, the
+kernel from nullspace and the right inverse from a second solve.  The
+search, which solves once against the d basis elements of R, must
+return its s, attempted list and mapping matrix byte for byte, the
+zero-map answers for X = 0 and 0 in S included.  A shortcut answering
+elements[1], or a right inverse read off the rows in the wrong order,
+fails that comparison.
 """
 
 import random
 
 import numpy as np
 import pytest
-from conftest import quotient_module
+from conftest import degenerate_multset, quotient_module
 
 from srelhom import dimensions, gfmat
 from srelhom.dimensions import _split_search
 from srelhom.homology import injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
 from srelhom.modules import free_module, hom_space, subquotient, zero_module
-from srelhom.rings import complement_multset, enumerate_ideals, mult_closure
+from srelhom.rings import (
+    complement_multset,
+    direct_product,
+    enumerate_ideals,
+    mult_closure,
+    prime_field,
+    truncated_polynomial,
+)
 
 
 def reference_search(kind, cover, s_set):
@@ -131,15 +140,6 @@ def kron_search(kind, cover, s_set):
         psi if kind == "section" else psi.T)
 
 
-def degenerate_multset(ring):
-    """The closure of a nonzero nilpotent, or of 0 where there is none."""
-    rad = ring.radical_basis()
-    seed = rad[:, 0] if rad.shape[1] else np.zeros(ring.dim, dtype=np.int64)
-    s_set = mult_closure(ring, [seed])
-    assert s_set.degenerate and s_set.elements[0].is_zero()
-    return s_set
-
-
 def edge_questions(module):
     """Covers at levels 0 and 1, a plain cover, and two injective cocovers."""
     iota = injective_cocover(module)
@@ -196,9 +196,43 @@ def test_zero_module_and_zero_in_s_solve_nothing(name, monkeypatch):
     def no_elimination(*args):
         raise AssertionError("a system was solved")
 
-    monkeypatch.setattr(dimensions.gfmat, "solve_each", no_elimination)
+    monkeypatch.setattr(dimensions.gfmat, "solve_span", no_elimination)
     monkeypatch.setattr(dimensions.gfmat, "kernel_and_right_inverse", no_elimination)
     for kind, cover, s_set in trivial:
         got = _split_search(kind, cover, s_set)
         assert got.s == s_set.elements[0] and got.attempted == ()
         assert got.mapping.is_zero() and got.verify()
+
+
+def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch):
+    # F2 x F2[t]/(t^8): d = 9, and each prime complement has 256 members
+    ring = direct_product(prime_field(2), truncated_polynomial(2, 8))
+    rng = random.Random("large-s")
+    residue = quotient_module(ring, ring.radical_basis().T.tolist())
+    s_sets = [complement_multset(ring, prime) for prime in enumerate_ideals(ring).primes]
+    assert [len(s_set) for s_set in s_sets] == [256, 256]
+    modules = [residue, random_module(ring, rng), random_module(ring, rng)]
+    cases = [(kind, cover, s_set)
+             for module in modules
+             for kind, cover in (("section", resolution(module).cover(0)),
+                                 ("retraction", injective_cocover(module)))
+             for s_set in s_sets]
+    want = [kron_search(kind, cover, s_set) for kind, cover, s_set in cases]
+    widths = []
+    solve_span = gfmat.solve_span
+
+    def spy(a, b, p):
+        widths.append(b.shape[1])
+        return solve_span(a, b, p)
+
+    monkeypatch.setattr(dimensions.gfmat, "solve_span", spy)
+    verdicts = set()
+    for (kind, cover, s_set), (s, attempted, matrix) in zip(cases, want):
+        got = _split_search(kind, cover, s_set)
+        assert (got.s, got.attempted) == (s, attempted)
+        assert (got.mapping is None) == (matrix is None)
+        if matrix is not None:
+            assert got.mapping.matrix.tobytes() == matrix.tobytes()
+        verdicts.add(got.verdict)
+    assert verdicts == {True, False}
+    assert widths and set(widths) == {ring.dim}
