@@ -67,6 +67,7 @@ from .modules import (
     cap_chain,
     character_dual,
     dual_map,
+    generator_images,
     is_s_isomorphism,
     s_exactness_check,
 )
@@ -265,7 +266,7 @@ def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
                             f_acts).reshape(top, r * n_f)
     hits = coeff[top:].reshape(r, n_x, r, n_f)
     hits[range(r), :, range(r), :] = pres
-    gens = (pres.reshape(n_x, r, d) @ ring.unit) % p
+    gens = generator_images(ring, pres)
     moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
     rhs = np.zeros((top + r * n_x, d), dtype=np.int64)
     rhs[top:] = moved.transpose(2, 1, 0).reshape(r * n_x, d)
@@ -329,12 +330,12 @@ class DimResult:
 
 def _level_zero(kind: str, module: Module, s_set: MultSet, bound: int,
                 witness: SplitWitness) -> DimResult:
-    """The dimension the level-0 split search decides: 0 or infinite."""
+    """The dimension the level-0 split search decides: 0 or infinite.
+
+    _split_search has re-verified a successful witness already.
+    """
     value = DimValue.exact(0) if witness.verdict else DimValue.over(bound)
-    result = DimResult(kind, module, s_set, bound, value, (witness,))
-    if result.certificate is not None and not result.certificate.verify():
-        raise InternalInvariantViolation("level-0 witness does not verify")
-    return result
+    return DimResult(kind, module, s_set, bound, value, (witness,))
 
 
 def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:

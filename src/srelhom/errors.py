@@ -20,7 +20,6 @@ __all__ = [
     "NotSExact",
     "NotSIso",
     "MiddleNotCertified",
-    "BackendUnsupported",
     "DividesS",
     "UnsupportedPair",
     "UnknownTheorem",
@@ -95,10 +94,6 @@ class NotSIso(WorkbenchError):
 
 class MiddleNotCertified(WorkbenchError):
     """Dimension shifting requires the middle term to carry a split witness."""
-
-
-class BackendUnsupported(InputError):
-    """Operation not available for the given ring backend."""
 
 
 class DividesS(InputError):

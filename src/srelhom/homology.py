@@ -12,13 +12,12 @@ overshoot the true minimum but keeps ranks small.  "plain" covers every
 basis column, and "seeded-random" pads the minimal generators with
 random redundant ones for resolution-independence testing.
 
-Ext^n(M, N) is computed as cohomology of Hom(F_., N).  Since every F_k is
-free of rank r_k, Hom(F_k, N) is N^{r_k}, and the differential is the
-block matrix of ring actions read off the boundary.  Ext results retain
-cocycle representatives, so maps induced in either variable descend to
-cohomology explicitly; connecting maps are built exactly as in the snake
-construction, with S-isomorphism correctors splicing the exact core of an
-S-exact sequence back to its stated endpoints.
+Ext^n(M, N) is computed as cohomology of Hom(F_., N) = N^{r_.}, whose
+layout HomCochain owns.  Ext results retain cocycle representatives, so
+maps induced in either variable descend to cohomology explicitly;
+connecting maps are built exactly as in the snake construction, with
+S-isomorphism correctors splicing the exact core of an S-exact sequence
+back to its stated endpoints.
 
 The long sequence has one construction, Hom(L, -) over one resolution of
 L.  The character dual D is exact and Ext^k(DN, DM) = Ext^k(M, N)
@@ -45,13 +44,13 @@ from .modules import (
     Module,
     ModuleMap,
     SExactReport,
-    _derived_module,
+    _span_module,
     cap_chain,
     character_dual,
     dual_map,
     free_map_from_generator_images,
     free_module,
-    generator_vector,
+    generator_images,
     image_factorization,
     is_s_isomorphism,
     map_from_spec,
@@ -61,7 +60,6 @@ from .modules import (
     ring_matrix_of_free_map,
     s_exactness_check,
     s_iso_inverse,
-    same_module,
     submodule_from_columns,
     subquotient,
     quotient_by_columns,
@@ -72,7 +70,6 @@ __all__ = [
     "Resolution",
     "AssembledResolution",
     "resolution",
-    "free_resolution",
     "HomCochain",
     "ExtResult",
     "ext",
@@ -84,12 +81,9 @@ __all__ = [
     "ConnectingData",
     "long_ext_sequence",
     "injective_cocover",
-    "comparison_isomorphisms",
     "resolution_to_spec",
     "resolution_from_spec",
 ]
-
-DEFAULT_DEPTH = 12
 
 STYLES = ("minimal", "plain", "seeded-random")
 
@@ -311,14 +305,6 @@ def resolution(module: Module, style: str = "minimal", seed: int = 0) -> Resolut
     return module._cache[key]
 
 
-def free_resolution(module: Module, depth: int = DEFAULT_DEPTH,
-                    style: str = "minimal", seed: int = 0) -> Resolution:
-    """Resolution extended through the given depth."""
-    res = resolution(module, style, seed)
-    res.ensure(depth)
-    return res
-
-
 # -- hom cochains and ext -----------------------------------------------------
 
 
@@ -330,39 +316,27 @@ def _hom_block_matrix(target: Module, coeffs: np.ndarray) -> np.ndarray:
     """
     out_count, in_count = coeffs.shape[0], coeffs.shape[1]
     n = target.vdim
-    mat = np.zeros((n * out_count, n * in_count), dtype=np.int64)
-    for l in range(out_count):
-        for j in range(in_count):
-            if coeffs[l, j].any():
-                mat[l * n:(l + 1) * n, j * n:(j + 1) * n] = \
-                    target.action_of(coeffs[l, j])
-    return mat
+    blocks = np.einsum("lji,iab->lajb", coeffs, target.actions) % target.ring.p
+    return blocks.reshape(out_count * n, in_count * n)
 
 
 class HomCochain:
     """The cochain complex Hom_R(F_., N) for one resolution and target.
 
-    C^k is identified with N^{r_k}; the differential into degree k is
-    precomposition with the boundary d_k, i.e. the block matrix of its
-    ring entries acting on N-components.
+    F_k = R^{r_k}, and a map F_k -> N is fixed by its values on the
+    generators, so C^k = N^{r_k}: a k-cochain is a column of r_k blocks of
+    N-coordinates, block j its value on 1_j (Weibel, An Introduction to
+    Homological Algebra, ch. 3).  This class is the one owner of that
+    layout.  A map h: N -> N' and the action of R act on each block
+    alike, so they are taken blockwise, on cols.reshape(r_k, n, c); the
+    differential into degree k is precomposition with the boundary d_k,
+    the block matrix of its ring entries acting on N.
     """
 
     def __init__(self, res: BaseResolution, target: Module):
         self.res = res
         self.target = target
-        self._modules: dict[int, Module] = {}
         self._diffs: dict[int, np.ndarray] = {}
-
-    def module(self, k: int) -> Module:
-        if k not in self._modules:
-            r = self.res.rank(k)
-            ring, n = self.target.ring, self.target.vdim
-            # block-diagonal: the action on N repeated on each of r blocks
-            acts = np.zeros((ring.dim, r, n, r, n), dtype=np.int64)
-            acts[:, range(r), :, range(r), :] = self.target.actions
-            self._modules[k] = _derived_module(
-                ring, acts.reshape(ring.dim, r * n, r * n))
-        return self._modules[k]
 
     def diff_matrix(self, k: int) -> np.ndarray:
         """Matrix of C^{k-1} -> C^k (k >= 1)."""
@@ -370,6 +344,42 @@ class HomCochain:
             g = self.res.ring_matrix(k)  # (r_{k-1}, r_k, d)
             self._diffs[k] = _hom_block_matrix(self.target, g.transpose(1, 0, 2))
         return self._diffs[k]
+
+    def push(self, k: int, h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The k-cochains cols of N carried to N' by h: N -> N' blockwise."""
+        r, c = self.res.rank(k), cols.shape[1]
+        out, n = h.shape
+        moved = h @ cols.reshape(r, n, c) % self.target.ring.p
+        return moved.reshape(r * out, c)
+
+    def pull(self, k: int, h: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+        """The canonical x with push(k, h, x) = cols, for h: N' -> N.
+
+        The blocks are the r_k * c right-hand sides of one solve with h.
+        As one system, kron(I_{r_k}, h) x = cols is block-diagonal, so its
+        pivot columns are the union of the blocks' and its canonical
+        solution (free variables 0) is this blockwise one.  None when a
+        block has no solution.
+        """
+        r, c = self.res.rank(k), cols.shape[1]
+        n, m = h.shape
+        rhs = cols.reshape(r, n, c).transpose(1, 0, 2).reshape(n, r * c)
+        x = gfmat.solve(h, rhs, self.target.ring.p)
+        if x is None:
+            return None
+        return x.reshape(m, r, c).transpose(1, 0, 2).reshape(r * m, c)
+
+    def cycle_module(self, k: int, cycles: np.ndarray) -> Module:
+        """The submodule of C^k spanned by independent invariant columns.
+
+        R acts on C^k by its action on N in each block, so the images of
+        the columns under the basis of R are taken blockwise.
+        """
+        ring, n = self.target.ring, self.target.vdim
+        r, c = self.res.rank(k), cycles.shape[1]
+        moved = np.einsum("iab,jbc->jaic", self.target.actions,
+                          cycles.reshape(r, n, c))
+        return _span_module(ring, cycles, moved.reshape(r * n, ring.dim * c) % ring.p)
 
 
 @dataclass
@@ -404,12 +414,11 @@ class ExtResult:
 
 def ext_from_cochain(hc: HomCochain, n: int) -> ExtResult:
     p = hc.target.ring.p
-    cn = hc.module(n)
     d_next = hc.diff_matrix(n + 1)
     cycles = gfmat.nullspace(d_next, p)
-    z_mod, _ = submodule_from_columns(cn, cycles)
+    z_mod = hc.cycle_module(n, cycles)
     if n == 0:
-        boundaries = gfmat.zeros(cn.vdim, 0)
+        boundaries = gfmat.zeros(cycles.shape[0], 0)
     else:
         boundaries = hc.diff_matrix(n)
     in_z = gfmat.solve(cycles, boundaries, p)
@@ -453,11 +462,8 @@ def ext_map_on_target(src_ext: ExtResult, tgt_ext: ExtResult,
     """
     if src_ext.cochain.res is not tgt_ext.cochain.res or src_ext.n != tgt_ext.n:
         raise InputError("ext results must share a resolution and degree")
-    p = h.ring.p
-    r = src_ext.cochain.res.rank(src_ext.n)
-    big = np.kron(gfmat.identity(r), h.matrix)
-    mat = tgt_ext.class_of((big @ src_ext.reps) % p)
-    return ModuleMap(src_ext.module, tgt_ext.module, mat)
+    pushed = src_ext.cochain.push(src_ext.n, h.matrix, src_ext.reps)
+    return ModuleMap(src_ext.module, tgt_ext.module, tgt_ext.class_of(pushed))
 
 
 def chain_lift(h: ModuleMap, res_src: BaseResolution, res_tgt: BaseResolution,
@@ -474,16 +480,13 @@ def chain_lift(h: ModuleMap, res_src: BaseResolution, res_tgt: BaseResolution,
     ring = h.ring
     lifts: list[ModuleMap] = []
     for k in range(depth + 1):
-        r_k = res_src.rank(k)
         if k == 0:
             need = (h.matrix @ res_src.augmentation.matrix) % ring.p
             sys_mat = res_tgt.augmentation.matrix
         else:
             need = (lifts[k - 1].matrix @ res_src.boundary(k).matrix) % ring.p
             sys_mat = res_tgt.boundary(k).matrix
-        gens = np.stack([generator_vector(ring, r_k, j) for j in range(r_k)],
-                        axis=1) if r_k else gfmat.zeros(res_src.frees[k].vdim, 0)
-        images = gfmat.solve(sys_mat, (need @ gens) % ring.p, ring.p)
+        images = gfmat.solve(sys_mat, generator_images(ring, need), ring.p)
         if images is None:
             raise InternalInvariantViolation("chain lift system inconsistent")
         lifts.append(free_map_from_generator_images(
@@ -507,27 +510,6 @@ def ext_map_on_source(lift_k: ModuleMap, src_ext: ExtResult,
     return ModuleMap(src_ext.module, tgt_ext.module, mat)
 
 
-def comparison_isomorphisms(res_a: BaseResolution, res_b: BaseResolution,
-                            target: Module, n: int
-                            ) -> tuple[ExtResult, ExtResult, ModuleMap, ModuleMap]:
-    """Canonical mutually inverse isos between Ext computed two ways.
-
-    Lifting the identity both ways gives chain maps whose composites are
-    homotopic to the identity, hence act as the identity on cohomology;
-    the returned maps are exact inverses.
-    """
-    if not same_module(res_a.module, res_b.module):
-        raise InputError("resolutions of different modules")
-    ide = ModuleMap.identity(res_a.module)
-    lift_ab = chain_lift(ide, res_a, res_b, n)
-    lift_ba = chain_lift(ide, res_b, res_a, n)
-    ext_a = ext_with_resolution(res_a, target, n)
-    ext_b = ext_with_resolution(res_b, target, n)
-    a_to_b = ext_map_on_source(lift_ba[n], ext_a, ext_b)
-    b_to_a = ext_map_on_source(lift_ab[n], ext_b, ext_a)
-    return ext_a, ext_b, a_to_b, b_to_a
-
-
 # -- connecting maps and the long sequence ------------------------------------
 
 
@@ -537,20 +519,17 @@ def _connecting_on_target(hc_mid: HomCochain, incl: ModuleMap,
     """Snake map Ext^k(L, C'') -> Ext^{k+1}(L, A') for exact 0->A'->B->C''->0.
 
     All three cochains share one resolution of L.  The representatives
-    are lifted componentwise through proj, pushed through the differential
-    of the middle complex, and pulled back along incl, all at once.
+    are lifted blockwise through proj, pushed through the differential
+    of the middle complex, and pulled back blockwise along incl, all at
+    once.
     """
     p = incl.ring.p
     k = ext_quot_k.n
-    r_k = hc_mid.res.rank(k)
-    r_k1 = hc_mid.res.rank(k + 1)
-    lift_block = np.kron(gfmat.identity(r_k), proj.matrix)
-    pull_block = np.kron(gfmat.identity(r_k1), incl.matrix)
-    w = gfmat.solve(lift_block, ext_quot_k.reps, p)
+    w = hc_mid.pull(k, proj.matrix, ext_quot_k.reps)
     if w is None:
         raise InternalInvariantViolation("cochain lift through projection failed")
     dw = (hc_mid.diff_matrix(k + 1) @ w) % p
-    y = gfmat.solve(pull_block, dw, p)
+    y = hc_mid.pull(k + 1, incl.matrix, dw)
     if y is None:
         raise InternalInvariantViolation("connecting pullback failed")
     return ModuleMap(ext_quot_k.module, ext_sub_k1.module, ext_sub_k1.class_of(y))

@@ -25,8 +25,7 @@ about rings._BLOCK_ENTRIES (2^20) entries each.
 
 Objects derived here from valid ones, by operations that keep them
 valid, skip the check.  _derived_module builds direct sums, submodules,
-quotients, character duals, zero and free modules, and the Hom cochain
-modules of homology; ModuleMap._trusted
+quotients, character duals, zero and free modules; ModuleMap._trusted
 builds composites, sums, identities, zero maps, scalings, maps out of
 free modules, direct-sum injections and projections, the hom_space
 basis, inclusions, projections, corestrictions, inverse witnesses and
@@ -39,7 +38,9 @@ expects the same verdicts, so every skipped check stays reachable.
 
 Free modules are cached on their ring, one object per rank, so their
 resolutions and duals are shared.  R^k stores its dense block-diagonal
-action array, filled by one strided assignment.
+action array, filled by one strided assignment.  A map out of R^k is
+fixed by its generator images: generator_images reads them off its
+matrix and free_map_from_generator_images builds it back from them.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ __all__ = [
     "zero_module",
     "free_module",
     "regular_module",
-    "generator_vector",
+    "generator_images",
     "free_map_from_generator_images",
     "ring_matrix_of_free_map",
     "scaling_map",
@@ -287,19 +288,12 @@ def regular_module(ring: FiniteAlgebra) -> Module:
     return free_module(ring, 1)
 
 
-def generator_vector(ring: FiniteAlgebra, k: int, j: int) -> np.ndarray:
-    """F_p coordinates of the j-th module generator 1_j of R^k."""
-    v = gfmat.zeros(k * ring.dim, 1).reshape(-1)
-    v[j * ring.dim:(j + 1) * ring.dim] = ring.unit
-    return v
-
-
 def free_map_from_generator_images(free_src: Module, target: Module,
                                    images: np.ndarray) -> ModuleMap:
     """The unique R-linear map R^k -> target sending 1_j to images[:, j].
 
     images has shape (target.vdim, k).  Column (j, i) of the matrix is the
-    action of e_i applied to the j-th image.
+    action of e_i applied to the j-th image.  generator_images inverts it.
     """
     ring = target.ring
     if not same_ring(free_src.ring, ring):
@@ -315,22 +309,30 @@ def free_map_from_generator_images(free_src: Module, target: Module,
                               mat.reshape(target.vdim, k * ring.dim))
 
 
+def generator_images(ring: FiniteAlgebra, matrix: np.ndarray) -> np.ndarray:
+    """Images of the generators 1_j of R^k under the map with this matrix.
+
+    matrix has shape (n, k * d) for a map R^k -> X with dim X = n; column
+    j of the result is the image of 1_j, the sum of the columns of block
+    j weighted by the ring coordinates of the unit.
+    """
+    d = ring.dim
+    n, k = matrix.shape[0], matrix.shape[1] // d
+    return matrix.reshape(n, k, d) @ ring.unit % ring.p
+
+
 def ring_matrix_of_free_map(f: ModuleMap) -> np.ndarray:
     """Read a map between free modules as a matrix of ring elements.
 
     Returns an array of shape (target_rank, source_rank, d): entry (l, j)
-    is the coefficient vector of the (l, j) ring entry, defined by the
+    is the coefficient vector of the (l, j) ring entry, block l of the
     image of generator j.
     """
-    ring = f.ring
     ra, rb = f.source.free_rank, f.target.free_rank
     if ra is None or rb is None:
         raise InputError("both endpoints must be free modules")
-    out = np.zeros((rb, ra, ring.dim), dtype=np.int64)
-    for j in range(ra):
-        col = (f.matrix @ generator_vector(ring, ra, j)) % ring.p
-        out[:, j, :] = col.reshape(rb, ring.dim)
-    return out
+    images = generator_images(f.ring, f.matrix).reshape(rb, f.ring.dim, ra)
+    return np.ascontiguousarray(images.transpose(0, 2, 1))
 
 
 def direct_sum(*mods: Module) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
@@ -400,17 +402,23 @@ def submodule_from_columns(mod: Module, cols: np.ndarray) -> tuple[Module, Modul
     p, d = mod.ring.p, mod.ring.dim
     cols = np.mod(np.asarray(cols, dtype=np.int64), p)
     n, k = cols.shape
-    # the images of the columns under every basis action, side by side
     moved = np.einsum("iab,bc->aic", mod.actions, cols).reshape(n, d * k) % p
+    sub = _span_module(mod.ring, cols, moved)
+    return sub, ModuleMap._trusted(sub, mod, cols)
+
+
+def _span_module(ring: FiniteAlgebra, cols: np.ndarray, moved: np.ndarray) -> Module:
+    """submodule_from_columns' module, from reduced columns (n, k) and
+    their images under every basis action side by side: column
+    (i, c) of moved (n, d * k) is e_i times column c."""
+    p, d, k = ring.p, ring.dim, cols.shape[1]
     sol = gfmat.solve(cols, moved, p)
     if sol is None:
         raise InputError("columns do not span an action-invariant subspace")
     acts = np.ascontiguousarray(sol.reshape(k, d, k).transpose(1, 0, 2))
-    if not np.array_equal(np.tensordot(mod.ring.unit, acts, 1) % p,
-                          gfmat.identity(k)):
+    if not np.array_equal(np.tensordot(ring.unit, acts, 1) % p, gfmat.identity(k)):
         raise InputError("columns are not independent")
-    sub = _derived_module(mod.ring, acts)
-    return sub, ModuleMap._trusted(sub, mod, cols)
+    return _derived_module(ring, acts)
 
 
 def quotient_by_columns(mod: Module, cols: np.ndarray

@@ -161,12 +161,6 @@ def z_module(ring: str, rows, m: int | None = None) -> ZMod:
     return ZMod(ring, m, tuple(tuple(row) for row in rows))
 
 
-def z_free(ring: str, rank: int, m: int | None = None) -> ZMod:
-    if rank < 0:
-        raise InputError("negative rank")
-    return ZMod(ring, m, tuple(() for _ in range(rank)))
-
-
 def z_cyclic(n: int) -> ZMod:
     """Z/n as a Z-module (n = 0 gives Z)."""
     return ZMod("Z", None, ((n,) if n else (),))
@@ -180,26 +174,6 @@ def random_z_module(rng, ring: str = "Z", m: int | None = None,
     rows = [[rng.randrange(-span, span + 1) for _ in range(rels)]
             for _ in range(gens)]
     return z_module(ring, rows, m=m)
-
-
-def z_direct_sum(*mods: ZMod) -> ZMod:
-    if not mods:
-        raise InputError("empty direct sum")
-    ring, m = mods[0].ring, mods[0].m
-    for other in mods[1:]:
-        if other.ring != ring or other.m != m:
-            raise RingMismatch("direct sum across different rings")
-    total_rels = sum(mod.relations for mod in mods)
-    rows = []
-    offset = 0
-    for mod in mods:
-        for row in mod.rows:
-            padded = [0] * total_rels
-            for j, x in enumerate(row):
-                padded[offset + j] = x
-            rows.append(tuple(padded))
-        offset += mod.relations
-    return ZMod(ring, m, tuple(rows))
 
 
 def z_module_from_factors(ring: str, m: int | None, free_rank: int, torsion) -> ZMod:

@@ -13,6 +13,14 @@ enumerates every map between Ext^n(A, N) and Ext^{n+1}(C, N) (or the
 covariant pair) and reports the first S-isomorphism, under a cap on the
 number of candidates.  The library decides the corollary by the snake
 map of the exact core instead.
+
+comparison_isomorphisms is the resolution-independence oracle: the maps
+that chain lifts of the identity induce between Ext computed over two
+resolutions of one module.
+
+The oracle reads free modules through its own loop-and-kron forms of
+the R^k and N^r layouts (generator_vector, ring_matrix_of_free_map,
+hom_block_matrix), so it does not run the blockwise code it checks.
 """
 
 import itertools
@@ -39,11 +47,11 @@ from srelhom.homology import (
     HomCochain,
     Resolution,
     _exact_core,
-    _hom_block_matrix,
     chain_lift,
     ext,
     ext_from_cochain,
     ext_map_on_source,
+    ext_with_resolution,
     resolution,
 )
 from srelhom.modules import (
@@ -53,14 +61,48 @@ from srelhom.modules import (
     cap_chain,
     free_map_from_generator_images,
     free_module,
-    generator_vector,
     hom_space,
     is_s_isomorphism,
-    ring_matrix_of_free_map,
     s_exactness_check,
+    same_module,
     zero_module,
 )
-from srelhom.rings import MultSet
+from srelhom.rings import FiniteAlgebra, MultSet
+
+
+def generator_vector(ring: FiniteAlgebra, k: int, j: int) -> np.ndarray:
+    """F_p coordinates of the j-th module generator 1_j of R^k."""
+    v = gfmat.zeros(k * ring.dim, 1).reshape(-1)
+    v[j * ring.dim:(j + 1) * ring.dim] = ring.unit
+    return v
+
+
+def ring_matrix_of_free_map(f: ModuleMap) -> np.ndarray:
+    """A map between free modules as a (target_rank, source_rank, d) array
+    of ring entries, one generator image at a time."""
+    ring = f.ring
+    ra, rb = f.source.free_rank, f.target.free_rank
+    if ra is None or rb is None:
+        raise InputError("both endpoints must be free modules")
+    out = np.zeros((rb, ra, ring.dim), dtype=np.int64)
+    for j in range(ra):
+        col = (f.matrix @ generator_vector(ring, ra, j)) % ring.p
+        out[:, j, :] = col.reshape(rb, ring.dim)
+    return out
+
+
+def hom_block_matrix(target: Module, coeffs: np.ndarray) -> np.ndarray:
+    """Matrix of shape (n*out, n*in) with block (l, j) = action of
+    coeffs[l, j], for coeffs of shape (out, in, d), one block at a time."""
+    out_count, in_count = coeffs.shape[0], coeffs.shape[1]
+    n = target.vdim
+    mat = np.zeros((n * out_count, n * in_count), dtype=np.int64)
+    for l in range(out_count):
+        for j in range(in_count):
+            if coeffs[l, j].any():
+                mat[l * n:(l + 1) * n, j * n:(j + 1) * n] = \
+                    target.action_of(coeffs[l, j])
+    return mat
 
 
 def horseshoe(incl: ModuleMap, proj: ModuleMap, res_sub: Resolution,
@@ -174,7 +216,7 @@ def direct_long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
             to_ker = ext_map_on_source(lift_t1i[k], exts["A"][k], exts["K"][k])
             # snake: precompose a representative with tau_{k+1}
             tau_ring = ring_matrix_of_free_map(taus[k + 1])
-            u = _hom_block_matrix(other, tau_ring.transpose(1, 0, 2))
+            u = hom_block_matrix(other, tau_ring.transpose(1, 0, 2))
             mat = ext_i_next[k + 1].class_of((u @ exts["K"][k].reps) % f.ring.p)
             snake = ModuleMap(exts["K"][k].module,
                               ext_i_next[k + 1].module, mat)
@@ -188,6 +230,25 @@ def direct_long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
     report = s_exactness_check(full, s_set)
     modules = [z] + [m.target for m in full]
     return ConnectingData("contravariant", n, modules, full, deltas, report, core)
+
+
+def comparison_isomorphisms(res_a, res_b, target: Module, n: int):
+    """Canonical mutually inverse isos between Ext computed two ways.
+
+    Lifting the identity both ways gives chain maps whose composites are
+    homotopic to the identity, hence act as the identity on cohomology;
+    the returned maps are exact inverses.
+    """
+    if not same_module(res_a.module, res_b.module):
+        raise InputError("resolutions of different modules")
+    ide = ModuleMap.identity(res_a.module)
+    lift_ab = chain_lift(ide, res_a, res_b, n)
+    lift_ba = chain_lift(ide, res_b, res_a, n)
+    ext_a = ext_with_resolution(res_a, target, n)
+    ext_b = ext_with_resolution(res_b, target, n)
+    a_to_b = ext_map_on_source(lift_ba[n], ext_a, ext_b)
+    b_to_a = ext_map_on_source(lift_ab[n], ext_b, ext_a)
+    return ext_a, ext_b, a_to_b, b_to_a
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ import numpy as np
 
 from conftest import scrambled_z_module
 from lattice_oracle import lattice_z_ext
+from les_oracle import comparison_isomorphisms
 from srelhom import (
     REGISTRY,
     character_dual,
-    comparison_isomorphisms,
     ext,
     factor_ring_check,
     full_suite,

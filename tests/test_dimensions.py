@@ -389,6 +389,38 @@ def test_s_id_builds_the_dual_cover_once(monkeypatch):
     assert built[0][0] is character_dual(mod) and built[0][1] == 0
 
 
+def test_each_split_search_verifies_its_witness_once(monkeypatch):
+    # _split_search re-verifies a witness it found; nothing downstream in
+    # s_pd or s_id repeats that check, and a failed search has none to run
+    from srelhom import dimensions
+    searched, verified = [], Counter()
+    real_search, real_verify = dimensions._split_search, SplitWitness.verify
+
+    def search(*args):
+        verified["in flight"] = 0
+        witness = real_search(*args)
+        searched.append((witness, verified["in flight"]))
+        return witness
+
+    def verify(self):
+        verified["in flight"] += 1
+        verified[id(self)] += 1
+        return real_verify(self)
+
+    monkeypatch.setattr(dimensions, "_split_search", search)
+    monkeypatch.setattr(SplitWitness, "verify", verify)
+    rng = random.Random("verify-once")
+    for _ in range(30):
+        _, ring = rng.choice(bundled_rings())
+        mod, s_set = random_module(ring, rng), random_multset(ring, rng)
+        s_pd(mod, s_set)
+        s_id(mod, s_set)
+    assert sum(w.verdict for w, _ in searched) > 10
+    assert any(not w.verdict for w, _ in searched)
+    for witness, inside in searched:
+        assert inside == verified[id(witness)] == int(witness.verdict)
+
+
 # -- degenerate multiplicative sets ---------------------------------------------
 
 

@@ -26,6 +26,7 @@ from srelhom.rings import (
     truncated_polynomial,
 )
 from srelhom.modules import (
+    Module,
     ModuleMap,
     cap_chain,
     character_dual,
@@ -33,6 +34,7 @@ from srelhom.modules import (
     free_module,
     hom_space,
     regular_module,
+    ring_matrix_of_free_map,
     s_exactness_check,
     scaling_map,
     submodule_from_columns,
@@ -42,13 +44,13 @@ from srelhom.modules import (
 from srelhom.homology import (
     STYLES,
     AssembledResolution,
+    HomCochain,
     Resolution,
+    _hom_block_matrix,
     chain_lift,
-    comparison_isomorphisms,
     ext,
     ext_map_on_target,
     ext_with_resolution,
-    free_resolution,
     injective_cocover,
     long_ext_sequence,
     resolution,
@@ -62,12 +64,20 @@ from conftest import (
     socle_and_top_differ,
     square_zero_ring,
 )
-from les_oracle import direct_long_ext_sequence, horseshoe
+import les_oracle
+from les_oracle import comparison_isomorphisms, direct_long_ext_sequence, horseshoe
 from test_rings import group_algebra
 
 
 def residue_field(t2):
     return quotient_module(t2, [[0, 1]])
+
+
+def free_resolution(module, depth, style="minimal"):
+    """The cached resolution of module, extended through depth."""
+    res = resolution(module, style)
+    res.ensure(depth)
+    return res
 
 
 def test_resolution_of_residue_field_is_periodic(t2):
@@ -537,3 +547,113 @@ def test_ext_of_the_trivial_module_over_elementary_abelian_groups(r):
     assert k.vdim == 1
     for n in range(3):
         assert ext(k, k, n).dim == comb(n + r - 1, n)
+
+
+# -- blockwise cochain operations against the dense forms they replaced -------
+
+
+def random_matrix(rng, p, rows, cols):
+    return np.array([rng.randrange(p) for _ in range(rows * cols)],
+                    dtype=np.int64).reshape(rows, cols)
+
+
+def cochain_cases():
+    """(C, k, rng): seeded pool draws of Hom(F_., N) in degree k, then
+    every pool ring at the edge shapes r_k = 0 (R^2 past level 0) and
+    n = 0 (N = 0)."""
+    rng = random.Random("blockwise-cochains")
+    pool = [ring for _, ring in bundled_rings()]
+    for _ in range(40):
+        ring = rng.choice(pool)
+        res = resolution(random_module(ring, rng))
+        yield HomCochain(res, random_module(ring, rng)), rng.randrange(3), rng
+    for ring in pool:
+        yield HomCochain(resolution(free_module(ring, 2)), random_module(ring, rng)), 1, rng
+        yield HomCochain(resolution(random_module(ring, rng)), zero_module(ring)), 1, rng
+
+
+def test_push_matches_the_kron_product():
+    # ext_map_on_target's map on cochains: kron(I_r, h) @ cols
+    shapes = Counter()
+    for hc, k, rng in cochain_cases():
+        p, r, n = hc.target.ring.p, hc.res.rank(k), hc.target.vdim
+        shapes["r = 0"] += r == 0
+        shapes["n = 0"] += n == 0
+        shapes["both > 0"] += r * n > 0
+        for out in (0, 1, 3):
+            h = random_matrix(rng, p, out, n)
+            for c in (0, 1, 3):
+                cols = random_matrix(rng, p, r * n, c)
+                want = (np.kron(gfmat.identity(r), h) @ cols) % p
+                assert same_bytes(hc.push(k, h, cols), want)
+    assert min(shapes.values()) >= 7, shapes
+
+
+def test_pull_matches_the_kron_solve():
+    # the snake map's two solves: kron(I_r, h) x = cols, canonical x
+    tally = Counter()
+    for hc, k, rng in cochain_cases():
+        p, r = hc.target.ring.p, hc.res.rank(k)
+        for rows, width in ((0, 2), (2, 0), (3, 2), (2, 3), (3, 3)):
+            h = random_matrix(rng, p, rows, width)
+            if rows:
+                h[rng.randrange(rows)] = 0  # h is not onto
+            for c in (0, 1, 3):
+                x = random_matrix(rng, p, r * width, c)
+                for cols in (hc.push(k, h, x), random_matrix(rng, p, r * rows, c)):
+                    got = hc.pull(k, h, cols)
+                    want = gfmat.solve(np.kron(gfmat.identity(r), h), cols, p)
+                    assert (got is None) == (want is None)
+                    tally["inconsistent"] += got is None
+                    if got is not None:
+                        assert same_bytes(got, want)
+                        assert same_bytes(hc.push(k, h, got), cols)
+    assert tally["inconsistent"] > 50, tally
+
+
+def test_hom_block_matrix_matches_the_block_loop():
+    rng = random.Random("hom-block-matrix")
+    for hc, k, _ in cochain_cases():
+        # the differential's coefficients, a transposed view
+        coeffs = hc.res.ring_matrix(k + 1).transpose(1, 0, 2)
+        assert same_bytes(_hom_block_matrix(hc.target, coeffs),
+                          les_oracle.hom_block_matrix(hc.target, coeffs))
+        ring = hc.target.ring
+        for out, inn in ((0, 2), (2, 0), (0, 0), (2, 3)):
+            coeffs = random_matrix(rng, ring.p, out * inn, ring.dim)
+            coeffs = coeffs.reshape(out, inn, ring.dim)
+            assert same_bytes(_hom_block_matrix(hc.target, coeffs),
+                              les_oracle.hom_block_matrix(hc.target, coeffs))
+
+
+def test_ring_matrix_of_free_map_matches_the_generator_loop():
+    rng = random.Random("ring-matrix")
+    for _, ring in bundled_rings():
+        for ra in range(4):
+            for rb in range(4):
+                images = random_matrix(rng, ring.p, rb * ring.dim, ra)
+                f = free_map_from_generator_images(
+                    free_module(ring, ra), free_module(ring, rb), images)
+                assert same_bytes(ring_matrix_of_free_map(f),
+                                  les_oracle.ring_matrix_of_free_map(f))
+    for hc, k, _ in cochain_cases():
+        bd = hc.res.boundary(k + 1)
+        assert same_bytes(ring_matrix_of_free_map(bd),
+                          les_oracle.ring_matrix_of_free_map(bd))
+
+
+def dense_cochain_module(hc, k):
+    """C^k = N^{r_k} as a module with dense block-diagonal actions."""
+    r = hc.res.rank(k)
+    ring, n = hc.target.ring, hc.target.vdim
+    acts = np.zeros((ring.dim, r, n, r, n), dtype=np.int64)
+    acts[:, range(r), :, range(r), :] = hc.target.actions
+    return Module(ring, acts.reshape(ring.dim, r * n, r * n))
+
+
+def test_cycle_module_matches_the_dense_cochain_module():
+    for hc, k, _ in cochain_cases():
+        cycles = gfmat.nullspace(hc.diff_matrix(k + 1), hc.target.ring.p)
+        for cols in (cycles, cycles[:, :0]):
+            want, _ = submodule_from_columns(dense_cochain_module(hc, k), cols)
+            assert same_bytes(hc.cycle_module(k, cols).actions, want.actions)

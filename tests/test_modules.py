@@ -21,7 +21,7 @@ from srelhom.modules import (
     dual_map,
     free_map_from_generator_images,
     free_module,
-    generator_vector,
+    generator_images,
     hom_space,
     image_factorization,
     is_s_isomorphism,
@@ -142,8 +142,9 @@ def test_free_module_and_generators(ring2):
     free = free_module(ring2, 2)
     assert free.free_rank == 2
     assert free.vdim == 6
-    g0 = generator_vector(ring2, 2, 0)
-    assert g0.tolist() == [1, 1, 0, 0, 0, 0]
+    # the generator images of the identity of R^2 are its generators
+    gens = generator_images(ring2, ModuleMap.identity(free).matrix)
+    assert gens.T.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]]
 
 
 def test_free_module_is_one_object_per_ring_and_rank(ring2):
