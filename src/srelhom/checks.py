@@ -13,7 +13,9 @@ connecting map itself, so it decides too.
 Trial seeds derive from the master seed as "<seed>:<entry>:<index>", so
 any single trial replays in isolation.  Reports are deterministic
 functions of (entry, seed, trials, caps); expensive per-(ring, multset)
-aggregates are memoized, which changes timing only.  Wall time is kept
+aggregates are memoized, and resolution levels and split systems are
+cached by content (modules._content_cached), which changes timing only.
+The memo is the one object modules._memo.  Wall time is kept
 on the report object but stays out of the JSON so artifacts are
 byte-stable.
 """
@@ -61,6 +63,7 @@ from .instances import (
     random_split_triple,
 )
 from .modules import (
+    _memo,
     free_map_from_generator_images,
     free_module,
     image_factorization,
@@ -145,11 +148,10 @@ class _Config:
     max_rank: int
 
 
-_memo: dict = {}
-
-
 def clear_memo() -> None:
-    """Forget every memoized sweep block, as a fresh process starts."""
+    """Forget every memoized sweep block and every content cache (the
+    resolution levels and split systems of modules._content_cached), as a
+    fresh process starts."""
     _memo.clear()
 
 

@@ -64,6 +64,8 @@ from .modules import (
     Module,
     ModuleMap,
     SIsoWitness,
+    _content_cached,
+    _content_key,
     cap_chain,
     character_dual,
     dual_map,
@@ -242,15 +244,41 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
 
 
 def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """_split_search's system, for a nonzero X and 0 outside S."""
+    """_split_search's system, for a nonzero X and 0 outside S.
+
+    After the kind transposition the elimination reads the ring and three
+    arrays only, C, the actions on X and those on F, so its residual W,
+    solutions Y and right inverse L are computed once per distinct
+    content (modules._content_cached).  The first member of S in ker W
+    and the witness on the caller's own cover are built on every call.
+    """
     ring = cover.ring
-    p, d = ring.p, ring.dim
     if kind == "section":
         pres, x_acts = cover.matrix, cover.target.actions
         f_acts = cover.source.actions
     else:
         pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
         f_acts = cover.target.actions.transpose(0, 2, 1)
+    residual, ys, right_inv = _content_cached(
+        ("split", ring, *_content_key(pres, x_acts, f_acts)),
+        lambda: _split_elimination(ring, pres, x_acts, f_acts))
+    k = s_set.first_member(residual)
+    if k is None:
+        return SplitWitness(kind, cover, None, None, s_set.elements)
+    s = s_set.elements[k]
+    p, n_f = ring.p, pres.shape[1]
+    images = (ys @ s.array % p).reshape(-1, n_f)
+    phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
+    psi = (phi @ right_inv) % p
+    mapping = ModuleMap(cover.target, cover.source,
+                        psi if kind == "section" else psi.T)
+    return SplitWitness(kind, cover, s, mapping, s_set.elements[:k])
+
+
+def _split_elimination(ring: FiniteAlgebra, pres: np.ndarray, x_acts: np.ndarray,
+                       f_acts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, Y, L) of the split system of C = pres: F ->> X (_split_search)."""
+    p, d = ring.p, ring.dim
     n_x, n_f = pres.shape
     r = n_f // d
     kernel, right_inv = gfmat.kernel_and_right_inverse(pres, p)
@@ -271,16 +299,7 @@ def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     rhs = np.zeros((top + r * n_x, d), dtype=np.int64)
     rhs[top:] = moved.transpose(2, 1, 0).reshape(r * n_x, d)
     residual, ys = gfmat.solve_span(coeff, rhs, p)
-    k = s_set.first_member(residual)
-    if k is None:
-        return SplitWitness(kind, cover, None, None, s_set.elements)
-    s = s_set.elements[k]
-    images = (ys @ s.array % p).reshape(r, n_f)
-    phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
-    psi = (phi @ right_inv) % p
-    mapping = ModuleMap(cover.target, cover.source,
-                        psi if kind == "section" else psi.T)
-    return SplitWitness(kind, cover, s, mapping, s_set.elements[:k])
+    return residual, ys, right_inv
 
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
@@ -362,9 +381,12 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
 
     The two routes are not independent: the cocover is the transpose of
     the dual's cover, and _split_search transposes a retraction problem
-    back, so both routes solve the same solve_span system.  The check
-    catches only faults outside that system; ROADMAP lists an
-    independent route as open.
+    back, so both routes build the same system, with the same content
+    key, and share one elimination (_split_system).  The check catches
+    only faults outside that system: a fault in the cocover, the dual or
+    the transposition changes the key, so that system is solved on its
+    own.  Solving the same deterministic elimination twice never caught
+    anything.  ROADMAP lists an independent route as open.
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")

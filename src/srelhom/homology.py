@@ -44,6 +44,8 @@ from .modules import (
     Module,
     ModuleMap,
     SExactReport,
+    _content_cached,
+    _content_key,
     _span_module,
     cap_chain,
     character_dual,
@@ -198,21 +200,40 @@ class Resolution(BaseResolution):
         basis is injective, so basis @ A and A have the same row space and
         the same canonical nullspace: one nullspace of d_i is both the
         surjectivity check (rank dim K_i) and the basis of K_{i+1}.
+
+        Each level is a function of the ring, the style, the seed and the
+        actions of M, so its arrays (A, the matrix of d_i and the kernel
+        basis) are computed once per distinct key
+        (modules._content_cached); every resolution still wraps them in
+        its own boundary, onto its own module.
         """
-        p = self.ring.p
+        if index < len(self.frees):
+            return
+        key = ("resolution", self.ring, self.style, self.seed,
+               *_content_key(self.module.actions))
         while len(self.frees) <= index:
             level = len(self.frees)
             host, basis = self._basis(level)
-            gens = self._generator_columns(host, basis, level)
+            gens, matrix, kernel = _content_cached(
+                key + (level,), lambda: self._level(host, basis, level))
             free = free_module(self.ring, gens.shape[1])
-            bd = free_map_from_generator_images(free, host, basis @ gens % p)
-            kernel = gfmat.nullspace(bd.matrix, p)
-            if free.vdim - kernel.shape[1] != basis.shape[1]:
-                raise InternalInvariantViolation("cover is not surjective")
             self.frees.append(free)
-            self._boundaries.append(bd)
+            self._boundaries.append(ModuleMap._trusted(free, host, matrix))
             self._kernels.append(kernel)
             self._gens.append(gens)
+
+    def _level(self, host: Module, basis: np.ndarray,
+               level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, matrix of d_level, its kernel basis) for ensure, with the
+        surjectivity check."""
+        p = self.ring.p
+        gens = self._generator_columns(host, basis, level)
+        free = free_module(self.ring, gens.shape[1])
+        bd = free_map_from_generator_images(free, host, basis @ gens % p)
+        kernel = gfmat.nullspace(bd.matrix, p)
+        if free.vdim - kernel.shape[1] != basis.shape[1]:
+            raise InternalInvariantViolation("cover is not surjective")
+        return gens, bd.matrix, kernel
 
     def _syzygy_with_inclusion(self, i: int) -> tuple[Module, ModuleMap]:
         if i not in self._syzygies:
@@ -298,7 +319,12 @@ class AssembledResolution(BaseResolution):
 
 
 def resolution(module: Module, style: str = "minimal", seed: int = 0) -> Resolution:
-    """Cached resolution accessor; one instance per (style, seed)."""
+    """The module's resolution; one instance per (module object, style, seed).
+
+    The instance is cached on the module, so its syzygies and covers are
+    built once.  Modules with equal actions share each level's arrays
+    through the content cache (Resolution.ensure), not the instance.
+    """
     key = ("resolution", style, seed)
     if key not in module._cache:
         module._cache[key] = Resolution(module, style, seed)

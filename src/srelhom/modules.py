@@ -36,11 +36,20 @@ independent (submodule_from_columns).  The test suite swaps both private
 constructors for the validating ones, replays a registry sample and
 expects the same verdicts, so every skipped check stays reachable.
 
-Free modules are cached on their ring, one object per rank, so their
-resolutions and duals are shared.  R^k stores its dense block-diagonal
-action array, filled by one strided assignment.  A map out of R^k is
-fixed by its generator images: generator_images reads them off its
-matrix and free_map_from_generator_images builds it back from them.
+Free modules are cached on their ring, one object per rank.  R^k stores
+its dense block-diagonal action array, filled by one strided assignment.
+A map out of R^k is fixed by its generator images: generator_images
+reads them off its matrix and free_map_from_generator_images builds it
+back from them.
+
+The process-wide memo lives here, in the lowest layer that homology and
+dimensions share; checks.clear_memo() empties it.  Besides the registry's
+blocks it holds one sub-entry of content caches (_content_cached): the
+levels of free resolutions and the eliminations of split systems,
+computed once per distinct input and keyed by the ring object and the
+bytes of the arrays the computation reads.  They hold read-only arrays
+only, never modules or maps, so every caller still builds its own
+objects around them.
 """
 
 from __future__ import annotations
@@ -92,6 +101,58 @@ __all__ = [
     "map_to_spec",
     "map_from_spec",
 ]
+
+
+# -- process-wide memo ----------------------------------------------------------
+
+_memo: dict = {}
+
+_CONTENT = ("content",)
+_CONTENT_BUDGET = 64 << 20  # bytes of cached arrays and key bytes
+
+
+class _ContentStore:
+    """The memo's content sub-entry: key -> tuple of arrays, with its size."""
+
+    def __init__(self):
+        self.entries: dict = {}
+        self.nbytes = 0
+
+
+def _content_key(*arrays: np.ndarray) -> tuple:
+    """The shape and C-order bytes of each array, as hashable key parts."""
+    return tuple(part for a in arrays for part in (a.shape, a.tobytes()))
+
+
+def _content_cached(key: tuple, build) -> tuple:
+    """build()'s tuple of arrays, computed once per key while the memo lives.
+
+    key holds everything the result depends on: the ring object (kept
+    alive while its entries are), names, integers and _content_key
+    parts.  The arrays are made read-only, so no caller can change what
+    later callers get.  They sit under one sub-entry of the memo, so the
+    memo's other blocks are never evicted; when an insertion would take
+    the sub-entry past _CONTENT_BUDGET bytes (arrays and key bytes), the
+    sub-entry is emptied first.
+    """
+    store = _memo.get(_CONTENT)
+    if store is None:
+        store = _memo[_CONTENT] = _ContentStore()
+    value = store.entries.get(key)
+    if value is not None:
+        return value
+    value = build()
+    size = sum(len(part) for part in key if isinstance(part, bytes))
+    for arr in value:
+        arr.flags.writeable = False
+        size += arr.nbytes
+    if store.nbytes + size > _CONTENT_BUDGET:
+        store.entries.clear()
+        store.nbytes = 0
+    if size <= _CONTENT_BUDGET:
+        store.entries[key] = value
+        store.nbytes += size
+    return value
 
 
 class Module:
@@ -268,7 +329,7 @@ def free_module(ring: FiniteAlgebra, k: int) -> Module:
     """R^k with basis blocks of ring coordinates, generator j in block j.
 
     Built once per (ring, k) and cached on the ring, so every caller
-    shares one module object and its cached resolutions.
+    shares one module object.
     """
     if not is_json_int(k) or k < 0:
         raise InputError("free rank must be a nonnegative integer, got %r" % (k,))
@@ -645,8 +706,10 @@ def character_dual(mod: Module) -> Module:
     This is the exact contravariant duality on finite modules; it swaps
     free covers with injective envelopes-of-sorts, and applying it twice
     returns the same matrices, so the double dual is the identity on the
-    nose in these coordinates.  The dual is built once per module and
-    cached with it, so every caller shares its cached resolutions.
+    nose in these coordinates.  The dual is built once per module object
+    and cached with it, so repeated calls give one object; resolutions of
+    duals with equal actions share their levels through the content
+    cache (homology.Resolution.ensure) whichever object asks.
     """
     if "dual" not in mod._cache:
         acts = np.ascontiguousarray(mod.actions.transpose(0, 2, 1))

@@ -168,11 +168,10 @@ class FiniteAlgebra:
 
     Instances are immutable by convention.  Derived data (left
     multiplication matrices, the radical and its ideal generators, the
-    element list, the ideal list, the prime complements, the free modules
-    R^k and through them their resolutions) is cached on first use;
-    caches only ever gain entries, so sharing an instance across threads
-    is safe for readers.  Only the element list and what is built from it
-    are bound by MAX_ENUMERABLE.
+    element list, the ideal list, the prime complements and the free
+    modules R^k) is cached on first use; caches only ever gain entries,
+    so sharing an instance across threads is safe for readers.  Only the
+    element list and what is built from it are bound by MAX_ENUMERABLE.
     """
 
     def __init__(self, p: int, basis_labels, table, unit):

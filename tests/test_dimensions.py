@@ -12,8 +12,8 @@ from conftest import (
 )
 from les_oracle import shift_search
 
-from srelhom import gfmat
-from srelhom.checks import _multset_menu
+from srelhom import gfmat, modules
+from srelhom.checks import _multset_menu, clear_memo
 from srelhom.rings import (
     complement_multset,
     direct_product,
@@ -23,6 +23,7 @@ from srelhom.rings import (
     truncated_polynomial,
 )
 from srelhom.modules import (
+    Module,
     ModuleMap,
     character_dual,
     direct_sum,
@@ -871,3 +872,120 @@ def test_generated_middle_free_triples_shift(ring2, s_e1):
         other = random_module(ring2, rng)
         rep = dimension_shift_check((f, g), other, 1, s_e1)
         assert rep.ok
+
+
+# -- content caches ----------------------------------------------------------------
+
+
+def _spy_eliminations(monkeypatch):
+    """Count the two eliminations of a split system from here on."""
+    calls = Counter()
+    for name in ("solve_span", "kernel_and_right_inverse"):
+        def spy(*args, _name=name, _real=getattr(gfmat, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(gfmat, name, spy)
+    return calls
+
+
+def _twin(module):
+    """Another module object with the same actions."""
+    return Module(module.ring, module.actions.copy())
+
+
+def _content_arrays():
+    return [arr for value in modules._memo[modules._CONTENT].entries.values()
+            for arr in value]
+
+
+def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_one, m2):
+    clear_memo()
+    calls = _spy_eliminations(monkeypatch)
+    twin = _twin(m2)
+    first, second = s_pd(m2, s_e1), s_pd(twin, s_e1)
+    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert first.value == second.value == DimValue.exact(0)
+    # the hit builds its witness on the caller's own cover
+    assert first.certificate.certified_module() is m2
+    assert second.certificate.certified_module() is twin
+    assert second.certificate.cover is resolution(twin).cover(0)
+    assert second.certificate.verify()
+    assert first.certificate.mapping.matrix.tobytes() == \
+        second.certificate.mapping.matrix.tobytes()
+    # another S asks the same system: no new elimination, same failure
+    failed = s_pd(_twin(m2), s_one)
+    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert not failed.value.known and failed.levels[0].attempted == s_one.elements
+    # a cleared memo solves it again
+    clear_memo()
+    third = _twin(m2)
+    assert s_pd(third, s_e1).certificate.certified_module() is third
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 2}
+    clear_memo()
+
+
+def test_s_id_runs_one_split_elimination(monkeypatch):
+    # the direct route and the dual route build the same system
+    rng = random.Random("one-elimination")
+    for _ in range(10):
+        _, ring = rng.choice(bundled_rings())
+        module, s_set = random_module(ring, rng), random_multset(ring, rng)
+        if module.vdim == 0 or s_set.degenerate:
+            continue
+        clear_memo()
+        calls = _spy_eliminations(monkeypatch)
+        got = s_id(module, s_set)
+        assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+        assert got.cross_check == got.value
+        assert got.levels[0].certified_module() is module
+    clear_memo()
+
+
+def test_cached_arrays_are_read_only(ring2, s_e1, m2):
+    clear_memo()
+    s_pd(m2, s_e1)
+    s_id(m2, s_e1)
+    arrays = _content_arrays()
+    res = resolution(m2)
+    assert any(arr is res._kernels[0] for arr in arrays)
+    assert len(arrays) >= 5 and any(arr.size for arr in arrays)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr += 0
+    clear_memo()
+
+
+def test_content_budget_clears_only_its_sub_entry(monkeypatch):
+    rng = random.Random("content-budget")
+    cases = []
+    for _ in range(12):
+        _, ring = rng.choice(bundled_rings())
+        cases.append((random_module(ring, rng), random_multset(ring, rng)))
+
+    def answers(sizes):
+        out = []
+        for module, s_set in cases:
+            module = _twin(module)
+            for result in (s_pd(module, s_set), s_id(module, s_set)):
+                cert = result.certificate
+                out.append((str(result.value), cert and cert.s.label(),
+                            cert and cert.mapping.matrix.tobytes()))
+            out.append(ext(module, module, 1).dim)
+            store = modules._memo[modules._CONTENT]
+            sizes.append((len(store.entries), store.nbytes))
+        return out
+
+    clear_memo()
+    full = []
+    want = answers(full)
+    budget = full[-1][1] // 4
+    clear_memo()
+    pool = modules._memo[("pool",)] = object()
+    monkeypatch.setattr(modules, "_CONTENT_BUDGET", budget)
+    small = []
+    assert answers(small) == want
+    counts = [count for count, _ in small]
+    assert any(b < a for a, b in zip(counts, counts[1:]))
+    assert all(nbytes <= budget for _, nbytes in small)
+    assert modules._memo[("pool",)] is pool
+    clear_memo()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from srelhom import gfmat, homology
-from srelhom.checks import _cyclic_triple, _nonunit_element
+from srelhom.checks import _cyclic_triple, _nonunit_element, clear_memo
 from srelhom.dimensions import s_pd
 from srelhom.errors import InputError, InternalInvariantViolation, NotSExact, RingMismatch
 from srelhom.instances import (
@@ -657,3 +657,46 @@ def test_cycle_module_matches_the_dense_cochain_module():
         for cols in (cycles, cycles[:, :0]):
             want, _ = submodule_from_columns(dense_cochain_module(hc, k), cols)
             assert same_bytes(hc.cycle_module(k, cols).actions, want.actions)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_resolution_levels_are_shared_by_content(style, monkeypatch):
+    # a module object with the actions of one resolved before reuses its
+    # levels' arrays, around its own boundaries, syzygies and covers
+    levels = []
+    level = Resolution._level
+
+    def spy(self, host, basis, k):
+        levels.append(k)
+        return level(self, host, basis, k)
+
+    monkeypatch.setattr(Resolution, "_level", spy)
+    rng = random.Random("shared-levels:%s" % style)
+    depth = 3
+    for _ in range(6):
+        _, ring = rng.choice(bundled_rings())
+        module = random_module(ring, rng)
+        clear_memo()
+        cold = Resolution(module, style, seed=4)
+        cold.ensure(depth)
+        assert levels[-depth - 1:] == list(range(depth + 1))
+        built = len(levels)
+        twin = Module(ring, module.actions.copy())
+        warm = Resolution(twin, style, seed=4)
+        warm.ensure(depth)
+        assert len(levels) == built
+        assert warm.boundary(0).target is twin
+        for k in range(depth + 1):
+            assert warm.frees[k] is cold.frees[k]
+            assert same_bytes(warm.boundary(k).matrix, cold.boundary(k).matrix)
+            assert same_bytes(warm._kernels[k], cold._kernels[k])
+        if module.vdim:
+            assert warm.syzygy(1) is not cold.syzygy(1)
+            assert same_bytes(warm.syzygy(1).actions, cold.syzygy(1).actions)
+            assert warm.cover(1).target is warm.syzygy(1)
+        # another seed is another key, and a cleared memo recomputes
+        Resolution(twin, style, seed=5).ensure(0)
+        clear_memo()
+        Resolution(twin, style, seed=4).ensure(0)
+        assert levels[built:] == [0, 0]
+    clear_memo()

@@ -208,10 +208,12 @@ print(json.dumps([outcome.verdict, outcome.detail]))
 """
 
 
-@pytest.mark.parametrize("theorem", ["cor-3.3", "cor-3.5", "prop-3.2"])
+@pytest.mark.parametrize("theorem", ["cor-3.3", "cor-3.5", "prop-3.2",
+                                     "theorem-1.3", "prop-2.6"])
 def test_replay_in_a_fresh_process_matches_the_suite(theorem):
-    # these entries memoize s_gldim blocks; a replay must not depend on
-    # what an earlier trial left in the memo
+    # the first three memoize s_gldim blocks, the last two lean hardest
+    # on the cached resolution levels and split systems; a replay must
+    # not depend on what an earlier trial left in the memo
     entry = REGISTRY[theorem]
     dump = {"theorem": theorem, "trial": 0, "seed": 0,
             "bound": entry.bound, "max_rank": entry.max_rank}
@@ -235,10 +237,9 @@ def test_replay_in_a_fresh_process_matches_the_suite(theorem):
 VACUOUS_TRIAL = ("prop-2.5", 5)
 
 
-def _registry_sample():
+def _sample_trials():
     """(verdict, detail) of trials 0-2 of every entry at seed 0, and of
-    VACUOUS_TRIAL, memo cold."""
-    checks_mod.clear_memo()
+    VACUOUS_TRIAL, with whatever the memo holds."""
     out = {}
     for theorem, entry in REGISTRY.items():
         extra = (VACUOUS_TRIAL[1],) if theorem == VACUOUS_TRIAL[0] else ()
@@ -246,8 +247,28 @@ def _registry_sample():
             outcome = replay({"theorem": theorem, "trial": trial, "seed": 0,
                               "bound": entry.bound, "max_rank": entry.max_rank})
             out[theorem, trial] = (outcome.verdict, outcome.detail)
+    return out
+
+
+def _registry_sample():
+    """_sample_trials with the memo cold."""
+    checks_mod.clear_memo()
+    out = _sample_trials()
     checks_mod.clear_memo()
     return out
+
+
+def test_registry_sample_is_the_same_with_a_warm_memo():
+    # the second pass finds every resolution level and split system of
+    # the first in the memo's content caches
+    checks_mod.clear_memo()
+    cold = _sample_trials()
+    content = checks_mod._memo[modules_mod._CONTENT]
+    assert len(content.entries) > 50
+    warm = _sample_trials()
+    assert checks_mod._memo[modules_mod._CONTENT] is content
+    checks_mod.clear_memo()
+    assert warm == cold
 
 
 def _derived_tour():
