@@ -41,7 +41,7 @@ from .dimensions import (
     s_id,
     s_pd,
 )
-from .errors import InputError, UnknownTheorem
+from .errors import InputError, NotSIso, UnknownTheorem
 from .homology import (
     chain_lift,
     ext,
@@ -224,10 +224,11 @@ def _context_doc(ring, s_set, **extra):
 def _trial_lemma_1_1(rng, cfg):
     name, ring, s = _ring_multset(rng)
     f, _ = random_s_iso(ring, s, rng, max_rank=cfg.max_rank)
-    if not is_s_isomorphism(f, s).verdict:
+    try:
+        inv, witness = s_iso_inverse(f, s)
+    except NotSIso:
         return TrialOutcome("fail", "constructed map failed the S-iso certificate",
                             _context_doc(ring, s, map=_map_doc(f)))
-    inv, witness = s_iso_inverse(f, s)
     p = ring.p
     ok_src = np.array_equal((inv.matrix @ f.matrix) % p,
                             f.source.action_of(witness))

@@ -69,6 +69,7 @@ from .modules import (
     cap_chain,
     character_dual,
     dual_map,
+    free_module,
     generator_images,
     is_s_isomorphism,
     s_exactness_check,
@@ -246,27 +247,28 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
 def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     """_split_search's system, for a nonzero X and 0 outside S.
 
-    After the kind transposition the elimination reads the ring and three
-    arrays only, C, the actions on X and those on F, so its residual W,
-    solutions Y and right inverse L are computed once per distinct
-    content (modules._content_cached).  The first member of S in ker W
-    and the witness on the caller's own cover are built on every call.
+    After the kind transposition the elimination reads the ring and two
+    arrays only, C and the actions on X: in both kinds the actions on F
+    are those of R^r (free_module), which the ring and the width of C
+    fix.  So its residual W, solutions Y and right inverse L are computed
+    once per distinct content (modules._content_cached).  The first
+    member of S in ker W and the witness on the caller's own cover are
+    built on every call.
     """
     ring = cover.ring
     if kind == "section":
         pres, x_acts = cover.matrix, cover.target.actions
-        f_acts = cover.source.actions
     else:
         pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
-        f_acts = cover.target.actions.transpose(0, 2, 1)
+    p, n_f = ring.p, pres.shape[1]
+    f_acts = free_module(ring, n_f // ring.dim).actions
     residual, ys, right_inv = _content_cached(
-        ("split", ring, *_content_key(pres, x_acts, f_acts)),
+        ("split", ring.content, *_content_key(pres, x_acts)),
         lambda: _split_elimination(ring, pres, x_acts, f_acts))
     k = s_set.first_member(residual)
     if k is None:
         return SplitWitness(kind, cover, None, None, s_set.elements)
     s = s_set.elements[k]
-    p, n_f = ring.p, pres.shape[1]
     images = (ys @ s.array % p).reshape(-1, n_f)
     phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
     psi = (phi @ right_inv) % p
@@ -317,13 +319,17 @@ def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
 
 @dataclass(frozen=True)
 class DimResult:
-    """Outcome of the level-0 split search.
+    """Outcome of the split searches of an S-dimension, one per level.
 
-    levels holds that one search: a success makes the value exactly 0
-    and is the certificate; a failure exhausted S, so the dimension is
-    infinite and value is DimValue.over(bound).  For the injective kind,
-    cross_check records the value obtained independently through the
-    character dual.
+    Over a finite algebra levels holds the one level-0 search: a success
+    makes the value exactly 0 and is the certificate; a failure exhausted
+    S, so the dimension is infinite and value is DimValue.over(bound).
+    For the injective kind, cross_check records the value obtained
+    independently through the character dual.  zmodules.z_s_pd returns
+    one too, with a ZMod, a ZMultSet and ZSplitWitness levels: over Z/m
+    the same single level 0, over Z a failed level 0 followed by level 1,
+    so the value is 0 or 1.  certificate is the last search of a known
+    value.
     """
 
     kind: str

@@ -37,6 +37,7 @@ from .errors import (
     InputError,
     InternalInvariantViolation,
     NotSExact,
+    NotSIso,
     RingMismatch,
 )
 from .rings import FiniteAlgebra, MultSet, RingElement, is_json_int, same_ring
@@ -54,7 +55,6 @@ from .modules import (
     free_module,
     generator_images,
     image_factorization,
-    is_s_isomorphism,
     map_from_spec,
     map_to_spec,
     module_from_spec,
@@ -209,7 +209,7 @@ class Resolution(BaseResolution):
         """
         if index < len(self.frees):
             return
-        key = ("resolution", self.ring, self.style, self.seed,
+        key = ("resolution", self.ring.content, self.style, self.seed,
                *_content_key(self.module.actions))
         while len(self.frees) <= index:
             level = len(self.frees)
@@ -614,7 +614,7 @@ def _exact_core(f: ModuleMap, g: ModuleMap, s_set: MultSet, s_mid: RingElement):
     corrector into Ker g is the corestriction of (s_mid . f), which lands
     there because s_mid squeezes Im f into Ker g; the corrector out of
     Im g is the inclusion into C.  Both are S-isomorphisms and get
-    inverse witnesses.
+    inverse witnesses; s_iso_inverse decides each S-isomorphism once.
     """
     mid = f.target
     p = f.ring.p
@@ -625,19 +625,22 @@ def _exact_core(f: ModuleMap, g: ModuleMap, s_set: MultSet, s_mid: RingElement):
     if t1_mat is None:
         raise InternalInvariantViolation("scaled map does not land in the kernel")
     t1 = ModuleMap(f.source, ker_g, t1_mat)
-    if not is_s_isomorphism(t1, s_set).verdict:
-        raise InternalInvariantViolation("kernel corrector is not an S-iso")
-    t1_inv, s1 = s_iso_inverse(t1, s_set)
-    t2 = incl_i
-    if not is_s_isomorphism(t2, s_set).verdict:
-        raise InternalInvariantViolation("image corrector is not an S-iso")
-    t2_inv, s2 = s_iso_inverse(t2, s_set)
+    t1_inv, s1 = _corrector_inverse(t1, s_set, "kernel")
+    t2_inv, s2 = _corrector_inverse(incl_i, s_set, "image")
     return {
         "kernel": ker_g, "kernel_inclusion": incl_k,
         "image": img_g, "image_inclusion": incl_i, "corestriction": cores_g,
         "t1": t1, "t1_inv": t1_inv, "t1_witness": s1,
-        "t2": t2, "t2_inv": t2_inv, "t2_witness": s2,
+        "t2": incl_i, "t2_inv": t2_inv, "t2_witness": s2,
     }
+
+
+def _corrector_inverse(t: ModuleMap, s_set: MultSet,
+                       name: str) -> tuple[ModuleMap, RingElement]:
+    try:
+        return s_iso_inverse(t, s_set)
+    except NotSIso:
+        raise InternalInvariantViolation("%s corrector is not an S-iso" % name) from None
 
 
 def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,

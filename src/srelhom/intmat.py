@@ -4,8 +4,8 @@ Matrices are lists of row lists.  Everything here is arbitrary precision:
 no floats, no modular shortcuts.  The centrepiece is the Smith normal form
 with minimal-pivot selection; the transforms it returns are checked for
 unimodularity before they leave this module, so downstream lattice code
-can trust U*A*V == D unconditionally.  column_lattice_basis gives the
-triangular basis whose Smith form the integer backend caches.
+can trust U*A*V == D unconditionally.  The integer backend takes one
+Smith form of each presentation matrix and reads everything else off it.
 """
 
 from .errors import InputError, InternalInvariantViolation
@@ -185,28 +185,3 @@ def diagonal_of(d):
     rows, cols = shape(d)
     return [d[i][i] for i in range(min(rows, cols))]
 
-
-def column_lattice_basis(a):
-    """Triangular basis of the lattice spanned by the columns of a."""
-    rows, cols = shape(a)
-    work = [[a[i][j] for i in range(rows)] for j in range(cols)]  # columns as rows
-    basis_start = 0
-    for r in range(rows):
-        while True:
-            live = [j for j in range(basis_start, len(work)) if work[j][r]]
-            if not live:
-                break
-            if len(live) == 1:
-                j = live[0]
-                if work[j][r] < 0:
-                    work[j] = [-x for x in work[j]]
-                work[basis_start], work[j] = work[j], work[basis_start]
-                basis_start += 1
-                break
-            live.sort(key=lambda j: abs(work[j][r]))
-            small, big = live[0], live[1]
-            q = work[big][r] // work[small][r]
-            for i in range(rows):
-                work[big][i] -= q * work[small][i]
-    kept = work[:basis_start]
-    return [[kept[j][i] for j in range(len(kept))] for i in range(rows)]

@@ -46,10 +46,10 @@ The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
 blocks it holds one sub-entry of content caches (_content_cached): the
 levels of free resolutions and the eliminations of split systems,
-computed once per distinct input and keyed by the ring object and the
-bytes of the arrays the computation reads.  They hold read-only arrays
-only, never modules or maps, so every caller still builds its own
-objects around them.
+computed once per distinct input and keyed by the ring's content and
+the bytes of the arrays the computation reads.  They hold read-only
+arrays only, never rings, modules or maps, so every caller still builds
+its own objects around them.
 """
 
 from __future__ import annotations
@@ -127,13 +127,14 @@ def _content_key(*arrays: np.ndarray) -> tuple:
 def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
-    key holds everything the result depends on: the ring object (kept
-    alive while its entries are), names, integers and _content_key
-    parts.  The arrays are made read-only, so no caller can change what
-    later callers get.  They sit under one sub-entry of the memo, so the
-    memo's other blocks are never evicted; when an insertion would take
-    the sub-entry past _CONTENT_BUDGET bytes (arrays and key bytes), the
-    sub-entry is emptied first.
+    key holds everything the result depends on: the ring's content
+    (ring.content, so equal rings share entries and no entry keeps a
+    ring alive), names, integers and _content_key parts.  The arrays are
+    made read-only, so no caller can change what later callers get.
+    They sit under one sub-entry of the memo, so the memo's other blocks
+    are never evicted; when an insertion would take the sub-entry past
+    _CONTENT_BUDGET bytes (arrays and key bytes), the sub-entry is
+    emptied first.
     """
     store = _memo.get(_CONTENT)
     if store is None:

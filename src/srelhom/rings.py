@@ -197,6 +197,8 @@ class FiniteAlgebra:
         self.table = np.mod(np.array(table, dtype=np.int64), self.p)
         self.unit = np.mod(np.array(unit, dtype=np.int64), self.p)
         self._validate_shapes()
+        # what same_ring compares, and what content caches key a ring by
+        self.content = (self.p, self.dim, self.table.tobytes(), self.unit.tobytes())
         self._left_muls = None
         self._radical = None
         self._radical_gens = None
@@ -358,14 +360,7 @@ class FiniteAlgebra:
 
 def same_ring(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """Structural ring equality; survives serialization round trips."""
-    if a is b:
-        return True
-    return (
-        a.p == b.p
-        and a.dim == b.dim
-        and np.array_equal(a.table, b.table)
-        and np.array_equal(a.unit, b.unit)
-    )
+    return a is b or a.content == b.content
 
 
 # -- constructors ----------------------------------------------------------

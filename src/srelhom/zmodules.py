@@ -39,13 +39,18 @@ the first residue of the S-orbit divisible by E names the witness, and
 when no residue is divisible by E, level 0 fails.
 
 The certificate of that s is read off the Smith form U*q*V = D of the
-relation-lattice basis q, the one that gives the structure.  A section
-is phi = s*I + q*y with phi*q = 0 (mod m over Z/m).  Put y = V*Y*U;
-then U*phi*q*V = s*D + D*Y*D, so a diagonal Y with s*d + d*Y*d = 0 at
-each diagonal entry d of D gives one.  Over Z that is Y = -s/d, which
-exists exactly when every d divides s.  Over Z/m every d divides m, and
-Y solves d*Y = -s (mod m/d), which exists exactly when gcd(d, m/d)
-divides s: the split modulus again.  No further system is solved.
+presentation matrix q over Z, with the ring relations m*I appended over
+Z/m: the one Smith form that also gives the structure, since every
+relation matrix of a module has its invariant factors and free rank.
+A section is phi = s*I + q*y with phi*q = 0 (mod m over Z/m).  Put
+y = V*Y*U with Y diagonal; then U*phi*q*V = s*D + D*Y*D, so a Y with
+s*d + d*Y*d = 0 at each diagonal entry d of D gives one, and Y = 0 at
+every d = 0 does.  Over Z that is Y = -s/d at each nonzero d, which
+exists exactly when every such d divides s.  Over Z/m every d divides
+m, and Y solves d*Y = -s (mod m/d), which exists exactly when
+gcd(d, m/d) divides s: the split modulus again.  Over Z the relation
+lattice, the first syzygy, is free of rank the number of nonzero d.
+No further system is solved.
 
 Ext is read off the invariant factors as well, one pair of cyclic
 summands at a time, since Ext is additive in both arguments.  Over Z
@@ -77,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import intmat
-from .dimensions import DimValue, dim_add, s_pd
+from .dimensions import DimResult, DimValue, dim_add, s_pd
 from .errors import (
     DividesS,
     InputError,
@@ -109,7 +114,7 @@ class ZMod:
     rows[i][j] is the coefficient of generator i in relation j; a module
     with no relations has rows of length zero.  Structure invariants
     (free rank, invariant factors) are computed lazily from the Smith
-    form of the relation lattice and cached by _structure.
+    form of this matrix and cached by _structure.
     """
 
     ring: str
@@ -192,22 +197,30 @@ def _as_z_module(mod: ZMod) -> ZMod:
 
 
 class _Lattice(NamedTuple):
-    """The relation lattice of a module and its one verified Smith form.
+    """A module's presentation over Z and its one verified Smith form.
 
-    q is the triangular basis of the full integer relation lattice (ring
-    relations included over Z/m), u*q*v == d its Smith form, (free, tors)
-    the structure read off d, and z_view the module over Z with this
-    relation lattice.  Matrices are tuples of tuples, so a cached entry
-    cannot be changed by its readers.
+    z_view is the module over Z with the same relation lattice (ring
+    relations m*I appended over Z/m) and q its presentation matrix;
+    u*q*v is the Smith form of q, diag its nonzero diagonal entries, and
+    (free, tors) the structure read off them.  Matrices are tuples of
+    tuples, so a cached entry cannot be changed by its readers.
     """
 
-    q: tuple
     u: tuple
-    d: tuple
     v: tuple
+    diag: tuple
     free: int
     tors: tuple
     z_view: ZMod
+
+    @property
+    def q(self) -> tuple:
+        return self.z_view.rows
+
+    @property
+    def rank(self) -> int:
+        """The rank of the relation lattice: the nonzero diagonal entries."""
+        return len(self.diag)
 
 
 def _frozen(a) -> tuple:
@@ -216,17 +229,13 @@ def _frozen(a) -> tuple:
 
 @lru_cache(maxsize=None)
 def _structure(mod: ZMod) -> _Lattice:
-    # a Z/m-module and its Z view have one relation lattice, so they
+    # a Z/m-module and its Z view have one presentation over Z, so they
     # share one cache entry and one Smith form
     if mod.ring == "Z_mod":
         return _structure(_as_z_module(mod))
-    if mod.relations:
-        q = intmat.column_lattice_basis([list(row) for row in mod.rows])
-    else:
-        q = intmat.zeros(mod.generators, 0)
-    u, d, v = intmat.smith_normal_form(q)
-    diag = [x for x in intmat.diagonal_of(d) if x]
-    return _Lattice(_frozen(q), _frozen(u), _frozen(d), _frozen(v),
+    u, d, v = intmat.smith_normal_form([list(row) for row in mod.rows])
+    diag = tuple(x for x in intmat.diagonal_of(d) if x)
+    return _Lattice(_frozen(u), _frozen(v), diag,
                     mod.generators - len(diag), tuple(x for x in diag if x > 1),
                     mod)
 
@@ -374,8 +383,8 @@ class ZSplitWitness:
     attempted lists every product of the orbit, in search order, when
     none does.  Which s split is read off the invariant factors (the
     split modulus), and the section of that s is read off the Smith form
-    of the relation lattice, so no search solves a system.  The section
-    is one valid choice among many.
+    of the presentation, so no search solves a system.  The section is
+    one valid choice among many.
     """
 
     s: int | None
@@ -386,30 +395,6 @@ class ZSplitWitness:
     @property
     def verdict(self) -> bool:
         return self.s is not None
-
-
-@dataclass(frozen=True)
-class ZDimResult:
-    """S-pd with its split searches, one per level tried.
-
-    Over Z/m levels holds the one search at level 0.  Over Z a failed
-    level 0 is followed by level 1, so the value is 0 or 1.  certificate
-    is the last search of a known value.
-    """
-
-    kind: str
-    module: ZMod
-    s_set: ZMultSet
-    bound: int
-    value: DimValue
-    levels: tuple
-
-    @property
-    def certificate(self) -> ZSplitWitness | None:
-        return self.levels[-1] if self.value.known else None
-
-    def __str__(self):
-        return "%s = %s (bound %d)" % (self.kind, self.value, self.bound)
 
 
 def _split_modulus(mod: ZMod) -> int:
@@ -426,7 +411,8 @@ def _split_modulus(mod: ZMod) -> int:
 
 
 def _diagonal_solve(diag, s, modulus):
-    """The diagonal of Y with s*d + d*Y*d == 0 at each d in diag, or None.
+    """The diagonal of Y with s*d + d*Y*d == 0 at each nonzero d in diag,
+    or None.
 
     Over Z (modulus None) Y = -s/d, so every d must divide s.  Over Z/m
     each d divides m, and Y solves d*Y == -s (mod m/d), which needs
@@ -447,33 +433,34 @@ def _diagonal_solve(diag, s, modulus):
     return ys
 
 
-def _section_solve(q, smith, candidates, order, links, modulus, split):
+def _section_solve(lattice, candidates, order, links, modulus, split):
     """Split search at one level: the first s with a section, or every s.
 
     A section is phi = s*I + q@y with phi@q == 0 (mod modulus; None =
-    exact); q is a relation-lattice basis for a module on len(q)
-    generators, so phi is a well-defined section of the free cover scaled
-    by s.  smith is the Smith form (u, d, v) of q, None when q has no
-    columns (a free module, where phi = s*I).  candidates[i] is the s that
-    reached the residue order[i] (the residue itself mod m, the product of
-    its path over Z).  The s that split are the multiples of the split
-    modulus, so the orbit test picks the first residue divisible by it;
-    its section is y = v@Y@u with Y diagonal from _diagonal_solve (see the
-    module docstring).  A failed search solves nothing.
+    exact); q = lattice.q presents a module on len(q) generators, so phi
+    is a well-defined section of the free cover scaled by s.
+    candidates[i] is the s that reached the residue order[i] (the residue
+    itself mod m, the product of its path over Z).  The s that split are
+    the multiples of the split modulus, so the orbit test picks the first
+    residue divisible by it; its section is y = v@Y@u with Y diagonal
+    from _diagonal_solve and 0 at the zero entries of d (see the module
+    docstring).  A failed search solves nothing.
     """
     c = next((i for i, r in enumerate(order) if r % split == 0), None)
     if c is None:
         return ZSplitWitness(None, None, None, tuple(candidates))
     s = candidates[c]
-    g, k = intmat.shape(q)
+    q = lattice.q
+    g = len(q)
     phi = intmat.zeros(g, g)
-    if k:
-        u, d, v = smith
-        ys = _diagonal_solve(intmat.diagonal_of(d), s, modulus)
+    if lattice.rank:
+        ys = _diagonal_solve(lattice.diag, s, modulus)
         if ys is None:
             raise InternalInvariantViolation("orbit test and section solve disagree")
-        yu = [[y * x for x in row] for y, row in zip(ys, u)]
-        phi = intmat.matmul(q, intmat.matmul(v, yu))
+        # Y is zero past the rank, so only that many columns of v enter
+        yu = [[y * x for x in row] for y, row in zip(ys, lattice.u)]
+        vy = intmat.matmul([row[:lattice.rank] for row in lattice.v], yu)
+        phi = intmat.matmul(q, vy)
     for i in range(g):
         phi[i][i] += s
     check = intmat.matmul(phi, q)
@@ -487,39 +474,41 @@ def _section_solve(q, smith, candidates, order, links, modulus, split):
                          tuple(tuple(row) for row in phi))
 
 
-def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> ZDimResult:
+def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> DimResult:
     """S-projective dimension by one split search per level.
 
     Each search is an orbit test against the split modulus of the module,
-    and a success reads its section off the Smith form of the relation
-    lattice, the one cached with structure(): no system is solved.  Over
-    Z/m one search at level 0 decides the value, and a failure is a proof
-    of infinity reported as ">bound" (see the module docstring).  Over Z
-    the relation lattice is free, so a failure at level 0 is followed by
-    level 1, which splits with s = 1, whatever the bound.
+    and a success reads its section off the Smith form of the
+    presentation, the one cached with structure(): no system is solved.
+    Over Z/m one search at level 0 decides the value, and a failure is a
+    proof of infinity reported as ">bound" (see the module docstring).
+    Over Z the relation lattice is free, so a failure at level 0 is
+    followed by level 1, which splits with s = 1, whatever the bound.
+    The result is the DimResult of the finite backend, with levels of
+    ZSplitWitness and no cross_check.
     """
     _match_rings(mod, s_set)
     if bound < 0:
         raise InputError("bound must be >= 0")
     lattice = _structure(mod)
-    smith = lattice.u, lattice.d, lattice.v
     split = _split_modulus(mod)
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
-        level0 = _section_solve(lattice.q, smith, order, order, links, mod.m, split)
+        level0 = _section_solve(lattice, order, order, links, mod.m, split)
         value = DimValue.exact(0) if level0.verdict else DimValue.over(bound)
-        return ZDimResult("S-pd", mod, s_set, bound, value, (level0,))
+        return DimResult("S-pd", mod, s_set, bound, value, (level0,))
     order, links = _monoid_orbit(s_set.generators, split)
     candidates = _orbit_products(order, links)
-    levels = (_section_solve(lattice.q, smith, candidates, order, links, None, split),)
+    levels = (_section_solve(lattice, candidates, order, links, None, split),)
     if levels[0].verdict:
-        return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(0), levels)
-    k = intmat.shape(lattice.q)[1]
-    # a free syzygy: its split modulus is 1
-    levels += (_section_solve(intmat.zeros(k, 0), None, candidates, order, links, None, 1),)
-    if not levels[1].verdict:
+        return DimResult("S-pd", mod, s_set, bound, DimValue.exact(0), levels)
+    # the relation lattice is free of rank lattice.rank, so s = 1, the
+    # empty product the orbit starts with, splits its cover by the identity
+    if candidates[0] != 1:
         raise InternalInvariantViolation("free syzygy admitted no section")
-    return ZDimResult("S-pd", mod, s_set, bound, DimValue.exact(1), levels)
+    section = _frozen(intmat.identity(lattice.rank))
+    levels += (ZSplitWitness(1, _product_expression(()), section),)
+    return DimResult("S-pd", mod, s_set, bound, DimValue.exact(1), levels)
 
 
 # -- Ext ----------------------------------------------------------------------
@@ -590,8 +579,8 @@ class FactorRingReport:
     a: int
     s_set: ZMultSet
     bound: int
-    z_result: ZDimResult
-    bar_result: ZDimResult
+    z_result: DimResult
+    bar_result: DimResult
     verdict: str
     statement: str
 

@@ -3,14 +3,14 @@
 These routines solve integer systems, take kernels and quotients of
 lattices, and resolve Z/m-modules by periodic syzygy lattices.  The
 backend reads every answer off the one cached Smith form of a module's
-relation lattice instead; tests compare it with these slower,
-independent constructions.  Each routine reads its Smith forms from
-srelhom.intmat, the one place they are computed and checked.
+presentation instead; tests compare it with these slower, independent
+constructions, which start from a triangular basis of the relation
+lattice (column_lattice_basis).  Each routine reads its Smith forms
+from srelhom.intmat, the one place they are computed and checked.
 """
 
 from srelhom.errors import InputError, InternalInvariantViolation
 from srelhom.intmat import (
-    column_lattice_basis,
     copy,
     diagonal_of,
     identity,
@@ -19,7 +19,43 @@ from srelhom.intmat import (
     smith_normal_form,
     zeros,
 )
-from srelhom.zmodules import ZMod, _ring_of, _structure, z_module_from_factors
+from srelhom.zmodules import ZMod, _ring_of, z_module_from_factors
+
+
+def column_lattice_basis(a):
+    """Triangular basis of the lattice spanned by the columns of a."""
+    rows, cols = shape(a)
+    work = [[a[i][j] for i in range(rows)] for j in range(cols)]  # columns as rows
+    basis_start = 0
+    for r in range(rows):
+        while True:
+            live = [j for j in range(basis_start, len(work)) if work[j][r]]
+            if not live:
+                break
+            if len(live) == 1:
+                j = live[0]
+                if work[j][r] < 0:
+                    work[j] = [-x for x in work[j]]
+                work[basis_start], work[j] = work[j], work[basis_start]
+                basis_start += 1
+                break
+            live.sort(key=lambda j: abs(work[j][r]))
+            small, big = live[0], live[1]
+            q = work[big][r] // work[small][r]
+            for i in range(rows):
+                work[big][i] -= q * work[small][i]
+    kept = work[:basis_start]
+    return [[kept[j][i] for j in range(len(kept))] for i in range(rows)]
+
+
+def relation_lattice(mod: ZMod):
+    """Triangular basis of the full integer relation lattice of mod (ring
+    relations included over Z/m)."""
+    rows = [list(row) for row in mod.rows]
+    if mod.ring == "Z_mod":
+        rows = [row + [mod.m if i == j else 0 for j in range(len(rows))]
+                for i, row in enumerate(rows)]
+    return column_lattice_basis(rows)
 
 
 def transpose(a):
@@ -156,8 +192,8 @@ def lattice_z_ext(source: ZMod, target: ZMod, degree: int) -> ZMod:
     if ring == "Z":
         if degree >= 2:
             return z_module_from_factors(ring, m, 0, ())
-        p_lat = _structure(source).q
-        r_lat = _structure(target).q
+        p_lat = relation_lattice(source)
+        r_lat = relation_lattice(target)
         k = shape(p_lat)[1]
         t = shape(r_lat)[1]
         if degree == 0:
@@ -178,11 +214,11 @@ def lattice_z_ext(source: ZMod, target: ZMod, degree: int) -> ZMod:
             gens = hstack(gens, kron(identity(k), r_lat))
         free, tors = cokernel_invariants(gens)
         return z_module_from_factors(ring, m, free, tors)
-    lats = [_structure(source).q]
+    lats = [relation_lattice(source)]
     for _ in range(degree):
         lats.append(solution_lattice(
             lats[-1], [[m if i == j else 0 for j in range(g)] for i in range(g)]))
-    rn = _structure(target).q
+    rn = relation_lattice(target)
     lam = kron(identity(g), rn)
     ker_basis = solution_lattice(
         kron(transpose(lats[degree]), identity(h)), lam)

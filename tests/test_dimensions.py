@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -383,6 +385,8 @@ def test_s_id_builds_the_dual_cover_once(monkeypatch):
         return original(self, host, basis, level)
 
     monkeypatch.setattr(Resolution, "_generator_columns", spy)
+    # an equal ring built by an earlier test shares its content entries
+    clear_memo()
     s_id(mod, mult_closure(ring, []), bound=0)
     # the first cocover and the dual walk resolve one shared dual object
     assert character_dual(mod) is character_dual(mod)
@@ -921,6 +925,31 @@ def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_o
     third = _twin(m2)
     assert s_pd(third, s_e1).certificate.certified_module() is third
     assert calls == {"solve_span": 2, "kernel_and_right_inverse": 2}
+    clear_memo()
+
+
+def test_content_entries_name_the_ring_by_content(monkeypatch):
+    # no entry keeps its ring alive, and equal rings built apart share
+    # one elimination while the memo lives
+    clear_memo()
+    calls = _spy_eliminations(monkeypatch)
+
+    def ask():
+        ring = product_ring()
+        m2 = quotient_module(ring, [[1, 0, 0], [0, 0, 1]])
+        result = s_pd(m2, mult_closure(ring, [ring.element([1, 0, 0])]))
+        assert result.value == DimValue.exact(0) and result.certificate.verify()
+        return weakref.ref(ring)
+
+    first = ask()
+    gc.collect()
+    assert first() is None
+    assert modules._memo[modules._CONTENT].entries
+    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    second = ask()
+    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    gc.collect()
+    assert second() is None
     clear_memo()
 
 

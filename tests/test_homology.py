@@ -8,10 +8,16 @@ from math import comb
 import numpy as np
 import pytest
 
-from srelhom import gfmat, homology
+from srelhom import gfmat, homology, modules
 from srelhom.checks import _cyclic_triple, _nonunit_element, clear_memo
 from srelhom.dimensions import s_pd
-from srelhom.errors import InputError, InternalInvariantViolation, NotSExact, RingMismatch
+from srelhom.errors import (
+    InputError,
+    InternalInvariantViolation,
+    NotSExact,
+    NotSIso,
+    RingMismatch,
+)
 from srelhom.instances import (
     bundled_rings,
     middle_free_triple,
@@ -265,6 +271,28 @@ def test_long_sequence_s_relative(ring2, m2, s_e1):
     # kernel corrector witnesses are recorded
     data = long_ext_sequence((f, g), m2, 1, "covariant", s_e1)
     assert data.correctors["t1_witness"].label() == "e1"
+
+
+def test_exact_core_decides_each_corrector_once(monkeypatch, ring2, m2, s_e1):
+    # s_iso_inverse decides each corrector; no separate is_s_isomorphism
+    reg = regular_module(ring2)
+    f = scaling_map(reg, ring2.element([1, 0, 0]))
+    _, g = subquotient(f, "cokernel")
+    s_mid = s_exactness_check(cap_chain([f, g]), s_e1).positions[1].witness
+    decided = []
+    real = modules.is_s_isomorphism
+    monkeypatch.setattr(modules, "is_s_isomorphism",
+                        lambda t, s_set: decided.append(t) or real(t, s_set))
+    core = homology._exact_core(f, g, s_e1, s_mid)
+    assert decided == [core["t1"], core["t2"]]
+
+    # a corrector that is no S-isomorphism is an engine fault, named as before
+    def refuse(t, s_set):
+        raise NotSIso("map is not an S-isomorphism; no inverse witness exists")
+
+    monkeypatch.setattr(homology, "s_iso_inverse", refuse)
+    with pytest.raises(InternalInvariantViolation, match="^kernel corrector is not an S-iso$"):
+        long_ext_sequence((f, g), m2, 1, "covariant", s_e1)
 
 
 def test_long_sequence_with_nonzero_higher_terms(ring2, m2, s_e1, s_one):

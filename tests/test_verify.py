@@ -163,6 +163,21 @@ def test_mutation_lying_dimension_walk_is_caught(monkeypatch):
     assert replay(broken.counterexamples[0]).verdict in ("pass", "vacuous")
 
 
+def test_lemma_1_1_reports_a_map_that_is_not_an_s_iso(monkeypatch):
+    # s_iso_inverse's NotSIso is the verdict: the trial fails with the
+    # certificate detail and dumps the map
+    def not_an_iso(ring, s_set, rng, max_rank):
+        reg = regular_module(ring)
+        return ModuleMap.zero(reg, reg), None
+
+    monkeypatch.setattr(checks_mod, "random_s_iso", not_an_iso)
+    report = verify(TheoremCase("lemma-1.1", trials=20))
+    assert report.failures > 0
+    for case in report.counterexamples:
+        assert case["detail"] == "constructed map failed the S-iso certificate"
+        assert set(case["instances"]) == {"ring", "multset", "map"}
+
+
 def test_counterexample_dump_is_json_ready():
     import srelhom.homology as H
     real = H._connecting_on_target

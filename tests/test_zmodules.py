@@ -120,7 +120,7 @@ def test_solve_and_kernel():
 
 def lattice_pivots(a):
     """(row, value) of the leading entry of each triangular basis column."""
-    basis = intmat.column_lattice_basis(a)
+    basis = oracle.column_lattice_basis(a)
     _, cols = intmat.shape(basis)
     return [next((i, basis[i][j]) for i in range(len(basis)) if basis[i][j])
             for j in range(cols)]
@@ -167,7 +167,7 @@ def test_intmat_solve_each_rejects_mismatched_rows():
 
 
 def test_lattice_helpers():
-    basis = intmat.column_lattice_basis([[2, 4, 3], [0, 0, 0]])
+    basis = oracle.column_lattice_basis([[2, 4, 3], [0, 0, 0]])
     assert basis == [[1], [0]]
     # {x : 2x in 4Z} = 2Z
     assert oracle.solution_lattice([[2]], [[4]]) == [[2]]
@@ -429,9 +429,10 @@ def multi_column_section_solve(q, candidates, order, links, modulus):
 
 
 def multi_column_levels(mod, s_set):
-    """The levels of z_s_pd rebuilt on the multi-column search; over Z a
-    failed level 0 is followed by level 1 whatever the bound."""
-    q = zmodules._structure(mod).q
+    """The levels of z_s_pd rebuilt on the multi-column search over a
+    triangular basis of the relation lattice; over Z a failed level 0 is
+    followed by level 1 whatever the bound."""
+    q = oracle.relation_lattice(mod)
     if mod.ring == "Z_mod":
         order, links = _monoid_orbit(s_set.generators, mod.m)
         return (multi_column_section_solve(q, order, order, links, mod.m),)
@@ -453,9 +454,11 @@ def witness_fields(levels):
 
 
 def assert_levels_verify(mod, levels):
-    # level 0 splits the module's cover; level 1 (over Z) its free syzygy
-    q = zmodules._structure(mod).q
-    lattices = (q, intmat.zeros(intmat.shape(q)[1], 0))
+    # level 0 splits the module's cover, presented by q; level 1 (over Z)
+    # its free syzygy, of the rank of the relation lattice
+    lattice = zmodules._structure(mod)
+    assert lattice.rank == intmat.shape(oracle.relation_lattice(mod))[1]
+    lattices = (lattice.q, intmat.zeros(lattice.rank, 0))
     for q, witness in zip(lattices, levels):
         if witness.verdict:
             assert_section_verifies(q, witness, mod.m)
@@ -493,6 +496,49 @@ def test_orbit_test_matches_the_multi_column_search():
             assert_levels_verify(mod, res.levels)
             tally[ring, res.levels[0].verdict] += 1
     assert min(tally[key] for key in product(RING_TAGS, (True, False))) >= 10, tally
+
+
+def free_wide_and_empty_presentations(rng, ring, m):
+    """Presentations of one module family in three shapes: scrambled with
+    a free part, with more relations than generators (duplicated and
+    combined columns), and with no relations at all."""
+    span = m or 12
+    free = rng.randint(1, 2)
+    orders = [rng.choice([d for d in range(2, span + 1) if span % d == 0])
+              for _ in range(rng.randint(1, 2))]
+    base = [list(row) for row in z_module_from_factors(ring, m, free, orders).rows]
+    gens = len(base)
+    for _ in range(3):
+        i, k = rng.sample(range(gens), 2)
+        base[i] = [x + y for x, y in zip(base[i], base[k])]
+    pad = [0] * rng.randint(1, 2)
+    wide = [row + [2 * row[0], row[-1] - row[0]] + pad for row in base]
+    return [base, wide, [[] for _ in range(rng.randint(1, 3))]]
+
+
+def test_sections_verify_on_free_parts_wide_and_empty_presentations():
+    rng = random.Random(2302)
+    tally = Counter()
+    for ring, m in [("Z", None)] + [("Z_mod", m) for m in (4, 8, 9, 12, 18)]:
+        for _ in range(12):
+            for shape, rows in enumerate(free_wide_and_empty_presentations(rng, ring, m)):
+                mod = z_module(ring, rows, m=m)
+                lattice = zmodules._structure(mod)
+                if ring == "Z":
+                    # a free part shows as zero diagonal entries
+                    assert lattice.rank < mod.generators
+                gens = [rng.choice([2, 3, 4, 5, 6, 7, 9, 12]) for _ in range(rng.randint(1, 2))]
+                gens = [g for g in gens if m is None or g % m] or [1]
+                res = z_s_pd(mod, z_multset(ring, gens, m=m))
+                assert_levels_verify(mod, res.levels)
+                tally[ring, shape, res.levels[0].verdict] += 1
+                if res.levels[0].verdict and lattice.rank:
+                    tally[ring, "corrected"] += 1
+    for ring in RING_TAGS:
+        assert tally[ring, "corrected"] >= 10, tally
+        for shape in range(3):
+            assert tally[ring, shape, True] >= 3, tally
+    assert tally["Z", 0, False] + tally["Z", 1, False] >= 3, tally
 
 
 def test_bound_zero_over_z_still_decides_level_one():
@@ -533,7 +579,7 @@ def test_diagonal_solve_matches_the_kron_solve_at_every_residue():
                 continue
             tried += 1
             lattice = zmodules._structure(mod)
-            diag = intmat.diagonal_of(lattice.d)
+            diag = lattice.diag
             need = _split_modulus(mod)
             for s in range(m):
                 ys = _diagonal_solve(diag, s, m)
@@ -555,7 +601,7 @@ def zmod_walk_oracle(mod, s_set, bound):
     first, then one section solve per candidate s per level."""
     m, g = mod.m, mod.generators
     order, paths = old_monoid_orbit(s_set.generators, m)
-    lattices = [zmodules._structure(mod).q]
+    lattices = [oracle.relation_lattice(mod)]
     for _ in range(bound):
         lattices.append(oracle.solution_lattice(
             lattices[-1], [[m if i == j else 0 for j in range(g)] for i in range(g)]))
@@ -850,38 +896,59 @@ def test_factor_ring_checks_build_the_z_view_once(monkeypatch):
                 assert not calls
 
 
-def test_one_smith_form_per_question(monkeypatch):
-    # one lattice basis and one Smith form per relation lattice: the
-    # structure, the split modulus and the section all read one entry
-    calls = Counter()
-    snf, basis = intmat.smith_normal_form, intmat.column_lattice_basis
+def spy_smith_forms(monkeypatch):
+    """The matrices intmat.smith_normal_form is called on, as tuples."""
+    seen = []
+    snf = intmat.smith_normal_form
     monkeypatch.setattr(intmat, "smith_normal_form",
-                        lambda a: calls.update(["snf"]) or snf(a))
-    monkeypatch.setattr(intmat, "column_lattice_basis",
-                        lambda a: calls.update(["basis"]) or basis(a))
+                        lambda a: seen.append(zmodules._frozen(a)) or snf(a))
+    return seen
 
-    def counts(call):
-        calls.clear()
+
+def test_one_smith_form_per_question(monkeypatch):
+    # one Smith form per presentation and no other lattice step: the
+    # structure, the split modulus and the section all read one entry
+    assert not hasattr(intmat, "column_lattice_basis")
+    seen = spy_smith_forms(monkeypatch)
+
+    def smith_forms(call):
+        seen.clear()
         call()
-        return calls["snf"], calls["basis"]
+        return len(seen)
 
     rows = [[2, 4], [6, 3]]
     mod12, modz = z_module("Z_mod", rows, m=12), z_module("Z", rows)
     s_set = z_multset("Z", [5, 2])
     questions = [
         # both searches split, so each builds a section
-        (lambda: z_s_pd(mod12, z_multset("Z_mod", [5, 2], m=12)), (1, 1)),
-        (lambda: z_s_pd(modz, z_multset("Z", [2, 9])), (1, 1)),
-        (lambda: factor_ring_check(12, mod12, s_set), (1, 1)),
-        (lambda: change_of_rings_check(12, mod12, s_set), (2, 2)),
+        (lambda: z_s_pd(mod12, z_multset("Z_mod", [5, 2], m=12)), 1),
+        (lambda: z_s_pd(modz, z_multset("Z", [2, 9])), 1),
+        (lambda: factor_ring_check(12, mod12, s_set), 1),
+        (lambda: change_of_rings_check(12, mod12, s_set), 2),
     ]
     for call, want in questions:
         zmodules._structure.cache_clear()
-        assert counts(call) == want
-        assert counts(call) == (0, 0)
+        assert smith_forms(call) == want
+        assert smith_forms(call) == 0
         zmodules._structure.cache_clear()
-        assert counts(call) == want
+        assert smith_forms(call) == want
     assert z_s_pd(modz, z_multset("Z", [2, 9])).certificate.s == 18
+
+
+def test_structure_takes_the_smith_form_of_the_presentation(monkeypatch):
+    # the matrix handed to the Smith form is the presentation over Z
+    # itself (ring relations appended over Z/m), once per distinct one
+    seen = spy_smith_forms(monkeypatch)
+    rng = random.Random(2301)
+    for ring, m in (("Z", None), ("Z_mod", 4), ("Z_mod", 12), ("Z_mod", 18)):
+        mods = [random_z_module(rng, ring=ring, m=m, span=m or 8) for _ in range(12)]
+        mods += mods[:4]
+        zmodules._structure.cache_clear()
+        seen.clear()
+        for mod in mods:
+            mod.structure()
+        views = [mod if ring == "Z" else zmodules._as_z_module(mod) for mod in mods]
+        assert seen == list(dict.fromkeys(view.rows for view in views))
 
 
 def test_cache_entries_are_immutable():
@@ -892,7 +959,8 @@ def test_cache_entries_are_immutable():
             s_set = z_multset(ring, [rng.choice([2, 3, 5])], m=m)
             zmodules._structure.cache_clear()
             lattice = zmodules._structure(mod)
-            for mat in (lattice.q, lattice.u, lattice.d, lattice.v):
+            assert isinstance(lattice.diag, tuple)
+            for mat in (lattice.q, lattice.u, lattice.v):
                 assert isinstance(mat, tuple)
                 assert all(isinstance(row, tuple) for row in mat)
             ext = z_ext(mod, mod, 1)
