@@ -47,7 +47,6 @@ from .errors import (
     InputError,
     InternalInvariantViolation,
     MiddleNotCertified,
-    NotSExact,
     RingMismatch,
 )
 from .rings import (
@@ -66,13 +65,13 @@ from .modules import (
     SIsoWitness,
     _content_cached,
     _content_key,
-    cap_chain,
+    _hom_block_matrix,
+    _require_s_exact,
     character_dual,
     dual_map,
+    free_map_from_generator_images,
     free_module,
-    generator_images,
     is_s_isomorphism,
-    s_exactness_check,
 )
 from .homology import _require_one_ring, core_connecting_map, injective_cocover, resolution
 from .instances import random_module
@@ -223,9 +222,10 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     Ker C.  Then C . psi = s Id_X exactly when C y_j = s C(1_j) for every
     j.  The unknowns are the r images y_j; the right-hand sides are those
     of s = e_i, so s splits exactly when W @ s = 0 for the residual W,
-    with images Y @ s.  These s form an ideal: if psi works for s, then
+    with images Y @ s.  C is R-linear, so e_i C(1_j) = C(e_i 1_j) is
+    column (j, i) of C.  These s form an ideal: if psi works for s, then
     psi . r works for r s.  Ker C and L come from one more elimination,
-    of [C | I].
+    of [C | I]; modules owns the R^r layout of Phi and the kernel rows.
 
     Two questions need no system.  When X = 0, W is empty; when 0 is in
     S it is the first element (0 sorts first) and lies in every ideal.
@@ -247,38 +247,33 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
 def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     """_split_search's system, for a nonzero X and 0 outside S.
 
-    After the kind transposition the elimination reads the ring and two
-    arrays only, C and the actions on X: in both kinds the actions on F
-    are those of R^r (free_module), which the ring and the width of C
-    fix.  So its residual W, solutions Y and right inverse L are computed
-    once per distinct content (modules._content_cached).  The first
-    member of S in ker W and the witness on the caller's own cover are
-    built on every call.
+    After the kind transposition the elimination reads the ring and C
+    only: the actions on F are those of R^r, whose layout modules owns,
+    and the right-hand sides are columns of C.  So its residual W,
+    solutions Y and right inverse L are computed once per distinct
+    content (modules._content_cached).  The first member of S in ker W
+    and the witness on the caller's own cover are built on every call.
     """
     ring = cover.ring
-    if kind == "section":
-        pres, x_acts = cover.matrix, cover.target.actions
-    else:
-        pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
+    pres = cover.matrix if kind == "section" else cover.matrix.T
     p, n_f = ring.p, pres.shape[1]
-    f_acts = free_module(ring, n_f // ring.dim).actions
     residual, ys, right_inv = _content_cached(
-        ("split", ring.content, *_content_key(pres, x_acts)),
-        lambda: _split_elimination(ring, pres, x_acts, f_acts))
+        ("split", ring.content, *_content_key(pres)),
+        lambda: _split_elimination(ring, pres))
     k = s_set.first_member(residual)
     if k is None:
         return SplitWitness(kind, cover, None, None, s_set.elements)
     s = s_set.elements[k]
-    images = (ys @ s.array % p).reshape(-1, n_f)
-    phi = np.einsum("iab,jb->aji", f_acts, images).reshape(n_f, n_f) % p
-    psi = (phi @ right_inv) % p
+    free = free_module(ring, n_f // ring.dim)
+    images = (ys @ s.array % p).reshape(-1, n_f).T
+    psi = (free_map_from_generator_images(free, free, images).matrix @ right_inv) % p
     mapping = ModuleMap(cover.target, cover.source,
                         psi if kind == "section" else psi.T)
     return SplitWitness(kind, cover, s, mapping, s_set.elements[:k])
 
 
-def _split_elimination(ring: FiniteAlgebra, pres: np.ndarray, x_acts: np.ndarray,
-                       f_acts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_elimination(ring: FiniteAlgebra,
+                       pres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, Y, L) of the split system of C = pres: F ->> X (_split_search)."""
     p, d = ring.p, ring.dim
     n_x, n_f = pres.shape
@@ -290,16 +285,14 @@ def _split_elimination(ring: FiniteAlgebra, pres: np.ndarray, x_acts: np.ndarray
     top = m * n_f
     # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
     # whose ring coordinates k_j sit in block j.  Below them, r diagonal
-    # copies of C state C y_j = s C(1_j); column i is the one of s = e_i.
+    # copies of C state C y_j = s C(1_j); column i is the one of s = e_i,
+    # and e_i C(1_j) = C(e_i 1_j) is column (j, i) of C.
     coeff = np.zeros((top + r * n_x, r * n_f), dtype=np.int64)
-    coeff[:top] = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
-                            f_acts).reshape(top, r * n_f)
+    coeff[:top] = _hom_block_matrix(free_module(ring, r), kernel.T.reshape(m, r, d))
     hits = coeff[top:].reshape(r, n_x, r, n_f)
     hits[range(r), :, range(r), :] = pres
-    gens = generator_images(ring, pres)
-    moved = np.einsum("iab,bj->iaj", x_acts, gens) % p
     rhs = np.zeros((top + r * n_x, d), dtype=np.int64)
-    rhs[top:] = moved.transpose(2, 1, 0).reshape(r * n_x, d)
+    rhs[top:] = pres.reshape(n_x, r, d).transpose(1, 0, 2).reshape(r * n_x, d)
     residual, ys = gfmat.solve_span(coeff, rhs, p)
     return residual, ys, right_inv
 
@@ -372,8 +365,7 @@ def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
-    witness = _split_search("section", resolution(module).cover(0), s_set)
-    return _level_zero("S-pd", module, s_set, bound, witness)
+    return _level_zero("S-pd", module, s_set, bound, is_s_projective(module, s_set))
 
 
 def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
@@ -396,8 +388,7 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
-    direct = _level_zero("S-id", module, s_set, bound,
-                         _split_search("retraction", injective_cocover(module), s_set))
+    direct = _level_zero("S-id", module, s_set, bound, is_s_injective(module, s_set))
     dual_route = s_pd(character_dual(module), s_set, bound)
     if dual_route.value != direct.value:
         raise InternalInvariantViolation(
@@ -495,7 +486,7 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
     for ideal in ideals:
         basis, k = ideal.basis, ideal.fdim
         # mults[j] is multiplication by the j-th basis vector of I
-        mults = np.einsum("aj,abc->jcb", basis, ring.table) % p
+        mults = ring.products(basis.T, np.eye(d, dtype=np.int64)).transpose(0, 2, 1)
         coeff = (mults @ basis).reshape(k * d, k) % p
         systems.append(gfmat.solve_span(coeff, mults.reshape(k * d, d), p))
     k = s_set.first_member(np.vstack([w for w, _ in systems]))
@@ -603,13 +594,6 @@ def _conditional(name: str, statement: str, hypothesis: bool,
     if not hypothesis:
         return Assertion(name, statement, "inapplicable", "hypothesis fails")
     return _decided(name, statement, all(conclusions))
-
-
-def _require_s_exact(f: ModuleMap, g: ModuleMap, s_set: MultSet) -> None:
-    report = s_exactness_check(cap_chain([f, g]), s_set)
-    if not report.ok:
-        bad = [pos.index for pos in report.positions if pos.witness is None][0]
-        raise NotSExact("sequence is not S-exact at position %d" % bad)
 
 
 def split_witness_from_retraction(f: ModuleMap, retraction: ModuleMap,

@@ -36,7 +36,6 @@ from . import gfmat
 from .errors import (
     InputError,
     InternalInvariantViolation,
-    NotSExact,
     NotSIso,
     RingMismatch,
 )
@@ -47,8 +46,9 @@ from .modules import (
     SExactReport,
     _content_cached,
     _content_key,
+    _hom_block_matrix,
+    _require_s_exact,
     _span_module,
-    cap_chain,
     character_dual,
     dual_map,
     free_map_from_generator_images,
@@ -334,18 +334,6 @@ def resolution(module: Module, style: str = "minimal", seed: int = 0) -> Resolut
 # -- hom cochains and ext -----------------------------------------------------
 
 
-def _hom_block_matrix(target: Module, coeffs: np.ndarray) -> np.ndarray:
-    """Matrix of shape (n*out, n*in) with block (l, j) = action of coeffs[l, j].
-
-    coeffs has shape (out, in, d); blocks act on column stacks of
-    target-components.
-    """
-    out_count, in_count = coeffs.shape[0], coeffs.shape[1]
-    n = target.vdim
-    blocks = np.einsum("lji,iab->lajb", coeffs, target.actions) % target.ring.p
-    return blocks.reshape(out_count * n, in_count * n)
-
-
 class HomCochain:
     """The cochain complex Hom_R(F_., N) for one resolution and target.
 
@@ -467,9 +455,7 @@ def ext(source: Module, target: Module, n: int, style: str = "minimal",
     if n < 0:
         raise InputError("ext degree must be nonnegative")
     _require_one_ring(source, target)
-    res = resolution(source, style, seed)
-    res.ensure(n + 1)
-    return ext_from_cochain(HomCochain(res, target), n)
+    return ext_with_resolution(resolution(source, style, seed), target, n)
 
 
 def ext_with_resolution(res: BaseResolution, target: Module, n: int) -> ExtResult:
@@ -673,12 +659,7 @@ def long_ext_sequence(short: tuple[ModuleMap, ModuleMap], other: Module,
     if n < 0:
         raise InputError("degree must be nonnegative")
     _require_one_ring(f.source, other)
-    base = s_exactness_check(cap_chain([f, g]), s_set)
-    if not base.ok:
-        bad = [pos.index for pos in base.positions if pos.witness is None]
-        raise NotSExact("input sequence is not S-exact; first failure at "
-                        "position %d" % bad[0])
-    s_mid = base.positions[1].witness
+    s_mid = _require_s_exact(f, g, s_set).positions[1].witness
     if variance == "contravariant":
         f, g, other = dual_map(g), dual_map(f), character_dual(other)
     core = _exact_core(f, g, s_set, s_mid)

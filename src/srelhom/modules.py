@@ -38,9 +38,10 @@ expects the same verdicts, so every skipped check stays reachable.
 
 Free modules are cached on their ring, one object per rank.  R^k stores
 its dense block-diagonal action array, filled by one strided assignment.
-A map out of R^k is fixed by its generator images: generator_images
-reads them off its matrix and free_map_from_generator_images builds it
-back from them.
+This module owns the R^k layout, basis vector (j, i) = e_i 1_j: a map
+out of R^k is fixed by its generator images (generator_images reads them
+off its matrix, free_map_from_generator_images builds it back), and
+_hom_block_matrix acts by a matrix of ring entries on copies of a module.
 
 The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
@@ -63,6 +64,7 @@ from .errors import (
     InputError,
     InternalInvariantViolation,
     NotComposable,
+    NotSExact,
     NotSIso,
     RingMismatch,
 )
@@ -108,14 +110,16 @@ __all__ = [
 _memo: dict = {}
 
 _CONTENT = ("content",)
-_CONTENT_BUDGET = 64 << 20  # bytes of cached arrays and key bytes
+_CONTENT_BUDGET = 64 << 20  # bytes of cached arrays, key bytes and ring contents
 
 
 class _ContentStore:
-    """The memo's content sub-entry: key -> tuple of arrays, with its size."""
+    """The memo's content sub-entry: key -> tuple of arrays, with its size,
+    and the one ring content tuple its keys share per distinct value."""
 
     def __init__(self):
         self.entries: dict = {}
+        self.rings: dict = {}
         self.nbytes = 0
 
 
@@ -127,14 +131,15 @@ def _content_key(*arrays: np.ndarray) -> tuple:
 def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
-    key holds everything the result depends on: the ring's content
-    (ring.content, so equal rings share entries and no entry keeps a
-    ring alive), names, integers and _content_key parts.  The arrays are
-    made read-only, so no caller can change what later callers get.
-    They sit under one sub-entry of the memo, so the memo's other blocks
-    are never evicted; when an insertion would take the sub-entry past
-    _CONTENT_BUDGET bytes (arrays and key bytes), the sub-entry is
-    emptied first.
+    key is (name, ring.content, ...) and holds everything the result
+    depends on: the ring's content (so equal rings share entries and no
+    entry keeps a ring alive), then names, integers and _content_key
+    parts.  The arrays are made read-only, so no caller can change what
+    later callers get.  They sit under one sub-entry of the memo, so the
+    memo's other blocks are never evicted; when an insertion would take
+    the sub-entry past _CONTENT_BUDGET bytes (arrays, key bytes and the
+    bytes of each distinct ring content once), the sub-entry is emptied
+    first.
     """
     store = _memo.get(_CONTENT)
     if store is None:
@@ -143,15 +148,21 @@ def _content_cached(key: tuple, build) -> tuple:
     if value is not None:
         return value
     value = build()
-    size = sum(len(part) for part in key if isinstance(part, bytes))
+    size = sum(len(part) for part in key[2:] if isinstance(part, bytes))
     for arr in value:
         arr.flags.writeable = False
         size += arr.nbytes
-    if store.nbytes + size > _CONTENT_BUDGET:
+    ring_size = sum(len(part) for part in key[1] if isinstance(part, bytes))
+    if store.nbytes + size + (key[1] not in store.rings) * ring_size > _CONTENT_BUDGET:
         store.entries.clear()
+        store.rings.clear()
         store.nbytes = 0
-    if size <= _CONTENT_BUDGET:
-        store.entries[key] = value
+    if size + ring_size <= _CONTENT_BUDGET:
+        ring = store.rings.get(key[1])
+        if ring is None:
+            ring = store.rings[key[1]] = key[1]
+            store.nbytes += ring_size
+        store.entries[(key[0], ring) + key[2:]] = value
         store.nbytes += size
     return value
 
@@ -244,9 +255,9 @@ def same_module(a: Module, b: Module) -> bool:
             and np.array_equal(a.actions, b.actions))
 
 
-@dataclass
+@dataclass(eq=False)
 class ModuleMap:
-    """An R-linear map, stored as its matrix on the F_p bases."""
+    """An R-linear map, stored as its matrix on the F_p bases; == is identity."""
 
     source: Module
     target: Module
@@ -395,6 +406,18 @@ def ring_matrix_of_free_map(f: ModuleMap) -> np.ndarray:
         raise InputError("both endpoints must be free modules")
     images = generator_images(f.ring, f.matrix).reshape(rb, f.ring.dim, ra)
     return np.ascontiguousarray(images.transpose(0, 2, 1))
+
+
+def _hom_block_matrix(target: Module, coeffs: np.ndarray) -> np.ndarray:
+    """Matrix of shape (n*out, n*in) with block (l, j) = action of coeffs[l, j].
+
+    coeffs has shape (out, in, d); blocks act on column stacks of
+    target-components.
+    """
+    out_count, in_count = coeffs.shape[0], coeffs.shape[1]
+    n = target.vdim
+    blocks = np.einsum("lji,iab->lajb", coeffs, target.actions) % target.ring.p
+    return blocks.reshape(out_count * n, in_count * n)
 
 
 def direct_sum(*mods: Module) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
@@ -618,9 +641,11 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
     At each interior module the search finds the first s in canonical
     order with s Ker(outgoing) <= Im(incoming) and
     s Im(incoming) <= Ker(outgoing).  The first holds when the residual
-    of one elimination against the image basis, with the images of each
+    of one elimination against the incoming map, with the images of each
     kernel vector under e_0..e_{d-1} as right-hand sides, kills s; the
-    second when the products outgoing . e_i . image, weighted by s, are 0.
+    second when the products outgoing . e_i . incoming, weighted by s,
+    are 0.  A matrix and a basis of its column space have the same left
+    null space, so no basis is taken.
     """
     if len(maps) < 2:
         raise InputError("need at least two maps to have an interior position")
@@ -635,17 +660,26 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
         incoming, outgoing = maps[idx - 1], maps[idx]
         mod = outgoing.source
         ker = gfmat.nullspace(outgoing.matrix, p)
-        img = gfmat.column_space(incoming.matrix, p)
         # column (j, i) is e_i times kernel vector j, so the residual's
         # rows (row, j) hold the coefficients of s_i in column i
         moved_ker = np.einsum("iab,bj->aji", mod.actions, ker) % p
         moved_ker = moved_ker.reshape(mod.vdim, ker.shape[1] * d)
-        ker_in_img = gfmat.solve_span(img, moved_ker, p)[0].reshape(-1, d)
-        img_in_ker = ((outgoing.matrix @ mod.actions) % p @ img) % p
+        ker_in_img = gfmat.solve_span(incoming.matrix, moved_ker, p)[0].reshape(-1, d)
+        img_in_ker = ((outgoing.matrix @ mod.actions) % p @ incoming.matrix) % p
         k = s_set.first_member(np.vstack([ker_in_img, img_in_ker.reshape(d, -1).T]))
         witness = None if k is None else s_set.elements[k]
         reports.append(PositionReport(idx, mod, witness))
     return SExactReport(tuple(reports))
+
+
+def _require_s_exact(f: ModuleMap, g: ModuleMap, s_set: MultSet) -> SExactReport:
+    """The report of 0 -> A -> B -> C -> 0 (f, g); NotSExact names the
+    first position where it fails."""
+    report = s_exactness_check(cap_chain([f, g]), s_set)
+    if not report.ok:
+        bad = [pos.index for pos in report.positions if pos.witness is None][0]
+        raise NotSExact("sequence is not S-exact at position %d" % bad)
+    return report
 
 
 @dataclass(frozen=True)

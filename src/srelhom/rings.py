@@ -540,7 +540,7 @@ def _subspace_key(basis: np.ndarray, p: int) -> tuple:
     return _echelon_key(basis.T, p)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ideal:
     """An ideal of a finite algebra, stored as an F_p-subspace basis.
 
@@ -548,7 +548,7 @@ class Ideal:
     lattice it is the pivot columns of the first spanning set
     enumerate_ideals met for the ideal, so the discovery order fixes it
     (and with it label()).  key() is the canonical form, the same for
-    every basis of the same subspace.
+    every basis of the same subspace; == and hash are identity.
     """
 
     ring: FiniteAlgebra

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from srelhom import gfmat
-from srelhom.dimensions import (
-    SplitWitness,
-    _require_s_exact,
-    is_s_injective,
-    is_s_projective,
-)
+from srelhom.dimensions import SplitWitness, is_s_injective, is_s_projective
 from srelhom.errors import (
     InputError,
     InternalInvariantViolation,
@@ -58,6 +53,7 @@ from srelhom.modules import (
     Module,
     ModuleMap,
     SIsoWitness,
+    _require_s_exact,
     cap_chain,
     free_map_from_generator_images,
     free_module,

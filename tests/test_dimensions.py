@@ -17,6 +17,7 @@ from les_oracle import shift_search
 from srelhom import gfmat, modules
 from srelhom.checks import _multset_menu, clear_memo
 from srelhom.rings import (
+    Ideal,
     complement_multset,
     direct_product,
     enumerate_ideals,
@@ -984,6 +985,35 @@ def test_cached_arrays_are_read_only(ring2, s_e1, m2):
     clear_memo()
 
 
+def _reachable_bytes(store):
+    """Bytes the store's keys and values hold, each object once."""
+    held, stack = {}, [part for key in store.entries for part in key]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, tuple):
+            stack.extend(part)
+        elif isinstance(part, bytes):
+            held[id(part)] = len(part)
+    arrays = {id(arr): arr.nbytes for value in store.entries.values() for arr in value}
+    return sum(held.values()) + sum(arrays.values())
+
+
+def test_content_budget_counts_the_ring_contents_its_keys_hold():
+    # each copy of the ring is built apart, so each holds its own table
+    # bytes; the store keeps and counts one of them
+    clear_memo()
+    for k in range(1, 4):
+        ring = truncated_polynomial(2, 40)
+        module = quotient_module(ring, [[0] * k + [1] + [0] * (39 - k)])
+        s_pd(module, mult_closure(ring, []))
+        s_id(module, mult_closure(ring, []))
+    store = modules._memo[modules._CONTENT]
+    assert len(store.entries) >= 6
+    assert _reachable_bytes(store) > len(ring.table.tobytes())
+    assert store.nbytes >= _reachable_bytes(store)
+    clear_memo()
+
+
 def test_content_budget_clears_only_its_sub_entry(monkeypatch):
     rng = random.Random("content-budget")
     cases = []
@@ -1018,3 +1048,28 @@ def test_content_budget_clears_only_its_sub_entry(monkeypatch):
     assert all(nbytes <= budget for _, nbytes in small)
     assert modules._memo[("pool",)] is pool
     clear_memo()
+
+
+# -- comparison and hashing ----------------------------------------------------
+
+
+def test_results_that_hold_maps_compare_and_hash(ring2, s_e1, m2):
+    # maps and ideals compare by identity, as modules and rings do, so
+    # results that hold them compare and hash instead of raising
+    first, second = s_pd(m2, s_e1), s_pd(_twin(m2), s_e1)
+    mapping = first.certificate.mapping
+    twin_map = ModuleMap(mapping.source, mapping.target, mapping.matrix.copy())
+    ideal = enumerate_ideals(ring2).maximals[0]
+    twin_ideal = Ideal(ring2, ideal.basis.copy(), ideal.is_prime, ideal.is_maximal)
+    pairs = [(first, second), (s_id(m2, s_e1), s_id(m2, s_e1)),
+             (first.certificate, second.certificate),
+             (local_profile(m2), local_profile(m2)),
+             (mapping, twin_map), (ideal, twin_ideal)]
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert (a == b) in (True, False)
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+        assert len({a, b, a}) in (1, 2)
+    # the structural comparisons stay available
+    assert mapping != twin_map and np.array_equal(mapping.matrix, twin_map.matrix)
+    assert ideal != twin_ideal and ideal.key() == twin_ideal.key()

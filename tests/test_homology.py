@@ -34,6 +34,7 @@ from srelhom.rings import (
 from srelhom.modules import (
     Module,
     ModuleMap,
+    _hom_block_matrix,
     cap_chain,
     character_dual,
     free_map_from_generator_images,
@@ -52,7 +53,6 @@ from srelhom.homology import (
     AssembledResolution,
     HomCochain,
     Resolution,
-    _hom_block_matrix,
     chain_lift,
     ext,
     ext_map_on_target,

@@ -6,6 +6,12 @@ canonical order.  The presentation-sized search must agree with it on
 verdict, witness and the attempted elements, and every map it returns
 must re-verify.
 
+action_system is the split system as it was built before its
+right-hand sides were read off the cover: from the actions on X and the
+images of the generators, with the kernel rows from an einsum over the
+dense actions of R^r.  The system _split_elimination solves must equal
+it on every cover.
+
 kron_search is the presentation-sized search as it was before it became
 one elimination per question: a full system assembled with np.kron and
 np.vstack on every question, one right-hand side per member of S, the
@@ -21,13 +27,19 @@ import random
 
 import numpy as np
 import pytest
-from conftest import degenerate_multset, quotient_module
+from conftest import degenerate_multset, quotient_module, square_zero_ring
 
 from srelhom import dimensions, gfmat
 from srelhom.dimensions import _split_search
 from srelhom.homology import injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
-from srelhom.modules import free_module, hom_space, subquotient, zero_module
+from srelhom.modules import (
+    free_module,
+    generator_images,
+    hom_space,
+    subquotient,
+    zero_module,
+)
 from srelhom.rings import (
     complement_multset,
     direct_product,
@@ -236,3 +248,63 @@ def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch)
         verdicts.add(got.verdict)
     assert verdicts == {True, False}
     assert widths and set(widths) == {ring.dim}
+
+
+def action_system(kind, cover):
+    """(coefficients, right-hand sides) of the split system, from the
+    actions on X: row (j, a), column i of the lower block is e_i C(1_j)."""
+    ring = cover.ring
+    p, d = ring.p, ring.dim
+    if kind == "section":
+        pres, x_acts = cover.matrix, cover.target.actions
+        f_acts = cover.source.actions
+    else:
+        pres, x_acts = cover.matrix.T, cover.source.actions.transpose(0, 2, 1)
+        f_acts = cover.target.actions.transpose(0, 2, 1)
+    n_x, n_f = pres.shape
+    r = n_f // d
+    kernel = gfmat.nullspace(pres, p)
+    m = kernel.shape[1]
+    kills = np.einsum("jim,iab->majb", kernel.reshape(r, d, m),
+                      f_acts).reshape(m * n_f, r * n_f) % p
+    moved = np.einsum("iab,bj->iaj", x_acts, generator_images(ring, pres)) % p
+    rhs = np.vstack([gfmat.zeros(m * n_f, d),
+                     moved.transpose(2, 1, 0).reshape(r * n_x, d)])
+    return np.vstack([kills, np.kron(gfmat.identity(r), pres)]), rhs
+
+
+def oracle_rings():
+    """The pool, square_zero_ring and its products with F_2 and F_2[t]/(t^2)."""
+    square = square_zero_ring()
+    rings = [ring for _, ring in bundled_rings()]
+    return rings + [square, direct_product(square, prime_field(2)),
+                    direct_product(square, truncated_polynomial(2, 2))]
+
+
+class _Captured(Exception):
+    """The system handed to solve_span, which is not solved."""
+
+
+def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
+    def capture(a, b, p):
+        raise _Captured(a, b)
+
+    rng = random.Random("split-rhs-oracle")
+    covers, kinds = 0, set()
+    for ring in oracle_rings():
+        for _ in range(34):
+            for kind, cover in edge_questions(random_module(ring, rng)):
+                certified = cover.target if kind == "section" else cover.source
+                if certified.vdim == 0:
+                    continue
+                pres = cover.matrix if kind == "section" else cover.matrix.T
+                with monkeypatch.context() as patch, pytest.raises(_Captured) as system:
+                    patch.setattr(dimensions.gfmat, "solve_span", capture)
+                    dimensions._split_elimination(ring, pres)
+                a, b = system.value.args
+                coeff, rhs = action_system(kind, cover)
+                assert b.shape == rhs.shape and b.tobytes() == rhs.tobytes()
+                assert np.array_equal(a % ring.p, coeff)
+                covers += 1
+                kinds.add(kind)
+    assert covers >= 1000 and kinds == {"section", "retraction"}
