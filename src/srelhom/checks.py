@@ -150,8 +150,8 @@ class _Config:
 
 def clear_memo() -> None:
     """Forget every memoized sweep block and every content cache (the
-    resolution levels and split systems of modules._content_cached), as a
-    fresh process starts."""
+    resolution levels, split systems and Ext groups of
+    modules._content_cached), as a fresh process starts."""
     _memo.clear()
 
 

@@ -34,8 +34,10 @@ of S: the s that answer it form ker W.  solve_each is the case c = e_k,
 and solve its all-or-nothing wrapper.  Two
 routines read more than one answer off a single rref of [a | I]:
 kernel_and_right_inverse(a, p) -> (K, L) is nullspace(a, p) together
-with solve(a, I, p), and complete_basis(cols, p) -> (D, E) is a basis
-completion together with its inverse.
+with solve(a, I, p), and complete_span(cols, p) -> (B, D, E) is a basis of
+the column span, its completion and the inverse of both.  One routine
+reads coordinates without an elimination: nullspace_coordinates against
+a basis nullspace returned, whose free rows are an identity block.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
+    "nullspace_coordinates",
     "solve",
     "solve_span",
     "solve_each",
@@ -60,6 +63,7 @@ __all__ = [
     "in_column_span",
     "extend_to_basis",
     "complete_basis",
+    "complete_span",
 ]
 
 
@@ -167,6 +171,39 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     ncols = a.shape[1]
     rows = _rows(a, p)
     return _kernel(rows, _eliminate(rows, p, ncols), ncols, p)
+
+
+def nullspace_coordinates(basis: np.ndarray, v: np.ndarray,
+                          p: int) -> np.ndarray | None:
+    """Coordinates c with basis @ c = v mod p for a basis nullspace
+    returned, or None when v lies outside its span.  No elimination.
+
+    nullspace gives free column f_j of the echelon form the basis vector
+    with a 1 in row f_j, 0 in the other free rows and -R[i, f_j] in row
+    c_i for each pivot column c_i.  A pivot row of R is 0 left of its
+    pivot, so R[i, f_j] = 0 unless c_i < f_j: row f_j holds the last
+    nonzero entry of column j, and basis[free] = I for free = (f_0, ...).
+    Hence v = basis @ c forces v[free] = basis[free] @ c = c: v lies in
+    the span exactly when basis @ v[free] = v, and v[free] is then its one
+    coordinate vector.
+
+    v may be a vector or a matrix; a matrix is None unless every column
+    lies in the span.  Raises ValueError when basis[free] is not the
+    identity, that is when basis is not in the shape nullspace returns.
+    """
+    n, k = basis.shape
+    if v.shape[0] != n:
+        raise ValueError("shape mismatch: %s vs %s" % (basis.shape, v.shape))
+    v = np.asarray(v, dtype=np.int64) % p
+    if not k:
+        return None if v.any() else v[:0]
+    free = n - 1 - (basis[::-1] != 0).argmax(0)
+    if (basis[free] != identity(k)).any():
+        raise ValueError("basis is not in nullspace shape")
+    coords = v[free]
+    if ((basis @ coords - v) % p).any():
+        return None
+    return coords
 
 
 def _kernel(rows: list[list[int]], pivots: list[int], ncols: int,
@@ -294,19 +331,38 @@ def extend_to_basis(cols: np.ndarray, p: int) -> np.ndarray:
 
 
 def complete_basis(cols: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(D, E): D = extend_to_basis(cols, p) and E = [cols | D]^-1.
-
-    Both come from the one rref([cols | I]).  Its right block E is the
-    product of the row operations, so E @ [cols | I] is that rref.  The
-    pivot columns of [cols | I] are, in order, the columns of [cols | D],
-    and the rref turns them into the unit vectors: E @ [cols | D] = I.
-    """
-    n, k = cols.shape
-    rows = [row + unit for row, unit in zip(_rows(cols, p), _unit_rows(n))]
-    pivots = _eliminate(rows, p, n + k)
-    if pivots[:k] != list(range(k)):
+    """(D, E): D = extend_to_basis(cols, p) and E = [cols | D]^-1, for
+    independent columns: complete_span's D and E, whose B is then cols."""
+    basis, d, e = complete_span(cols, p)
+    if basis.shape[1] != cols.shape[1]:
         raise ValueError("columns are not independent")
-    d = [[0] * (n - k) for _ in range(n)]
-    for m, c in enumerate(pivots[k:]):
+    return d, e
+
+
+def complete_span(cols: np.ndarray,
+                  p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, D, E): B = column_space(cols, p), D = extend_to_basis(B, p) and
+    E = [B | D]^-1, all from the one rref of [cols | I].
+
+    A pivot column of [cols | I] is a column outside the span of the
+    columns before it.  In the cols block these are the pivots of cols
+    alone, the columns column_space takes.  In the I block, e_j is one
+    when it lies outside the span of cols, which is the span of B, and
+    of the e_i before it: the greedy choice of extend_to_basis(B).  The
+    right block E is the product of the row operations, so E @ [cols | I]
+    is the rref.  The I block has rank n, so there are n pivots; the
+    pivot columns are, in order, the columns of [B | D], and the rref
+    turns them into the unit vectors: E @ [B | D] = I.
+    """
+    reduced = np.asarray(cols, dtype=np.int64) % p
+    n, k = reduced.shape
+    if not k:
+        return reduced, identity(n), identity(n)
+    rows = [row + unit for row, unit in zip(reduced.tolist(), _unit_rows(n))]
+    pivots = _eliminate(rows, p, n + k)
+    width = next((m for m, c in enumerate(pivots) if c >= k), len(pivots))
+    d = [[0] * (n - width) for _ in range(n)]
+    for m, c in enumerate(pivots[width:]):
         d[c - k][m] = 1
-    return _array(d, n, n - k), _array([row[k:] for row in rows], n, n)
+    return (reduced[:, pivots[:width]], _array(d, n, n - width),
+            _array([row[k:] for row in rows], n, n))

@@ -46,6 +46,7 @@ from .modules import (
     SExactReport,
     _content_cached,
     _content_key,
+    _derived_module,
     _hom_block_matrix,
     _require_s_exact,
     _span_module,
@@ -384,16 +385,19 @@ class HomCochain:
         return x.reshape(m, r, c).transpose(1, 0, 2).reshape(r * m, c)
 
     def cycle_module(self, k: int, cycles: np.ndarray) -> Module:
-        """The submodule of C^k spanned by independent invariant columns.
+        """The submodule of C^k spanned by invariant columns that
+        gfmat.nullspace returned.
 
         R acts on C^k by its action on N in each block, so the images of
-        the columns under the basis of R are taken blockwise.
+        the columns under the basis of R are taken blockwise, and their
+        coordinates are read off the nullspace basis without a solve.
         """
         ring, n = self.target.ring, self.target.vdim
         r, c = self.res.rank(k), cycles.shape[1]
         moved = np.einsum("iab,jbc->jaic", self.target.actions,
                           cycles.reshape(r, n, c))
-        return _span_module(ring, cycles, moved.reshape(r * n, ring.dim * c) % ring.p)
+        return _span_module(ring, cycles, moved.reshape(r * n, ring.dim * c) % ring.p,
+                            gfmat.nullspace_coordinates)
 
 
 @dataclass
@@ -420,28 +424,59 @@ class ExtResult:
         return self.module.vdim
 
     def class_of(self, cocycles: np.ndarray) -> np.ndarray:
-        coords = gfmat.solve(self.cycle_basis, cocycles, self.module.ring.p)
+        p = self.module.ring.p
+        coords = gfmat.nullspace_coordinates(self.cycle_basis, cocycles, p)
         if coords is None:
             raise InternalInvariantViolation("vector is not a cocycle")
-        return (self.proj @ coords) % self.module.ring.p
+        return (self.proj @ coords) % p
 
 
 def ext_from_cochain(hc: HomCochain, n: int) -> ExtResult:
+    """Ext^n as the cohomology of hc in degree n.
+
+    The cycle basis is the nullspace of the next differential, so the
+    coordinates of the boundaries and of the cycle module's actions are
+    read off it (gfmat.nullspace_coordinates), and one rref gives the
+    quotient.
+
+    Over a Resolution the arrays (cycle basis, actions on Ext, proj,
+    reps) are a deterministic function of the ring, the style, the seed,
+    the actions of M and of N and n: the resolution's levels are a
+    function of the first four (Resolution.ensure), and the rest is
+    computed from them and N alone.  So they are computed once per distinct key
+    (modules._content_cached), and every call still wraps them in its own
+    cochain, Ext module and result.  The checks of the computation, that
+    the boundaries are cocycles and that the cycle span is invariant, run
+    on a miss only: on a hit the same arrays would pass them again.  An
+    AssembledResolution is input, not a function of such a key, and is
+    never cached.
+    """
+    ring, res = hc.target.ring, hc.res
+    if isinstance(res, Resolution) and same_ring(res.ring, ring):
+        key = ("ext", ring.content, res.style, res.seed,
+               *_content_key(res.module.actions, hc.target.actions), n)
+        cycles, acts, proj, reps = _content_cached(key, lambda: _ext_arrays(hc, n))
+    else:
+        cycles, acts, proj, reps = _ext_arrays(hc, n)
+    return ExtResult(n, res.module, hc.target, _derived_module(ring, acts), hc,
+                     cycles, proj, reps)
+
+
+def _ext_arrays(hc: HomCochain, n: int) -> tuple[np.ndarray, ...]:
+    """(cycle basis, actions on Ext^n, proj, reps) for ext_from_cochain,
+    with its checks."""
     p = hc.target.ring.p
-    d_next = hc.diff_matrix(n + 1)
-    cycles = gfmat.nullspace(d_next, p)
+    cycles = gfmat.nullspace(hc.diff_matrix(n + 1), p)
     z_mod = hc.cycle_module(n, cycles)
     if n == 0:
         boundaries = gfmat.zeros(cycles.shape[0], 0)
     else:
         boundaries = hc.diff_matrix(n)
-    in_z = gfmat.solve(cycles, boundaries, p)
+    in_z = gfmat.nullspace_coordinates(cycles, boundaries, p)
     if in_z is None:
         raise InternalInvariantViolation("boundaries are not cocycles")
     q_mod, proj_map, section = quotient_by_columns(z_mod, in_z)
-    reps = (cycles @ section) % p
-    return ExtResult(n, hc.res.module, hc.target, q_mod, hc,
-                     cycles, proj_map.matrix, reps)
+    return cycles, q_mod.actions, proj_map.matrix, (cycles @ section) % p
 
 
 def _require_one_ring(a: Module, b: Module) -> None:

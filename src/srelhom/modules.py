@@ -45,12 +45,13 @@ _hom_block_matrix acts by a matrix of ring entries on copies of a module.
 
 The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
-blocks it holds one sub-entry of content caches (_content_cached): the
-levels of free resolutions and the eliminations of split systems,
-computed once per distinct input and keyed by the ring's content and
-the bytes of the arrays the computation reads.  They hold read-only
-arrays only, never rings, modules or maps, so every caller still builds
-its own objects around them.
+blocks it holds one sub-entry of content caches (_content_cached), with
+three users: the levels of free resolutions, the eliminations of split
+systems and Ext groups over a Resolution, each computed once per
+distinct input and keyed by the ring's content and the bytes of the
+arrays the computation reads.  They hold read-only arrays only, never
+rings, modules or maps, so every caller still builds its own objects
+around them.
 """
 
 from __future__ import annotations
@@ -131,15 +132,18 @@ def _content_key(*arrays: np.ndarray) -> tuple:
 def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
-    key is (name, ring.content, ...) and holds everything the result
-    depends on: the ring's content (so equal rings share entries and no
-    entry keeps a ring alive), then names, integers and _content_key
-    parts.  The arrays are made read-only, so no caller can change what
-    later callers get.  They sit under one sub-entry of the memo, so the
-    memo's other blocks are never evicted; when an insertion would take
-    the sub-entry past _CONTENT_BUDGET bytes (arrays, key bytes and the
-    bytes of each distinct ring content once), the sub-entry is emptied
-    first.
+    Three names use it: "resolution" (homology.Resolution.ensure, one
+    entry per level), "split" (dimensions._split_elimination) and "ext"
+    (homology.ext_from_cochain, one entry per resolution key, target and
+    degree).  key is (name, ring.content, ...) and holds everything the
+    result depends on: the ring's content (so equal rings share entries
+    and no entry keeps a ring alive), then names, integers and
+    _content_key parts.  The arrays are made read-only, so no caller can
+    change what later callers get.  They sit under one sub-entry of the
+    memo, so the memo's other blocks are never evicted; when an insertion
+    would take the sub-entry past _CONTENT_BUDGET bytes (arrays, key bytes
+    and the bytes of each distinct ring content once), the sub-entry is
+    emptied first.
     """
     store = _memo.get(_CONTENT)
     if store is None:
@@ -484,20 +488,29 @@ def submodule_from_columns(mod: Module, cols: np.ndarray) -> tuple[Module, Modul
     the identity exactly when the columns are independent, so the
     submodule is valid with no further check.
     """
+    return _submodule(mod, cols, gfmat.solve)
+
+
+def _submodule(mod: Module, cols: np.ndarray, coordinates) -> tuple[Module, ModuleMap]:
+    """submodule_from_columns, with coordinates(cols, moved, p) solving
+    for the actions: gfmat.solve, or gfmat.nullspace_coordinates when
+    cols is a basis gfmat.nullspace returned."""
     p, d = mod.ring.p, mod.ring.dim
     cols = np.mod(np.asarray(cols, dtype=np.int64), p)
     n, k = cols.shape
     moved = np.einsum("iab,bc->aic", mod.actions, cols).reshape(n, d * k) % p
-    sub = _span_module(mod.ring, cols, moved)
+    sub = _span_module(mod.ring, cols, moved, coordinates)
     return sub, ModuleMap._trusted(sub, mod, cols)
 
 
-def _span_module(ring: FiniteAlgebra, cols: np.ndarray, moved: np.ndarray) -> Module:
+def _span_module(ring: FiniteAlgebra, cols: np.ndarray, moved: np.ndarray,
+                 coordinates) -> Module:
     """submodule_from_columns' module, from reduced columns (n, k) and
     their images under every basis action side by side: column
-    (i, c) of moved (n, d * k) is e_i times column c."""
+    (i, c) of moved (n, d * k) is e_i times column c.  coordinates is
+    _submodule's."""
     p, d, k = ring.p, ring.dim, cols.shape[1]
-    sol = gfmat.solve(cols, moved, p)
+    sol = coordinates(cols, moved, p)
     if sol is None:
         raise InputError("columns do not span an action-invariant subspace")
     acts = np.ascontiguousarray(sol.reshape(k, d, k).transpose(1, 0, 2))
@@ -513,16 +526,16 @@ def quotient_by_columns(mod: Module, cols: np.ndarray
     Returns (Q, projection, section) where section is a matrix choosing
     coset representatives, with projection @ section = identity.  The
     span must be invariant under the ring action; the projection killing
-    the moved span is that check, and it makes Q valid.
+    the moved span is that check, and it makes Q valid.  One rref
+    (gfmat.complete_span) gives the basis of the span, the section and
+    the projection.
     """
     p = mod.ring.p
-    basis = gfmat.column_space(cols, p)
+    basis, comp, inv = gfmat.complete_span(cols, p)
     k = basis.shape[1]
-    n = mod.vdim
     if k == 0:
         q = _derived_module(mod.ring, mod.actions)
-        return q, ModuleMap._trusted(mod, q, gfmat.identity(n)), gfmat.identity(n)
-    comp, inv = gfmat.complete_basis(basis, p)
+        return q, ModuleMap._trusted(mod, q, inv), comp
     proj = inv[k:, :]
     moved = (proj @ mod.actions) % p
     if ((moved @ basis) % p).any():
@@ -540,8 +553,8 @@ def subquotient(f: ModuleMap, part: str) -> tuple[Module, ModuleMap]:
     """
     p = f.ring.p
     if part == "kernel":
-        cols = gfmat.nullspace(f.matrix, p)
-        return submodule_from_columns(f.source, cols)
+        return _submodule(f.source, gfmat.nullspace(f.matrix, p),
+                          gfmat.nullspace_coordinates)
     if part == "image":
         cols = gfmat.column_space(f.matrix, p)
         return submodule_from_columns(f.target, cols)

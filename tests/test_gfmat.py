@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -424,3 +425,66 @@ def test_kernel_and_right_inverse_of_a_rank_deficient_matrix(p):
             assert right_inv is None
         else:
             assert_same_array(right_inv, gfmat.zeros(shape[1], 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_complete_span_matches_column_space_and_complete_basis(p):
+    rng = random.Random(1300 + p)
+    kinds = Counter()
+    for a in oracle_matrices(rng, p):
+        before = a.copy()
+        rows, cols = a.shape
+        rank = len(oracle_rref(a, p)[1])
+        basis, d, e = gfmat.complete_span(a, p)
+        want_basis = gfmat.column_space(a, p)
+        want_d, want_e = gfmat.complete_basis(want_basis, p)
+        assert_same_array(basis, want_basis)
+        assert_same_array(d, want_d)
+        assert_same_array(e, want_e)
+        # and against the numpy oracle, which shares no code with either
+        assert_same_array(d, oracle_extend_to_basis(want_basis, p))
+        assert_same_array(e, oracle_inverse(np.hstack([basis, d]), p))
+        assert_same_array(a, before)
+        if not rows * cols:
+            kinds["empty"] += 1
+        elif rank == 0:
+            kinds["zero"] += 1
+        elif rank == rows:
+            kinds["full rank"] += 1
+        kinds["dependent"] += rank < cols
+    assert min(kinds[k] for k in ("empty", "zero", "full rank", "dependent")) >= 5, kinds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_nullspace_coordinates_match_solve(p):
+    rng = random.Random(1400 + p)
+    tally = Counter()
+    for a in oracle_matrices(rng, p):
+        basis = gfmat.nullspace(a, p)
+        n, k = basis.shape
+        inside = (basis @ random_matrix(rng, k, 3, p)) % p
+        outside = random_matrix(rng, n, 3, p)
+        for v in (inside, outside, inside[:, 0], outside[:, 0], inside + p,
+                  outside[:, :0]):
+            v_before = v.copy()
+            got = gfmat.nullspace_coordinates(basis, v, p)
+            want = gfmat.solve(basis, v, p)
+            assert (got is None) == (want is None)
+            tally["outside" if got is None else "inside"] += 1
+            if got is not None:
+                assert_same_array(got, want)
+            assert_same_array(v, v_before)
+    assert tally["outside"] > 100 and tally["inside"] > 100, tally
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_nullspace_coordinates_reject_a_basis_of_another_shape(p):
+    # the free rows must hold an identity block: scaled or zero columns
+    # do not, though their span is the same or smaller
+    basis = gfmat.nullspace(gfmat.mat([[1, 1, 0]], p), p)
+    v = basis[:, :1]
+    for other in ((2 * basis) % p, np.hstack([basis, gfmat.zeros(3, 1)])):
+        with pytest.raises(ValueError, match="nullspace shape"):
+            gfmat.nullspace_coordinates(other, v, p)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        gfmat.nullspace_coordinates(basis, v[:2], p)

@@ -27,8 +27,10 @@ from srelhom.instances import (
     random_split_triple,
 )
 from srelhom.rings import (
+    direct_product,
     enumerate_ideals,
     mult_closure,
+    prime_field,
     truncated_polynomial,
 )
 from srelhom.modules import (
@@ -56,6 +58,7 @@ from srelhom.homology import (
     chain_lift,
     ext,
     ext_map_on_target,
+    ext_from_cochain,
     ext_with_resolution,
     injective_cocover,
     long_ext_sequence,
@@ -728,3 +731,198 @@ def test_resolution_levels_are_shared_by_content(style, monkeypatch):
         Resolution(twin, style, seed=4).ensure(0)
         assert levels[built:] == [0, 0]
     clear_memo()
+
+
+# -- Ext by content ------------------------------------------------------------
+
+
+def oracle_ext_arrays(hc, n):
+    """ext_from_cochain before its content cache, as an oracle: the cycle
+    module and the boundary coordinates by gfmat.solve, the quotient by
+    column_space and complete_basis, recomputed on every call."""
+    ring, p = hc.target.ring, hc.target.ring.p
+    cycles = gfmat.nullspace(hc.diff_matrix(n + 1), p)
+    r, m, c = hc.res.rank(n), hc.target.vdim, cycles.shape[1]
+    moved = np.einsum("iab,jbc->jaic", hc.target.actions, cycles.reshape(r, m, c))
+    sol = gfmat.solve(cycles, moved.reshape(r * m, ring.dim * c) % p, p)
+    z_acts = np.ascontiguousarray(sol.reshape(c, ring.dim, c).transpose(1, 0, 2))
+    boundaries = gfmat.zeros(cycles.shape[0], 0) if n == 0 else hc.diff_matrix(n)
+    in_z = gfmat.solve(cycles, boundaries, p)
+    assert in_z is not None
+    basis = gfmat.column_space(in_z, p)
+    k = basis.shape[1]
+    if k == 0:
+        return cycles, z_acts, gfmat.identity(c), (cycles @ gfmat.identity(c)) % p
+    comp, inv = gfmat.complete_basis(basis, p)
+    proj = inv[k:, :]
+    return cycles, (proj @ z_acts) % p @ comp % p, proj, (cycles @ comp) % p
+
+
+def twin(module):
+    """A separate Module object with the same actions."""
+    return Module(module.ring, module.actions.copy())
+
+
+def ext_oracle_pairs():
+    """(M, N): seeded draws over the pool, over F2[x, y]/(x, y)^2 and over
+    its products with F2 and F2[t]/(t^2), each ring also with its top
+    R/rad R on either side, whose Ext groups are nonzero in every degree
+    over a ring that is not semisimple."""
+    rng = random.Random("ext-by-content")
+    sq = square_zero_ring()
+    rings = [ring for _, ring in bundled_rings()] + [
+        sq, direct_product(sq, prime_field(2)),
+        direct_product(truncated_polynomial(2, 2), sq)]
+    for ring in rings:
+        top = quotient_module(ring, ring.radical_basis().T.tolist())
+        yield top, top
+        yield random_module(ring, rng), top
+        yield top, random_module(ring, rng)
+        for _ in range(2):
+            yield random_module(ring, rng), random_module(ring, rng)
+
+
+@pytest.mark.parametrize("style", ["minimal", "seeded-random"])
+def test_ext_arrays_match_the_uncached_oracle(style):
+    tally = Counter()
+    clear_memo()
+    for source, target in ext_oracle_pairs():
+        for n in range(4):
+            # cold, then warm from separate objects with equal actions
+            for src, tgt in ((source, target), (twin(source), twin(target))):
+                res = Resolution(src, style, seed=2)
+                res.ensure(n + 1)
+                got = ext_from_cochain(HomCochain(res, tgt), n)
+                cycles, acts, proj, reps = oracle_ext_arrays(HomCochain(res, tgt), n)
+                assert same_bytes(got.cycle_basis, cycles)
+                assert same_bytes(got.module.actions, acts)
+                assert same_bytes(got.proj, proj)
+                assert same_bytes(got.reps, reps)
+                assert got.source is src and got.target is tgt
+            tally["nonzero"] += got.dim > 0
+            tally["killed boundaries"] += 0 < got.dim < got.cycle_basis.shape[1]
+    assert tally["nonzero"] >= 60 and tally["killed boundaries"] >= 20, tally
+    clear_memo()
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_equal_ext_from_separate_objects_costs_no_elimination(monkeypatch):
+    clear_memo()
+    nullspaces = count_calls(monkeypatch, gfmat, "nullspace")
+    rng = random.Random("ext-hit")
+    for _, ring in bundled_rings():
+        source, target = random_module(ring, rng), random_module(ring, rng)
+        n = rng.randrange(4)
+        first = ext(source, target, n)
+        source2, target2 = twin(source), twin(target)
+        before = len(nullspaces)
+        second = ext(source2, target2, n)
+        assert len(nullspaces) == before
+        assert second.module is not first.module
+        assert second.cochain is not first.cochain
+        assert second.source is source2 and second.target is target2
+        assert same_bytes(second.module.actions, first.module.actions)
+        assert second.reps is first.reps
+    clear_memo()
+
+
+def test_ext_key_holds_style_seed_target_and_degree(monkeypatch, ring2, m2):
+    builds = count_calls(monkeypatch, homology, "_ext_arrays")
+    clear_memo()
+    reg = regular_module(ring2)
+    ext(m2, m2, 1)
+    assert len(builds) == 1
+    ext(twin(m2), twin(m2), 1)
+    assert len(builds) == 1
+    for source, target, n, style, seed in ((m2, m2, 1, "plain", 0),
+                                           (m2, m2, 1, "seeded-random", 0),
+                                           (m2, m2, 1, "seeded-random", 1),
+                                           (m2, reg, 1, "minimal", 0),
+                                           (m2, m2, 2, "minimal", 0)):
+        before = len(builds)
+        ext(source, target, n, style, seed)
+        assert len(builds) == before + 1
+    clear_memo()
+    ext(m2, m2, 1)
+    assert len(builds) == 7
+    clear_memo()
+
+
+def test_cached_ext_arrays_are_read_only(m2):
+    clear_memo()
+    for e in (ext(m2, m2, 2), ext(twin(m2), m2, 2)):
+        for arr in (e.cycle_basis, e.module.actions, e.proj, e.reps):
+            assert not arr.flags.writeable
+    clear_memo()
+
+
+def test_ext_over_an_assembled_resolution_is_not_cached(monkeypatch, ring2, m2):
+    builds = count_calls(monkeypatch, homology, "_ext_arrays")
+    clear_memo()
+    back = resolution_from_spec(ring2, resolution_to_spec(free_resolution(m2, 3), 3))
+    for _ in range(2):
+        e = ext_with_resolution(back, m2, 2)
+        assert e.cycle_basis.flags.writeable
+    assert len(builds) == 2
+    store = modules._memo.get(modules._CONTENT)
+    assert store is None or not any(key[0] == "ext" for key in store.entries)
+    clear_memo()
+
+
+def test_ext_map_on_target_still_needs_one_resolution(m2):
+    # the second Ext is served from the first one's arrays, over another
+    # resolution object
+    clear_memo()
+    first = ext(m2, m2, 1)
+    other = Resolution(twin(m2))
+    second = ext_with_resolution(other, m2, 1)
+    assert second.reps is first.reps
+    with pytest.raises(InputError, match="share a resolution"):
+        ext_map_on_target(first, second, ModuleMap.identity(m2))
+    clear_memo()
+
+
+def test_class_of_a_non_cocycle_raises():
+    rng = random.Random("non-cocycle")
+    for _ in range(200):
+        _, ring = rng.choice(bundled_rings())
+        e = ext(random_module(ring, rng), random_module(ring, rng), rng.randrange(3))
+        rows, cols = e.cycle_basis.shape
+        if cols < rows:
+            break
+    else:
+        pytest.fail("no Ext with a nonzero next differential")
+    outside = gfmat.columns_outside_span(e.cycle_basis, gfmat.identity(rows), ring.p)
+    with pytest.raises(InternalInvariantViolation, match="not a cocycle"):
+        e.class_of(gfmat.identity(rows)[:, outside[0]])
+    with pytest.raises(InternalInvariantViolation, match="not a cocycle"):
+        e.class_of(np.hstack([e.reps, gfmat.identity(rows)[:, outside]]))
+
+
+def test_cycle_module_rejects_a_span_that_is_not_invariant():
+    rng = random.Random("non-invariant")
+    for hc, k, _ in cochain_cases():
+        p, size = hc.target.ring.p, hc.res.rank(k) * hc.target.vdim
+        if hc.target.ring.dim == 1 or size < 2:
+            continue
+        for _ in range(20):
+            cols = gfmat.nullspace(random_matrix(rng, p, 1, size), p)
+            r, m, c = hc.res.rank(k), hc.target.vdim, cols.shape[1]
+            moved = np.einsum("iab,jbc->jaic", hc.target.actions,
+                              cols.reshape(r, m, c)).reshape(size, -1) % p
+            if gfmat.solve(cols, moved, p) is None:
+                with pytest.raises(InputError, match="action-invariant"):
+                    hc.cycle_module(k, cols)
+                return
+    pytest.fail("no span that is not invariant")
