@@ -7,9 +7,10 @@ such question is one linear system whose unknowns are the images of the
 generators of a free presentation and whose right-hand side is linear
 in s, so it is solved once with the d basis elements of R as right-hand
 sides (gfmat.solve_span), whatever the size of S: the s that split form
-the ideal ker W of its residual W, and the witness is the first member
-of S there in canonical order (MultSet.first_member).  Every split map
-is re-verified before it is returned.
+the ideal ker W of its residual W, which meets S exactly when it holds
+the idempotent e_S of S (rings docstring).  So W e_S = 0 decides the
+question, e_S is the witness, and a failure of e_S proves that no s in S
+splits.  Every split map is re-verified before it is returned.
 
 Over a finite F_p-algebra R both dimensions are 0 or infinite, so the
 split search at level 0 decides them.  S is finite, so one s kills an
@@ -17,16 +18,14 @@ Ext group uniformly exactly when t = prod(S) does, and t^d = u e_S for a
 unit u and an idempotent e_S (d = dim R); hence S-pd_R M = pd(e_S M) over
 e_S R, and likewise for S-id.  e_S R is Artinian, a product of local
 rings of depth 0, so by Auslander-Buchsbaum (pd) and Bass (id) a finite
-dimension there is 0.  A failed level-0 search has tried every s in S:
-it proves the dimension infinite, reported as the ">bound" value.
+dimension there is 0.  A failed level-0 search, certified by e_S, proves
+the dimension infinite, reported as the ">bound" value.
 
 The same reduction decides the S-global dimension in closed form: it is
 the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
 is semisimple and infinite otherwise.  e_S R is semisimple exactly when
-its radical e_S rad R is 0, that is when t^d = u e_S kills rad R.  t^d
-lies in S, and t^d is a multiple of every s in S, so some s in S kills
-rad R exactly when t^d does.  Hence S-gl.dim R = 0 with witness the
-first s in S that kills rad R, and infinite when there is none.
+its radical e_S rad R is 0.  Hence S-gl.dim R = 0 with witness e_S when
+e_S kills rad R, and infinite otherwise.
 
 So every value computed here is exact: 0, or infinity, which prints as
 ">bound" (the bound shapes only that token); over Z the integer backend
@@ -54,6 +53,7 @@ from .rings import (
     Ideal,
     MultSet,
     RingElement,
+    _row_blocks,
     complement_multset,
     enumerate_ideals,
     mult_closure,
@@ -174,8 +174,10 @@ class SplitWitness:
 
     kind "section": cover is pi: F ->> P and mapping is pi': P -> F with
     pi . pi' = s Id_P.  kind "retraction": cover is iota: E -> I and
-    mapping is q: I -> E with q . iota = s Id_E.  A failure carries
-    s = None and the exhausted list of attempted elements.
+    mapping is q: I -> E with q . iota = s Id_E.  The one element tried
+    is e_S (module docstring): a success has s = e_S and nothing in
+    attempted, a failure s = None and attempted = (e_S,), which certifies
+    that no s in S splits.
     """
 
     kind: str
@@ -209,7 +211,7 @@ def _require_same_ring(ring: FiniteAlgebra, s_set: MultSet) -> None:
 
 
 def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """Find the first s in S, in canonical order, for which the cover splits.
+    """Decide whether the cover S-splits, with s = e_S.
 
     Both kinds reduce to one problem: a free surjection C: F ->> X with
     F = R^r, and a map psi: X -> F with C . psi = s Id_X.  For a section
@@ -224,18 +226,18 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     of s = e_i, so s splits exactly when W @ s = 0 for the residual W,
     with images Y @ s.  C is R-linear, so e_i C(1_j) = C(e_i 1_j) is
     column (j, i) of C.  These s form an ideal: if psi works for s, then
-    psi . r works for r s.  Ker C and L come from one more elimination,
-    of [C | I]; modules owns the R^r layout of Phi and the kernel rows.
+    psi . r works for r s, so S splits exactly when e_S does.  Ker C and
+    L come from one more elimination, of [C | I]; modules owns the R^r
+    layout of Phi and the kernel rows.
 
     Two questions need no system.  When X = 0, W is empty; when 0 is in
-    S it is the first element (0 sorts first) and lies in every ideal.
-    Either way the answer is elements[0] with nothing attempted and the
-    zero map.
+    S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
+    the zero map.
     """
     _require_same_ring(cover.ring, s_set)
     certified = cover.target if kind == "section" else cover.source
     if certified.vdim == 0 or s_set.degenerate:
-        witness = SplitWitness(kind, cover, s_set.elements[0],
+        witness = SplitWitness(kind, cover, s_set.idempotent,
                                ModuleMap.zero(cover.target, cover.source))
     else:
         witness = _split_system(kind, cover, s_set)
@@ -251,8 +253,8 @@ def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     only: the actions on F are those of R^r, whose layout modules owns,
     and the right-hand sides are columns of C.  So its residual W,
     solutions Y and right inverse L are computed once per distinct
-    content (modules._content_cached).  The first member of S in ker W
-    and the witness on the caller's own cover are built on every call.
+    content (modules._content_cached).  The test W e_S = 0 and the
+    witness on the caller's own cover are made on every call.
     """
     ring = cover.ring
     pres = cover.matrix if kind == "section" else cover.matrix.T
@@ -260,16 +262,15 @@ def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     residual, ys, right_inv = _content_cached(
         ("split", ring.content, *_content_key(pres)),
         lambda: _split_elimination(ring, pres))
-    k = s_set.first_member(residual)
-    if k is None:
-        return SplitWitness(kind, cover, None, None, s_set.elements)
-    s = s_set.elements[k]
+    s = s_set.idempotent
+    if (residual @ s.array % p).any():
+        return SplitWitness(kind, cover, None, None, (s,))
     free = free_module(ring, n_f // ring.dim)
     images = (ys @ s.array % p).reshape(-1, n_f).T
     psi = (free_map_from_generator_images(free, free, images).matrix @ right_inv) % p
     mapping = ModuleMap(cover.target, cover.source,
                         psi if kind == "section" else psi.T)
-    return SplitWitness(kind, cover, s, mapping, s_set.elements[:k])
+    return SplitWitness(kind, cover, s, mapping)
 
 
 def _split_elimination(ring: FiniteAlgebra,
@@ -298,12 +299,12 @@ def _split_elimination(ring: FiniteAlgebra,
 
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
-    """Search for s in S and a section pi': M -> F of the minimal free cover pi."""
+    """A section pi': M -> F of the minimal free cover pi, for s = e_S."""
     return _split_search("section", resolution(module).cover(0), s_set)
 
 
 def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
-    """Search for s in S and a retraction q: I -> M of the injective cocover."""
+    """A retraction q: I -> M of the injective cocover, for s = e_S."""
     return _split_search("retraction", injective_cocover(module), s_set)
 
 
@@ -315,8 +316,9 @@ class DimResult:
     """Outcome of the split searches of an S-dimension, one per level.
 
     Over a finite algebra levels holds the one level-0 search: a success
-    makes the value exactly 0 and is the certificate; a failure exhausted
-    S, so the dimension is infinite and value is DimValue.over(bound).
+    makes the value exactly 0 and is the certificate; a failure of e_S
+    rules out all of S, so the dimension is infinite and value is
+    DimValue.over(bound).
     For the injective kind, cross_check records the value obtained
     independently through the character dual.  zmodules.z_s_pd returns
     one too, with a ZMod, a ZMultSet and ZSplitWitness levels: over Z/m
@@ -404,9 +406,9 @@ def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
 class GlobalDimReport:
     """S-global dimension in closed form, with the audit it passed.
 
-    candidate is DimValue.exact(0) with witness the first s in S that
-    kills rad R, or DimValue.over(bound), a proof of infinity, with
-    witness None.  trials random modules were checked against it.
+    candidate is DimValue.exact(0) with witness e_S, which kills rad R,
+    or DimValue.over(bound), a proof of infinity, with witness None.
+    trials random modules were checked against it.
     """
 
     ring: FiniteAlgebra
@@ -420,23 +422,19 @@ class GlobalDimReport:
 
 def s_gldim(ring: FiniteAlgebra, s_set: MultSet, bound: int = DEFAULT_BOUND,
             trials: int = 16, seed: int = 0) -> GlobalDimReport:
-    """S-global dimension: 0 when some s in S kills rad R, else infinite.
+    """S-global dimension: 0 when e_S kills rad R, else infinite.
 
-    The proof is in the module docstring; the witness is the first
-    member of S in Ann rad R, the kernel of the products e_i r with the
-    radical basis.  Each of the trials draws a random module whose S-pd
-    and S-id must not exceed the value; an exceedance is an engine bug
-    and raises.
+    The proof is in the module docstring; the witness is e_S.  Each of
+    the trials draws a random module whose S-pd and S-id must not exceed
+    the value; an exceedance is an engine bug and raises.
     """
     _require_same_ring(ring, s_set)
     if bound < 0:
         raise InputError("bound must be nonnegative")
     if trials < 0:
         raise InputError("trials must be >= 0")
-    # [i, c] is e_i times the radical basis vector c
-    kills = ring.products(np.eye(ring.dim, dtype=np.int64), ring.radical_basis().T)
-    k = s_set.first_member(kills.reshape(ring.dim, -1).T)
-    witness = None if k is None else s_set.elements[k]
+    e = s_set.idempotent
+    witness = None if ring.products(e.array[None], ring.radical_basis().T).any() else e
     value = DimValue.exact(0) if witness is not None else DimValue.over(bound)
     rng = random.Random("sgldim:%d" % seed)
     for _ in range(trials):
@@ -456,8 +454,8 @@ class SemisimpleReport:
     """Witness s with a projection family f_I(r) = r y_I, or the failures.
 
     family pairs each ideal with the element y = f_I(1) in I satisfying
-    i y = s i for every i in I; failures pair each exhausted s with the
-    first ideal whose linear system was infeasible.
+    i y = s i for every i in I.  On failure, failures is the one pair of
+    e_S and the first ideal whose linear system e_S does not solve.
     """
 
     ring: FiniteAlgebra
@@ -469,15 +467,15 @@ class SemisimpleReport:
 
 
 def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
-    """First s in canonical order that projects onto every ideal at once.
+    """Does e_S project onto every ideal at once?
 
-    For each candidate s, every ideal I must admit an R-linear
+    For a candidate s, every ideal I must admit an R-linear
     f_I: R -> I with f_I(i) = s i for all i in I; the single s has to
     work for all ideals simultaneously.  f_I is determined by y = f_I(1)
     in I, and f_I(g) = s g for each basis vector g of I is one system per
     ideal, solved for s = e_i: s works for I exactly when W_I @ s = 0,
-    with y = X_I @ s in the basis of I.  The witness is the first member
-    of S in every ker W_I; each member before it fails on the first I.
+    with y = X_I @ s in the basis of I.  The s that work for every I
+    form an ideal, so some s in S works exactly when e_S does.
     """
     _require_same_ring(ring, s_set)
     p, d = ring.p, ring.dim
@@ -489,14 +487,11 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
         mults = ring.products(basis.T, np.eye(d, dtype=np.int64)).transpose(0, 2, 1)
         coeff = (mults @ basis).reshape(k * d, k) % p
         systems.append(gfmat.solve_span(coeff, mults.reshape(k * d, d), p))
-    k = s_set.first_member(np.vstack([w for w, _ in systems]))
-    tried = s_set.elements[:k]
-    blocked = np.array([((s_set.vectors[:len(tried)] @ w.T) % p).any(axis=1)
-                        for w, _ in systems])
-    failures = tuple((s, ideals[i]) for s, i in zip(tried, blocked.argmax(axis=0)))
-    if k is None:
-        return SemisimpleReport(ring, s_set, False, None, (), failures)
-    s = s_set.elements[k]
+    s = s_set.idempotent
+    blocked = [bool((w @ s.array % p).any()) for w, _ in systems]
+    if any(blocked):
+        return SemisimpleReport(ring, s_set, False, None, (),
+                                ((s, ideals[blocked.index(True)]),))
     family = []
     for ideal, (_, x) in zip(ideals, systems):
         y = ring.element(ideal.basis @ (x @ s.array % p))
@@ -504,7 +499,7 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
         if (ring.products(gens, y.array[None]) != ring.products(gens, s.array[None])).any():
             raise InternalInvariantViolation("semisimple generator fails re-check")
         family.append((ideal, y))
-    return SemisimpleReport(ring, s_set, True, s, tuple(family), failures)
+    return SemisimpleReport(ring, s_set, True, s, tuple(family), ())
 
 
 # -- local profiles ------------------------------------------------------------
@@ -602,16 +597,21 @@ def split_witness_from_retraction(f: ModuleMap, retraction: ModuleMap,
 
     Finds the first s in canonical order with retraction . f = s Id
     exactly, and packages it; raises InputError when no element of S
-    matches, since an uncertified retraction proves nothing.
+    matches, since an uncertified retraction proves nothing.  The s that
+    match form a coset of an ideal, not an ideal, so e_S does not decide
+    this one: the members are scanned, one product per row block.
     """
     if retraction.source is not f.target and retraction.source.vdim != f.target.vdim:
         raise InputError("retraction source does not match the middle term")
-    comp = retraction.compose(f)
-    acts = f.source.actions
-    k = s_set.first_member(acts.reshape(len(acts), -1).T, comp.matrix.reshape(-1))
-    if k is None:
-        raise InputError("retraction is not s Id for any s in S")
-    return SplitWitness("retraction", f, s_set.elements[k], retraction, s_set.elements[:k])
+    comp = retraction.compose(f).matrix.reshape(-1)
+    acts = f.source.actions.reshape(f.ring.dim, -1)
+    for rows in _row_blocks(len(s_set), acts.shape[1]):
+        misses = ((s_set.vectors[rows] @ acts - comp) % f.ring.p).any(axis=1)
+        if not misses.all():
+            k = rows.start + int(misses.argmin())
+            return SplitWitness("retraction", f, s_set.elements[k], retraction,
+                                s_set.elements[:k])
+    raise InputError("retraction is not s Id for any s in S")
 
 
 def check_inequalities(triple: tuple[ModuleMap, ModuleMap], s_set: MultSet,

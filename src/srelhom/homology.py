@@ -487,13 +487,14 @@ def _require_one_ring(a: Module, b: Module) -> None:
 def ext(source: Module, target: Module, n: int, style: str = "minimal",
         seed: int = 0) -> ExtResult:
     """Ext^n_R(source, target) via a cached free resolution of source."""
-    if n < 0:
-        raise InputError("ext degree must be nonnegative")
-    _require_one_ring(source, target)
     return ext_with_resolution(resolution(source, style, seed), target, n)
 
 
 def ext_with_resolution(res: BaseResolution, target: Module, n: int) -> ExtResult:
+    """Ext^n_R(M, target) over a given resolution of M."""
+    if n < 0:
+        raise InputError("ext degree must be nonnegative")
+    _require_one_ring(res.module, target)
     res.ensure(n + 1)
     return ext_from_cochain(HomCochain(res, target), n)
 

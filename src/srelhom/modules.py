@@ -10,8 +10,12 @@ projectives with injectives.
 
 Each S-question here (s M = 0, s Ker <= Im and s Im <= Ker, f g = s Id
 = g f) is linear in s, so the s that answer it are the kernel of one
-matrix W built from the basis of R, not from S; the witness is the first
-member of S in it in canonical order (MultSet.first_member).
+matrix W built from the basis of R, not from S.  That ideal meets S
+exactly when it holds the idempotent e_S of S (rings docstring), so
+W e_S = 0 decides the question and e_S is the witness, or the
+certificate of failure.  An S-isomorphism f: M -> N is inverted on
+e_S M: e_S kills Ker f and Coker f, so f maps e_S M onto e_S N
+bijectively, and its inverse composed with e_S is the witness.
 
 Validation happens at the trust boundary.  The public constructors
 check in full: Module(...) the representation property, commutativity
@@ -584,9 +588,9 @@ def image_factorization(f: ModuleMap) -> tuple[Module, ModuleMap, ModuleMap]:
 class STorsionWitness:
     """Outcome of a uniform S-torsion test.
 
-    On success, witness is the first s (canonical order) whose action
-    matrix vanishes.  On failure, failures records for every s the first
-    basis index the action of s does not kill.
+    On success, witness is e_S, whose action matrix vanishes.  On
+    failure, failures is the one pair of e_S and the first basis index
+    its action does not kill: if e_S does not kill M, no s in S does.
     """
 
     verdict: bool
@@ -598,17 +602,11 @@ class STorsionWitness:
 def is_uniformly_s_torsion(mod: Module, s_set: MultSet) -> STorsionWitness:
     if not same_ring(mod.ring, s_set.ring):
         raise RingMismatch("module and multiplicative set over different rings")
-    p, m = mod.ring.p, mod.vdim
-    # s acts as s @ flat, so Ann M is the kernel of flat.T
-    flat = mod.actions.reshape(mod.ring.dim, m * m)
-    k = s_set.first_member(flat.T)
-    if k is not None:
-        return STorsionWitness(True, mod, s_set.elements[k], ())
-    failures = []
-    for rows in _row_blocks(len(s_set), m * m):
-        acts = (s_set.vectors[rows] @ flat % p).reshape(-1, m, m)
-        failures += zip(s_set.elements[rows], acts.any(axis=1).argmax(axis=1).tolist())
-    return STorsionWitness(False, mod, None, tuple(failures))
+    e = s_set.idempotent
+    act = mod.action_of(e)
+    if not act.any():
+        return STorsionWitness(True, mod, e, ())
+    return STorsionWitness(False, mod, None, ((e, int(act.any(axis=0).argmax())),))
 
 
 @dataclass(frozen=True)
@@ -623,8 +621,8 @@ class SExactReport:
     """Per-position witnesses for S-exactness of a chain of maps.
 
     Position i covers the module between maps[i-1] and maps[i].  A None
-    witness means the search exhausted S: both containments
-    s Ker(out) <= Im(in) and s Im(in) <= Ker(out) failed for every s.
+    witness means that e_S failed one of the containments
+    s Ker(out) <= Im(in) and s Im(in) <= Ker(out), so every s in S does.
     """
 
     positions: tuple[PositionReport, ...]
@@ -649,11 +647,12 @@ def cap_chain(maps: list[ModuleMap]) -> list[ModuleMap]:
 
 
 def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
-    """Smallest witness per interior position that S-squeezes Ker into Im.
+    """Per interior position, whether e_S squeezes Ker into Im and back.
 
-    At each interior module the search finds the first s in canonical
-    order with s Ker(outgoing) <= Im(incoming) and
-    s Im(incoming) <= Ker(outgoing).  The first holds when the residual
+    At each interior module the check asks whether s = e_S has
+    s Ker(outgoing) <= Im(incoming) and s Im(incoming) <= Ker(outgoing);
+    the s that do form an ideal, so e_S decides for all of S.  The first
+    holds when the residual
     of one elimination against the incoming map, with the images of each
     kernel vector under e_0..e_{d-1} as right-hand sides, kills s; the
     second when the products outgoing . e_i . incoming, weighted by s,
@@ -679,8 +678,9 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
         moved_ker = moved_ker.reshape(mod.vdim, ker.shape[1] * d)
         ker_in_img = gfmat.solve_span(incoming.matrix, moved_ker, p)[0].reshape(-1, d)
         img_in_ker = ((outgoing.matrix @ mod.actions) % p @ incoming.matrix) % p
-        k = s_set.first_member(np.vstack([ker_in_img, img_in_ker.reshape(d, -1).T]))
-        witness = None if k is None else s_set.elements[k]
+        e = s_set.idempotent
+        residual = np.vstack([ker_in_img, img_in_ker.reshape(d, -1).T])
+        witness = None if (residual @ e.array % p).any() else e
         reports.append(PositionReport(idx, mod, witness))
     return SExactReport(tuple(reports))
 
@@ -712,37 +712,26 @@ def is_s_isomorphism(f: ModuleMap, s_set: MultSet) -> SIsoWitness:
 
 
 def s_iso_inverse(f: ModuleMap, s_set: MultSet) -> tuple[ModuleMap, RingElement]:
-    """Inverse witness g with f.g = s id and g.f = s id, smallest such s.
+    """Inverse witness g with f.g = e_S id and g.f = e_S id.
 
-    Every S-isomorphism admits such a pair (take s to kill both kernel
-    and cokernel).  The unknown g: target -> source satisfies the
-    intertwining constraints of hom_space together with both composite
-    identities; only the right-hand sides of the composites depend on s,
-    linearly, so the system takes the d right-hand sides of the basis of
-    R.  The s with a witness are the kernel of its residual, the first
-    member of S there wins, and its g is the canonical solution for s.
-    When an endpoint is zero the system has no unknowns and is
-    consistent exactly when s kills both ends.
+    g is the inverse of f restricted to e_S M, composed with e_S (module
+    docstring), so it is R-linear.  With E_M and E_N the actions of e_S,
+    one solve gives Y with (f E_M) Y = E_N, and g = E_M Y: its columns lie
+    in e_S M and f maps them to those of E_N, which fixes them.  Both
+    composites are checked.
     """
     report = is_s_isomorphism(f, s_set)
     if not report.verdict:
         raise NotSIso("map is not an S-isomorphism; no inverse witness exists")
-    src, tgt = f.source, f.target
-    p, d = f.ring.p, f.ring.dim
-    m, n = src.vdim, tgt.vdim
-    system = np.vstack([_intertwining_rows(tgt, src),
-                        np.kron(f.matrix, gfmat.identity(n)) % p,
-                        np.kron(gfmat.identity(m), f.matrix.T) % p])
-    want = np.vstack([gfmat.zeros(d * m * n, d),
-                      tgt.actions.reshape(d, n * n).T,
-                      src.actions.reshape(d, m * m).T])
-    residual, sols = gfmat.solve_span(system, want, p)
-    k = s_set.first_member(residual)
-    if k is None:
+    p, e = f.ring.p, s_set.idempotent
+    e_src, e_tgt = f.source.action_of(e), f.target.action_of(e)
+    y = gfmat.solve(f.matrix @ e_src % p, e_tgt, p)
+    g = None if y is None else e_src @ y % p
+    if g is None or not (np.array_equal(g @ f.matrix % p, e_src)
+                         and np.array_equal(f.matrix @ g % p, e_tgt)):
         raise InternalInvariantViolation(
-            "S-isomorphism admits no inverse witness in S; this is an engine bug")
-    s = s_set.elements[k]
-    return ModuleMap._trusted(tgt, src, (sols @ s.array % p).reshape(m, n)), s
+            "S-isomorphism has no inverse on e_S M; this is an engine bug")
+    return ModuleMap._trusted(f.target, f.source, g), e
 
 
 # -- character duality --------------------------------------------------------

@@ -4,17 +4,29 @@ A ring here is an F_p-vector space with basis e_0..e_{d-1}, a symmetric
 multiplication table e_i * e_j = sum_k c_ijk e_k, and a declared unit
 vector.  Everything downstream (modules, resolutions, dimensions) works
 relative to a multiplicative subset S of such a ring, so this module also
-houses multiplicative-set closure, ideal enumeration, and prime
-complements.
+houses multiplicative sets, ideal enumeration, and prime complements.
 
-Element order matters: every witness is the first member of S, in the
-lexicographic order of coefficient vectors fixed by RingElement ordering
-and MultSet iteration, that meets a linear condition on s, and
-MultSet.first_member is the one place that picks it.
+One element of S decides every S-question.  Let t be the product of
+the seeds of S, d = dim R and x = t^N for some N >= d.  By Fitting's
+lemma R = xR + Ann x, multiplication by t is bijective on xR and
+nilpotent on Ann x, and the component e_S of 1 in xR is an idempotent
+with xR = e_S R.  x is a unit of e_S R, so x^2 y = x has a solution and
+e_S = x y for every solution y (y - x^-1 lies in Ann x^2 = Ann x).  x
+has finite order in the units of e_S R, so e_S is a power of t and lies
+in S.  Every s in S divides a power of t, which is a unit of e_S R, so
+s e_S is a unit of e_S R as well and e_S lies in sR.  Hence for any
+ideal I of R: I meets S exactly when e_S lies in I.  Every S-question
+asks whether its ideal of working s (if s works, so does r s) meets S,
+so e_S answers it, as the witness when it works and as the certificate
+of failure when it does not: an s in S that worked would make e_S work.
+In particular 0 lies in S exactly when e_S = 0.  MultSet computes e_S
+once, from the seeds and with at most one d x d solve, and lists its
+members only when something reads them (random draws of s,
+serialisation, the affine retraction check and the tests' oracles).
 
 Arithmetic on many elements is batched: FiniteAlgebra.products multiplies
 every row of one coefficient array by every row of another in one array
-product.  Closure, closure checks, table validation, quotient tables and
+product.  Closures, closure checks, table validation, quotient tables and
 the generators of the cyclic ideals go through it and never multiply
 RingElements one pair at a time; they cut their rows into blocks so that
 no intermediate array holds more than about 2^20 entries.  The ideal
@@ -106,8 +118,8 @@ class RingElement:
     """An element of a FiniteAlgebra, ordered lexicographically by vector.
 
     The ring reference is excluded from ordering and hashing so elements
-    sort purely by coefficient vector, which is the canonical witness
-    order used everywhere.
+    sort purely by coefficient vector, the canonical order of every list
+    of elements.
     """
 
     vec: tuple[int, ...]
@@ -166,10 +178,9 @@ class FiniteAlgebra:
     ring_from_spec and quotient_algebra (which trusts its caller's Ideal)
     check them in full.
 
-    Instances are immutable by convention.  Derived data (left
-    multiplication matrices, the radical and its ideal generators, the
-    element list, the ideal list, the prime complements and the free
-    modules R^k) is cached on first use; caches only ever gain entries,
+    Instances are immutable by convention.  Derived data (the radical and
+    its ideal generators, the element list, the ideal list, the prime
+    complements and the free modules R^k) is cached on first use; caches only ever gain entries,
     so sharing an instance across threads is safe for readers.  Only the
     element list and what is built from it are bound by MAX_ENUMERABLE.
     """
@@ -199,7 +210,6 @@ class FiniteAlgebra:
         self._validate_shapes()
         # what same_ring compares, and what content caches key a ring by
         self.content = (self.p, self.dim, self.table.tobytes(), self.unit.tobytes())
-        self._left_muls = None
         self._radical = None
         self._radical_gens = None
         self._ideal_list = None
@@ -277,19 +287,11 @@ class FiniteAlgebra:
         return (ys @ left) % self.p
 
     def left_mul_matrix(self, vec) -> np.ndarray:
-        """Matrix of multiplication by the element on the ring itself."""
+        """Matrix of multiplication by the element on the ring itself;
+        column j is vec * e_j."""
         arr = np.mod(np.array(vec, dtype=np.int64).reshape(-1), self.p)
-        lms = self.left_muls()
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in range(self.dim):
-            if arr[i]:
-                out = (out + int(arr[i]) * lms[i]) % self.p
-        return out
-
-    def left_muls(self) -> list[np.ndarray]:
-        if self._left_muls is None:
-            self._left_muls = [self.table[i].T.copy() for i in range(self.dim)]
-        return self._left_muls
+        d = self.dim
+        return (arr @ self.table.reshape(d, d * d)).reshape(d, d).T % self.p
 
     @property
     def size(self) -> int:
@@ -418,28 +420,38 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra,
 # -- multiplicative sets ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultSet:
     """A multiplicatively closed subset of a finite ring, 1 included.
 
-    Elements are stored sorted in canonical order; iteration yields that
-    order, and first_member picks every witness in it.  The degenerate
-    flag records whether 0 is a member (every module is then uniformly
-    S-torsion).
+    S is the set of products of its seeds, and idempotent is its e_S, the
+    one element that decides every S-question (module docstring).
+    members is the full member list when the set was given by it
+    (complement_multset), else None: the members are then listed, in
+    canonical order, the first time elements, vectors, iteration, len or
+    a membership test asks for them.  S is degenerate when 0 is a
+    member, that is when e_S = 0 (every module is then uniformly
+    S-torsion).  == and hash are identity.
     """
 
     ring: FiniteAlgebra
-    elements: tuple[RingElement, ...]
-    degenerate: bool
+    seeds: tuple[RingElement, ...]
+    idempotent: RingElement
+    members: tuple[RingElement, ...] | None = None
+
+    @cached_property
+    def elements(self) -> tuple[RingElement, ...]:
+        return _closure(self.ring, self.seeds) if self.members is None else self.members
+
+    @property
+    def degenerate(self) -> bool:
+        return self.idempotent.is_zero()
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, elt: RingElement) -> bool:
-        return elt in self.elements
 
     def labels(self) -> list[str]:
         return [e.label() for e in self.elements]
@@ -449,20 +461,6 @@ class MultSet:
         """The members' coefficient vectors as rows, in canonical order."""
         return np.array([e.vec for e in self.elements],
                         dtype=np.int64).reshape(-1, self.ring.dim)
-
-    def first_member(self, w: np.ndarray, target=0) -> int | None:
-        """Index of the first member s, in canonical order, with
-        w @ s = target mod p, or None if there is none.
-
-        w is reduced mod p and has d columns.  With target 0 the s that
-        qualify form ker w.  One product per row block of members; the
-        scan stops at the first block with a hit.
-        """
-        for rows in _row_blocks(len(self), len(w)):
-            misses = ((self.vectors[rows] @ w.T - target) % self.ring.p).any(axis=1)
-            if not misses.all():
-                return rows.start + int(misses.argmin())
-        return None
 
     def validate(self) -> None:
         """Check closure and unit membership; raises InputError if violated.
@@ -496,32 +494,68 @@ def _product_blocks(ring: FiniteAlgebra, xs: np.ndarray, ys: np.ndarray):
 
 
 def mult_closure(ring: FiniteAlgebra, seeds) -> MultSet:
-    """Smallest multiplicatively closed set containing 1 and the seeds.
+    """The multiplicative set generated by 1 and the seeds.
 
-    Accepts RingElement or raw coefficient vectors.  Semi-naive fixpoint
-    on coefficient tuples: each round multiplies only the elements new in
-    the last round by all elements, in one batched product per row block
-    (the ring is commutative, so that covers every pair once both factors
-    are in); termination is bounded by ring size.
+    Accepts RingElement or raw coefficient vectors.  Only e_S is computed
+    here (_s_idempotent); the members are listed on first use (_closure).
     """
-    current = {ring.one.vec}
+    checked = []
     for s in seeds:
         if not isinstance(s, RingElement):
             s = ring.element(s)
         elif not same_ring(s.ring, ring):
             raise RingMismatch("elements of different rings")
-        current.add(s.vec)
-    frontier = current
+        checked.append(s)
+    return MultSet(ring, tuple(checked), _s_idempotent(ring, checked))
+
+
+def _s_idempotent(ring: FiniteAlgebra, seeds) -> RingElement:
+    """e_S of the set generated by the seeds (module docstring).
+
+    x = t^(2^j) with 2^j >= d for t the product of the seeds, and
+    e_S = x y for a solution y of x^2 y = x: y = 1 when x is idempotent
+    already, otherwise one d x d solve.  With no seeds e_S = 1.
+    """
+    if not seeds:
+        return ring.one
+    p, d, x = ring.p, ring.dim, ring.unit
+    vecs = np.array([s.vec for s in seeds], dtype=np.int64)
+    for rows in _row_blocks(len(vecs), d * d):
+        # row j of mul is s e_j, so x @ mul is s x
+        for mul in ring.products(vecs[rows], np.eye(d, dtype=np.int64)):
+            x = x @ mul % p
+    for _ in range((d - 1).bit_length()):
+        x = ring.left_mul_matrix(x) @ x % p
+    mul = ring.left_mul_matrix(x)
+    if not np.array_equal(mul @ x % p, x):
+        # mul @ mul multiplies by x^2, and mul @ y is x y
+        x = mul @ gfmat.solve(mul @ mul % p, x, p) % p
+    return ring.element(x)
+
+
+def _closure(ring: FiniteAlgebra, seeds) -> tuple[RingElement, ...]:
+    """Every product of seeds, 1 included, in canonical order.
+
+    Semi-naive fixpoint on coefficient tuples.  Every member is a product
+    of seeds, so each round multiplies only the members new in the last
+    round by the seeds, in one batched product per row block.  Past
+    MAX_ENUMERABLE members it raises InputError, as FiniteAlgebra.elements
+    does.
+    """
+    members = {ring.one.vec}
+    seed_vecs = np.array([s.vec for s in seeds], dtype=np.int64).reshape(-1, ring.dim)
+    frontier = members
     while frontier:
         new = set()
         for _, prods in _product_blocks(ring, np.array(list(frontier), dtype=np.int64),
-                                        np.array(list(current), dtype=np.int64)):
+                                        seed_vecs):
             new.update(prods)
-        new -= current
-        current = current | new
-        frontier = new
-    elements = tuple(RingElement(v, ring) for v in sorted(current))
-    return MultSet(ring, elements, any(e.is_zero() for e in elements))
+        frontier = new - members
+        members |= frontier
+        if len(members) > MAX_ENUMERABLE:
+            raise InputError("multiplicative set too large to enumerate (over %d elements)"
+                             % MAX_ENUMERABLE)
+    return tuple(RingElement(v, ring) for v in sorted(members))
 
 
 # -- ideals -----------------------------------------------------------------
@@ -701,8 +735,10 @@ def complement_multset(ring: FiniteAlgebra, prime: Ideal) -> MultSet:
         everything = ring.elements()
         vecs = np.array([e.vec for e in everything], dtype=np.int64)
         outside = ((vecs @ inv[prime.fdim:].T) % ring.p).any(axis=1)
-        elements = tuple(e for e, out in zip(everything, outside) if out)
-        ms = MultSet(ring, elements, any(e.is_zero() for e in elements))
+        members = tuple(e for e, out in zip(everything, outside) if out)
+        # the seeds rule on every member gives the product of the
+        # idempotent members: each member's idempotent power is one
+        ms = MultSet(ring, members, _s_idempotent(ring, members), members)
         try:
             ms.validate()
         except InputError as exc:
@@ -732,8 +768,7 @@ class QuotientData:
         return self.algebra.element((self.proj @ elt.array) % self.source.p)
 
     def theta_multset(self, s: MultSet) -> MultSet:
-        images = {self.theta(x) for x in s}
-        return mult_closure(self.algebra, images)
+        return mult_closure(self.algebra, [self.theta(x) for x in s.seeds])
 
 
 def quotient_algebra(ring: FiniteAlgebra, ideal: Ideal) -> QuotientData:

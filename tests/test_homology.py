@@ -150,6 +150,21 @@ def test_ext_rejects_modules_over_different_rings(ring2, t2):
             ext(source, target, 1)
 
 
+def test_ext_with_resolution_checks_the_degree_and_the_ring(t2):
+    # F2 x F2 and F2[t]/(t^2) have the same dimension, so only the ring
+    # check tells them apart; F2 x F2[t]/(t^2) has another dimension
+    f2xf2 = direct_product(prime_field(2), prime_field(2))
+    t2_product = direct_product(prime_field(2), t2)
+    for source, target in ((f2xf2, t2), (t2, t2_product)):
+        res = resolution(regular_module(source))
+        with pytest.raises(RingMismatch, match="different rings"):
+            ext_with_resolution(res, regular_module(target), 0)
+    res = resolution(regular_module(t2))
+    with pytest.raises(InputError, match="nonnegative"):
+        ext_with_resolution(res, regular_module(t2), -1)
+    assert ext_with_resolution(res, regular_module(t2), 0).dim == 2
+
+
 def test_ext_m2_frozen_values(ring2, m2):
     e1 = ring2.element([1, 0, 0])
     reg = regular_module(ring2)

@@ -160,7 +160,8 @@ def test_free_module_matches_the_kron_build():
     for _, ring in bundled_rings():
         for k in range(5):
             got = free_module(ring, k).actions
-            want = np.stack([np.kron(gfmat.identity(k), lm) for lm in ring.left_muls()])
+            want = np.stack([np.kron(gfmat.identity(k), ring.table[i].T)
+                             for i in range(ring.dim)])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want) and got.flags.c_contiguous
 
@@ -259,7 +260,8 @@ def test_uniform_torsion(ring2, m2, s_e1):
     report2 = is_uniformly_s_torsion(free, s_e1)
     assert not report2.verdict
     assert report2.witness is None
-    assert len(report2.failures) == len(s_e1)
+    # e_S = e1 does not kill the generator, so no s in S does
+    assert [(s.label(), col) for s, col in report2.failures] == [("e1", 0)]
 
 
 def test_degenerate_multset_makes_everything_torsion(ring2):

@@ -39,7 +39,7 @@ from srelhom.rings import (
     truncated_polynomial,
 )
 
-from conftest import product_ring
+from conftest import product_ring, square_zero_ring
 
 
 def test_prime_field_and_truncated_polynomial():
@@ -345,7 +345,7 @@ def test_radical_generators_generate_the_radical_minimally():
     for ring in oracle_rings() + big:
         p, rad, gens = ring.p, ring.radical_basis(), ring.radical_generators()
         # the ideal they generate is the radical
-        ideal = np.hstack([gens] + [lm @ gens % p for lm in ring.left_muls()])
+        ideal = np.hstack([gens] + [ring.table[i].T @ gens % p for i in range(ring.dim)])
         assert gfmat.rank(ideal, p) == rad.shape[1]
         assert gfmat.rank(np.hstack([rad, ideal]), p) == rad.shape[1]
         # and there are dim rad / rad^2 of them
@@ -457,19 +457,71 @@ def all_pairs_closure(ring, seeds):
 
 
 def test_mult_closure_matches_the_all_pairs_fixpoint():
+    # the closure multiplies new members by the seeds only
     rng = random.Random(2718)
-    for _, ring in bundled_rings():
-        for _ in range(12):
-            seeds = [random_element(ring, rng) for _ in range(rng.randrange(4))]
+    draws = [(ring, 12) for _, ring in bundled_rings()] + [
+        (group_algebra(2, [2, 2, 2]), 3), (group_algebra(3, [3, 3]), 3),
+        (truncated_polynomial(2, 5), 6)]
+    for ring, count in draws:
+        for _ in range(count):
+            seeds = [random_element(ring, rng) for _ in range(rng.randrange(6))]
             closed = mult_closure(ring, seeds)
             assert closed.elements == all_pairs_closure(ring, seeds)
             assert closed.degenerate == any(e.is_zero() for e in closed.elements)
             closed.validate()
 
 
+def test_closure_past_the_enumeration_cap_is_a_named_error(monkeypatch):
+    ring = truncated_polynomial(2, 17)
+    units = [ring.element([1] + [int(n == k) for n in range(1, 17)]) for k in range(1, 9)]
+    big = mult_closure(ring, units)
+    assert big.idempotent == ring.one and not big.degenerate
+    monkeypatch.setattr(rings, "MAX_ENUMERABLE", 1000)
+    with pytest.raises(InputError, match="too large to enumerate"):
+        big.elements
+    with pytest.raises(InputError, match="too large to enumerate"):
+        len(mult_closure(ring, units))
+    with pytest.raises(InputError, match="too large to enumerate"):
+        ring.elements()
+    monkeypatch.setattr(rings, "MAX_ENUMERABLE", 4096)
+    assert len(mult_closure(ring, units)) == 4096
+
+
+def idempotent_power(x):
+    """The one idempotent among the powers of x."""
+    power = x
+    while power * power != power:
+        power = power * x
+    return power
+
+
+def test_s_idempotent_is_the_idempotent_power_of_the_product_of_s():
+    # e_S from the seeds (every member, for a prime complement) against
+    # the product of every member of S
+    rng = random.Random("s-idempotent")
+    kinds = Counter()
+    for ring in oracle_rings() + [square_zero_ring()]:
+        sets = [random_multset(ring, rng, 3) for _ in range(8)]
+        sets += [complement_multset(ring, prime) for prime in enumerate_ideals(ring).primes]
+        # the group algebras' ideal lattices are too large to sweep here
+        for big in (group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])):
+            sets += [random_multset(big, rng, 3)]
+        for s_set in sets:
+            ring = s_set.ring
+            product = ring.one
+            for s in s_set:
+                product = product * s
+            e = s_set.idempotent
+            assert e == idempotent_power(product), (ring, s_set.labels())
+            assert e in s_set and e * e == e
+            assert s_set.degenerate == e.is_zero() == (ring.zero in s_set)
+            kinds["one" if e == ring.one else "zero" if e.is_zero() else "proper"] += 1
+    assert set(kinds) == {"one", "zero", "proper"}, kinds
+
+
 def test_multset_validate_catches_gaps(ring2):
     e1 = ring2.element([1, 0, 0])
-    broken = MultSet(ring2, (e1,), False)  # missing the unit
+    broken = MultSet(ring2, (e1,), e1, (e1,))  # missing the unit
     with pytest.raises(InputError):
         broken.validate()
 
@@ -503,8 +555,8 @@ def test_multset_validate_matches_the_pairwise_oracle(monkeypatch, block_entries
         full.validate()
         pairwise_validate(full)
         for drop in rng.sample(range(len(full)), min(3, len(full))):
-            rest = MultSet(full.ring, full.elements[:drop] + full.elements[drop + 1:],
-                           full.degenerate)
+            members = full.elements[:drop] + full.elements[drop + 1:]
+            rest = MultSet(full.ring, members, full.idempotent, members)
             got = raised(rest.validate)
             assert got == raised(lambda: pairwise_validate(rest))
             gaps["closed" if got is None else got[2].split(":")[0]] += 1
@@ -514,8 +566,8 @@ def test_multset_validate_matches_the_pairwise_oracle(monkeypatch, block_entries
 
 
 def test_closure_of_one_plus_odd_powers_is_every_unit(monkeypatch):
-    # the units 1 + (t) of F_2[t]/(t^10), 512 of them, need rounds too
-    # wide for one block of products
+    # the units 1 + (t) of F_2[t]/(t^10), 512 of them; validating them
+    # takes several blocks of products
     ring = truncated_polynomial(2, 10)
     seeds = [ring.element([1] + [int(n == k) for n in range(1, 10)]) for k in (1, 3, 5, 7, 9)]
     calls = []
@@ -527,6 +579,7 @@ def test_closure_of_one_plus_odd_powers_is_every_unit(monkeypatch):
 
     monkeypatch.setattr(type(ring), "products", recording)
     closed = mult_closure(ring, seeds)
+    calls.clear()  # the products of e_S
     assert [e.vec for e in closed] == [(1,) + rest for rest in
                                        itertools.product(range(2), repeat=9)]
     assert not closed.degenerate
@@ -534,9 +587,8 @@ def test_closure_of_one_plus_odd_powers_is_every_unit(monkeypatch):
     closed.validate()
     d = ring.dim
     assert all(n * d * max(d, m) <= rings._BLOCK_ENTRIES for n, m in calls)
-    # a round makes several calls when its frontier spans several blocks;
-    # calls of one round share the right factor, which grows every round
-    assert any(a[1] == b[1] for a, b in zip(closure_calls, closure_calls[1:]))
+    # every round of the closure multiplies its frontier by the five seeds
+    assert closure_calls and {m for _, m in closure_calls} == {5}
     assert len(calls) - len(closure_calls) > 1
 
 

@@ -1,26 +1,33 @@
 """The S-questions against the per-s systems they replaced.
 
-Each S-question asks for the first s in S, in canonical order, that
-makes a condition linear in s hold.  The questions now solve once
-against the d basis elements of R (gfmat.solve_span) and pick the
-witness with MultSet.first_member.  The oracles below are the code as
-it was before: one right-hand side per member of S, or a loop over S.
-Witnesses, attempted lists, families, failure lists and inverse
-witnesses must agree byte for byte on seeded pool draws, the degenerate
-S and the zero module included.  The split search has its own per-s
-oracle, kron_search in test_split_search.py.
+Each S-question used to ask for the first s in S, in canonical order,
+that makes a condition linear in s hold.  The questions now solve once
+against the d basis elements of R (gfmat.solve_span) and test the one
+element e_S of S (rings docstring).  The oracles below are the code as
+it was before: one right-hand side per member of S, or a loop over S,
+and first_member, the scan that picked the witness.  Verdicts,
+witnesses, families and inverse witnesses must agree byte for byte on
+seeded pool draws, the degenerate S and the zero module included; in
+the constructors' bases, which list idempotents first, e_S is the first
+member of S that works.  A failure is now certified by e_S alone, so
+the failure lists are compared with the oracle's entry for e_S.  The
+split search has its own per-s oracle, kron_search in
+test_split_search.py.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import degenerate_multset, product_ring, quotient_module
+from conftest import degenerate_multset, product_ring, quotient_module, square_zero_ring
 
-from srelhom import gfmat
+from srelhom import gfmat, rings
 from srelhom.dimensions import (
     is_s_semisimple,
     s_gldim,
+    s_id,
+    s_pd,
     split_witness_from_retraction,
 )
 from srelhom.errors import InputError
@@ -34,19 +41,48 @@ from srelhom.instances import (
     s_torsion_module,
 )
 from srelhom.modules import (
+    Module,
     ModuleMap,
     _intertwining_rows,
     cap_chain,
     direct_sum,
     free_module,
+    is_s_isomorphism,
     is_uniformly_s_torsion,
+    quotient_by_columns,
+    regular_module,
     s_exactness_check,
     s_iso_inverse,
+    submodule_from_columns,
     zero_module,
 )
-from srelhom.rings import complement_multset, enumerate_ideals, mult_closure
+from srelhom.rings import (
+    MultSet,
+    complement_multset,
+    direct_product,
+    enumerate_ideals,
+    mult_closure,
+    prime_field,
+    truncated_polynomial,
+)
 
 RINGS = dict(bundled_rings())
+# not self-injective, so Hom has room for more than one inverse witness
+SQUARE_ZERO = {"F2[x,y]/(x,y)^2": square_zero_ring(),
+               "F2[x,y]/(x,y)^2 x F2": direct_product(square_zero_ring(), prime_field(2)),
+               "F2[x,y]/(x,y)^2 x F2[t]/(t^2)": direct_product(square_zero_ring(),
+                                                               truncated_polynomial(2, 2))}
+
+
+def first_member(s_set, w, target=0):
+    """Index of the first member s, in canonical order, with
+    w @ s = target mod p, or None: the scan that picked every witness
+    before e_S did."""
+    for rows in rings._row_blocks(len(s_set), len(w)):
+        misses = ((s_set.vectors[rows] @ w.T - target) % s_set.ring.p).any(axis=1)
+        if not misses.all():
+            return rows.start + int(misses.argmin())
+    return None
 
 
 def actions_of(mod, elements):
@@ -168,23 +204,30 @@ def test_uniform_torsion_matches_the_loop_over_s(name):
                    s_torsion_module(ring, s, rng)]
         for mod in modules:
             got = is_uniformly_s_torsion(mod, s_set)
-            want = oracle_torsion(mod, s_set)
-            assert (got.verdict, got.witness, got.failures) == want
+            verdict, witness, failures = oracle_torsion(mod, s_set)
+            assert (got.verdict, got.witness) == (verdict, witness)
+            e = s_set.idempotent
+            assert got.failures == (() if verdict else ((e, dict(failures)[e]),))
             verdicts.add(got.verdict)
     assert verdicts == {True, False}
 
 
 def test_torsion_failures_name_the_first_column_not_killed():
-    # R/(e1) + R/(e2) over F2 x F2[t]/(t^2): e1 + f sends the first basis
-    # vector to the second, so its first nonzero column and row differ
+    # R/(e1) + R/(e2) over F2 x F2[t]/(t^2), with the first basis vector
+    # moved to b_0 + b_2: e_S = e1, the idempotent power of e1 + f, then
+    # sends b_2 to b_0 + b_2, so its first nonzero column (2) and row (0)
+    # differ
     ring = product_ring()
     s_set = mult_closure(ring, [[1, 0, 1]])
-    mod, _, _ = direct_sum(quotient_module(ring, [[1, 0, 0]]),
-                           quotient_module(ring, [[0, 1, 0]]))
+    summed, _, _ = direct_sum(quotient_module(ring, [[1, 0, 0]]),
+                              quotient_module(ring, [[0, 1, 0]]))
+    move = gfmat.mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2)
+    mod = Module(ring, move @ summed.actions @ move % 2)
+    assert s_set.idempotent.label() == "e1"
+    assert np.flatnonzero(mod.action_of(s_set.idempotent).any(axis=1))[0] == 0
     got = is_uniformly_s_torsion(mod, s_set)
-    assert [(s.label(), col) for s, col in got.failures] == [
-        ("e1", 2), ("e1+f", 0), ("e1+e2", 0)]
-    assert got.failures == oracle_torsion(mod, s_set)[2]
+    assert [(s.label(), col) for s, col in got.failures] == [("e1", 2)]
+    assert dict(oracle_torsion(mod, s_set)[2])[s_set.idempotent] == 2
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -226,9 +269,9 @@ def test_exactness_solves_against_the_incoming_map_itself(monkeypatch):
         assert s_exactness_check(chain, s_set).witnesses() == want
 
 
-@pytest.mark.parametrize("name", list(RINGS))
+@pytest.mark.parametrize("name", list(RINGS) + list(SQUARE_ZERO))
 def test_inverse_witness_matches_the_per_s_system(name):
-    ring = RINGS[name]
+    ring = {**RINGS, **SQUARE_ZERO}[name]
     rng = random.Random("inverse-oracle:%s" % name)
     z = zero_module(ring)
     for s_set in multsets(ring, rng):
@@ -242,6 +285,51 @@ def test_inverse_witness_matches_the_per_s_system(name):
             want_matrix, want_s = oracle_iso_inverse(f, s_set)
             assert s == want_s
             assert_same_matrix(inv.matrix, want_matrix)
+
+
+def random_invertible(n, p, rng):
+    while True:
+        m = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                     dtype=np.int64).reshape(n, n)
+        if gfmat.rank(m, p) == n:
+            return m
+
+
+def in_random_bases(f, rng):
+    """f: M -> N with M and N in random bases."""
+    p = f.ring.p
+    moved = []
+    for mod in (f.source, f.target):
+        change = random_invertible(mod.vdim, p, rng)
+        inverse = gfmat.inverse(change, p) if mod.vdim else change
+        moved.append((Module(f.ring, change @ mod.actions @ inverse % p), change, inverse))
+    (src, _, src_inv), (tgt, tgt_change, _) = moved
+    return ModuleMap(src, tgt, tgt_change @ f.matrix @ src_inv % p)
+
+
+def test_inverse_is_f_inverted_on_e_s_m_in_any_basis():
+    # in a random basis e_S M need not be spanned by basis vectors, so a
+    # solution Y of (f E_M) Y = E_N need not lie in e_S M; g = E_M Y does,
+    # and it is the one R-linear map with image in e_S M that kills
+    # (1 - e_S) N and has f g = E_N
+    rng = random.Random("inverse-any-basis")
+    off_axis = 0
+    for ring in RINGS.values():
+        p = ring.p
+        for s_set in multsets(ring, rng):
+            for _ in range(4):
+                f = in_random_bases(random_s_iso(ring, s_set, rng)[0], rng)
+                inv, s = s_iso_inverse(f, s_set)
+                assert s == s_set.idempotent
+                e_m, e_n = f.source.action_of(s), f.target.action_of(s)
+                assert np.array_equal(inv.matrix @ f.matrix % p, e_m)
+                assert np.array_equal(f.matrix @ inv.matrix % p, e_n)
+                assert np.array_equal(e_m @ inv.matrix % p, inv.matrix)
+                assert np.array_equal(inv.matrix @ e_n % p, inv.matrix)
+                ModuleMap(f.target, f.source, inv.matrix)  # checks R-linearity
+                y = gfmat.solve(f.matrix @ e_m % p, e_n, p)
+                off_axis += not np.array_equal(e_m @ y % p, y)
+    assert off_axis
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -274,4 +362,115 @@ def test_gldim_and_semisimple_witnesses_match_the_per_s_systems(name):
         s, family, failures = oracle_semisimple(ring, s_set)
         assert (rep.verdict, rep.s) == (s is not None, s)
         assert [(ideal.key(), y) for ideal, y in rep.family] == family
-        assert [(t, ideal.key()) for t, ideal in rep.failures] == failures
+        e = s_set.idempotent
+        want = [] if s is not None else [(e, dict(failures)[e])]
+        assert [(t, ideal.key()) for t, ideal in rep.failures] == want
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_e_s_decides_membership_as_first_member_did(name):
+    # random W whose kernel is an ideal: a random row mix of the
+    # equations of every ideal and of the annihilators of random modules
+    ring = RINGS[name]
+    p, d = ring.p, ring.dim
+    rng = random.Random("membership-oracle:%s" % name)
+    bases = []
+    for ideal in enumerate_ideals(ring):
+        bases.append(gfmat.complete_basis(ideal.basis, p)[1][ideal.fdim:])
+    bases += [random_module(ring, rng).actions.reshape(d, -1).T for _ in range(6)]
+    found = Counter()
+    for s_set in multsets(ring, rng):
+        e = s_set.idempotent
+        for base in bases:
+            while True:
+                mix = np.array([[rng.randrange(p) for _ in base] for _ in base],
+                               dtype=np.int64).reshape(len(base), len(base))
+                if gfmat.rank(mix, p) == len(base):
+                    break
+            w = mix @ base % p
+            k = first_member(s_set, w)
+            assert (k is not None) == (not (w @ e.array % p).any())
+            if k is not None:
+                assert s_set.elements[k] == e
+            found[k is not None] += 1
+    assert set(found) == {True, False}
+
+
+def unit_seeds(ring, count):
+    """The units 1 + t^k, k = 1..count, of a truncated polynomial ring."""
+    return [ring.element([1] + [int(n == k) for n in range(1, ring.dim)])
+            for k in range(1, count + 1)]
+
+
+def refuse_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an S-question listed the members of S")
+
+    monkeypatch.setattr(MultSet, "elements", property(refuse))
+
+
+def s_question_cases(big):
+    """(S, k, exact chain, projection) over R = F2[t]/(t^big) with 8 unit
+    seeds, where e_S = 1, and over R x F2 with the idempotent seed of
+    the F2 factor, where e_S = (0, 1).  k is the residue field of
+    F2[t]/(t^big) as an R-module, and the chain and the projection are
+    those of R onto R/(t), and of R x F2 onto F2."""
+    poly = truncated_polynomial(2, big)
+    prod = direct_product(poly, prime_field(2))
+    cases = []
+    for ring, seeds, kernel in ((poly, unit_seeds(poly, 8), slice(1, big)),
+                                (prod, [prod.basis_element(big)], slice(0, big))):
+        reg, eye = regular_module(ring), np.eye(ring.dim, dtype=np.int64)
+        k = quotient_by_columns(reg, eye[:, 1:])[0]
+        _, incl = submodule_from_columns(reg, eye[:, kernel])
+        _, proj, _ = quotient_by_columns(reg, eye[:, kernel])
+        cases.append((mult_closure(ring, seeds), k, cap_chain([incl, proj]), proj))
+    return cases
+
+
+def test_s_questions_list_no_member_of_s(monkeypatch):
+    # F2[t]/(t^17) has 2^17 elements; 8 unit seeds generate 2^12 of them
+    cases = s_question_cases(17)
+    refuse_enumeration(monkeypatch)
+    for (s_set, k, chain, proj), killed in zip(cases, (False, True)):
+        ring, e = s_set.ring, s_set.idempotent
+        assert e == (ring.basis_element(17) if killed else ring.one)
+        for walk in (s_pd, s_id):
+            assert walk(k, s_set).value.known == killed
+            assert walk(regular_module(ring), s_set).certificate.s == e
+        got = is_uniformly_s_torsion(k, s_set)
+        assert (got.verdict, got.witness) == (killed, e if killed else None)
+        assert got.failures == (() if killed else ((e, 0),))
+        assert s_exactness_check(chain, s_set).witnesses() == [e] * 3
+        assert is_s_isomorphism(proj, s_set).verdict == killed
+        iso = proj if killed else ModuleMap.identity(k)
+        inv, s = s_iso_inverse(iso, s_set)
+        assert s == e
+        assert np.array_equal(inv.matrix @ iso.matrix % 2, iso.source.action_of(e))
+        assert np.array_equal(iso.matrix @ inv.matrix % 2, iso.target.action_of(e))
+        gl = s_gldim(ring, s_set, trials=0)
+        assert (gl.candidate.known, gl.witness) == (killed, e if killed else None)
+        # S-semisimplicity ranges over the ideal lattice, which is listed
+        # only for rings of at most 2^16 elements
+        with pytest.raises(InputError, match="ring too large to enumerate"):
+            is_s_semisimple(ring, s_set)
+    # the split questions that need no system: X = 0, and 0 in S
+    units, k = cases[0][:2]
+    poly = units.ring
+    degenerate = mult_closure(poly, unit_seeds(poly, 8) + [poly.basis_element(1)])
+    assert degenerate.idempotent == poly.zero
+    for s_set in (units, degenerate):
+        for walk in (s_pd, s_id):
+            assert walk(zero_module(poly), s_set).certificate.s == s_set.idempotent
+    assert s_pd(k, degenerate).certificate.s == poly.zero
+
+
+def test_s_semisimple_lists_no_member_of_s(monkeypatch):
+    cases = s_question_cases(7)
+    refuse_enumeration(monkeypatch)
+    (units, _, _, _), (idem, _, _, _) = cases
+    rep = is_s_semisimple(units.ring, units)
+    assert not rep.verdict and [(s, i.label()) for s, i in rep.failures] == [
+        (units.ring.one, "(t6)")]
+    rep = is_s_semisimple(idem.ring, idem)
+    assert rep.verdict and rep.s == idem.idempotent and rep.failures == ()
