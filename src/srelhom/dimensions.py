@@ -57,6 +57,7 @@ from .rings import (
     complement_multset,
     enumerate_ideals,
     mult_closure,
+    radical_ideal,
     same_ring,
 )
 from .modules import (
@@ -455,7 +456,7 @@ class SemisimpleReport:
 
     family pairs each ideal with the element y = f_I(1) in I satisfying
     i y = s i for every i in I.  On failure, failures is the one pair of
-    e_S and the first ideal whose linear system e_S does not solve.
+    e_S and rad R, whose linear system e_S does not solve.
     """
 
     ring: FiniteAlgebra
@@ -476,24 +477,33 @@ def is_s_semisimple(ring: FiniteAlgebra, s_set: MultSet) -> SemisimpleReport:
     ideal, solved for s = e_i: s works for I exactly when W_I @ s = 0,
     with y = X_I @ s in the basis of I.  The s that work for every I
     form an ideal, so some s in S works exactly when e_S does.
+
+    rad R decides the answer.  If e_S works for rad R with some y in it,
+    then j = e_S i satisfies j = e_S j = j y for every i in rad R, so
+    j = j y^n = 0 as y is nilpotent: e_S works for rad R exactly when
+    e_S rad R = 0.  Then e_S R is semisimple and e_S works for every
+    ideal, so only a positive answer lists the ideal lattice.
     """
     _require_same_ring(ring, s_set)
     p, d = ring.p, ring.dim
-    ideals = enumerate_ideals(ring).ideals
-    systems = []
-    for ideal in ideals:
+    s = s_set.idempotent
+
+    def system(ideal):
         basis, k = ideal.basis, ideal.fdim
         # mults[j] is multiplication by the j-th basis vector of I
         mults = ring.products(basis.T, np.eye(d, dtype=np.int64)).transpose(0, 2, 1)
         coeff = (mults @ basis).reshape(k * d, k) % p
-        systems.append(gfmat.solve_span(coeff, mults.reshape(k * d, d), p))
-    s = s_set.idempotent
-    blocked = [bool((w @ s.array % p).any()) for w, _ in systems]
-    if any(blocked):
-        return SemisimpleReport(ring, s_set, False, None, (),
-                                ((s, ideals[blocked.index(True)]),))
+        w, x = gfmat.solve_span(coeff, mults.reshape(k * d, d), p)
+        return bool((w @ s.array % p).any()), x
+
+    rad = radical_ideal(ring)
+    if system(rad)[0]:
+        return SemisimpleReport(ring, s_set, False, None, (), ((s, rad),))
     family = []
-    for ideal, (_, x) in zip(ideals, systems):
+    for ideal in enumerate_ideals(ring).ideals:
+        blocked, x = system(ideal)
+        if blocked:
+            raise InternalInvariantViolation("e_S kills rad R but blocks an ideal")
         y = ring.element(ideal.basis @ (x @ s.array % p))
         gens = ideal.basis.T
         if (ring.products(gens, y.array[None]) != ring.products(gens, s.array[None])).any():

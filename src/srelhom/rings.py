@@ -73,6 +73,7 @@ __all__ = [
     "direct_product",
     "mult_closure",
     "enumerate_ideals",
+    "radical_ideal",
     "complement_multset",
     "quotient_algebra",
     "same_ring",
@@ -324,19 +325,26 @@ class FiniteAlgebra:
             q = 1
             while q < self.dim:
                 q *= self.p
-            # square-and-multiply on all basis rows at once; the row-wise
-            # product of two batches is the diagonal of their products
-            powers = np.tile(self.unit, (self.dim, 1))
-            base = np.eye(self.dim, dtype=np.int64)
-            while q:
-                if q & 1:
-                    powers = np.einsum("aak->ak", self.products(powers, base))
-                base = np.einsum("aak->ak", self.products(base, base))
-                q >>= 1
-            kernel = gfmat.nullspace(powers.T, self.p)
+            kernel = gfmat.nullspace(self._basis_powers(q).T, self.p)
             echelon, _ = gfmat.rref(kernel.T, self.p)
             self._radical = echelon[::-1].T.copy()
         return self._radical
+
+    def _basis_powers(self, q: int) -> np.ndarray:
+        """Row i is e_i^q, by square-and-multiply on all basis rows at once.
+
+        The row-wise product of two batches is the diagonal of their
+        products.  For q a power of p this is the matrix of the
+        F_p-linear map x -> x^q, acting on row vectors.
+        """
+        powers = np.tile(self.unit, (self.dim, 1))
+        base = np.eye(self.dim, dtype=np.int64)
+        while q:
+            if q & 1:
+                powers = np.einsum("aak->ak", self.products(powers, base))
+            base = np.einsum("aak->ak", self.products(base, base))
+            q >>= 1
+        return powers
 
     def radical_generators(self) -> np.ndarray:
         """Columns of radical_basis() that generate the radical as an ideal.
@@ -715,6 +723,21 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
         ideals.append(Ideal(ring, basis, maximal, maximal))
     ring._ideal_list = IdealList(ring, tuple(ideals))
     return ring._ideal_list
+
+
+def radical_ideal(ring: FiniteAlgebra) -> Ideal:
+    """rad R as an Ideal, on radical_basis(), without the ideal lattice.
+
+    rad R is prime, and then maximal, exactly when R is local, that is
+    when R/rad R is a field.  R/rad R is a product of r finite fields, on
+    which the fixed points of x -> x^p form F_p^r, so R is local exactly
+    when {x : x^p - x in rad R} has dimension dim rad R + 1.
+    """
+    p, rad = ring.p, ring.radical_basis()
+    shift = ring._basis_powers(p).T - np.eye(ring.dim, dtype=np.int64)
+    fixed = gfmat.nullspace(np.hstack([shift, -rad]) % p, p).shape[1]
+    local = fixed == rad.shape[1] + 1
+    return Ideal(ring, rad, local, local)
 
 
 def complement_multset(ring: FiniteAlgebra, prime: Ideal) -> MultSet:

@@ -6,11 +6,22 @@ matrix and are appended on demand; every kernel over Z/m is computed by
 lifting to Z and solving x with A@x in m*Z^g, so all arithmetic stays
 exact and arbitrary precision.
 
-Multiplicative sets are given by generator lists and never enumerated:
-reachability questions (does some product annihilate, which s can split a
-cover) run a breadth-first search over the monoid image in Z modulo the
-relevant exponent, which is a finite graph.  Witnesses come back as
-explicit products in the generators.
+Multiplicative sets are given by generator lists and never enumerated.
+Every S-question here asks whether some s in S is divisible by one
+number E: the split modulus below for S-pd, the exponent of the module
+for uniform S-torsion, and a for the factor-ring comparison.  Over Z/m,
+E divides m, so this is a property of residues.  A generator prime to E
+is a unit mod E, so only t_E, the product of the generators g with
+gcd(g, E) > 1, matters: some s in S is divisible by E exactly when some
+power t_E^n is.  The loop E <- E / gcd(E, t_E) decides this without
+factoring.  A prime p with p^a || E and p^b || t_E, b >= 1, loses b from
+its exponent at each step, so after n steps what is left is
+E / gcd(E, t_E^n).  The loop reaches 1 exactly at the least n with
+E | t_E^n, within ceil(log2 E) steps since each step at least halves E,
+and the witness is t_E^n, written as a product of the generators.
+Otherwise it stalls at a factor E' > 1 of E with gcd(E', t_E) = 1.  Then
+E' is prime to every generator, hence to every s in S, so no s in S is
+divisible by E' or by E: E' certifies the failure.
 
 Over Z/m, S-pd is 0 or infinite, so the split search at level 0 decides
 it.  Z/m is the product of the local Artinian rings Z/p^k over the primes
@@ -18,9 +29,8 @@ p | m.  On a factor where p divides some s in S, a power of s lies in S
 and is 0 there, so every module splits.  On every other factor S acts by
 units, S-pd is the classical pd, and depth 0 makes it 0 or infinite by
 Auslander-Buchsbaum; a product of the factors' witnesses is one s for all
-of them.  The level-0 candidates are every residue of the S-orbit mod m,
-so a failed search has tried all of S-bar: it proves the dimension
-infinite, reported as ">bound".  Over Z relation lattices are free, so
+of them.  A stalled gcd loop proves that no s in S-bar splits, so the
+dimension is infinite, reported as ">bound".  Over Z relation lattices are free, so
 S-pd is 0 or 1: a failed level 0 is always followed by level 1, which
 splits with s = 1.
 
@@ -34,9 +44,9 @@ both kill, and for N = Z/p^j it is Z/p^min(j, k-j); so s splits M
 exactly when p^max min(j, k-j) divides s, the max running over the
 invariant factors of M.  Across the primes of m this is divisibility
 by the split modulus E = lcm over invariant factors d of gcd(d, m/d),
-whose p-part is exactly that power.  So the search is an orbit test:
-the first residue of the S-orbit divisible by E names the witness, and
-when no residue is divisible by E, level 0 fails.
+whose p-part is exactly that power.  So the split search at level 0 is
+the gcd loop on E: t_E^n is the witness, and a stall at E' proves that
+no s in S splits.
 
 The certificate of that s is read off the Smith form U*q*V = D of the
 presentation matrix q over Z, with the ring relations m*I appended over
@@ -74,7 +84,7 @@ divisibility chain, with no Smith form and no factoring.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -280,44 +290,24 @@ def _ring_name(ring, m):
     return "Z" if ring == "Z" else "Z/%d" % m
 
 
-def _monoid_orbit(generators, modulus):
-    """All residues of products of the generators mod modulus, BFS order.
+def _least_power(generators, e):
+    """(shared, n, rest) of the gcd loop on e (module docstring).
 
-    Returns (order, links): the empty product 1 comes first, and links[r]
-    is (previous residue, generator) for the step that first reached r
-    (None for the start), so each residue costs one link, not a path.
+    shared lists the generators with a prime in common with e, t their
+    product, and n the number of steps.  rest is 1 when e divides t^n,
+    for the least such n; otherwise it is the factor e' > 1 of e, prime
+    to every generator, at which the loop stalled.
     """
-    start = 1 % modulus
-    links = {start: None}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for g in generators:
-            w = (v * g) % modulus
-            if w not in links:
-                links[w] = (v, g)
-                order.append(w)
-                queue.append(w)
-    return order, links
-
-
-def _orbit_path(links, r):
-    """The generator sequence whose product first reached r."""
-    path = []
-    while links[r] is not None:
-        r, g = links[r]
-        path.append(g)
-    return tuple(reversed(path))
-
-
-def _orbit_products(order, links):
-    """The integer product of each residue's path, in BFS order."""
-    products = {order[0]: 1}
-    for r in order[1:]:
-        v, g = links[r]
-        products[r] = products[v] * g
-    return [products[r] for r in order]
+    shared = tuple(g for g in generators if math.gcd(g, e) > 1)
+    t = math.prod(shared)
+    n, rest = 0, e
+    while rest > 1:
+        g = math.gcd(rest, t)
+        if g == 1:
+            break
+        rest //= g
+        n += 1
+    return shared, n, rest
 
 
 def _product_expression(path) -> str:
@@ -337,11 +327,14 @@ def _product_expression(path) -> str:
 
 @dataclass(frozen=True)
 class ZTorsionWitness:
-    """Outcome of the uniform annihilation search.
+    """Outcome of the gcd loop on the exponent E of the module.
 
-    On success witness is a product of generators (as an integer) that
-    kills the module, with its factorization in expression.  explored
-    counts distinct residues visited before the search settled.
+    On success witness is t_E^n, the least power of the product of the
+    generators sharing a prime with E that E divides (module docstring),
+    as an integer, with its factorization in expression.  explored
+    counts the powers t_E^0, ..., t_E^n tried, n + 1.  On failure reason
+    names the factor E' > 1 of E, prime to every generator, that
+    certifies it.
     """
 
     verdict: bool
@@ -361,14 +354,15 @@ def z_uniform_torsion(mod: ZMod, s_set: ZMultSet) -> ZTorsionWitness:
             False, mod, None, None, None, 0,
             "a free summand survives every nonzero multiplier")
     e = mod.exponent()
-    order, links = _monoid_orbit(s_set.generators, e)
-    if 0 in links:
-        path = _orbit_path(links, 0)
+    shared, n, rest = _least_power(s_set.generators, e)
+    path = shared * n
+    if rest == 1:
         return ZTorsionWitness(
-            True, mod, math.prod(path), _product_expression(path), e, len(order))
+            True, mod, math.prod(path), _product_expression(path), e, n + 1)
     return ZTorsionWitness(
-        False, mod, None, None, e, len(order),
-        "no product of the generators reaches 0 mod %d" % e)
+        False, mod, None, None, e, n + 1,
+        "no product of the generators is divisible by %d: its factor %d is "
+        "prime to every generator" % (e, rest))
 
 
 # -- S-projective dimension ---------------------------------------------------
@@ -379,12 +373,13 @@ class ZSplitWitness:
     """Split search outcome at one syzygy level.
 
     section is the matrix of a generator-level map phi with pi*phi equal
-    to multiplication by s, for the first s of the orbit that splits;
-    attempted lists every product of the orbit, in search order, when
-    none does.  Which s split is read off the invariant factors (the
-    split modulus), and the section of that s is read off the Smith form
-    of the presentation, so no search solves a system.  The section is
-    one valid choice among many.
+    to multiplication by s = t_E^n, the witness of the gcd loop on the
+    split modulus E (module docstring), a residue over Z/m.  attempted
+    is () on success and (t_E^n,) on failure, the power at which the
+    loop stalled.  Which s split is read off the invariant factors, and
+    the section of that s is read off the Smith form of the
+    presentation, so no search solves a system.  The section is one
+    valid choice among many.
     """
 
     s: int | None
@@ -433,30 +428,22 @@ def _diagonal_solve(diag, s, modulus):
     return ys
 
 
-def _section_solve(lattice, candidates, order, links, modulus, split):
-    """Split search at one level: the first s with a section, or every s.
+def _section_solve(lattice, s, modulus) -> tuple:
+    """The section of the cover scaled by s, re-checked.
 
     A section is phi = s*I + q@y with phi@q == 0 (mod modulus; None =
     exact); q = lattice.q presents a module on len(q) generators, so phi
-    is a well-defined section of the free cover scaled by s.
-    candidates[i] is the s that reached the residue order[i] (the residue
-    itself mod m, the product of its path over Z).  The s that split are
-    the multiples of the split modulus, so the orbit test picks the first
-    residue divisible by it; its section is y = v@Y@u with Y diagonal
-    from _diagonal_solve and 0 at the zero entries of d (see the module
-    docstring).  A failed search solves nothing.
+    is a well-defined section of the free cover scaled by s.  s is a
+    multiple of the split modulus, and y = v@Y@u with Y diagonal from
+    _diagonal_solve and 0 at the zero entries of d (module docstring).
     """
-    c = next((i for i, r in enumerate(order) if r % split == 0), None)
-    if c is None:
-        return ZSplitWitness(None, None, None, tuple(candidates))
-    s = candidates[c]
     q = lattice.q
     g = len(q)
     phi = intmat.zeros(g, g)
     if lattice.rank:
         ys = _diagonal_solve(lattice.diag, s, modulus)
         if ys is None:
-            raise InternalInvariantViolation("orbit test and section solve disagree")
+            raise InternalInvariantViolation("gcd loop and section solve disagree")
         # Y is zero past the rank, so only that many columns of v enter
         yu = [[y * x for x in row] for y, row in zip(ys, lattice.u)]
         vy = intmat.matmul([row[:lattice.rank] for row in lattice.v], yu)
@@ -470,45 +457,44 @@ def _section_solve(lattice, candidates, order, links, modulus, split):
                 raise InternalInvariantViolation("solved section fails to kill relations")
     if modulus:
         phi = [[x % modulus for x in row] for row in phi]
-    return ZSplitWitness(s, _product_expression(_orbit_path(links, order[c])),
-                         tuple(tuple(row) for row in phi))
+    return _frozen(phi)
 
 
 def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> DimResult:
     """S-projective dimension by one split search per level.
 
-    Each search is an orbit test against the split modulus of the module,
-    and a success reads its section off the Smith form of the
+    The search at level 0 is the gcd loop on the split modulus of the
+    module, and a success reads its section off the Smith form of the
     presentation, the one cached with structure(): no system is solved.
-    Over Z/m one search at level 0 decides the value, and a failure is a
-    proof of infinity reported as ">bound" (see the module docstring).
-    Over Z the relation lattice is free, so a failure at level 0 is
-    followed by level 1, which splits with s = 1, whatever the bound.
-    The result is the DimResult of the finite backend, with levels of
-    ZSplitWitness and no cross_check.
+    Over Z/m that search decides the value, and a failure is a proof of
+    infinity reported as ">bound" (see the module docstring).  Over Z
+    the relation lattice is free, so a failure at level 0 is followed by
+    level 1, which splits with s = 1, whatever the bound.  The result is
+    the DimResult of the finite backend, with levels of ZSplitWitness
+    and no cross_check.
     """
     _match_rings(mod, s_set)
     if bound < 0:
         raise InputError("bound must be >= 0")
     lattice = _structure(mod)
-    split = _split_modulus(mod)
+    shared, n, rest = _least_power(s_set.generators, _split_modulus(mod))
+    s = math.prod(shared) ** n
+    if mod.m:
+        s %= mod.m
+    if rest > 1:
+        level0 = ZSplitWitness(None, None, None, (s,))
+    else:
+        level0 = ZSplitWitness(s, _product_expression(shared * n),
+                               _section_solve(lattice, s, mod.m))
     if mod.ring == "Z_mod":
-        order, links = _monoid_orbit(s_set.generators, mod.m)
-        level0 = _section_solve(lattice, order, order, links, mod.m, split)
         value = DimValue.exact(0) if level0.verdict else DimValue.over(bound)
         return DimResult("S-pd", mod, s_set, bound, value, (level0,))
-    order, links = _monoid_orbit(s_set.generators, split)
-    candidates = _orbit_products(order, links)
-    levels = (_section_solve(lattice, candidates, order, links, None, split),)
-    if levels[0].verdict:
-        return DimResult("S-pd", mod, s_set, bound, DimValue.exact(0), levels)
-    # the relation lattice is free of rank lattice.rank, so s = 1, the
-    # empty product the orbit starts with, splits its cover by the identity
-    if candidates[0] != 1:
-        raise InternalInvariantViolation("free syzygy admitted no section")
-    section = _frozen(intmat.identity(lattice.rank))
-    levels += (ZSplitWitness(1, _product_expression(()), section),)
-    return DimResult("S-pd", mod, s_set, bound, DimValue.exact(1), levels)
+    if level0.verdict:
+        return DimResult("S-pd", mod, s_set, bound, DimValue.exact(0), (level0,))
+    # the relation lattice is free of rank lattice.rank, so s = 1 splits
+    # its cover by the identity
+    level1 = ZSplitWitness(1, _product_expression(()), _frozen(intmat.identity(lattice.rank)))
+    return DimResult("S-pd", mod, s_set, bound, DimValue.exact(1), (level0, level1))
 
 
 # -- Ext ----------------------------------------------------------------------
@@ -594,12 +580,14 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
 
     The dimension of a Z/a-module M over Z exceeds its dimension over
     Z/a by exactly one, provided no product of the generators of S is
-    divisible by a (checked by reachability; DividesS otherwise).  A
+    divisible by a (DividesS otherwise).  A
     uniformly S-torsion module is S-isomorphic to 0, so, like the zero
     module, it is outside the identity's reach: "inapplicable".  ">bound"
     over Z/a is a proof of infinity, where the identity, which assumes a
     finite dimension, does not apply: "vacuous", decided before any
     comparison (over Z the value is 0 or 1, never infinity + 1 = infinity).
+    Whether a divides some s in S is the gcd loop on a (module
+    docstring); DividesS names the witness t_a^n.
     """
     if not isinstance(a, int) or a < 2:
         raise InputError("factor modulus must be an integer >= 2")
@@ -607,10 +595,9 @@ def factor_ring_check(a: int, mod: ZMod, s_set: ZMultSet, bound: int = 8) -> Fac
         raise RingMismatch("module must live over Z/%d" % a)
     if s_set.ring != "Z":
         raise RingMismatch("multiplicative set must live over Z")
-    _, links = _monoid_orbit(s_set.generators, a)
-    if 0 in links:
-        raise DividesS(
-            "%d divides the product %s" % (a, _product_expression(_orbit_path(links, 0))))
+    shared, n, rest = _least_power(s_set.generators, a)
+    if rest == 1:
+        raise DividesS("%d divides the product %s" % (a, _product_expression(shared * n)))
     sbar = ZMultSet("Z_mod", a, tuple(g % a for g in s_set.generators))
     bar_result = z_s_pd(mod, sbar, bound)
     z_result = z_s_pd(_structure(mod).z_view, s_set, bound)

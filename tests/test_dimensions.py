@@ -14,7 +14,7 @@ from conftest import (
 )
 from les_oracle import shift_search
 
-from srelhom import gfmat, modules
+from srelhom import dimensions, gfmat, modules
 from srelhom.checks import _multset_menu, clear_memo
 from srelhom.rings import (
     Ideal,
@@ -617,13 +617,23 @@ def test_product_ring_semisimple_witness_is_e1(ring2, s_e1):
             assert gen * y == rep.s * gen
 
 
-def test_truncated_ring_not_semisimple():
+def test_truncated_ring_not_semisimple(monkeypatch):
+    # the answer "no" is read off rad R alone: no ideal lattice is listed
     t2 = truncated_polynomial(2, 2)
-    rep = is_s_semisimple(t2, mult_closure(t2, []))
+    s_set = mult_closure(t2, [])
+
+    def refuse(ring):
+        raise AssertionError("a negative answer listed the ideals")
+
+    monkeypatch.setattr(dimensions, "enumerate_ideals", refuse)
+    rep = is_s_semisimple(t2, s_set)
     assert not rep.verdict and rep.s is None and rep.family == ()
     (s, ideal), = rep.failures
     assert s == t2.one
-    assert ideal.label() == "(t)"
+    assert ideal.label() == "(t)" and ideal.is_prime and ideal.is_maximal
+    monkeypatch.undo()
+    rad = next(i for i in enumerate_ideals(t2) if i.label() == "(t)")
+    assert ideal.key() == rad.key()
 
 
 def test_semisimple_matches_global_dimension_zero(ring2, s_e1, s_one):

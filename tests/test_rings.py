@@ -33,6 +33,7 @@ from srelhom.rings import (
     mult_closure,
     prime_field,
     quotient_algebra,
+    radical_ideal,
     ring_from_spec,
     ring_to_spec,
     same_ring,
@@ -326,6 +327,29 @@ def test_linear_algebra_matches_the_element_sweeps():
             assert complement_multset(ring, prime).elements == want
             primes_seen += 1
     assert primes_seen == 41
+
+
+def test_radical_ideal_flags_match_the_ideal_lattice():
+    # rad R is prime and maximal exactly when R is local, decided by the
+    # Frobenius fixed points of R/rad R with no ideal listed
+    local = Counter()
+    # F4 = F2[x]/(x^2 + x + 1): a residue field that is not prime
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0], table[0, 1], table[1, 0], table[1, 1] = [1, 0], [0, 1], [0, 1], [1, 1]
+    f4 = build_algebra(2, ["1", "x"], table, [1, 0])
+    extra = [f4, direct_product(f4, truncated_polynomial(2, 2)), direct_product(f4, f4)]
+    for ring in oracle_rings() + extra:
+        got = radical_ideal(ring)
+        assert np.array_equal(got.basis, ring.radical_basis())
+        ideals = enumerate_ideals(ring)
+        twin, = [i for i in ideals if i.key() == got.key()]
+        assert (got.is_prime, got.is_maximal) == (twin.is_prime, twin.is_maximal)
+        assert got.is_maximal == (len(ideals.maximals) == 1)
+        local[got.is_maximal] += 1
+    assert local[True] >= 5 and local[False] >= 5, local
+    big = truncated_polynomial(2, 17)
+    assert radical_ideal(big).is_maximal and radical_ideal(group_algebra(2, [2] * 5)).is_prime
+    assert not radical_ideal(direct_product(big, prime_field(2))).is_maximal
 
 
 def test_radical_and_cap_above_the_enumeration_limit():

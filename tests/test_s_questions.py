@@ -63,6 +63,7 @@ from srelhom.rings import (
     enumerate_ideals,
     mult_closure,
     prime_field,
+    radical_ideal,
     truncated_polynomial,
 )
 
@@ -363,7 +364,12 @@ def test_gldim_and_semisimple_witnesses_match_the_per_s_systems(name):
         assert (rep.verdict, rep.s) == (s is not None, s)
         assert [(ideal.key(), y) for ideal, y in rep.family] == family
         e = s_set.idempotent
-        want = [] if s is not None else [(e, dict(failures)[e])]
+        # a failure names rad R, which e_S does not kill, whatever ideal
+        # blocked e_S first in the oracle's order
+        assert (s is None) == (e in dict(failures))
+        rad = ring.radical_basis()
+        assert (s is None) == bool(ring.products(e.array[None], rad.T).any())
+        want = [] if s is not None else [(e, radical_ideal(ring).key())]
         assert [(t, ideal.key()) for t, ideal in rep.failures] == want
 
 
@@ -450,10 +456,17 @@ def test_s_questions_list_no_member_of_s(monkeypatch):
         assert np.array_equal(iso.matrix @ inv.matrix % 2, iso.target.action_of(e))
         gl = s_gldim(ring, s_set, trials=0)
         assert (gl.candidate.known, gl.witness) == (killed, e if killed else None)
-        # S-semisimplicity ranges over the ideal lattice, which is listed
+        # e_S = 1 does not kill rad R, which answers "no" on rad R alone;
+        # "yes" needs the family over the ideal lattice, which is listed
         # only for rings of at most 2^16 elements
-        with pytest.raises(InputError, match="ring too large to enumerate"):
-            is_s_semisimple(ring, s_set)
+        if killed:
+            with pytest.raises(InputError, match="ring too large to enumerate"):
+                is_s_semisimple(ring, s_set)
+        else:
+            rep = is_s_semisimple(ring, s_set)
+            (s, rad), = rep.failures
+            assert not rep.verdict and s == e
+            assert np.array_equal(rad.basis, ring.radical_basis()) and rad.is_maximal
     # the split questions that need no system: X = 0, and 0 in S
     units, k = cases[0][:2]
     poly = units.ring
@@ -471,6 +484,6 @@ def test_s_semisimple_lists_no_member_of_s(monkeypatch):
     (units, _, _, _), (idem, _, _, _) = cases
     rep = is_s_semisimple(units.ring, units)
     assert not rep.verdict and [(s, i.label()) for s, i in rep.failures] == [
-        (units.ring.one, "(t6)")]
+        (units.ring.one, "(t6, t5, t4, t3, t2, t)")]
     rep = is_s_semisimple(idem.ring, idem)
     assert rep.verdict and rep.s == idem.idempotent and rep.failures == ()

@@ -28,9 +28,7 @@ from srelhom.zmodules import (
     ZSplitWitness,
     _diagonal_solve,
     _invariant_factors,
-    _monoid_orbit,
-    _orbit_path,
-    _orbit_products,
+    _least_power,
     _product_expression,
     _split_modulus,
     change_of_rings_check,
@@ -253,12 +251,18 @@ def test_multset_validation():
 def test_torsion_frozen_examples():
     s2 = z_multset("Z", [2])
     report = z_uniform_torsion(z_cyclic(3), s2)
-    assert not report.verdict
-    assert "0 mod 3" in report.reason
+    assert not report.verdict and report.explored == 1
+    assert "divisible by 3: its factor 3 is prime" in report.reason
+    report = z_uniform_torsion(z_cyclic(12), z_multset("Z", [5, 2]))
+    assert not report.verdict and report.explored == 3
+    assert "divisible by 12: its factor 3 is prime" in report.reason
     report = z_uniform_torsion(z_cyclic(8), s2)
     assert report.verdict
     assert report.witness == 8
     assert report.expression == "2^3"
+    assert report.explored == 4  # 1, 2, 4, 8
+    report = z_uniform_torsion(z_cyclic(12), z_multset("Z", [5, 6, 3]))
+    assert (report.witness, report.expression, report.explored) == (324, "6^2*3^2", 3)
     report = z_uniform_torsion(z_module("Z", [[1]]), s2)
     assert report.verdict and report.witness == 1 and report.expression == "1"
     report = z_uniform_torsion(z_free("Z", 1), s2)
@@ -288,6 +292,68 @@ def test_torsion_matches_exhaustive_products():
             assert report.witness % e == 0
 
 
+def monoid_orbit(generators, modulus):
+    """All residues of products of the generators mod modulus, BFS order.
+
+    Returns (order, links): the empty product 1 comes first, and links[r]
+    is (previous residue, generator) for the step that first reached r
+    (None for the start), so each residue costs one link, not a path.
+    This search decided the S-questions before the gcd loop; it is the
+    oracle for the loop's verdicts.
+    """
+    start = 1 % modulus
+    links = {start: None}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for g in generators:
+            w = (v * g) % modulus
+            if w not in links:
+                links[w] = (v, g)
+                order.append(w)
+                queue.append(w)
+    return order, links
+
+
+def orbit_path(links, r):
+    """The generator sequence whose product first reached r."""
+    path = []
+    while links[r] is not None:
+        r, g = links[r]
+        path.append(g)
+    return tuple(reversed(path))
+
+
+def orbit_products(order, links):
+    """The integer product of each residue's path, in BFS order."""
+    products = {order[0]: 1}
+    for r in order[1:]:
+        v, g = links[r]
+        products[r] = products[v] * g
+    return [products[r] for r in order]
+
+
+def orbit_reaches_zero(generators, e):
+    """Is some product of the generators divisible by e, by the BFS?"""
+    return 0 in monoid_orbit(generators, e)[1]
+
+
+def least_power_fields(generators, e, m=None):
+    """(s, expression, attempted) of a search by the gcd loop on e, by
+    trying the powers t^0, t^1, ... of t, the product of the generators
+    sharing a prime with e: the loop stops at the first n with
+    gcd(e, t^n) = gcd(e, t^(n+1)), and succeeds when that gcd is e."""
+    shared = [g for g in generators if math.gcd(g, e) > 1]
+    t = math.prod(shared)
+    n = next(n for n in range(e.bit_length() + 1)
+             if math.gcd(e, t ** n) == math.gcd(e, t ** (n + 1)))
+    s = t ** n % m if m else t ** n
+    if math.gcd(e, t ** n) == e:
+        return s, _product_expression(tuple(shared) * n), ()
+    return None, None, (s,)
+
+
 def old_monoid_orbit(generators, modulus):
     """The BFS as it was when it stored a full path per residue."""
     start = 1 % modulus
@@ -308,23 +374,107 @@ def old_monoid_orbit(generators, modulus):
 def test_orbit_links_rebuild_the_old_paths():
     for modulus in range(1, 41):
         for gens in ((2,), (3,), (2, 3), (5, 2), (6, 7), (4, 9, 11)):
-            order, links = _monoid_orbit(gens, modulus)
+            order, links = monoid_orbit(gens, modulus)
             old_order, paths = old_monoid_orbit(gens, modulus)
             assert order == old_order
-            assert {r: _orbit_path(links, r) for r in order} == paths
-            assert _orbit_products(order, links) == [math.prod(paths[r]) for r in order]
+            assert {r: orbit_path(links, r) for r in order} == paths
+            assert orbit_products(order, links) == [math.prod(paths[r]) for r in order]
 
 
 def test_orbit_memory_is_linear_in_its_size():
     # 2 has order 5003 mod 10007; a path per residue held 12.5 million entries
     tracemalloc.start()
     try:
-        order, _ = _monoid_orbit((2,), 10007)
+        order, _ = monoid_orbit((2,), 10007)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(order) == 5003
     assert peak < 4 * 2 ** 20
+
+
+def draw_generators(rng, ring, m):
+    """1 to 3 generators, not all prime, and over Z/m none divisible by m."""
+    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
+    top = 2 * m if m else 30
+    while True:
+        gens = [rng.randrange(2, top) for _ in range(rng.randint(1, 3))]
+        if m is not None and any(g % m == 0 for g in gens):
+            continue
+        if not primes.issuperset(gens):
+            return gens
+
+
+def test_gcd_loop_matches_the_orbit_oracle():
+    rng = random.Random(2701)
+    tally = Counter()
+    for draw in range(2100):
+        ring, m = ("Z", None) if draw % 3 == 0 else ("Z_mod", rng.randint(4, 100))
+        gens = draw_generators(rng, ring, m)
+        mod = random_z_module(rng, ring=ring, m=m, span=m or 6)
+        e = _split_modulus(mod)
+        residues = gens if m is None else [g % m for g in gens]
+        # the helper against the orbit, and its power against divisibility
+        for modulus in {e, m or e}:
+            shared, n, rest = _least_power(residues, modulus)
+            assert (rest == 1) == orbit_reaches_zero(residues, modulus)
+            t = math.prod(shared)
+            assert math.gcd(modulus, t ** n) * rest == modulus
+            if rest == 1:
+                assert n == 0 or t ** (n - 1) % modulus
+            else:
+                assert modulus % rest == 0 and rest > 1
+                assert all(math.gcd(rest, g) == 1 for g in residues)
+            tally[ring, rest == 1] += 1
+        # the three questions against the orbit
+        s_set = z_multset(ring, gens, m=m)
+        level0 = z_s_pd(mod, s_set).levels[0]
+        assert level0.verdict == orbit_reaches_zero(residues, e)
+        assert (level0.s, level0.expression, level0.attempted) == \
+            least_power_fields(residues, e, m)
+        exponent = mod.exponent()
+        torsion = z_uniform_torsion(mod, s_set)
+        assert torsion.verdict == (exponent is not None
+                                   and orbit_reaches_zero(residues, exponent))
+        if m is not None:
+            zmod = z_module("Z_mod", [[rng.choice([d for d in range(1, m + 1) if m % d == 0])]],
+                            m=m)
+            s_z = z_multset("Z", gens)
+            try:
+                factor_ring_check(m, zmod, s_z)
+                divides = False
+            except DividesS:
+                divides = True
+            assert divides == orbit_reaches_zero(gens, m)
+            tally["divides", divides] += 1
+    assert min(tally.values()) >= 100, tally
+
+
+def test_s_questions_at_modulus_two_to_the_64():
+    # <3, 5> is every unit mod 2^64: 2^63 residues, which an orbit search lists
+    big = 2 ** 64
+    s_z, s_big = z_multset("Z", [3, 5]), z_multset("Z_mod", [3, 5], m=big)
+    half = z_module("Z_mod", [[2]], m=big)
+    zmodules._structure.cache_clear()
+    tracemalloc.start()
+    try:
+        over_z = z_s_pd(z_cyclic(big), s_z)
+        over_big = z_s_pd(half, s_big)
+        torsion = z_uniform_torsion(z_cyclic(big), s_z)
+        report = factor_ring_check(big, half, s_z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert over_z.value == DimValue.exact(1) and over_z.levels[0].attempted == (1,)
+    assert _split_modulus(half) == 2
+    assert over_big.value == DimValue.over(8) and over_big.levels[0].attempted == (1,)
+    assert not torsion.verdict and torsion.explored == 1
+    assert "its factor %d is prime" % big in torsion.reason
+    assert report.verdict == "vacuous" and report.z_result.value == DimValue.exact(1)
+    assert peak < 2 ** 20
+    # and where a generator shares the prime: 2 needs 64 steps
+    res = z_s_pd(z_cyclic(big), z_multset("Z", [3, 2]))
+    assert res.certificate.s == big and res.certificate.expression == "2^64"
 
 
 def test_torsion_ring_mismatch():
@@ -343,7 +493,7 @@ def test_spd_over_z_frozen():
     assert res.certificate.section == ((0,),)  # 2*id factors through the zero map
     res = z_s_pd(z_cyclic(3), s2)
     assert res.value == DimValue.exact(1)
-    assert res.levels[0].attempted == (1, 2)
+    assert res.levels[0].attempted == (1,)  # t = 1: 2 shares no prime with 3
     assert res.certificate.s == 1 and res.certificate.expression == "1"
     res = z_s_pd(z_free("Z", 2), s2)
     assert res.value == DimValue.exact(0)
@@ -424,7 +574,7 @@ def multi_column_section_solve(q, candidates, order, links, modulus):
                    for row in intmat.matmul(phi, q) for x in row)
     if modulus:
         phi = [[x % modulus for x in row] for row in phi]
-    return ZSplitWitness(s, _product_expression(_orbit_path(links, order[c])),
+    return ZSplitWitness(s, _product_expression(orbit_path(links, order[c])),
                          tuple(tuple(row) for row in phi))
 
 
@@ -434,11 +584,11 @@ def multi_column_levels(mod, s_set):
     followed by level 1 whatever the bound."""
     q = oracle.relation_lattice(mod)
     if mod.ring == "Z_mod":
-        order, links = _monoid_orbit(s_set.generators, mod.m)
+        order, links = monoid_orbit(s_set.generators, mod.m)
         return (multi_column_section_solve(q, order, order, links, mod.m),)
     _, tors = mod.structure()
-    order, links = _monoid_orbit(s_set.generators, tors[-1] if tors else 1)
-    candidates = _orbit_products(order, links)
+    order, links = monoid_orbit(s_set.generators, tors[-1] if tors else 1)
+    candidates = orbit_products(order, links)
     levels = (multi_column_section_solve(q, candidates, order, links, None),)
     if not levels[0].verdict:
         k = intmat.shape(q)[1]
@@ -491,8 +641,11 @@ def test_orbit_test_matches_the_multi_column_search():
             else:
                 value = DimValue.exact(0) if want[0].verdict else DimValue.over(bound)
             assert res.value == value
-            assert len(res.levels) == len(want)
-            assert witness_fields(res.levels) == witness_fields(want)
+            assert [w.verdict for w in res.levels] == [w.verdict for w in want]
+            # the orbit decides the verdict; the witness is the gcd loop's power
+            fields = witness_fields(res.levels)
+            assert fields[0] == least_power_fields(s_set.generators, _split_modulus(mod), m)
+            assert fields[1:] == witness_fields(want[1:])
             assert_levels_verify(mod, res.levels)
             tally[ring, res.levels[0].verdict] += 1
     assert min(tally[key] for key in product(RING_TAGS, (True, False))) >= 10, tally
@@ -638,8 +791,14 @@ def test_zmod_walk_never_certifies_past_level_zero():
             value, walk = zmod_walk_oracle(mod, s_set, bound)
             assert value in (DimValue.exact(0), DimValue.over(bound))
             assert res.value == value
-            assert len(res.levels) == 1
-            assert witness_fields(res.levels) == witness_fields(walk[:1])
+            assert len(res.levels) == 1 and res.levels[0].verdict == walk[0].verdict
+            level0 = res.levels[0]
+            assert witness_fields(res.levels)[0] == \
+                least_power_fields(s_set.generators, _split_modulus(mod), m)
+            if level0.verdict:
+                # the per-candidate solve of the old walk accepts the witness
+                q = oracle.relation_lattice(mod)
+                assert old_section_solve(q, level0.s, m) is not None
             assert_levels_verify(mod, res.levels)
             tally[value.known] += 1
     assert tally[True] >= 20 and tally[False] >= 20
@@ -651,7 +810,7 @@ def test_spd_over_zmod_frozen():
     assert res.value == DimValue.over(8)
     assert len(res.levels) == 1
     assert not res.levels[0].verdict
-    assert res.levels[0].attempted == (1, 3)
+    assert res.levels[0].attempted == (1,)  # t = 1: 3 is a unit mod 4
     # the old walk fails at all nine levels 0..8 on the way to the same answer
     value, walk = zmod_walk_oracle(mod, s_set, 8)
     assert value == res.value
@@ -973,11 +1132,14 @@ def test_cache_entries_are_immutable():
 
 
 def test_factor_ring_divides_errors():
-    with pytest.raises(DividesS):
+    with pytest.raises(DividesS, match="4 divides the product 2\\^2$"):
         factor_ring_check(4, z_module("Z_mod", [[2]], m=4), z_multset("Z", [2]))
     # no single generator is divisible by 6, but the product 2*3 is
-    with pytest.raises(DividesS):
+    with pytest.raises(DividesS, match="6 divides the product 2\\*3$"):
         factor_ring_check(6, z_module("Z_mod", [[2]], m=6), z_multset("Z", [2, 3]))
+    # 12 divides 6^2 = 36, and 7 is a unit mod 12
+    with pytest.raises(DividesS, match="12 divides the product 6\\^2$"):
+        factor_ring_check(12, z_module("Z_mod", [[2]], m=12), z_multset("Z", [7, 6]))
     with pytest.raises(InputError):
         factor_ring_check(1, z_module("Z_mod", [[2]], m=4), z_multset("Z", [3]))
     with pytest.raises(RingMismatch):
