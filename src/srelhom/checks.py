@@ -84,6 +84,7 @@ from .rings import (
     ring_to_spec,
 )
 from .zmodules import (
+    _structure,
     change_of_rings_check,
     factor_ring_check,
     random_z_module,
@@ -149,10 +150,12 @@ class _Config:
 
 
 def clear_memo() -> None:
-    """Forget every memoized sweep block and every content cache (the
-    resolution levels, split systems and Ext groups of
-    modules._content_cached), as a fresh process starts."""
+    """Forget every memoized sweep block, every content cache (the
+    resolution levels, Tor residuals, split systems and Ext groups of
+    modules._content_cached) and the Smith forms of zmodules._structure,
+    as a fresh process starts."""
     _memo.clear()
+    _structure.cache_clear()
 
 
 def _memoized(key, build):

@@ -3,23 +3,44 @@
 A module M is S-projective exactly when some s in S admits a section pi'
 of a free cover pi with pi . pi' = s Id, and dually S-injective with a
 retraction of the canonical embedding into an injective module.  Each
-such question is one linear system whose unknowns are the images of the
-generators of a free presentation and whose right-hand side is linear
-in s, so it is solved once with the d basis elements of R as right-hand
-sides (gfmat.solve_span), whatever the size of S: the s that split form
-the ideal ker W of its residual W, which meets S exactly when it holds
-the idempotent e_S of S (rings docstring).  So W e_S = 0 decides the
-question, e_S is the witness, and a failure of e_S proves that no s in S
-splits.  Every split map is re-verified before it is returned.
+such question is linear in s: the s that split form an ideal, which
+meets S exactly when it holds the idempotent e_S of S (rings docstring).
+So e_S decides the question and is the witness, and a failure of e_S
+proves that no s in S splits.
 
-Over a finite F_p-algebra R both dimensions are 0 or infinite, so the
-split search at level 0 decides them.  S is finite, so one s kills an
-Ext group uniformly exactly when t = prod(S) does, and t^d = u e_S for a
-unit u and an idempotent e_S (d = dim R); hence S-pd_R M = pd(e_S M) over
-e_S R, and likewise for S-id.  e_S R is Artinian, a product of local
-rings of depth 0, so by Auslander-Buchsbaum (pd) and Bass (id) a finite
-dimension there is 0.  A failed level-0 search, certified by e_S, proves
-the dimension infinite, reported as the ">bound" value.
+Over a finite F_p-algebra R both dimensions are 0 or infinite.  S is
+finite, so one s kills an Ext group uniformly exactly when t = prod(S)
+does, and t^d = u e_S for a unit u and an idempotent e_S (d = dim R);
+hence S-pd_R M = pd(e_S M) over e_S R, and likewise for S-id.  e_S R is
+Artinian, a product of local rings of depth 0, so by Auslander-Buchsbaum
+(pd) and Bass (id) a finite dimension there is 0.  A failure of e_S at
+level 0 proves the dimension infinite, reported as the ">bound" value.
+
+Which of the two is decided by Tor against the top of R.  Let
+C: F = R^r ->> M be a free cover, K = Ker C and J = rad R.
+  - Tor_1(M, R/J) = (K cap JF)/JK: tensor 0 -> K -> F -> M -> 0 with
+    R/J; Tor_1(F, R/J) = 0, and K/JK -> F/JF has kernel (K cap JF)/JK.
+  - e_S is a central idempotent, so e_S Tor_1(M, R/J) = Tor_1(e_S M, R/J).
+  - Over an Artinian ring a finite module N with Tor_1(N, R/J) = 0 is
+    projective: on each local factor the minimal cover's kernel K' lies
+    in JF', so Tor_1 = K'/JK' = 0, K' = JK', and Nakayama (J is
+    nilpotent) gives K' = 0.
+  - e_S M is projective exactly when C splits at e_S: a section of
+    e_S F ->> e_S M composed with e_S is a map psi with C . psi = e_S Id,
+    and such a psi makes e_S M a summand of e_S F.
+Hence S-pd M = 0 exactly when e_S (K cap JF) lies in JK.  That is linear
+in e_S: with b_j spanning K cap JF, the residual W of solving JK against
+every e_i b_j gives e_S (K cap JF) <= JK exactly when W e_S = 0, and W is
+built from the basis of R, not from S (_tor_residual).  "e_S K = 0" is
+not the criterion: the engine's cover is free of rank max mu, not a
+projective cover, so K need not lie in JF.  S-id M = 0 is the same test
+on the character dual DM, whose cover transposes to M's injective
+cocover.
+
+The split system is solved only when Tor answers 0, to build the section
+it then promises; a 0 answer without one is an engine fault and raises.
+Every split map is re-verified before it is returned.  An infinite
+answer runs no split system: its certificate is e_S with W e_S != 0.
 
 The same reduction decides the S-global dimension in closed form: it is
 the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
@@ -37,7 +58,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +85,7 @@ from .modules import (
     Module,
     ModuleMap,
     SIsoWitness,
+    _containment_residual,
     _content_cached,
     _content_key,
     _hom_block_matrix,
@@ -177,8 +199,8 @@ class SplitWitness:
     pi . pi' = s Id_P.  kind "retraction": cover is iota: E -> I and
     mapping is q: I -> E with q . iota = s Id_E.  The one element tried
     is e_S (module docstring): a success has s = e_S and nothing in
-    attempted, a failure s = None and attempted = (e_S,), which certifies
-    that no s in S splits.
+    attempted, a failure s = None and attempted = (e_S,), which the Tor
+    residual certifies: no s in S splits.
     """
 
     kind: str
@@ -211,14 +233,61 @@ def _require_same_ring(ring: FiniteAlgebra, s_set: MultSet) -> None:
         raise RingMismatch("module and multiplicative set over different rings")
 
 
-def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """Decide whether the cover S-splits, with s = e_S.
+def _require_verified(witness: SplitWitness) -> SplitWitness:
+    if witness.verdict and not witness.verify():
+        raise InternalInvariantViolation("split witness failed re-verification")
+    return witness
 
-    Both kinds reduce to one problem: a free surjection C: F ->> X with
-    F = R^r, and a map psi: X -> F with C . psi = s Id_X.  For a section
-    C is the cover itself.  For a retraction q of iota: E -> I, q . iota
-    = s Id_E exactly when psi = q^T satisfies iota^T . psi = s Id_{E^*},
-    and iota^T starts at the character dual of I, which is free.
+
+def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
+    """Decide whether the free cover C: F ->> X S-splits, with s = e_S.
+
+    The Tor residual decides (module docstring): when W e_S != 0 the
+    answer is the failure (e_S,) and no split system is solved.
+    Otherwise _split_system must find a section psi with C . psi =
+    e_S Id_X, and it is re-verified.
+
+    Two questions need neither.  When X = 0, every s splits; when 0 is in
+    S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
+    the zero map.
+    """
+    _require_same_ring(cover.ring, s_set)
+    s = s_set.idempotent
+    if cover.target.vdim == 0 or s_set.degenerate:
+        return _require_verified(SplitWitness(
+            "section", cover, s, ModuleMap.zero(cover.target, cover.source)))
+    if (_tor_residual(cover.ring, cover.matrix) @ s.array % cover.ring.p).any():
+        return SplitWitness("section", cover, None, None, (s,))
+    return _require_verified(_split_system(cover, s))
+
+
+def _tor_residual(ring: FiniteAlgebra, pres: np.ndarray) -> np.ndarray:
+    """W with e Tor_1(X, R/J) = 0 exactly when W e = 0, for C = pres: F ->> X.
+
+    W is the residual of e (K cap JF) <= JK (module docstring), K = Ker C.
+    JF is the radical in each block of F = R^r, so K cap JF is the part of
+    K that the rows killing exactly J send to 0 in every block; JK is
+    spanned by g K over the radical generators g (rings docstring).  W
+    reads the ring and C only, so it is computed once per distinct
+    content (modules._content_cached).
+    """
+    def build():
+        p, d = ring.p, ring.dim
+        n_f, kernel = pres.shape[1], gfmat.nullspace(pres, p)
+        r, m = n_f // d, kernel.shape[1]
+        top = gfmat.nullspace(ring.radical_basis().T, p).T
+        tops = (top @ kernel.reshape(r, d, m) % p).reshape(r * len(top), m)
+        meet = kernel @ gfmat.nullspace(tops, p) % p
+        if not meet.shape[1]:
+            return (np.zeros((0, d), dtype=np.int64),)
+        free = free_module(ring, r)
+        rad_k = np.tensordot(ring.radical_generators().T, free.actions, 1) % p @ kernel % p
+        return (_containment_residual(free, meet, rad_k.transpose(1, 0, 2).reshape(n_f, -1)),)
+    return _content_cached(("tor", ring.content, *_content_key(pres)), build)[0]
+
+
+def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
+    """The section of C = cover: F ->> X at s = e_S, which Tor promised.
 
     psi is solved for through the presentation: it is Phi . L for a right
     inverse L of C, where Phi: F -> F sends generator j to y_j and kills
@@ -226,57 +295,32 @@ def _split_search(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     j.  The unknowns are the r images y_j; the right-hand sides are those
     of s = e_i, so s splits exactly when W @ s = 0 for the residual W,
     with images Y @ s.  C is R-linear, so e_i C(1_j) = C(e_i 1_j) is
-    column (j, i) of C.  These s form an ideal: if psi works for s, then
-    psi . r works for r s, so S splits exactly when e_S does.  Ker C and
-    L come from one more elimination, of [C | I]; modules owns the R^r
-    layout of Phi and the kernel rows.
+    column (j, i) of C.  Ker C and L come from one more elimination, of
+    [C | I]; modules owns the R^r layout of Phi and the kernel rows.
 
-    Two questions need no system.  When X = 0, W is empty; when 0 is in
-    S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
-    the zero map.
-    """
-    _require_same_ring(cover.ring, s_set)
-    certified = cover.target if kind == "section" else cover.source
-    if certified.vdim == 0 or s_set.degenerate:
-        witness = SplitWitness(kind, cover, s_set.idempotent,
-                               ModuleMap.zero(cover.target, cover.source))
-    else:
-        witness = _split_system(kind, cover, s_set)
-    if witness.verdict and not witness.verify():
-        raise InternalInvariantViolation("split witness failed re-verification")
-    return witness
-
-
-def _split_system(kind: str, cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """_split_search's system, for a nonzero X and 0 outside S.
-
-    After the kind transposition the elimination reads the ring and C
-    only: the actions on F are those of R^r, whose layout modules owns,
-    and the right-hand sides are columns of C.  So its residual W,
+    The elimination reads the ring and C only, so its residual W,
     solutions Y and right inverse L are computed once per distinct
-    content (modules._content_cached).  The test W e_S = 0 and the
-    witness on the caller's own cover are made on every call.
+    content (modules._content_cached); the witness is built on the
+    caller's own cover.  A residual that blocks s contradicts the Tor
+    residual and raises.
     """
-    ring = cover.ring
-    pres = cover.matrix if kind == "section" else cover.matrix.T
+    ring, pres = cover.ring, cover.matrix
     p, n_f = ring.p, pres.shape[1]
     residual, ys, right_inv = _content_cached(
         ("split", ring.content, *_content_key(pres)),
         lambda: _split_elimination(ring, pres))
-    s = s_set.idempotent
     if (residual @ s.array % p).any():
-        return SplitWitness(kind, cover, None, None, (s,))
+        raise InternalInvariantViolation(
+            "e_S kills Tor_1(M, R/J) but does not split the cover")
     free = free_module(ring, n_f // ring.dim)
     images = (ys @ s.array % p).reshape(-1, n_f).T
     psi = (free_map_from_generator_images(free, free, images).matrix @ right_inv) % p
-    mapping = ModuleMap(cover.target, cover.source,
-                        psi if kind == "section" else psi.T)
-    return SplitWitness(kind, cover, s, mapping)
+    return SplitWitness("section", cover, s, ModuleMap(cover.target, cover.source, psi))
 
 
 def _split_elimination(ring: FiniteAlgebra,
                        pres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, Y, L) of the split system of C = pres: F ->> X (_split_search)."""
+    """(W, Y, L) of the split system of C = pres: F ->> X (_split_system)."""
     p, d = ring.p, ring.dim
     n_x, n_f = pres.shape
     r = n_f // d
@@ -301,12 +345,21 @@ def _split_elimination(ring: FiniteAlgebra,
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
     """A section pi': M -> F of the minimal free cover pi, for s = e_S."""
-    return _split_search("section", resolution(module).cover(0), s_set)
+    return _split_search(resolution(module).cover(0), s_set)
 
 
 def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
-    """A retraction q: I -> M of the injective cocover, for s = e_S."""
-    return _split_search("retraction", injective_cocover(module), s_set)
+    """A retraction q: I -> M of the injective cocover iota, for s = e_S.
+
+    iota is the transpose of the cover of DM (injective_cocover), so
+    q . iota = s Id_M exactly when q^T is a section of that cover at s:
+    the question is is_s_projective(DM), and q its transposed section.
+    """
+    iota = injective_cocover(module)
+    dual = is_s_projective(character_dual(module), s_set)
+    q = None if dual.mapping is None else ModuleMap._trusted(
+        iota.target, module, dual.mapping.matrix.T.copy())
+    return _require_verified(SplitWitness("retraction", iota, dual.s, q, dual.attempted))
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -317,15 +370,16 @@ class DimResult:
     """Outcome of the split searches of an S-dimension, one per level.
 
     Over a finite algebra levels holds the one level-0 search: a success
-    makes the value exactly 0 and is the certificate; a failure of e_S
-    rules out all of S, so the dimension is infinite and value is
-    DimValue.over(bound).
-    For the injective kind, cross_check records the value obtained
-    independently through the character dual.  zmodules.z_s_pd returns
-    one too, with a ZMod, a ZMultSet and ZSplitWitness levels: over Z/m
-    the same single level 0, over Z a failed level 0 followed by level 1,
-    so the value is 0 or 1.  certificate is the last search of a known
-    value.
+    makes the value exactly 0 and is the certificate; a failure of e_S,
+    certified by the Tor residual, rules out all of S, so the dimension
+    is infinite and value is DimValue.over(bound).
+    cross_check is value itself on S-id results and None otherwise.  It
+    is kept for its readers only: the independent check of a 0 answer is
+    now the re-verified split map of a separate elimination (module
+    docstring).  zmodules.z_s_pd returns one too, with a ZMod, a ZMultSet
+    and ZSplitWitness levels: over Z/m the same single level 0, over Z a
+    failed level 0 followed by level 1, so the value is 0 or 1.
+    certificate is the last search of a known value.
     """
 
     kind: str
@@ -340,23 +394,22 @@ class DimResult:
     def certificate(self) -> SplitWitness | None:
         return self.levels[-1] if self.value.known else None
 
-    @property
-    def last_failure(self) -> SplitWitness | None:
-        failed = [w for w in self.levels if not w.verdict]
-        return failed[-1] if failed else None
-
     def __str__(self) -> str:
         return "%s = %s (bound %d)" % (self.kind, self.value, self.bound)
 
 
 def _level_zero(kind: str, module: Module, s_set: MultSet, bound: int,
-                witness: SplitWitness) -> DimResult:
+                search) -> DimResult:
     """The dimension the level-0 split search decides: 0 or infinite.
 
-    _split_search has re-verified a successful witness already.
+    search re-verifies a successful witness itself.
     """
+    if bound < 0:
+        raise InputError("bound must be nonnegative")
+    witness = search(module, s_set)
     value = DimValue.exact(0) if witness.verdict else DimValue.over(bound)
-    return DimResult(kind, module, s_set, bound, value, (witness,))
+    return DimResult(kind, module, s_set, bound, value, (witness,),
+                     value if kind == "S-id" else None)
 
 
 def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
@@ -366,38 +419,17 @@ def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
     S-section; its success is the certificate of S-pd = 0, and its
     failure proves S-pd infinite, reported as DimValue.over(bound).
     """
-    if bound < 0:
-        raise InputError("bound must be nonnegative")
-    return _level_zero("S-pd", module, s_set, bound, is_s_projective(module, s_set))
+    return _level_zero("S-pd", module, s_set, bound, is_s_projective)
 
 
 def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
-    """S-relative injective dimension, 0 or infinite, computed twice.
+    """S-relative injective dimension: 0 or infinite (module docstring).
 
-    The direct route searches the injective cocover of the module for an
-    S-retraction.  The value is cross-checked against the projective
-    dimension of the character dual; any disagreement is an engine bug,
-    not a property of the input.  The dual is cached on the module, so
-    the cocover and the dual route share one resolution.
-
-    The two routes are not independent: the cocover is the transpose of
-    the dual's cover, and _split_search transposes a retraction problem
-    back, so both routes build the same system, with the same content
-    key, and share one elimination (_split_system).  The check catches
-    only faults outside that system: a fault in the cocover, the dual or
-    the transposition changes the key, so that system is solved on its
-    own.  Solving the same deterministic elimination twice never caught
-    anything.  ROADMAP lists an independent route as open.
+    The injective cocover is searched for an S-retraction
+    (is_s_injective); its success is the certificate of S-id = 0, and its
+    failure proves S-id infinite.  cross_check equals value (DimResult).
     """
-    if bound < 0:
-        raise InputError("bound must be nonnegative")
-    direct = _level_zero("S-id", module, s_set, bound, is_s_injective(module, s_set))
-    dual_route = s_pd(character_dual(module), s_set, bound)
-    if dual_route.value != direct.value:
-        raise InternalInvariantViolation(
-            "injective dimension routes disagree: direct %s, dual %s"
-            % (direct.value, dual_route.value))
-    return replace(direct, cross_check=dual_route.value)
+    return _level_zero("S-id", module, s_set, bound, is_s_injective)
 
 
 # -- global dimension ----------------------------------------------------------

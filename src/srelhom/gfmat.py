@@ -45,7 +45,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "mat",
     "zeros",
     "identity",
     "modinv",
@@ -57,7 +56,6 @@ __all__ = [
     "solve_span",
     "solve_each",
     "kernel_and_right_inverse",
-    "inverse",
     "column_space",
     "columns_outside_span",
     "in_column_span",
@@ -65,14 +63,6 @@ __all__ = [
     "complete_basis",
     "complete_span",
 ]
-
-
-def mat(rows, p: int) -> np.ndarray:
-    """Build an int64 matrix reduced mod p from nested lists or an array."""
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
@@ -280,21 +270,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if not ok.all():
         return None
     return x[:, 0] if vec_in else x
-
-
-def inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p, read off one rref of [a | I].
-
-    a is invertible exactly when the pivots are the columns 0..n-1 of a;
-    the right block is then the inverse.  Raises ValueError otherwise.
-    """
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("inverse of non-square matrix")
-    rows = [row + unit for row, unit in zip(_rows(a, p), _unit_rows(n))]
-    if _eliminate(rows, p, n) != list(range(n)):
-        raise ValueError("matrix is singular mod %d" % p)
-    return _array([row[n:] for row in rows], n, n)
 
 
 def column_space(a: np.ndarray, p: int) -> np.ndarray:

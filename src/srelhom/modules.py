@@ -50,12 +50,13 @@ _hom_block_matrix acts by a matrix of ring entries on copies of a module.
 The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
 blocks it holds one sub-entry of content caches (_content_cached), with
-three users: the levels of free resolutions, the eliminations of split
-systems and Ext groups over a Resolution, each computed once per
-distinct input and keyed by the ring's content and the bytes of the
-arrays the computation reads.  They hold read-only arrays only, never
-rings, modules or maps, so every caller still builds its own objects
-around them.
+four users: the levels of free resolutions, the Tor residuals that
+decide S-splittings, the eliminations of the split systems that certify
+them, and Ext groups over a Resolution, each computed once per distinct
+input and keyed by the ring's content and the bytes of the arrays the
+computation reads.  They hold read-only arrays only, never rings,
+modules or maps, so every caller still builds its own objects around
+them.
 """
 
 from __future__ import annotations
@@ -136,18 +137,18 @@ def _content_key(*arrays: np.ndarray) -> tuple:
 def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
-    Three names use it: "resolution" (homology.Resolution.ensure, one
-    entry per level), "split" (dimensions._split_elimination) and "ext"
-    (homology.ext_from_cochain, one entry per resolution key, target and
-    degree).  key is (name, ring.content, ...) and holds everything the
-    result depends on: the ring's content (so equal rings share entries
-    and no entry keeps a ring alive), then names, integers and
-    _content_key parts.  The arrays are made read-only, so no caller can
-    change what later callers get.  They sit under one sub-entry of the
-    memo, so the memo's other blocks are never evicted; when an insertion
-    would take the sub-entry past _CONTENT_BUDGET bytes (arrays, key bytes
-    and the bytes of each distinct ring content once), the sub-entry is
-    emptied first.
+    Four names use it: "resolution" (homology.Resolution.ensure, one
+    entry per level), "tor" (dimensions._tor_residual), "split"
+    (dimensions._split_elimination) and "ext" (homology.ext_from_cochain,
+    one entry per resolution key, target and degree).  key is (name,
+    ring.content, ...) and holds everything the result depends on: the
+    ring's content (so equal rings share entries and no entry keeps a
+    ring alive), then names, integers and _content_key parts.  The arrays
+    are made read-only, so no caller can change what later callers get.
+    They sit under one sub-entry of the memo, so the memo's other blocks
+    are never evicted; when an insertion would take the sub-entry past
+    _CONTENT_BUDGET bytes (arrays, key bytes and the bytes of each
+    distinct ring content once), the sub-entry is emptied first.
     """
     store = _memo.get(_CONTENT)
     if store is None:
@@ -672,17 +673,26 @@ def s_exactness_check(maps: list[ModuleMap], s_set: MultSet) -> SExactReport:
         incoming, outgoing = maps[idx - 1], maps[idx]
         mod = outgoing.source
         ker = gfmat.nullspace(outgoing.matrix, p)
-        # column (j, i) is e_i times kernel vector j, so the residual's
-        # rows (row, j) hold the coefficients of s_i in column i
-        moved_ker = np.einsum("iab,bj->aji", mod.actions, ker) % p
-        moved_ker = moved_ker.reshape(mod.vdim, ker.shape[1] * d)
-        ker_in_img = gfmat.solve_span(incoming.matrix, moved_ker, p)[0].reshape(-1, d)
+        ker_in_img = _containment_residual(mod, ker, incoming.matrix)
         img_in_ker = ((outgoing.matrix @ mod.actions) % p @ incoming.matrix) % p
         e = s_set.idempotent
         residual = np.vstack([ker_in_img, img_in_ker.reshape(d, -1).T])
         witness = None if (residual @ e.array % p).any() else e
         reports.append(PositionReport(idx, mod, witness))
     return SExactReport(tuple(reports))
+
+
+def _containment_residual(mod: Module, cols: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """W with s cols inside the column span of span exactly when W s = 0.
+
+    Column (j, i) of the right-hand side is e_i times column j of cols,
+    so the residual's rows (row, j) hold the coefficients of s_i in
+    column i.
+    """
+    p, d = mod.ring.p, mod.ring.dim
+    moved = np.einsum("iab,bj->aji", mod.actions, cols) % p
+    moved = moved.reshape(mod.vdim, cols.shape[1] * d)
+    return gfmat.solve_span(span, moved, p)[0].reshape(-1, d)
 
 
 def _require_s_exact(f: ModuleMap, g: ModuleMap, s_set: MultSet) -> SExactReport:

@@ -18,6 +18,26 @@ from srelhom.modules import (
 from srelhom.zmodules import z_module
 
 
+def mat(rows, p):
+    """An int64 matrix reduced mod p from nested lists or an array."""
+    a = np.array(rows, dtype=np.int64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    return np.mod(a, p)
+
+
+def inverse(a, p):
+    """Inverse of a square matrix mod p, read off one rref of [a | I];
+    ValueError when a is not square or is singular mod p."""
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("inverse of non-square matrix")
+    rows = [row + unit for row, unit in zip(gfmat._rows(a, p), gfmat._unit_rows(n))]
+    if gfmat._eliminate(rows, p, n) != list(range(n)):
+        raise ValueError("matrix is singular mod %d" % p)
+    return gfmat._array([row[n:] for row in rows], n, n)
+
+
 def product_ring():
     """F_2 x F_2[t]/(t^2) on basis e1, e2, f with f = (0, t)."""
     return direct_product(prime_field(2), truncated_polynomial(2, 2),

@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from conftest import square_zero_ring
 
 import srelhom
 from srelhom.cli import build_parser, main
+from srelhom.modules import module_to_spec, regular_module
 from srelhom.rings import ring_to_spec, truncated_polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/srelhom/fixtures"
@@ -140,6 +142,20 @@ def test_spd_above_the_enumeration_cap(tmp_path, capsys):
     code, _, err = run(capsys, "localprofile", "--ring", str(ring),
                        "--module", str(simple), "--bound", "4")
     assert code == 2 and "too large to enumerate" in err
+
+
+def test_spd_and_sid_differ_over_a_ring_that_is_not_self_injective(tmp_path, capsys):
+    # every pool ring is Frobenius, where S-pd and S-id agree; over
+    # F2[x, y]/(x, y)^2 the ring itself is free but not injective
+    ring = square_zero_ring()
+    (tmp_path / "ring.json").write_text(json.dumps(ring_to_spec(ring)))
+    (tmp_path / "r.json").write_text(json.dumps(module_to_spec(regular_module(ring))))
+    base = ("--ring", str(tmp_path / "ring.json"), "--multset", "trivial.json",
+            "--module", str(tmp_path / "r.json"), "--bound", "12")
+    code, doc, _ = run_json(capsys, "spd", *base)
+    assert code == 0 and (doc["value"], doc["witness"], doc["levels"]) == (0, "1", 1)
+    code, doc, _ = run_json(capsys, "sid", *base)
+    assert code == 0 and (doc["value"], doc["witness"], doc["levels"]) == (">12", None, 1)
 
 
 def test_resolution_round_trip(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_free_modules_have_dimension_zero(ring2, s_e1, s_one):
         r = s_pd(free_module(ring2, 2), s_set)
         assert r.value == DimValue.exact(0)
         assert r.certificate is not None and r.certificate.verify()
-        assert r.last_failure is None
+        assert r.levels == (r.certificate,)
 
 
 def test_every_module_has_dimension_zero_when_e1_inverted(ring2, s_e1):
@@ -248,13 +248,15 @@ def walk_oracle(kind, module, s_set, bound):
     res = resolution(module)
     current, levels = module, []
     for i in range(bound + 1):
-        cover = res.cover(i) if kind == "section" else injective_cocover(current)
-        witness = _split_search(kind, cover, s_set)
+        if kind == "section":
+            witness = _split_search(res.cover(i), s_set)
+        else:
+            witness = is_s_injective(current, s_set)
         levels.append(witness)
         if witness.verdict:
             return DimValue.exact(i), levels
         if kind == "retraction":
-            current, _ = subquotient(cover, "cokernel")
+            current, _ = subquotient(witness.cover, "cokernel")
     return DimValue.over(bound), levels
 
 
@@ -265,7 +267,7 @@ def test_second_factor_simple_exceeds_bound_classically(ring2, s_one, m2):
     assert r.certificate is None
     # the level-0 search alone decides: it exhausted the whole of S
     assert len(r.levels) == 1
-    assert [s.label() for s in r.last_failure.attempted] == ["e1+e2"]
+    assert [s.label() for s in r.levels[0].attempted] == ["e1+e2"]
     # the bounded walk fails at each of its bound + 1 levels
     value, levels = walk_oracle("section", m2, s_one, 8)
     assert value == r.value
@@ -893,7 +895,9 @@ def test_generated_middle_free_triples_shift(ring2, s_e1):
 
 
 def _spy_eliminations(monkeypatch):
-    """Count the two eliminations of a split system from here on."""
+    """Count the eliminations of Tor residuals and split systems from here
+    on: a Tor residual is one solve_span, a split system one solve_span
+    and one kernel_and_right_inverse."""
     calls = Counter()
     for name in ("solve_span", "kernel_and_right_inverse"):
         def spy(*args, _name=name, _real=getattr(gfmat, name)):
@@ -918,7 +922,7 @@ def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_o
     calls = _spy_eliminations(monkeypatch)
     twin = _twin(m2)
     first, second = s_pd(m2, s_e1), s_pd(twin, s_e1)
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 1}
     assert first.value == second.value == DimValue.exact(0)
     # the hit builds its witness on the caller's own cover
     assert first.certificate.certified_module() is m2
@@ -927,15 +931,16 @@ def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_o
     assert second.certificate.verify()
     assert first.certificate.mapping.matrix.tobytes() == \
         second.certificate.mapping.matrix.tobytes()
-    # another S asks the same system: no new elimination, same failure
+    # another S asks the same Tor residual: no new elimination, and its
+    # failure solves no split system
     failed = s_pd(_twin(m2), s_one)
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 1}
     assert not failed.value.known and failed.levels[0].attempted == s_one.elements
-    # a cleared memo solves it again
+    # a cleared memo solves both again
     clear_memo()
     third = _twin(m2)
     assert s_pd(third, s_e1).certificate.certified_module() is third
-    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 2}
+    assert calls == {"solve_span": 4, "kernel_and_right_inverse": 2}
     clear_memo()
 
 
@@ -956,18 +961,21 @@ def test_content_entries_name_the_ring_by_content(monkeypatch):
     gc.collect()
     assert first() is None
     assert modules._memo[modules._CONTENT].entries
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 1}
     second = ask()
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 1}
     gc.collect()
     assert second() is None
     clear_memo()
 
 
 def test_s_id_runs_one_split_elimination(monkeypatch):
-    # the direct route and the dual route build the same system
+    # one route: the Tor residual of DM decides, and only a 0 answer
+    # solves DM's split system; a Tor residual with no kernel in JF, or no
+    # radical, solves nothing
     rng = random.Random("one-elimination")
-    for _ in range(10):
+    answers = set()
+    for _ in range(40):
         _, ring = rng.choice(bundled_rings())
         module, s_set = random_module(ring, rng), random_multset(ring, rng)
         if module.vdim == 0 or s_set.degenerate:
@@ -975,9 +983,27 @@ def test_s_id_runs_one_split_elimination(monkeypatch):
         clear_memo()
         calls = _spy_eliminations(monkeypatch)
         got = s_id(module, s_set)
-        assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+        known = got.value.known
+        assert calls["kernel_and_right_inverse"] == int(known)
+        assert calls["solve_span"] - int(known) in ((0, 1) if known else (1,))
         assert got.cross_check == got.value
         assert got.levels[0].certified_module() is module
+        answers.add(known)
+    assert answers == {True, False}
+    clear_memo()
+
+
+def test_two_multiplicative_sets_share_one_tor_elimination(monkeypatch, ring2, s_e1,
+                                                           s_one, m2):
+    clear_memo()
+    calls = _spy_eliminations(monkeypatch)
+    assert not s_pd(m2, s_one).value.known
+    assert calls == {"solve_span": 1}
+    # the second set reads the same residual and solves only its section
+    assert s_pd(m2, s_e1).value.known
+    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 1}
+    names = Counter(key[0] for key in modules._memo[modules._CONTENT].entries)
+    assert names["tor"] == names["split"] == 1
     clear_memo()
 
 

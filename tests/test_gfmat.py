@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import inverse, mat
+
 from srelhom import gfmat
 
 PRIMES = [2, 3, 5]
@@ -80,7 +82,7 @@ def test_inverse(p):
         a = random_matrix(rng, n, n, p)
         if gfmat.rank(a, p) < n:
             continue
-        inv = gfmat.inverse(a, p)
+        inv = inverse(a, p)
         assert np.array_equal((a @ inv) % p, gfmat.identity(n))
         assert np.array_equal((inv @ a) % p, gfmat.identity(n))
         found += 1
@@ -370,9 +372,9 @@ def test_routines_match_their_definitions_over_the_oracle(p):
             want = oracle_inverse(a, p)
             if want is None:
                 with pytest.raises(ValueError):
-                    gfmat.inverse(a, p)
+                    inverse(a, p)
             else:
-                assert_same_array(gfmat.inverse(a, p), want)
+                assert_same_array(inverse(a, p), want)
         for basis in (reduced, gfmat.column_space(a, p)):
             basis_before = basis.copy()
             want = oracle_extend_to_basis(basis, p)
@@ -412,7 +414,7 @@ def test_kernel_and_right_inverse_equals_nullspace_and_solve(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_kernel_and_right_inverse_of_a_rank_deficient_matrix(p):
     # rank 1, so no right inverse; the kernel is still the canonical one
-    a = gfmat.mat([[1, 2, 0], [2, 4, 0]], p)
+    a = mat([[1, 2, 0], [2, 4, 0]], p)
     kernel, right_inv = gfmat.kernel_and_right_inverse(a, p)
     assert right_inv is None
     assert_same_array(kernel, gfmat.nullspace(a, p))
@@ -481,7 +483,7 @@ def test_nullspace_coordinates_match_solve(p):
 def test_nullspace_coordinates_reject_a_basis_of_another_shape(p):
     # the free rows must hold an identity block: scaled or zero columns
     # do not, though their span is the same or smaller
-    basis = gfmat.nullspace(gfmat.mat([[1, 1, 0]], p), p)
+    basis = gfmat.nullspace(mat([[1, 1, 0]], p), p)
     v = basis[:, :1]
     for other in ((2 * basis) % p, np.hstack([basis, gfmat.zeros(3, 1)])):
         with pytest.raises(ValueError, match="nullspace shape"):

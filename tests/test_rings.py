@@ -40,7 +40,7 @@ from srelhom.rings import (
     truncated_polynomial,
 )
 
-from conftest import product_ring, square_zero_ring
+from conftest import inverse, mat, product_ring, square_zero_ring
 
 
 def test_prime_field_and_truncated_polynomial():
@@ -59,8 +59,8 @@ def test_characteristic_is_capped_at_the_int64_limit():
     top = prime_field(65521)
     minus_one = top.element([65520])
     assert minus_one * minus_one == top.one
-    a = gfmat.mat([[65520, 65519], [3, 65520]], 65521)
-    assert np.array_equal((a @ gfmat.inverse(a, 65521)) % 65521, gfmat.identity(2))
+    a = mat([[65520, 65519], [3, 65520]], 65521)
+    assert np.array_equal((a @ inverse(a, 65521)) % 65521, gfmat.identity(2))
     # 65537 is the next prime, and the first characteristic refused
     with pytest.raises(CharacteristicTooLarge) as info:
         prime_field(65537)

@@ -20,7 +20,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import degenerate_multset, product_ring, quotient_module, square_zero_ring
+from conftest import (
+    degenerate_multset,
+    inverse,
+    mat,
+    product_ring,
+    quotient_module,
+    square_zero_ring,
+)
 
 from srelhom import gfmat, rings
 from srelhom.dimensions import (
@@ -222,7 +229,7 @@ def test_torsion_failures_name_the_first_column_not_killed():
     s_set = mult_closure(ring, [[1, 0, 1]])
     summed, _, _ = direct_sum(quotient_module(ring, [[1, 0, 0]]),
                               quotient_module(ring, [[0, 1, 0]]))
-    move = gfmat.mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2)
+    move = mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2)
     mod = Module(ring, move @ summed.actions @ move % 2)
     assert s_set.idempotent.label() == "e1"
     assert np.flatnonzero(mod.action_of(s_set.idempotent).any(axis=1))[0] == 0
@@ -302,8 +309,8 @@ def in_random_bases(f, rng):
     moved = []
     for mod in (f.source, f.target):
         change = random_invertible(mod.vdim, p, rng)
-        inverse = gfmat.inverse(change, p) if mod.vdim else change
-        moved.append((Module(f.ring, change @ mod.actions @ inverse % p), change, inverse))
+        back = inverse(change, p) if mod.vdim else change
+        moved.append((Module(f.ring, change @ mod.actions @ back % p), change, back))
     (src, _, src_inv), (tgt, tgt_change, _) = moved
     return ModuleMap(src, tgt, tgt_change @ f.matrix @ src_inv % p)
 

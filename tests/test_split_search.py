@@ -1,5 +1,9 @@
 """The split search against the algorithms it replaced.
 
+_split_search answers a section question on a free cover and
+is_s_injective a retraction question on a module (ask); both decide by
+the Tor residual and solve the split system only for a 0 answer.
+
 reference_search is the hom-space algorithm: a basis of Hom(target,
 source) from the Kronecker system, then one solve per element of S in
 canonical order.  The presentation-sized search, which tries e_S only,
@@ -7,6 +11,12 @@ must agree with it on verdict and witness, and every map it returns
 must re-verify.  The oracles still return the elements they attempted
 before the first that splits; the search attempts nothing on success
 and (e_S,) on failure (attempted_now).
+
+routes decides each section question three ways: by _tor_residual, by
+the split system alone (as s_pd and s_id decided before Tor did: e_S
+splits exactly when the system's residual kills it) and by a hom-space
+basis.  s_id compared its retraction route with the split system on DM;
+that comparison lives here now.
 
 action_system is the split system as it was built before its
 right-hand sides were read off the cover: from the actions on X and the
@@ -26,16 +36,27 @@ comparison.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import degenerate_multset, quotient_module, square_zero_ring
 
 from srelhom import dimensions, gfmat
-from srelhom.dimensions import _split_search
+from srelhom.checks import clear_memo
+from srelhom.dimensions import (
+    _split_elimination,
+    _split_search,
+    _tor_residual,
+    is_s_injective,
+    s_id,
+    s_pd,
+)
+from srelhom.errors import InternalInvariantViolation
 from srelhom.homology import injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
 from srelhom.modules import (
+    character_dual,
     free_module,
     generator_images,
     hom_space,
@@ -50,6 +71,7 @@ from srelhom.rings import (
     prime_field,
     truncated_polynomial,
 )
+from test_rings import group_algebra
 
 
 def reference_search(kind, cover, s_set):
@@ -87,15 +109,27 @@ def multsets(ring, rng):
     )
 
 
+def ask(kind, subject, s_set):
+    """_split_search on a cover for a section, is_s_injective on a module
+    for a retraction."""
+    if kind == "section":
+        return _split_search(subject, s_set)
+    return is_s_injective(subject, s_set)
+
+
+def cover_of(kind, subject):
+    """The map a question on subject splits: the cover, or the cocover."""
+    return subject if kind == "section" else injective_cocover(subject)
+
+
 def split_questions(module):
     """Sections at walk levels 0-2 and retractions at cosyzygy levels 0-1."""
     res = resolution(module)
     questions = [("section", res.cover(i)) for i in range(3)]
     current = module
     for _ in range(2):
-        iota = injective_cocover(current)
-        questions.append(("retraction", iota))
-        current, _ = subquotient(iota, "cokernel")
+        questions.append(("retraction", current))
+        current, _ = subquotient(injective_cocover(current), "cokernel")
     return questions
 
 
@@ -110,8 +144,9 @@ def test_split_search_matches_hom_space_reference(name):
     for _ in range(6):
         module = random_module(ring, rng)
         for s_kind, s_set in multsets(ring, rng):
-            for kind, cover in split_questions(module):
-                got = _split_search(kind, cover, s_set)
+            for kind, subject in split_questions(module):
+                got = ask(kind, subject, s_set)
+                cover = got.cover
                 s, _ = reference_search(kind, cover, s_set)
                 assert (got.s, got.attempted) == (s, attempted_now(s, s_set)), \
                     (name, s_kind, kind)
@@ -161,14 +196,14 @@ def kron_search(kind, cover, s_set):
 
 
 def edge_questions(module):
-    """Covers at levels 0 and 1, a plain cover, and two injective cocovers."""
-    iota = injective_cocover(module)
-    cosyzygy, _ = subquotient(iota, "cokernel")
+    """Covers at levels 0 and 1, a plain cover, and the retraction
+    questions of the module and its first cosyzygy."""
+    cosyzygy, _ = subquotient(injective_cocover(module), "cokernel")
     return [("section", resolution(module).cover(0)),
             ("section", resolution(module).cover(1)),
             ("section", resolution(module, "plain").cover(0)),
-            ("retraction", iota),
-            ("retraction", injective_cocover(cosyzygy))]
+            ("retraction", module),
+            ("retraction", cosyzygy)]
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -185,8 +220,9 @@ def test_split_search_matches_the_kron_system_byte_for_byte(name):
     outcomes = set()
     for module in modules:
         for s_set in s_sets:
-            for kind, cover in edge_questions(module):
-                got = _split_search(kind, cover, s_set)
+            for kind, subject in edge_questions(module):
+                got = ask(kind, subject, s_set)
+                cover = got.cover
                 s, _, matrix = kron_search(kind, cover, s_set)
                 assert (got.verdict, got.s) == (s is not None, s)
                 assert got.attempted == attempted_now(s, s_set)
@@ -208,19 +244,20 @@ def test_split_search_matches_the_kron_system_byte_for_byte(name):
 def test_zero_module_and_zero_in_s_solve_nothing(name, monkeypatch):
     ring = RINGS[name]
     module = random_module(ring, random.Random("no-system:%s" % name))
-    questions = [("section", resolution(module).cover(0)),
-                 ("retraction", injective_cocover(module))]
-    trivial = [(kind, cover, degenerate_multset(ring)) for kind, cover in questions]
-    trivial += [(kind, cover, mult_closure(ring, []))
-                for kind, cover in edge_questions(zero_module(ring))]
+    questions = [("section", resolution(module).cover(0)), ("retraction", module)]
+    trivial = [(kind, subject, degenerate_multset(ring)) for kind, subject in questions]
+    trivial += [(kind, subject, mult_closure(ring, []))
+                for kind, subject in edge_questions(zero_module(ring))]
+    for kind, subject, _ in trivial:
+        cover_of(kind, subject)  # the cocover's resolution, built before the spy
 
     def no_elimination(*args):
         raise AssertionError("a system was solved")
 
-    monkeypatch.setattr(dimensions.gfmat, "solve_span", no_elimination)
-    monkeypatch.setattr(dimensions.gfmat, "kernel_and_right_inverse", no_elimination)
-    for kind, cover, s_set in trivial:
-        got = _split_search(kind, cover, s_set)
+    for name in ("solve_span", "kernel_and_right_inverse", "nullspace"):
+        monkeypatch.setattr(dimensions.gfmat, name, no_elimination)
+    for kind, subject, s_set in trivial:
+        got = ask(kind, subject, s_set)
         assert got.s == s_set.elements[0] and got.attempted == ()
         assert got.mapping.is_zero() and got.verify()
 
@@ -233,30 +270,43 @@ def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch)
     s_sets = [complement_multset(ring, prime) for prime in enumerate_ideals(ring).primes]
     assert [len(s_set) for s_set in s_sets] == [256, 256]
     modules = [residue, random_module(ring, rng), random_module(ring, rng)]
-    cases = [(kind, cover, s_set)
+    cases = [(kind, subject, s_set)
              for module in modules
-             for kind, cover in (("section", resolution(module).cover(0)),
-                                 ("retraction", injective_cocover(module)))
+             for kind, subject in (("section", resolution(module).cover(0)),
+                                   ("retraction", module))
              for s_set in s_sets]
-    want = [kron_search(kind, cover, s_set) for kind, cover, s_set in cases]
-    widths = []
-    solve_span = gfmat.solve_span
+    want = [kron_search(kind, cover_of(kind, subject), s_set)
+            for kind, subject, s_set in cases]
+    # the split system has the d basis elements of R as right-hand sides;
+    # the Tor residual has d per vector spanning K cap JF; neither has |S|
+    widths = {"split": [], "tor": []}
+    solve_span, elimination = gfmat.solve_span, dimensions._split_elimination
+    phase = ["tor"]
 
     def spy(a, b, p):
-        widths.append(b.shape[1])
+        widths[phase[0]].append(b.shape[1])
         return solve_span(a, b, p)
 
+    def split_phase(ring, pres):
+        phase[0] = "split"
+        try:
+            return elimination(ring, pres)
+        finally:
+            phase[0] = "tor"
+
     monkeypatch.setattr(dimensions.gfmat, "solve_span", spy)
+    monkeypatch.setattr(dimensions, "_split_elimination", split_phase)
     verdicts = set()
-    for (kind, cover, s_set), (s, _, matrix) in zip(cases, want):
-        got = _split_search(kind, cover, s_set)
+    for (kind, subject, s_set), (s, _, matrix) in zip(cases, want):
+        got = ask(kind, subject, s_set)
         assert (got.s, got.attempted) == (s, attempted_now(s, s_set))
         assert (got.mapping is None) == (matrix is None)
         if matrix is not None:
             assert got.mapping.matrix.tobytes() == matrix.tobytes()
         verdicts.add(got.verdict)
     assert verdicts == {True, False}
-    assert widths and set(widths) == {ring.dim}
+    assert widths["split"] and set(widths["split"]) == {ring.dim}
+    assert widths["tor"] and all(w % ring.dim == 0 for w in widths["tor"])
 
 
 def action_system(kind, cover):
@@ -302,7 +352,8 @@ def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
     covers, kinds = 0, set()
     for ring in oracle_rings():
         for _ in range(34):
-            for kind, cover in edge_questions(random_module(ring, rng)):
+            for kind, subject in edge_questions(random_module(ring, rng)):
+                cover = cover_of(kind, subject)
                 certified = cover.target if kind == "section" else cover.source
                 if certified.vdim == 0:
                     continue
@@ -317,3 +368,110 @@ def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
                 covers += 1
                 kinds.add(kind)
     assert covers >= 1000 and kinds == {"section", "retraction"}
+
+
+# -- Tor decides, the split system builds ----------------------------------------
+
+
+def routes(module, s_sets):
+    """For each S, whether e_S splits the module's cover, three ways: by
+    the Tor residual, by the split system alone (as s_pd and s_id decided
+    before Tor did) and by one hom-space basis."""
+    cover = resolution(module).cover(0)
+    p, target = cover.ring.p, cover.target
+    tor = _tor_residual(cover.ring, cover.matrix)
+    split = (_split_elimination(cover.ring, cover.matrix)[0] if module.vdim
+             else gfmat.zeros(0, cover.ring.dim))
+    mats = [(cover.matrix @ h.matrix) % p for h in hom_space(target, cover.source)]
+    coeff = (np.stack([m.reshape(-1) for m in mats], axis=1) if mats
+             else gfmat.zeros(target.vdim ** 2, 0))
+    for s_set in s_sets:
+        e = s_set.idempotent
+        hom = gfmat.solve(coeff, target.action_of(e).reshape(-1), p) is not None
+        yield (not (tor @ e.array % p).any(),
+               s_set.degenerate or not (split @ e.array % p).any(), hom)
+
+
+def test_tor_residual_split_route_and_hom_reference_agree():
+    # prime complements of the group algebras list thousands of members,
+    # so they meet random seed sets only, on fewer modules: their hom
+    # spaces are the costly part
+    groups = [group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])]
+    rng = random.Random("tor-oracle")
+    draws, outcomes = 0, Counter()
+    for ring in oracle_rings() + groups:
+        for _ in range(4 if ring in groups else 50):
+            module = random_module(ring, rng)
+            dual = character_dual(module)
+            if ring in groups:
+                s_sets = [mult_closure(ring, []), random_multset(ring, rng),
+                          random_multset(ring, rng, 3)]
+            else:
+                s_sets = [s_set for _, s_set in multsets(ring, rng)]
+            verdicts = {}
+            for name, x in (("M", module), ("DM", dual)):
+                for s_set, (tor, split, hom) in zip(s_sets, routes(x, s_sets)):
+                    assert tor == split == hom, (ring, name)
+                    assert s_pd(x, s_set).value.known == tor
+                    verdicts[name, s_set] = tor
+                    outcomes[name, tor] += 1
+            for s_set in s_sets:
+                # s_id's former comparison of its two routes
+                assert s_id(module, s_set).value.known == verdicts["DM", s_set]
+                assert s_id(dual, s_set).value.known == verdicts["M", s_set]
+                draws += 1
+    assert draws >= 1500
+    # both answers on both sides, and S-pd != S-id somewhere
+    assert min(outcomes.values()) >= 100, outcomes
+    assert outcomes["M", True] != outcomes["DM", True]
+
+
+def test_a_split_system_that_blocks_e_s_raises_on_a_zero_answer(monkeypatch):
+    # Tor answers 0 and the split system must then build the map: a system
+    # that blocks e_S is an engine fault, not an infinite dimension
+    ring = square_zero_ring()
+    s_one = mult_closure(ring, [])
+    reg = free_module(ring, 1)
+    assert s_pd(reg, s_one).value.known and s_id(character_dual(reg), s_one).value.known
+    real = dimensions._split_elimination
+
+    def blocking(ring, pres):
+        residual, ys, right_inv = real(ring, pres)
+        return np.vstack([residual, np.eye(ring.dim, dtype=np.int64)]), ys, right_inv
+
+    clear_memo()
+    monkeypatch.setattr(dimensions, "_split_elimination", blocking)
+    for ask_zero in (lambda: s_pd(reg, s_one), lambda: s_id(character_dual(reg), s_one)):
+        with pytest.raises(InternalInvariantViolation, match="does not split"):
+            ask_zero()
+    # an infinite answer never reaches the system
+    assert not s_id(reg, s_one).value.known
+    assert not s_pd(character_dual(reg), s_one).value.known
+    clear_memo()
+
+
+def test_an_infinite_answer_runs_no_split_elimination(monkeypatch):
+    solved = []
+    real = dimensions._split_elimination
+
+    def spy(ring, pres):
+        solved.append(pres.shape)
+        return real(ring, pres)
+
+    monkeypatch.setattr(dimensions, "_split_elimination", spy)
+    rng = random.Random("no-system-on-infinity")
+    answers = Counter()
+    clear_memo()
+    for ring in oracle_rings():
+        for _ in range(10):
+            module = random_module(ring, rng)
+            for _, s_set in multsets(ring, rng):
+                for engine in (s_pd, s_id):
+                    before = len(solved)
+                    known = engine(module, s_set).value.known
+                    if not known:
+                        assert len(solved) == before, (ring, engine.__name__)
+                    answers[known] += 1
+    assert min(answers.values()) >= 50, answers
+    assert solved
+    clear_memo()

@@ -10,6 +10,7 @@ import lattice_oracle as oracle
 from conftest import product_ring, scrambled_z_module
 
 from srelhom import intmat, zmodules
+from srelhom.checks import clear_memo
 from srelhom.dimensions import DimValue
 from srelhom.errors import (
     DividesS,
@@ -205,6 +206,26 @@ def test_structure_frozen():
     assert z_free("Z_mod", 1, m=4).structure() == (0, (4,))
     assert z_free("Z", 1).exponent() is None
     assert z_module("Z", [[1]]).is_zero()
+
+
+def test_clear_memo_forgets_smith_forms(monkeypatch):
+    # clear_memo resets the package as a fresh process starts, so a
+    # structure cached before it is recomputed after it
+    forms = Counter()
+    real = intmat.smith_normal_form
+
+    def spy(rows):
+        forms[str(rows)] += 1
+        return real(rows)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", spy)
+    mod = z_module("Z", [[4, 2], [0, 6]])
+    clear_memo()
+    assert mod.structure() == mod.structure() == (0, (2, 12))
+    assert sum(forms.values()) == 1
+    clear_memo()
+    assert mod.structure() == (0, (2, 12))
+    assert sum(forms.values()) == 2 and zmodules._structure.cache_info().currsize == 1
 
 
 def test_structure_order_matches_lattice_index():
