@@ -37,6 +37,16 @@ projective cover, so K need not lie in JF.  S-id M = 0 is the same test
 on the character dual DM, whose cover transposes to M's injective
 cocover.
 
+W repeats no work the engine has done.  K is the level-0 kernel the
+resolution already holds (Resolution.kernel), checked by C K = 0 and its
+column count, not by another elimination.  x lies in J exactly when
+x - E^T x[P] = 0, for the reduced echelon rows E of J and their pivot
+columns P: E[:, P] = I, so x = E^T c has x[P] = c.  So the rows that
+kill exactly J come from one product, with no elimination.  F = R^r acts
+as kron(I_r, R), so JK and the e_i b_j are the radical generators'
+d x d multiplication matrices and ring.table applied to K.reshape(r, d,
+m), with no dense action array of R^r.
+
 The split system is solved only when Tor answers 0, to build the section
 it then promises; a 0 answer without one is an engine fault and raises.
 Every split map is re-verified before it is returned.  An infinite
@@ -85,7 +95,6 @@ from .modules import (
     Module,
     ModuleMap,
     SIsoWitness,
-    _containment_residual,
     _content_cached,
     _content_key,
     _hom_block_matrix,
@@ -239,13 +248,14 @@ def _require_verified(witness: SplitWitness) -> SplitWitness:
     return witness
 
 
-def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
+def _split_search(cover: ModuleMap, s_set: MultSet, kernel: np.ndarray) -> SplitWitness:
     """Decide whether the free cover C: F ->> X S-splits, with s = e_S.
 
-    The Tor residual decides (module docstring): when W e_S != 0 the
-    answer is the failure (e_S,) and no split system is solved.
-    Otherwise _split_system must find a section psi with C . psi =
-    e_S Id_X, and it is re-verified.
+    kernel is the canonical basis of Ker C (Resolution.kernel).  The Tor
+    residual decides (module docstring): when W e_S != 0 the answer is
+    the failure (e_S,) and no split system is solved.  Otherwise
+    _split_system must find a section psi with C . psi = e_S Id_X, and
+    it is re-verified.
 
     Two questions need neither.  When X = 0, every s splits; when 0 is in
     S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
@@ -256,33 +266,53 @@ def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     if cover.target.vdim == 0 or s_set.degenerate:
         return _require_verified(SplitWitness(
             "section", cover, s, ModuleMap.zero(cover.target, cover.source)))
-    if (_tor_residual(cover.ring, cover.matrix) @ s.array % cover.ring.p).any():
+    if (_tor_residual(cover.ring, cover.matrix, kernel) @ s.array % cover.ring.p).any():
         return SplitWitness("section", cover, None, None, (s,))
     return _require_verified(_split_system(cover, s))
 
 
-def _tor_residual(ring: FiniteAlgebra, pres: np.ndarray) -> np.ndarray:
+def _tor_residual(ring: FiniteAlgebra, pres: np.ndarray,
+                  kernel: np.ndarray) -> np.ndarray:
     """W with e Tor_1(X, R/J) = 0 exactly when W e = 0, for C = pres: F ->> X.
 
-    W is the residual of e (K cap JF) <= JK (module docstring), K = Ker C.
-    JF is the radical in each block of F = R^r, so K cap JF is the part of
-    K that the rows killing exactly J send to 0 in every block; JK is
-    spanned by g K over the radical generators g (rings docstring).  W
+    W is the residual of e (K cap JF) <= JK (module docstring), and kernel
+    is the canonical basis of K = Ker C that the resolution already holds
+    (Resolution.kernel), so no elimination of C is repeated.  It is
+    checked without one: C K = 0, and K has n_f - n_x columns (C is
+    onto).
+
+    F = R^r is kron(I_r, R), so every R-action is applied blockwise to
+    K.reshape(r, d, m).  JF is rad R in each block, so K cap JF is the
+    part of K that T (FiniteAlgebra.radical_complement_rows: T x =
+    x - E^T x[P], zero exactly on rad R) sends to 0 in every block.  JK
+    is spanned by g K over the radical generators g (rings docstring),
+    each applied as its d x d multiplication matrix.  The right-hand
+    sides e_i b_j come from ring.table, and one solve_span gives W.  W
     reads the ring and C only, so it is computed once per distinct
     content (modules._content_cached).
     """
+    p, d = ring.p, ring.dim
+    n_x, n_f = pres.shape
+    if kernel.shape != (n_f, n_f - n_x) or (pres @ kernel % p).any():
+        raise InternalInvariantViolation("Tor kernel is not the kernel of the cover")
+
     def build():
-        p, d = ring.p, ring.dim
-        n_f, kernel = pres.shape[1], gfmat.nullspace(pres, p)
         r, m = n_f // d, kernel.shape[1]
-        top = gfmat.nullspace(ring.radical_basis().T, p).T
-        tops = (top @ kernel.reshape(r, d, m) % p).reshape(r * len(top), m)
+        blocks = kernel.reshape(r, d, m)
+        tops = (ring.radical_complement_rows() @ blocks % p).reshape(r * d, m)
         meet = kernel @ gfmat.nullspace(tops, p) % p
-        if not meet.shape[1]:
+        c = meet.shape[1]
+        if not c:
             return (np.zeros((0, d), dtype=np.int64),)
-        free = free_module(ring, r)
-        rad_k = np.tensordot(ring.radical_generators().T, free.actions, 1) % p @ kernel % p
-        return (_containment_residual(free, meet, rad_k.transpose(1, 0, 2).reshape(n_f, -1)),)
+        gens = ring.radical_generators()
+        t = gens.shape[1]
+        # mults[g] is multiplication by generator g: column j is g e_j
+        mults = (gens.T @ ring.table.reshape(d, d * d)).reshape(t, d, d).transpose(0, 2, 1) % p
+        rad_k = (mults[:, None] @ blocks % p).transpose(1, 2, 0, 3).reshape(n_f, t * m)
+        # moved[b, j, i, k] is coordinate k of e_i times block b of meet_j
+        moved = (meet.reshape(r, d, c).transpose(0, 2, 1) @ ring.table.reshape(d, d * d)) % p
+        moved = moved.reshape(r, c, d, d).transpose(0, 3, 1, 2).reshape(n_f, c * d)
+        return (gfmat.solve_span(rad_k, moved, p)[0].reshape(-1, d),)
     return _content_cached(("tor", ring.content, *_content_key(pres)), build)[0]
 
 
@@ -345,7 +375,8 @@ def _split_elimination(ring: FiniteAlgebra,
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
     """A section pi': M -> F of the minimal free cover pi, for s = e_S."""
-    return _split_search(resolution(module).cover(0), s_set)
+    res = resolution(module)
+    return _split_search(res.cover(0), s_set, res.kernel(0))
 
 
 def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:

@@ -269,6 +269,15 @@ class Resolution(BaseResolution):
             self.ensure(k)
         return self._boundaries[k]
 
+    def kernel(self, i: int) -> np.ndarray:
+        """The canonical basis of Ker d_i in F_i (the columns of K_{i+1}).
+
+        It is also the canonical nullspace of cover(i), whose matrix is A
+        (ensure).  The array is read-only.
+        """
+        self.ensure(i)
+        return self._kernels[i]
+
 
 class AssembledResolution(BaseResolution):
     """A fixed-depth resolution given by explicit boundary maps.
@@ -741,13 +750,17 @@ def injective_cocover(module: Module) -> ModuleMap:
     Dualize a minimal free cover of the character dual: the double dual
     is the identity in these coordinates, so transposing the cover matrix
     embeds the module into the dual of a free module, which is injective.
+
+    iota is stored unchecked (ModuleMap._trusted).  The cover C is
+    R-linear, C a_i = b_i C for the actions a_i on F and b_i on DM, and
+    transposing gives C^T b_i^T = a_i^T C^T: C^T intertwines the actions
+    of M (the b_i^T) and of DF (the a_i^T).  The rank check below stays;
+    the tests rebuild every cocover with the validating constructor.
     """
     dual = character_dual(module)
-    res = resolution(dual, "minimal")
-    res.ensure(0)
-    cover = res.augmentation
+    cover = resolution(dual, "minimal").cover(0)
     env = character_dual(cover.source)
-    iota = ModuleMap(module, env, cover.matrix.T.copy())
+    iota = ModuleMap._trusted(module, env, cover.matrix.T.copy())
     if gfmat.rank(iota.matrix, module.ring.p) != module.vdim:
         raise InternalInvariantViolation("cocover is not injective")
     return iota

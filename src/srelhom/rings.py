@@ -346,6 +346,17 @@ class FiniteAlgebra:
             q >>= 1
         return powers
 
+    def radical_complement_rows(self) -> np.ndarray:
+        """A d x d matrix T with T x = 0 exactly when x lies in rad R.
+
+        radical_basis() is the rows E of a reduced echelon form, reversed,
+        with pivot columns P, so T x = x - E^T x[P] (_membership_block):
+        no elimination.  Its row space is the annihilator of rad R, that
+        of nullspace(radical_basis().T).T.  Recomputed on every call.
+        """
+        echelon = self.radical_basis()[:, ::-1].T
+        return _membership_block(echelon, self.dim).T % self.p
+
     def radical_generators(self) -> np.ndarray:
         """Columns of radical_basis() that generate the radical as an ideal.
 
@@ -577,6 +588,18 @@ def _echelon_key(rows: np.ndarray, p: int) -> tuple[tuple, np.ndarray]:
     return tuple(map(tuple, echelon.tolist())), echelon
 
 
+def _membership_block(echelon: np.ndarray, d: int) -> np.ndarray:
+    """B with v @ B = v - v[P] E, for reduced echelon rows E of a subspace
+    and their pivot columns P: v @ B = 0 exactly when v lies in the span.
+
+    E[:, P] is the identity, so v = c E gives v[P] = c and v - v[P] E = 0;
+    conversely v = v[P] E is in the span.  Entries are not reduced mod p.
+    """
+    block = np.eye(d, dtype=np.int64)
+    block[(echelon != 0).argmax(axis=1)] -= echelon
+    return block
+
+
 def _subspace_key(basis: np.ndarray, p: int) -> tuple:
     """Canonical key for a subspace spanned by the given columns."""
     return _echelon_key(basis.T, p)[0]
@@ -705,12 +728,9 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     keys = sorted(seen, key=lambda k: (len(k), k))
     dims = [len(k) for k in keys]
     proper = bisect.bisect_left(dims, d)  # R itself comes last
-    # block j is the identity minus K_j on the rows P_j, so that
-    # v @ block j = v - v[P_j] K_j for the j-th ideal
-    residual = np.tile(eye, (proper, 1, 1))
-    for block, key in zip(residual, keys):
-        echelon = seen[key][1]
-        block[(echelon != 0).argmax(axis=1)] -= echelon
+    # block j has v @ block j = v - v[P_j] K_j for the j-th ideal
+    blocks = [_membership_block(seen[key][1], d) for key in keys[:proper]]
+    residual = np.array(blocks, dtype=np.int64).reshape(proper, d, d)
     residual = residual.transpose(1, 0, 2).reshape(d, proper * d) % p
     ideals = []
     for key, k in zip(keys, dims):

@@ -249,7 +249,7 @@ def walk_oracle(kind, module, s_set, bound):
     current, levels = module, []
     for i in range(bound + 1):
         if kind == "section":
-            witness = _split_search(res.cover(i), s_set)
+            witness = _split_search(res.cover(i), s_set, res.kernel(i))
         else:
             witness = is_s_injective(current, s_set)
         levels.append(witness)

@@ -442,6 +442,36 @@ def test_injective_cocover(ring2, m2):
     assert iota.target.vdim % reg.vdim == 0
 
 
+def cocover_oracle_rings():
+    """The pool, square_zero_ring and its products, and group algebras."""
+    square = square_zero_ring()
+    rings = [ring for _, ring in bundled_rings()]
+    rings += [square, direct_product(square, prime_field(2)),
+              direct_product(square, truncated_polynomial(2, 2))]
+    return rings + [group_algebra(2, [2, 2]), group_algebra(2, [4]), group_algebra(3, [3]),
+                    group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])]
+
+
+def test_injective_cocover_is_the_validated_transpose_of_the_dual_cover():
+    # injective_cocover stores iota unchecked; rebuilt with the validating
+    # constructor, which checks that it intertwines the actions, it must
+    # give the same target object and the same bytes
+    rng = random.Random("cocover-oracle")
+    count = 0
+    for ring in cocover_oracle_rings():
+        modules = [regular_module(ring), character_dual(regular_module(ring))]
+        modules += [random_module(ring, rng) for _ in range(4 if ring.dim > 6 else 12)]
+        for mod in modules:
+            iota = injective_cocover(mod)
+            cover = resolution(character_dual(mod)).cover(0)
+            want = ModuleMap(mod, character_dual(cover.source), cover.matrix.T)
+            assert iota.source is mod and iota.target is want.target
+            assert same_bytes(iota.matrix, want.matrix)
+            ModuleMap(iota.source, iota.target, iota.matrix)
+            count += 1
+    assert count >= 190, count
+
+
 def test_resolution_wire_round_trip(ring2, m2):
     res = free_resolution(m2, 3)
     doc = resolution_to_spec(res, 3)
@@ -553,6 +583,10 @@ def test_ambient_resolution_matches_the_syzygy_walk():
                     assert same_bytes(res.cover(i).matrix, walk.covers[i].matrix)
                     assert res.cover(i).target is res.syzygy(i)
                 assert same_bytes(res.cover(0).matrix, walk.covers[0].matrix)
+                # the kernel a level holds is the canonical one of its cover
+                for k in range(depth):
+                    assert same_bytes(res.kernel(k),
+                                      gfmat.nullspace(res.cover(k).matrix, mod.ring.p))
                 count += 1
     assert count > 100
 

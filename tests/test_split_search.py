@@ -16,7 +16,11 @@ routes decides each section question three ways: by _tor_residual, by
 the split system alone (as s_pd and s_id decided before Tor did: e_S
 splits exactly when the system's residual kills it) and by a hom-space
 basis.  s_id compared its retraction route with the split system on DM;
-that comparison lives here now.
+that comparison lives here now.  oracle_tor_residual is the Tor residual
+as it was built before it read the resolution's kernel: its own
+nullspace of the cover, the rows killing J from a second nullspace, and
+the radical's action on R^r from the dense actions of the free module.
+_tor_residual must return its W byte for byte.
 
 action_system is the split system as it was built before its
 right-hand sides were read off the cover: from the actions on X and the
@@ -56,6 +60,7 @@ from srelhom.errors import InternalInvariantViolation
 from srelhom.homology import injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
 from srelhom.modules import (
+    _containment_residual,
     character_dual,
     free_module,
     generator_images,
@@ -71,6 +76,7 @@ from srelhom.rings import (
     prime_field,
     truncated_polynomial,
 )
+import test_rings
 from test_rings import group_algebra
 
 
@@ -113,7 +119,7 @@ def ask(kind, subject, s_set):
     """_split_search on a cover for a section, is_s_injective on a module
     for a retraction."""
     if kind == "section":
-        return _split_search(subject, s_set)
+        return _split_search(subject, s_set, gfmat.nullspace(subject.matrix, subject.ring.p))
     return is_s_injective(subject, s_set)
 
 
@@ -248,16 +254,18 @@ def test_zero_module_and_zero_in_s_solve_nothing(name, monkeypatch):
     trivial = [(kind, subject, degenerate_multset(ring)) for kind, subject in questions]
     trivial += [(kind, subject, mult_closure(ring, []))
                 for kind, subject in edge_questions(zero_module(ring))]
-    for kind, subject, _ in trivial:
-        cover_of(kind, subject)  # the cocover's resolution, built before the spy
+    # the cocover's resolution and each cover's kernel, built before the spy
+    kernels = [gfmat.nullspace(cover_of(kind, subject).matrix, ring.p)
+               for kind, subject, _ in trivial]
 
     def no_elimination(*args):
         raise AssertionError("a system was solved")
 
     for name in ("solve_span", "kernel_and_right_inverse", "nullspace"):
         monkeypatch.setattr(dimensions.gfmat, name, no_elimination)
-    for kind, subject, s_set in trivial:
-        got = ask(kind, subject, s_set)
+    for (kind, subject, s_set), kernel in zip(trivial, kernels):
+        got = (_split_search(subject, s_set, kernel) if kind == "section"
+               else is_s_injective(subject, s_set))
         assert got.s == s_set.elements[0] and got.attempted == ()
         assert got.mapping.is_zero() and got.verify()
 
@@ -373,13 +381,36 @@ def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
 # -- Tor decides, the split system builds ----------------------------------------
 
 
+def oracle_tor_residual(ring, pres):
+    """W of _tor_residual as it was built before it read the resolution's
+    kernel: K from its own nullspace of the cover, the rows killing J from
+    nullspace(radical_basis().T), and JK and e_i (K cap JF) from the
+    dense actions of R^r."""
+    p, d = ring.p, ring.dim
+    n_f, kernel = pres.shape[1], gfmat.nullspace(pres, p)
+    r, m = n_f // d, kernel.shape[1]
+    top = gfmat.nullspace(ring.radical_basis().T, p).T
+    tops = (top @ kernel.reshape(r, d, m) % p).reshape(r * len(top), m)
+    meet = kernel @ gfmat.nullspace(tops, p) % p
+    if not meet.shape[1]:
+        return np.zeros((0, d), dtype=np.int64)
+    free = free_module(ring, r)
+    rad_k = np.tensordot(ring.radical_generators().T, free.actions, 1) % p @ kernel % p
+    return _containment_residual(free, meet, rad_k.transpose(1, 0, 2).reshape(n_f, -1))
+
+
 def routes(module, s_sets):
     """For each S, whether e_S splits the module's cover, three ways: by
     the Tor residual, by the split system alone (as s_pd and s_id decided
-    before Tor did) and by one hom-space basis."""
-    cover = resolution(module).cover(0)
+    before Tor did) and by one hom-space basis.  The Tor residual must
+    equal oracle_tor_residual byte for byte."""
+    res = resolution(module)
+    cover = res.cover(0)
     p, target = cover.ring.p, cover.target
-    tor = _tor_residual(cover.ring, cover.matrix)
+    tor = _tor_residual(cover.ring, cover.matrix, res.kernel(0))
+    want = oracle_tor_residual(cover.ring, cover.matrix)
+    assert tor.dtype == want.dtype and tor.shape == want.shape
+    assert tor.tobytes() == want.tobytes()
     split = (_split_elimination(cover.ring, cover.matrix)[0] if module.vdim
              else gfmat.zeros(0, cover.ring.dim))
     mats = [(cover.matrix @ h.matrix) % p for h in hom_space(target, cover.source)]
@@ -475,3 +506,100 @@ def test_an_infinite_answer_runs_no_split_elimination(monkeypatch):
     assert min(answers.values()) >= 50, answers
     assert solved
     clear_memo()
+
+
+# -- what the Tor build reads instead of recomputing ----------------------------
+
+
+def test_radical_complement_rows_kill_exactly_the_radical():
+    # T x = x - E^T x[P] comes off the radical's echelon form with no
+    # elimination; its rows must span the annihilator of J, as the rows of
+    # nullspace(radical_basis().T) do, and T must kill J and nothing more
+    semisimple = [prime_field(5), direct_product(prime_field(3), prime_field(3))]
+    rings = (oracle_rings() + test_rings.oracle_rings() + semisimple
+             + [group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])])
+    radicals = set()
+    for ring in rings:
+        p, d = ring.p, ring.dim
+        rad = ring.radical_basis()
+        rows = ring.radical_complement_rows()
+        assert rows.shape == (d, d) and rows.dtype == np.int64
+        assert rows.min() >= 0 and rows.max() < p
+        assert not (rows @ rad % p).any()
+        assert gfmat.rank(rows, p) == d - rad.shape[1]
+        want = gfmat.nullspace(rad.T, p).T
+        echelon, pivots = gfmat.rref(rows, p)
+        assert echelon[:len(pivots)].tobytes() == gfmat.rref(want, p)[0].tobytes()
+        if not rad.shape[1]:
+            assert np.array_equal(rows, np.eye(d, dtype=np.int64))
+        radicals.add(rad.shape[1] > 0)
+    assert radicals == {True, False}
+
+
+def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
+    # the Tor residual reads the level-0 kernel the resolution took, so a
+    # cold infinite answer runs one nullspace of the cover, and applies
+    # R^r blockwise, so dimensions builds no free module
+    nullspaces, frees = [], []
+    real_nullspace, real_free = gfmat.nullspace, dimensions.free_module
+
+    def spy_nullspace(a, p):
+        nullspaces.append(np.array(a))
+        return real_nullspace(a, p)
+
+    def spy_free(ring, k):
+        frees.append(k)
+        return real_free(ring, k)
+
+    monkeypatch.setattr(gfmat, "nullspace", spy_nullspace)
+    monkeypatch.setattr(dimensions, "free_module", spy_free)
+    rng = random.Random("cold-infinite-s-pd")
+    infinite = 0
+    for ring in oracle_rings():
+        if not ring.radical_basis().shape[1]:
+            continue
+        # R/J with S = {1} is infinite wherever J != 0
+        residue = quotient_module(ring, ring.radical_basis().T.tolist())
+        modules = [residue] + [random_module(ring, rng) for _ in range(12)]
+        for module in modules:
+            for _, s_set in multsets(ring, rng):
+                module = character_dual(character_dual(module))  # no resolution yet
+                clear_memo()
+                nullspaces.clear()
+                frees.clear()
+                if s_pd(module, s_set).value.known:
+                    continue
+                pres = resolution(module).cover(0).matrix
+                hits = [a for a in nullspaces
+                        if a.shape == pres.shape and np.array_equal(a, pres)]
+                assert len(hits) == 1, ring
+                assert frees == [], ring
+                infinite += 1
+    assert infinite >= 50, infinite
+    clear_memo()
+
+
+def test_a_kernel_that_is_not_ker_c_raises():
+    # the kernel argument is checked without an elimination: C K = 0 and
+    # K has n_f - n_x columns; a dropped column and a column outside the
+    # kernel both raise, warm memo or not
+    rng = random.Random("bad-kernel")
+    checked = 0
+    for ring in oracle_rings():
+        for _ in range(10):
+            module = random_module(ring, rng)
+            res = resolution(module)
+            cover, kernel = res.cover(0), res.kernel(0)
+            pres = cover.matrix
+            if not kernel.shape[1]:
+                continue
+            _split_search(cover, mult_closure(ring, []), kernel)  # warms the memo
+            outside = kernel.copy()
+            outside[:, 0] = np.eye(pres.shape[1], dtype=np.int64)[:, pres.any(axis=0).argmax()]
+            for bad in (kernel[:, 1:], outside, np.hstack([kernel, kernel[:, :1]])):
+                with pytest.raises(InternalInvariantViolation, match="not the kernel"):
+                    _tor_residual(ring, pres, bad)
+                with pytest.raises(InternalInvariantViolation, match="not the kernel"):
+                    _split_search(cover, mult_closure(ring, []), bad)
+            checked += 1
+    assert checked >= 30, checked
