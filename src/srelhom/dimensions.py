@@ -87,6 +87,7 @@ from .rings import (
     _row_blocks,
     complement_multset,
     enumerate_ideals,
+    maximal_ideals,
     mult_closure,
     radical_ideal,
     same_ring,
@@ -604,13 +605,26 @@ class LocalProfile:
 
 def local_profile(module: Module, kind: str = "pd",
                   bound: int = DEFAULT_BOUND) -> LocalProfile:
-    """Per-prime dimension table via complement multiplicative sets."""
+    """Per-prime dimension table via complement multiplicative sets.
+
+    The primes are the maximal ideals P_i = (1 - e_i)R + e_i rad R of
+    rings.maximal_ideals, one per primitive idempotent e_i, and the
+    complement S = R minus P_i has e_S = e_i, so neither the ideal lattice
+    nor an element of R is listed.  Proof: e_i lies in S, as e_i is not
+    in e_i rad R.  For s in S, e_i s is not in e_i rad R, the maximal
+    ideal of the local ring e_i R, so e_i s is a unit of e_i R and e_i
+    lies in sR.  An idempotent of S that lies in sR for every s in S is
+    e_S (rings docstring), and there is only one: if e and e' both are,
+    then e = e e' = e'.  So e_S = e_i, and S-pd and S-id at P_i are the
+    dimensions over e_i R, the localisation R_{P_i} (Atiyah-Macdonald,
+    Theorem 8.7).
+    """
     if kind not in ("pd", "id"):
         raise InputError("kind must be 'pd' or 'id', got %r" % (kind,))
     walker = s_pd if kind == "pd" else s_id
     ring = module.ring
     entries = []
-    for prime in enumerate_ideals(ring).primes:
+    for prime in maximal_ideals(ring):
         mult = complement_multset(ring, prime)
         entries.append(LocalEntry(prime, mult, walker(module, mult, bound)))
     classical = walker(module, mult_closure(ring, []), bound)

@@ -24,6 +24,17 @@ once, from the seeds and with at most one d x d solve, and lists its
 members only when something reads them (random draws of s,
 serialisation, the affine retraction check and the tests' oracles).
 
+The primes come from linear algebra, not from the ideal lattice.  R is
+a product of m local rings, and the fixed points E = {x : x^p = x} of
+Frobenius, one nullspace of F - I for its matrix F, are the F_p-span of
+the primitive idempotents e_1, ..., e_m (Berlekamp), so m = dim E.  The
+structure pass (FiniteAlgebra.primitive_idempotents) splits 1 by a basis
+of E into the e_i and checks the result.  In a finite ring every prime
+is maximal, and the maximal ideals are P_i = (1 - e_i)R + e_i rad R
+(maximal_ideals), with R/P_i the residue field of the local ring e_i R.
+The complement R minus P_i has e_S = e_i (dimensions.local_profile), so
+complement_multset lists its members only when something reads them.
+
 Arithmetic on many elements is batched: FiniteAlgebra.products multiplies
 every row of one coefficient array by every row of another in one array
 product.  Closures, closure checks, table validation, quotient tables and
@@ -31,8 +42,9 @@ the generators of the cyclic ideals go through it and never multiply
 RingElements one pair at a time; they cut their rows into blocks so that
 no intermediate array holds more than about 2^20 entries.  The ideal
 lattice compares subspaces by their reduced echelon keys: one rref per
-cyclic ideal and per pairwise sum, and one matrix product per ideal for
-the maximality flags.
+cyclic ideal and per pairwise sum.  Every ideal is stored on its reduced
+echelon rows, so the lattice and the structure pass label an ideal the
+same way.
 
 Table laws (commutativity, associativity, the unit) are checked where a
 table arrives from outside or from a caller's ideal; the named
@@ -41,7 +53,6 @@ constructors, whose tables satisfy them by construction, skip them.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,6 +64,7 @@ from .errors import (
     BadUnit,
     CharacteristicTooLarge,
     InputError,
+    InternalInvariantViolation,
     NonAssociative,
     NonCommutative,
     NotPrime,
@@ -73,6 +85,7 @@ __all__ = [
     "direct_product",
     "mult_closure",
     "enumerate_ideals",
+    "maximal_ideals",
     "radical_ideal",
     "complement_multset",
     "quotient_algebra",
@@ -180,8 +193,10 @@ class FiniteAlgebra:
     check them in full.
 
     Instances are immutable by convention.  Derived data (the radical and
-    its ideal generators, the element list, the ideal list, the prime
-    complements and the free modules R^k) is cached on first use; caches only ever gain entries,
+    its ideal generators, the Frobenius fixed space and the primitive
+    idempotents, the maximal ideals, the element list, the ideal list, the
+    prime complements and the free modules R^k) is cached on first use;
+    caches only ever gain entries,
     so sharing an instance across threads is safe for readers.  Only the
     element list and what is built from it are bound by MAX_ENUMERABLE.
     """
@@ -213,6 +228,10 @@ class FiniteAlgebra:
         self.content = (self.p, self.dim, self.table.tobytes(), self.unit.tobytes())
         self._radical = None
         self._radical_gens = None
+        self._frob = None
+        self._fixed = None
+        self._idempotents = None
+        self._maximals = None  # key -> (P_i, e_i), filled by _maximal_table
         self._ideal_list = None
         self._elements = None
         self._free_modules: dict = {}  # rank k -> R^k, filled by free_module
@@ -315,36 +334,127 @@ class FiniteAlgebra:
         For a finite-dimensional commutative algebra this is the Jacobson
         radical.  x -> x^p is F_p-linear, and a nilpotent x has x^d = 0,
         so the radical is the kernel of Frobenius^k for any p^k >= d: its
-        matrix has the columns e_i^(p^k).  The basis is the rows of the
+        matrix is F^k for the Frobenius matrix F.  The basis is the rows of the
         kernel's reduced echelon form in reverse order, which is what a
         greedy pass over the nilpotent elements in canonical order picks:
         the smallest nonzero one, then the smallest outside the span so
         far, and so on.
         """
         if self._radical is None:
-            q = 1
+            q, power = 1, np.eye(self.dim, dtype=np.int64)
             while q < self.dim:
-                q *= self.p
-            kernel = gfmat.nullspace(self._basis_powers(q).T, self.p)
+                q, power = q * self.p, power @ self._frobenius() % self.p
+            kernel = gfmat.nullspace(power.T, self.p)
             echelon, _ = gfmat.rref(kernel.T, self.p)
             self._radical = echelon[::-1].T.copy()
         return self._radical
 
-    def _basis_powers(self, q: int) -> np.ndarray:
-        """Row i is e_i^q, by square-and-multiply on all basis rows at once.
+    def _frobenius(self) -> np.ndarray:
+        """The Frobenius matrix F, row i e_i^p: x -> x^p is F_p-linear, so
+        x^p = x F on row vectors.  Cached."""
+        if self._frob is None:
+            self._frob = self._row_powers(np.eye(self.dim, dtype=np.int64), self.p)
+        return self._frob
+
+    def _row_powers(self, rows: np.ndarray, q: int) -> np.ndarray:
+        """Row a is rows[a]^q, by square-and-multiply on all rows at once.
 
         The row-wise product of two batches is the diagonal of their
-        products.  For q a power of p this is the matrix of the
-        F_p-linear map x -> x^q, acting on row vectors.
+        products.
         """
-        powers = np.tile(self.unit, (self.dim, 1))
-        base = np.eye(self.dim, dtype=np.int64)
+        powers = np.tile(self.unit, (len(rows), 1))
+        base = rows
         while q:
             if q & 1:
                 powers = np.einsum("aak->ak", self.products(powers, base))
             base = np.einsum("aak->ak", self.products(base, base))
             q >>= 1
         return powers
+
+    def _frobenius_fixed(self) -> np.ndarray:
+        """Basis (columns) of E = {x : x^p = x}, the kernel of F - I for
+        the Frobenius matrix F: the span of the primitive idempotents."""
+        if self._fixed is None:
+            shift = self._frobenius().T - np.eye(self.dim, dtype=np.int64)
+            self._fixed = gfmat.nullspace(shift % self.p, self.p)
+        return self._fixed
+
+    def primitive_idempotents(self) -> np.ndarray:
+        """The primitive idempotents e_1, ..., e_m of R, as rows.
+
+        R is a product of m local rings, and on a local ring of
+        characteristic p the roots of x^p - x are 0, 1, ..., p - 1, so E =
+        {x : x^p = x} is F_p^m, spanned by the e_i.  m nonzero orthogonal
+        idempotents that sum to 1 are the e_i, and the basis of E often is
+        (a local ring, or a product on its factors' bases).  Otherwise,
+        starting from {1}, every basis vector b of E splits each idempotent
+        f it is not constant on (f b not in F_p f), until none is left to
+        split.  With f b = sum c_i e_i over the e_i under f:
+          - p = 2: f b is idempotent, so f splits into f b and f - f b;
+          - odd p: z = (f b + a f)^((p - 1)/2) has the coordinates
+            chi(c_i + a) in {0, 1, -1} (chi the quadratic character), so
+            g = (z^2 + z)/2 sums the e_i with c_i + a a nonzero square.
+            The nonzero squares are not invariant under a nonzero shift,
+            so for c_i != c_j some a in F_p separates e_i from e_j; a = 0,
+            1, ... is tried in turn until one splits f.
+        The order of the rows is fixed by the basis of E.  The split is
+        checked by the same test, and by its count of parts as it goes, and
+        raises InternalInvariantViolation when either fails.  Cached on the
+        ring.
+        """
+        if self._idempotents is None:
+            p, fixed = self.p, self._frobenius_fixed()
+            fault = InternalInvariantViolation(
+                "the split of the Frobenius fixed space is not %d orthogonal "
+                "idempotents summing to 1" % fixed.shape[1])
+            found = fixed.T
+            if not self._primitive(found):
+                parts = [self.unit]
+                for b in fixed.T:
+                    done, todo = [], parts
+                    while todo:
+                        # a sound split never holds more than dim E parts
+                        if len(done) + len(todo) > fixed.shape[1]:
+                            raise fault
+                        f = todo.pop()
+                        g = self._splitting_idempotent(f, b)
+                        if g is None:
+                            done.append(f)
+                        else:
+                            todo += [g, (f - g) % p]
+                    parts = done
+                found = np.array(parts, dtype=np.int64)
+                if not self._primitive(found):
+                    raise fault
+            self._idempotents = found
+        return self._idempotents
+
+    def _primitive(self, found: np.ndarray) -> bool:
+        """Whether the rows are dim E nonzero idempotents, pairwise
+        orthogonal and summing to 1: then they are the primitive ones."""
+        m = len(found)
+        want = np.zeros((m, m, self.dim), dtype=np.int64)
+        want[np.arange(m), np.arange(m)] = found
+        return (m == self._frobenius_fixed().shape[1] and found.any(axis=1).all()
+                and np.array_equal(self.products(found, found), want)
+                and np.array_equal(found.sum(axis=0) % self.p, self.unit))
+
+    def _splitting_idempotent(self, f: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """An idempotent g with g f = g, g != 0 and g != f, read off the
+        element b of E (primitive_idempotents); None when f b lies in F_p f."""
+        p = self.p
+        y = self.products(f[None], b[None])[0, 0]
+        lead = int(np.flatnonzero(f)[0])
+        if np.array_equal(y, y[lead] * gfmat.modinv(int(f[lead]), p) * f % p):
+            return None
+        if p == 2:
+            return y
+        for a in range(p):
+            z = self._row_powers((y + a * f)[None] % p, (p - 1) // 2)[0]
+            g = (self.products(z[None], z[None])[0, 0] + z) * ((p + 1) // 2) % p
+            if g.any() and not np.array_equal(g, f):
+                return g
+        raise InternalInvariantViolation("no shift splits an idempotent of E")
 
     def radical_complement_rows(self) -> np.ndarray:
         """A d x d matrix T with T x = 0 exactly when x lies in rad R.
@@ -445,12 +555,13 @@ class MultSet:
 
     S is the set of products of its seeds, and idempotent is its e_S, the
     one element that decides every S-question (module docstring).
-    members is the full member list when the set was given by it
-    (complement_multset), else None: the members are then listed, in
-    canonical order, the first time elements, vectors, iteration, len or
-    a membership test asks for them.  S is degenerate when 0 is a
-    member, that is when e_S = 0 (every module is then uniformly
-    S-torsion).  == and hash are identity.
+    members is the full member list when the set was given by it, else
+    None: the members are then listed, in canonical order, the first time
+    elements, vectors, iteration, len or a membership test asks for them.
+    A prime complement (complement_multset) is built from e_S alone and
+    lists its members, which are also its seeds, the same way.  S is
+    degenerate when 0 is a member, that is when e_S = 0 (every module is
+    then uniformly S-torsion).  == and hash are identity.
     """
 
     ring: FiniteAlgebra
@@ -609,11 +720,12 @@ def _subspace_key(basis: np.ndarray, p: int) -> tuple:
 class Ideal:
     """An ideal of a finite algebra, stored as an F_p-subspace basis.
 
-    basis is one representative basis, not a canonical one: in the ideal
-    lattice it is the pivot columns of the first spanning set
-    enumerate_ideals met for the ideal, so the discovery order fixes it
-    (and with it label()).  key() is the canonical form, the same for
-    every basis of the same subspace; == and hash are identity.
+    basis is a basis of columns.  enumerate_ideals and maximal_ideals
+    store the reduced echelon rows of the subspace, in order, so both
+    give an ideal the same basis and the same label(); radical_ideal
+    stores radical_basis(), and a caller may pass any basis.  key() is
+    the canonical form, the reduced echelon rows, the same for every
+    basis of the same subspace; == and hash are identity.
     """
 
     ring: FiniteAlgebra
@@ -675,31 +787,22 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
     comes first in canonical order, so only those x (and 0) are keyed.
 
     An ideal is keyed by the reduced echelon form of a spanning set (the
-    subspace key).  Rx is spanned by the rows x*e_j, which one products
-    call per row block gives for every x; its key is one rref of them.
-    The key of a sum I + J is one rref of the two stacked keys.  Only a
-    new key costs a column_space, which picks the representative basis:
-    the pivot columns of the left multiplication matrix of the first x in
-    canonical order that generates the ideal, and for a sum those of
-    [basis of I | basis of J] for the first pair met.  The discovery
-    order (elements in canonical order, then each round's new ideals
-    against everything found before that round) therefore fixes every
-    representative, and with it Ideal.label().  A pair is skipped when
+    subspace key), and its basis is those echelon rows, in order.  Rx is
+    spanned by the rows x*e_j, which one products call per row block
+    gives for every x; its key is one rref of them.  The key of a sum
+    I + J is one rref of the two stacked keys.  A pair is skipped when
     its sum is already known: a pair of equal ideals, and (J, I) when
     (I, J) came earlier in the same round.  The list is sorted by
     dimension and then by key.
 
-    A proper ideal is maximal when no proper ideal of larger dimension
-    contains it.  With K the key of J and its pivot columns P, a vector v
-    lies in J exactly when v - v[P] K = 0, so one matrix product per
-    ideal tests its basis against every larger proper ideal.  In a finite
-    ring every prime P is maximal (R/P is a finite domain, hence a
-    field), so the prime flag is the maximal flag.
+    In a finite ring every prime P is maximal (R/P is a finite domain,
+    hence a field), and the maximal ideals are those of maximal_ideals,
+    so both flags are a key lookup among them.
     """
     if ring._ideal_list is not None:
         return ring._ideal_list
     p, d = ring.p, ring.dim
-    seen: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> (basis, echelon)
+    seen: dict[tuple, np.ndarray] = {}  # key -> reduced echelon rows
     vecs = np.array([e.vec for e in ring.elements()], dtype=np.int64)
     vecs = vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] <= 1]
     eye = np.eye(d, dtype=np.int64)
@@ -707,87 +810,126 @@ def enumerate_ideals(ring: FiniteAlgebra) -> IdealList:
         # gens[j] = x * e_j, column j of the multiplication matrix of x
         for gens in ring.products(vecs[rows], eye):
             key, echelon = _echelon_key(gens, p)
-            if key not in seen:
-                seen[key] = (gfmat.column_space(gens.T, p), echelon)
+            seen.setdefault(key, echelon)
     work = list(seen)
     while work:
         new_work = []
         items = list(seen.items())
         done = set()
         for key1 in work:
-            b1, e1 = seen[key1]
+            e1 = seen[key1]
             done.add(key1)
-            for key2, (b2, e2) in items:
+            for key2, e2 in items:
                 if key2 in done:
                     continue
                 key, echelon = _echelon_key(np.vstack([e1, e2]), p)
                 if key not in seen:
-                    seen[key] = (gfmat.column_space(np.hstack([b1, b2]), p), echelon)
+                    seen[key] = echelon
                     new_work.append(key)
         work = new_work
-    keys = sorted(seen, key=lambda k: (len(k), k))
-    dims = [len(k) for k in keys]
-    proper = bisect.bisect_left(dims, d)  # R itself comes last
-    # block j has v @ block j = v - v[P_j] K_j for the j-th ideal
-    blocks = [_membership_block(seen[key][1], d) for key in keys[:proper]]
-    residual = np.array(blocks, dtype=np.int64).reshape(proper, d, d)
-    residual = residual.transpose(1, 0, 2).reshape(d, proper * d) % p
-    ideals = []
-    for key, k in zip(keys, dims):
-        basis = seen[key][0]
-        # the proper ideals of larger dimension are those from index larger on
-        larger = bisect.bisect_right(dims, k)
-        maximal = k < d and bool(
-            ((basis.T @ residual[:, larger * d:]) % p)
-            .reshape(k, proper - larger, d).any(axis=(0, 2)).all())
-        ideals.append(Ideal(ring, basis, maximal, maximal))
-    ring._ideal_list = IdealList(ring, tuple(ideals))
+    maximal = _maximal_table(ring)
+    ideals = tuple(Ideal(ring, np.ascontiguousarray(seen[key].T), key in maximal, key in maximal)
+                   for key in sorted(seen, key=lambda k: (len(k), k)))
+    ring._ideal_list = IdealList(ring, ideals)
     return ring._ideal_list
+
+
+def maximal_ideals(ring: FiniteAlgebra) -> tuple[Ideal, ...]:
+    """The maximal ideals, which are the primes, with no ideal or element
+    listed: P_i = (1 - e_i)R + e_i rad R for the primitive idempotents
+    e_i, each on its reduced echelon rows, flagged prime and maximal, and
+    sorted by (dimension, key) as enumerate_ideals(ring).primes is.
+
+    R is the product of the local rings e_j R, and P_i is R with the
+    factor e_i R replaced by its maximal ideal e_i rad R, so R/P_i is the
+    residue field of e_i R.
+    """
+    return tuple(ideal for ideal, _ in _maximal_table(ring).values())
+
+
+def _maximal_table(ring: FiniteAlgebra) -> dict[tuple, tuple[Ideal, np.ndarray]]:
+    """key -> (P_i, e_i) in the order of maximal_ideals; cached on the ring."""
+    if ring._maximals is None:
+        p, rad, found = ring.p, ring.radical_basis(), ring.primitive_idempotents()
+        # row j of left[i] is (1 - e_i) e_j, and of right[i] is e_i e_j
+        left, right = np.split(ring.products(np.vstack([ring.unit - found, found]) % p,
+                                             np.eye(ring.dim, dtype=np.int64)), 2)
+        table = {}
+        for e, ones, es in zip(found, left, right):
+            # the rows span (1 - e)R and e rad R
+            key, echelon = _echelon_key(np.vstack([ones, rad.T @ es % p]), p)
+            table[key] = (Ideal(ring, np.ascontiguousarray(echelon.T), True, True), e)
+        ring._maximals = {key: table[key] for key in sorted(table, key=lambda k: (len(k), k))}
+    return ring._maximals
 
 
 def radical_ideal(ring: FiniteAlgebra) -> Ideal:
     """rad R as an Ideal, on radical_basis(), without the ideal lattice.
 
     rad R is prime, and then maximal, exactly when R is local, that is
-    when R/rad R is a field.  R/rad R is a product of r finite fields, on
-    which the fixed points of x -> x^p form F_p^r, so R is local exactly
-    when {x : x^p - x in rad R} has dimension dim rad R + 1.
+    when R has one primitive idempotent: when the Frobenius fixed space
+    E, of dimension m for m local factors, is the line F_p 1.
     """
-    p, rad = ring.p, ring.radical_basis()
-    shift = ring._basis_powers(p).T - np.eye(ring.dim, dtype=np.int64)
-    fixed = gfmat.nullspace(np.hstack([shift, -rad]) % p, p).shape[1]
-    local = fixed == rad.shape[1] + 1
-    return Ideal(ring, rad, local, local)
+    local = ring._frobenius_fixed().shape[1] == 1
+    return Ideal(ring, ring.radical_basis(), local, local)
 
 
 def complement_multset(ring: FiniteAlgebra, prime: Ideal) -> MultSet:
-    """The multiplicative set R minus a prime ideal, in canonical order.
+    """The multiplicative set R minus a prime ideal, cached on the ring.
 
-    Built and validated once per prime and cached on the ring, keyed by
-    the ideal's subspace key.  Raises NotPrime if the ideal is not flagged prime or if the
-    complement fails the closure check (defensive; cannot happen for a
-    genuine prime).
+    The primes are the P_i of maximal_ideals, and e_S of R minus P_i is
+    the primitive idempotent e_i, the one e_j outside P_i
+    (dimensions.local_profile has the proof), so the set is built from
+    the structure pass alone, keyed by the ideal's subspace key.  Raises
+    NotPrime, on every call, when the ideal is not flagged prime or is
+    none of the P_i.  The members are listed, in canonical order, only
+    when something reads them; their closure is checked then, and a gap
+    raises InternalInvariantViolation (it cannot happen for a genuine
+    prime).
     """
     if not prime.is_prime:
         raise NotPrime("complement requires a prime ideal, got %s" % prime.label())
     key = prime.key()
     ms = ring._complements.get(key)
     if ms is None:
-        # x lies in P exactly when the rows of [P | D]^-1 below P kill it
-        _, inv = gfmat.complete_basis(prime.basis, ring.p)
+        found = _maximal_table(ring).get(key)
+        if found is None:
+            raise NotPrime("ideal %s is not prime: it is none of the maximal ideals"
+                           % prime.label())
+        maximal, idempotent = found
+        ms = ring._complements.setdefault(
+            key, _Complement(ring, ring.element(idempotent), maximal))
+    return ms
+
+
+class _Complement(MultSet):
+    """R minus a maximal ideal P, from its e_S: the members, which are
+    also the seeds, are listed and checked for closure on first read."""
+
+    def __init__(self, ring: FiniteAlgebra, idempotent: RingElement, prime: Ideal):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "idempotent", idempotent)
+        object.__setattr__(self, "_prime", prime)
+
+    seeds = property(lambda self: self.elements)
+    members = property(lambda self: self.elements)
+
+    @cached_property
+    def elements(self) -> tuple[RingElement, ...]:
+        ring, prime = self.ring, self._prime
         everything = ring.elements()
         vecs = np.array([e.vec for e in everything], dtype=np.int64)
-        outside = ((vecs @ inv[prime.fdim:].T) % ring.p).any(axis=1)
+        # P's basis is its reduced echelon rows: x lies in P exactly when
+        # x - x[pivots] E = 0
+        block = _membership_block(prime.basis.T, ring.dim)
+        outside = (vecs @ block % ring.p).any(axis=1)
         members = tuple(e for e, out in zip(everything, outside) if out)
-        # the seeds rule on every member gives the product of the
-        # idempotent members: each member's idempotent power is one
-        ms = MultSet(ring, members, _s_idempotent(ring, members), members)
         try:
-            ms.validate()
+            MultSet(ring, members, self.idempotent, members).validate()
         except InputError as exc:
-            raise NotPrime("ideal %s is not prime: %s" % (prime.label(), exc)) from exc
-        ms = ring._complements.setdefault(key, ms)
-    return ms
+            raise InternalInvariantViolation(
+                "R minus %s is not closed: %s" % (prime.label(), exc)) from exc
+        return members
 
 
 # -- quotient rings ---------------------------------------------------------

@@ -128,8 +128,9 @@ def test_localprofile_agreement(capsys):
 
 
 def test_spd_above_the_enumeration_cap(tmp_path, capsys):
-    # F2[t]/(t^17) has 2^17 elements; S-pd needs only the radical, while
-    # the local profile ranges over the primes and still hits the cap
+    # F2[t]/(t^17) has 2^17 elements; S-pd needs only the radical and the
+    # local profile only the primitive idempotents, while a positive
+    # ssemisimple confirms itself on the ideal lattice and hits the cap
     ring = tmp_path / "t17.json"
     ring.write_text(json.dumps(ring_to_spec(truncated_polynomial(2, 17))))
     labels = ["1", "t"] + ["t%d" % n for n in range(2, 17)]
@@ -139,8 +140,15 @@ def test_spd_above_the_enumeration_cap(tmp_path, capsys):
     code, doc, _ = run_json(capsys, "spd", "--ring", str(ring), "--multset",
                             "trivial.json", "--module", str(simple), "--bound", "4")
     assert code == 0 and doc["value"] == ">4"
-    code, _, err = run(capsys, "localprofile", "--ring", str(ring),
-                       "--module", str(simple), "--bound", "4")
+    code, doc, _ = run_json(capsys, "localprofile", "--ring", str(ring),
+                            "--module", str(simple), "--bound", "4")
+    rad = "(" + ", ".join(labels[1:]) + ")"
+    assert code == 0 and doc == {"kind": "pd", "classical": ">4", "sup": ">4",
+                                 "formula_ok": True, "entries": [[rad, ">4"]]}
+    # S holds t, so e_S = 0 kills the radical and the answer is "yes"
+    s_set = tmp_path / "t.json"
+    s_set.write_text(json.dumps({"kind": "multset", "seeds": [[0, 1] + [0] * 15]}))
+    code, _, err = run(capsys, "ssemisimple", "--ring", str(ring), "--multset", str(s_set))
     assert code == 2 and "too large to enumerate" in err
 
 

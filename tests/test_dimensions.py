@@ -14,9 +14,10 @@ from conftest import (
 )
 from les_oracle import shift_search
 
-from srelhom import dimensions, gfmat, modules
+from srelhom import dimensions, gfmat, modules, rings
 from srelhom.checks import _multset_menu, clear_memo
 from srelhom.rings import (
+    FiniteAlgebra,
     Ideal,
     complement_multset,
     direct_product,
@@ -401,7 +402,7 @@ def test_each_split_search_verifies_its_witness_once(monkeypatch):
     # _split_search re-verifies a witness it found; nothing downstream in
     # s_pd or s_id repeats that check, and a failed search has none to run
     from srelhom import dimensions
-    searched, verified = [], Counter()
+    searched, verified, alive = [], Counter(), []
     real_search, real_verify = dimensions._split_search, SplitWitness.verify
 
     def search(*args):
@@ -413,6 +414,9 @@ def test_each_split_search_verifies_its_witness_once(monkeypatch):
     def verify(self):
         verified["in flight"] += 1
         verified[id(self)] += 1
+        # is_s_injective verifies its retraction too; keeping it alive
+        # keeps its id from passing to a later search's witness
+        alive.append(self)
         return real_verify(self)
 
     monkeypatch.setattr(dimensions, "_split_search", search)
@@ -697,6 +701,27 @@ def test_local_entries_use_prime_complements(ring2, m2):
     for entry in prof.entries:
         expected = complement_multset(ring2, entry.prime)
         assert entry.multset.elements == expected.elements
+
+
+def test_local_profile_lists_no_ideal_and_no_element(monkeypatch, ring2, m2):
+    # the primes and each e_S come from the primitive idempotents
+    def refuse(*args):
+        raise AssertionError("local_profile listed the ideals or the elements")
+
+    monkeypatch.setattr(dimensions, "enumerate_ideals", refuse)
+    monkeypatch.setattr(rings, "enumerate_ideals", refuse)
+    monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+    prof = local_profile(m2, "pd", bound=8)
+    assert [(e.prime.label(), str(e.result.value), e.multset.idempotent.label())
+            for e in prof.entries] == [("(e2, f)", "0", "e1"), ("(e1, f)", ">8", "e2")]
+    # F2 x F2[t]/(t^17), 2^18 elements; the simple module of the second
+    # factor is S-torsion at the first prime and of infinite S-id at the other
+    big = direct_product(prime_field(2), truncated_polynomial(2, 17))
+    simple = quotient_module(big, [[1] + [0] * 17, [0, 0, 1] + [0] * 15])
+    prof = local_profile(simple, "id", bound=4)
+    assert [(str(e.result.value), e.multset.idempotent.label())
+            for e in prof.entries] == [("0", "a.1"), (">4", "b.1")]
+    assert prof.formula_ok and str(prof.classical.value) == ">4"
 
 
 # -- inequalities along short sequences -------------------------------------------

@@ -13,6 +13,7 @@ from srelhom.errors import (
     BadUnit,
     CharacteristicTooLarge,
     InputError,
+    InternalInvariantViolation,
     NonAssociative,
     NonCommutative,
     NotPrime,
@@ -30,6 +31,7 @@ from srelhom.rings import (
     complement_multset,
     direct_product,
     enumerate_ideals,
+    maximal_ideals,
     mult_closure,
     prime_field,
     quotient_algebra,
@@ -329,16 +331,39 @@ def test_linear_algebra_matches_the_element_sweeps():
     assert primes_seen == 41
 
 
-def test_radical_ideal_flags_match_the_ideal_lattice():
-    # rad R is prime and maximal exactly when R is local, decided by the
-    # Frobenius fixed points of R/rad R with no ideal listed
-    local = Counter()
-    # F4 = F2[x]/(x^2 + x + 1): a residue field that is not prime
+def f4_rings():
+    """F4 = F2[x]/(x^2 + x + 1), a residue field that is not prime, and
+    two products with it."""
     table = np.zeros((2, 2, 2), dtype=np.int64)
     table[0, 0], table[0, 1], table[1, 0], table[1, 1] = [1, 0], [0, 1], [0, 1], [1, 1]
     f4 = build_algebra(2, ["1", "x"], table, [1, 0])
-    extra = [f4, direct_product(f4, truncated_polynomial(2, 2)), direct_product(f4, f4)]
-    for ring in oracle_rings() + extra:
+    return [f4, direct_product(f4, truncated_polynomial(2, 2)), direct_product(f4, f4)]
+
+
+def split_polynomial_ring(p, roots, power):
+    """F_p[x]/(prod (x - r)^power) on the basis 1, x, ..., x^(d-1): its
+    primitive idempotents are dense in that basis, unlike a product's."""
+    f = [1]
+    for r in roots:
+        for _ in range(power):
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    d = len(f) - 1
+    reduced = np.zeros((2 * d - 1, d), dtype=np.int64)  # row k is x^k mod f
+    reduced[:d] = np.eye(d, dtype=np.int64)
+    for k in range(d, 2 * d - 1):
+        # x^k = x * x^(k-1), and x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+        top = reduced[k - 1, d - 1]
+        reduced[k, 1:] = reduced[k - 1, :-1]
+        reduced[k] = (reduced[k] - top * np.array(f[:d])) % p
+    table = np.array([[reduced[i + j] for j in range(d)] for i in range(d)])
+    return build_algebra(p, ["x%d" % k for k in range(d)], table, [1] + [0] * (d - 1))
+
+
+def test_radical_ideal_flags_match_the_ideal_lattice():
+    # rad R is prime and maximal exactly when R is local, decided by the
+    # Frobenius fixed points with no ideal listed
+    local = Counter()
+    for ring in oracle_rings() + f4_rings():
         got = radical_ideal(ring)
         assert np.array_equal(got.basis, ring.radical_basis())
         ideals = enumerate_ideals(ring)
@@ -350,6 +375,97 @@ def test_radical_ideal_flags_match_the_ideal_lattice():
     big = truncated_polynomial(2, 17)
     assert radical_ideal(big).is_maximal and radical_ideal(group_algebra(2, [2] * 5)).is_prime
     assert not radical_ideal(direct_product(big, prime_field(2))).is_maximal
+
+
+def check_idempotent_laws(ring):
+    """The structure pass's e_i are nonzero, orthogonal idempotents that
+    sum to 1, one per maximal ideal, each outside its own P_i only."""
+    found = ring.primitive_idempotents()
+    primes = maximal_ideals(ring)
+    assert len(found) == len(primes) == ring._frobenius_fixed().shape[1]
+    for i, e in enumerate(found):
+        e = ring.element(e)
+        assert not e.is_zero() and e * e == e
+        for f in found[i + 1:]:
+            assert (e * ring.element(f)).is_zero()
+    assert ring.element(found.sum(axis=0)) == ring.one
+    for prime in primes:
+        assert prime.is_prime and prime.is_maximal
+        outside = [e for e in found if not prime.contains(ring.element(e))]
+        assert len(outside) == 1
+        assert complement_multset(ring, prime).idempotent == ring.element(outside[0])
+
+
+def test_maximal_ideals_match_the_lattice_primes():
+    # keys, order and bases of the P_i against the ideal lattice, and e_i
+    # against e_S of the listed complement, taken from every member
+    rings_ = oracle_rings() + f4_rings() + [
+        square_zero_ring(), group_algebra(2, [2, 2, 2]), group_algebra(2, [4, 2]),
+        split_polynomial_ring(2, [0, 1], 2), split_polynomial_ring(3, [0, 1], 2),
+        split_polynomial_ring(5, [0, 1, 4], 1), split_polynomial_ring(7, [0, 1, 3], 1)]
+    primes_seen = Counter()
+    for ring in rings_:
+        got = maximal_ideals(ring)
+        want = enumerate_ideals(ring).primes
+        assert [i.key() for i in got] == [i.key() for i in want], ring
+        for mine, theirs in zip(got, want):
+            assert mine.basis.tobytes() == theirs.basis.tobytes()
+            assert mine.label() == theirs.label()
+            members = complement_multset(ring, theirs).elements
+            assert complement_multset(ring, mine).idempotent == rings._s_idempotent(ring, members)
+        check_idempotent_laws(ring)
+        primes_seen[ring.p] += len(got)
+    assert primes_seen == {2: 36, 3: 15, 5: 3, 7: 5}, primes_seen
+
+
+def test_maximal_ideals_of_a_product_at_the_largest_characteristic():
+    # 65521^4 elements, so no lattice: a product, whose basis of E is its
+    # e_i already, and F_p[x]/(x (x - 1) ... (x - 5)), which the shifts split
+    p = rings.MAX_CHARACTERISTIC
+    parts = [prime_field(p), truncated_polynomial(p, 2), prime_field(p)]
+    ring = direct_product(direct_product(parts[0], parts[1]), parts[2],
+                          labels=["a", "b", "t", "c"])
+    check_idempotent_laws(ring)
+    # the factors' units, and P_i the other factors plus rad of factor i
+    units = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)}
+    assert {tuple(e) for e in ring.primitive_idempotents()} == units
+    assert sorted(i.label() for i in maximal_ideals(ring)) == [
+        "(a, b, t)", "(a, t, c)", "(b, t, c)"]
+    dense = split_polynomial_ring(p, range(6), 1)
+    assert len(maximal_ideals(dense)) == 6
+    check_idempotent_laws(dense)
+
+
+def test_structure_pass_checks_its_split(monkeypatch):
+    # F2[x]/(x^2 (x + 1)^2): the basis of E is not the e_i, so it is split;
+    # a split that stops early leaves fewer idempotents than dim E = 2
+    monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", lambda self, f, b: None)
+    with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
+        split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
+    # and 1 = x + (1 + x), two parts that are not idempotent, is caught
+    # by the laws
+    calls = []
+
+    def bad_split(self, f, b):
+        calls.append(b)
+        return np.array([0, 1, 0, 0]) if len(calls) == 1 else None
+
+    monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", bad_split)
+    with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
+        split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
+    assert len(calls) > 1
+    # a split that never stops is cut off once it holds more than dim E parts
+    calls.clear()
+
+    def endless(self, f, b):
+        calls.append(b)
+        if len(calls) > 100:
+            raise AssertionError("the split did not stop")
+        return f
+
+    monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", endless)
+    with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
+        split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
 
 
 def test_radical_and_cap_above_the_enumeration_limit():
@@ -428,8 +544,10 @@ def test_ideal_lattice_matches_the_pairwise_closure():
         want = pairwise_closure_ideals(ring)
         assert len(got) == len(want)
         for ideal, (basis, maximal) in zip(got, want):
+            # the lattice keeps the reduced echelon rows of the old basis
+            echelon = gfmat.rref(basis.T, ring.p)[0][: basis.shape[1]].T
             assert ideal.basis.dtype == basis.dtype and ideal.basis.shape == basis.shape
-            assert ideal.basis.tobytes() == basis.tobytes()
+            assert ideal.basis.tobytes() == echelon.tobytes()
             assert ideal.is_maximal is maximal and ideal.is_prime is maximal
         sizes.append(len(got))
     assert sizes[-3:] == [47, 23, 9], sizes
@@ -634,6 +752,34 @@ def test_mult_closure_rejects_seeds_of_another_ring(ring2):
     t2 = truncated_polynomial(2, 2)
     with pytest.raises(RingMismatch, match="elements of different rings"):
         mult_closure(ring2, [t2.basis_element(1)])
+
+
+def test_prime_complement_of_a_large_local_ring_lists_nothing(monkeypatch):
+    # F3[C3 x C3] is local with 3^9 elements; R minus rad R is the 13,122
+    # units, and e_S = 1 comes from the structure pass alone
+    ring = group_algebra(3, [3, 3])
+
+    def refuse(*args):
+        raise AssertionError("elements listed")
+
+    monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+    monkeypatch.setattr(rings, "_closure", refuse)
+    comp = complement_multset(ring, radical_ideal(ring))
+    assert comp.idempotent == ring.one and not comp.degenerate
+    assert complement_multset(ring, maximal_ideals(ring)[0]) is comp
+
+
+def test_complement_closure_is_checked_when_listed(monkeypatch, ring2):
+    # a P_i whose complement is not closed is an engine fault: the check
+    # runs when the members are first read, and raises on every read
+    f_ideal = [i for i in enumerate_ideals(ring2) if i.fdim == 1
+               and i.contains(ring2.element([0, 0, 1]))][0]
+    fake = Ideal(ring2, f_ideal.basis, True, True)
+    monkeypatch.setattr(ring2, "_maximals", {fake.key(): (fake, ring2.unit)})
+    comp = complement_multset(ring2, fake)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantViolation, match="not closed"):
+            comp.elements
 
 
 def test_complement_multset(ring2):
