@@ -384,12 +384,10 @@ class FiniteAlgebra:
 
         R is a product of m local rings, and on a local ring of
         characteristic p the roots of x^p - x are 0, 1, ..., p - 1, so E =
-        {x : x^p = x} is F_p^m, spanned by the e_i.  m nonzero orthogonal
-        idempotents that sum to 1 are the e_i, and the basis of E often is
-        (a local ring, or a product on its factors' bases).  Otherwise,
-        starting from {1}, every basis vector b of E splits each idempotent
-        f it is not constant on (f b not in F_p f), until none is left to
-        split.  With f b = sum c_i e_i over the e_i under f:
+        {x : x^p = x} is F_p^m, spanned by the e_i.  Starting from {1},
+        every basis vector b of E splits each idempotent f it is not
+        constant on (f b not in F_p f), until none is left to split.  With
+        f b = sum c_i e_i over the e_i under f:
           - p = 2: f b is idempotent, so f splits into f b and f - f b;
           - odd p: z = (f b + a f)^((p - 1)/2) has the coordinates
             chi(c_i + a) in {0, 1, -1} (chi the quadratic character), so
@@ -398,7 +396,8 @@ class FiniteAlgebra:
             so for c_i != c_j some a in F_p separates e_i from e_j; a = 0,
             1, ... is tried in turn until one splits f.
         The order of the rows is fixed by the basis of E.  The split is
-        checked by the same test, and by its count of parts as it goes, and
+        checked by its count of parts as it goes, and at the end for m
+        nonzero orthogonal idempotents that sum to 1 (_primitive), and
         raises InternalInvariantViolation when either fails.  Cached on the
         ring.
         """
@@ -407,25 +406,23 @@ class FiniteAlgebra:
             fault = InternalInvariantViolation(
                 "the split of the Frobenius fixed space is not %d orthogonal "
                 "idempotents summing to 1" % fixed.shape[1])
-            found = fixed.T
+            parts = [self.unit]
+            for b in fixed.T:
+                done, todo = [], parts
+                while todo:
+                    # a sound split never holds more than dim E parts
+                    if len(done) + len(todo) > fixed.shape[1]:
+                        raise fault
+                    f = todo.pop()
+                    g = self._splitting_idempotent(f, b)
+                    if g is None:
+                        done.append(f)
+                    else:
+                        todo += [g, (f - g) % p]
+                parts = done
+            found = np.array(parts, dtype=np.int64)
             if not self._primitive(found):
-                parts = [self.unit]
-                for b in fixed.T:
-                    done, todo = [], parts
-                    while todo:
-                        # a sound split never holds more than dim E parts
-                        if len(done) + len(todo) > fixed.shape[1]:
-                            raise fault
-                        f = todo.pop()
-                        g = self._splitting_idempotent(f, b)
-                        if g is None:
-                            done.append(f)
-                        else:
-                            todo += [g, (f - g) % p]
-                    parts = done
-                found = np.array(parts, dtype=np.int64)
-                if not self._primitive(found):
-                    raise fault
+                raise fault
             self._idempotents = found
         return self._idempotents
 
@@ -913,6 +910,11 @@ class _Complement(MultSet):
 
     seeds = property(lambda self: self.elements)
     members = property(lambda self: self.elements)
+
+    def __repr__(self):
+        # the dataclass repr would list, and check, every member
+        return "MultSet(ring=%r, complement of %s, idempotent=%s)" % (
+            self.ring, self._prime.label(), self.idempotent.label())
 
     @cached_property
     def elements(self) -> tuple[RingElement, ...]:

@@ -722,6 +722,8 @@ def test_local_profile_lists_no_ideal_and_no_element(monkeypatch, ring2, m2):
     assert [(str(e.result.value), e.multset.idempotent.label())
             for e in prof.entries] == [("0", "a.1"), (">4", "b.1")]
     assert prof.formula_ok and str(prof.classical.value) == ">4"
+    # its repr names each complement by its prime and e_S, listing no member
+    assert "complement of (b.1, b.t, " in repr(prof) and "idempotent=b.1)" in repr(prof)
 
 
 # -- inequalities along short sequences -------------------------------------------

@@ -419,8 +419,8 @@ def test_maximal_ideals_match_the_lattice_primes():
 
 
 def test_maximal_ideals_of_a_product_at_the_largest_characteristic():
-    # 65521^4 elements, so no lattice: a product, whose basis of E is its
-    # e_i already, and F_p[x]/(x (x - 1) ... (x - 5)), which the shifts split
+    # 65521^4 elements, so no lattice: a product, and F_p[x]/(x (x - 1)
+    # ... (x - 5)), whose e_i the shifts split off from 1
     p = rings.MAX_CHARACTERISTIC
     parts = [prime_field(p), truncated_polynomial(p, 2), prime_field(p)]
     ring = direct_product(direct_product(parts[0], parts[1]), parts[2],
@@ -437,8 +437,8 @@ def test_maximal_ideals_of_a_product_at_the_largest_characteristic():
 
 
 def test_structure_pass_checks_its_split(monkeypatch):
-    # F2[x]/(x^2 (x + 1)^2): the basis of E is not the e_i, so it is split;
-    # a split that stops early leaves fewer idempotents than dim E = 2
+    # F2[x]/(x^2 (x + 1)^2): a split that stops early leaves fewer
+    # idempotents than dim E = 2
     monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", lambda self, f, b: None)
     with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
         split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
