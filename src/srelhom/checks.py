@@ -151,7 +151,7 @@ class _Config:
 
 def clear_memo() -> None:
     """Forget every memoized sweep block, every content cache (the
-    resolution levels, Tor residuals, split systems and Ext groups of
+    resolution levels, split systems and Ext groups of
     modules._content_cached) and the Smith forms of zmodules._structure,
     as a fresh process starts."""
     _memo.clear()

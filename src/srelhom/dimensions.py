@@ -16,41 +16,39 @@ Artinian, a product of local rings of depth 0, so by Auslander-Buchsbaum
 (pd) and Bass (id) a finite dimension there is 0.  A failure of e_S at
 level 0 proves the dimension infinite, reported as the ">bound" value.
 
-Which of the two is decided by Tor against the top of R.  Let
-C: F = R^r ->> M be a free cover, K = Ker C and J = rad R.
-  - Tor_1(M, R/J) = (K cap JF)/JK: tensor 0 -> K -> F -> M -> 0 with
-    R/J; Tor_1(F, R/J) = 0, and K/JK -> F/JF has kernel (K cap JF)/JK.
-  - e_S is a central idempotent, so e_S Tor_1(M, R/J) = Tor_1(e_S M, R/J).
-  - Over an Artinian ring a finite module N with Tor_1(N, R/J) = 0 is
-    projective: on each local factor the minimal cover's kernel K' lies
-    in JF', so Tor_1 = K'/JK' = 0, K' = JK', and Nakayama (J is
-    nilpotent) gives K' = 0.
-  - e_S M is projective exactly when C splits at e_S: a section of
-    e_S F ->> e_S M composed with e_S is a map psi with C . psi = e_S Id,
-    and such a psi makes e_S M a summand of e_S F.
-Hence S-pd M = 0 exactly when e_S (K cap JF) lies in JK.  That is linear
-in e_S: with b_j spanning K cap JF, the residual W of solving JK against
-every e_i b_j gives e_S (K cap JF) <= JK exactly when W e_S = 0, and W is
-built from the basis of R, not from S (_tor_residual).  "e_S K = 0" is
-not the criterion: the engine's cover is free of rank max mu, not a
-projective cover, so K need not lie in JF.  S-id M = 0 is the same test
-on the character dual DM, whose cover transposes to M's injective
-cocover.
+Which of the two is decided by counts on the local blocks.  Let e_1, ...,
+e_m be the primitive idempotents of R (rings docstring), R_i = e_i R,
+J = rad R, d_i = dim R_i and k_i = d_i - dim e_i J, the dimension of the
+residue field of the local ring R_i (FiniteAlgebra.block_dimensions).
+e_S is an idempotent, so it is the sum of the e_i over
+I_S = {i : e_i e_S = e_i}.  Let N_i = e_i M.
+  - e_S M is the direct sum of the N_i over I_S, so it is projective over
+    e_S R exactly when every such N_i is projective over R_i, that is
+    free, as R_i is local.
+  - Nakayama (J is nilpotent): N_i/JN_i is a vector space over the
+    residue field, of dimension mu with mu k_i = dim N_i/JN_i, and
+    lifting a basis of it gives a minimal cover R_i^mu ->> N_i.  So
+    dim N_i <= mu d_i, with equality exactly when that cover is
+    injective, that is when N_i is free.
+Hence S-pd M = 0 exactly when dim N_i k_i = dim(N_i/JN_i) d_i for every i
+in I_S.  Each term is a rank of M's own action matrices: N_i is the image
+of e_i, and JN_i = e_i JM is the image of e_i [g_1 | ... | g_t] for the
+radical generators g acting on M, which generate J (rings docstring).
+No kernel of a cover and no elimination is needed.  The counts check
+themselves: N_i/JN_i is a vector space over the residue field, so k_i
+divides its dimension, and N_i is a quotient of R_i^mu, so
+dim N_i k_i <= dim(N_i/JN_i) d_i; a count that breaks either is an
+engine fault and raises.  S-id M = 0 is the same test on the character
+dual DM, whose cover transposes to M's injective cocover; top(DN_i) is
+dual to the socle of N_i, so no socle is computed.
 
-W repeats no work the engine has done.  K is the level-0 kernel the
-resolution already holds (Resolution.kernel), checked by C K = 0 and its
-column count, not by another elimination.  x lies in J exactly when
-x - E^T x[P] = 0, for the reduced echelon rows E of J and their pivot
-columns P: E[:, P] = I, so x = E^T c has x[P] = c.  So the rows that
-kill exactly J come from one product, with no elimination.  F = R^r acts
-as kron(I_r, R), so JK and the e_i b_j are the radical generators'
-d x d multiplication matrices and ring.table applied to K.reshape(r, d,
-m), with no dense action array of R^r.
-
-The split system is solved only when Tor answers 0, to build the section
-it then promises; a 0 answer without one is an engine fault and raises.
-Every split map is re-verified before it is returned.  An infinite
-answer runs no split system: its certificate is e_S with W e_S != 0.
+e_S M is projective exactly when a free cover C: F ->> M splits at e_S: a
+section of e_S F ->> e_S M composed with e_S is a map psi with
+C . psi = e_S Id, and such a psi makes e_S M a summand of e_S F.  The
+split system is solved only when the counts answer 0, to build the
+section they then promise; a 0 answer without one is an engine fault and
+raises.  Every split map is re-verified before it is returned.  An
+infinite answer runs no split system: its certificate is the failed e_S.
 
 The same reduction decides the S-global dimension in closed form: it is
 the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
@@ -209,8 +207,8 @@ class SplitWitness:
     pi . pi' = s Id_P.  kind "retraction": cover is iota: E -> I and
     mapping is q: I -> E with q . iota = s Id_E.  The one element tried
     is e_S (module docstring): a success has s = e_S and nothing in
-    attempted, a failure s = None and attempted = (e_S,), which the Tor
-    residual certifies: no s in S splits.
+    attempted, a failure s = None and attempted = (e_S,), which the block
+    counts certify: no s in S splits.
     """
 
     kind: str
@@ -249,14 +247,13 @@ def _require_verified(witness: SplitWitness) -> SplitWitness:
     return witness
 
 
-def _split_search(cover: ModuleMap, s_set: MultSet, kernel: np.ndarray) -> SplitWitness:
+def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
     """Decide whether the free cover C: F ->> X S-splits, with s = e_S.
 
-    kernel is the canonical basis of Ker C (Resolution.kernel).  The Tor
-    residual decides (module docstring): when W e_S != 0 the answer is
-    the failure (e_S,) and no split system is solved.  Otherwise
-    _split_system must find a section psi with C . psi = e_S Id_X, and
-    it is re-verified.
+    The block counts on X decide (module docstring, _projective_at):
+    when they fail, the answer is the failure (e_S,) and no split system
+    is solved.  Otherwise _split_system must find a section psi with
+    C . psi = e_S Id_X, and it is re-verified.
 
     Two questions need neither.  When X = 0, every s splits; when 0 is in
     S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
@@ -267,58 +264,51 @@ def _split_search(cover: ModuleMap, s_set: MultSet, kernel: np.ndarray) -> Split
     if cover.target.vdim == 0 or s_set.degenerate:
         return _require_verified(SplitWitness(
             "section", cover, s, ModuleMap.zero(cover.target, cover.source)))
-    if (_tor_residual(cover.ring, cover.matrix, kernel) @ s.array % cover.ring.p).any():
+    if not _projective_at(cover.target, s):
         return SplitWitness("section", cover, None, None, (s,))
     return _require_verified(_split_system(cover, s))
 
 
-def _tor_residual(ring: FiniteAlgebra, pres: np.ndarray,
-                  kernel: np.ndarray) -> np.ndarray:
-    """W with e Tor_1(X, R/J) = 0 exactly when W e = 0, for C = pres: F ->> X.
+def _projective_at(module: Module, s: RingElement) -> bool:
+    """Whether e_S M is projective over e_S R, for s = e_S and M != 0: on
+    every block i in I_S, dim N_i k_i = dim(N_i/JN_i) d_i (module
+    docstring).
 
-    W is the residual of e (K cap JF) <= JK (module docstring), and kernel
-    is the canonical basis of K = Ker C that the resolution already holds
-    (Resolution.kernel), so no elimination of C is repeated.  It is
-    checked without one: C K = 0, and K has n_f - n_x columns (C is
-    onto).
-
-    F = R^r is kron(I_r, R), so every R-action is applied blockwise to
-    K.reshape(r, d, m).  JF is rad R in each block, so K cap JF is the
-    part of K that T (FiniteAlgebra.radical_complement_rows: T x =
-    x - E^T x[P], zero exactly on rad R) sends to 0 in every block.  JK
-    is spanned by g K over the radical generators g (rings docstring),
-    each applied as its d x d multiplication matrix.  The right-hand
-    sides e_i b_j come from ring.table, and one solve_span gives W.  W
-    reads the ring and C only, so it is computed once per distinct
-    content (modules._content_cached).
+    I_S needs no product when e_S = 1, and dim N_i = dim M needs no rank
+    when e_i = 1.  The radical generators' actions on M are stacked once,
+    [g_1 | ... | g_t], and JN_i is the image of e_i times that stack.
     """
-    p, d = ring.p, ring.dim
-    n_x, n_f = pres.shape
-    if kernel.shape != (n_f, n_f - n_x) or (pres @ kernel % p).any():
-        raise InternalInvariantViolation("Tor kernel is not the kernel of the cover")
-
-    def build():
-        r, m = n_f // d, kernel.shape[1]
-        blocks = kernel.reshape(r, d, m)
-        tops = (ring.radical_complement_rows() @ blocks % p).reshape(r * d, m)
-        meet = kernel @ gfmat.nullspace(tops, p) % p
-        c = meet.shape[1]
-        if not c:
-            return (np.zeros((0, d), dtype=np.int64),)
-        gens = ring.radical_generators()
-        t = gens.shape[1]
-        # mults[g] is multiplication by generator g: column j is g e_j
-        mults = (gens.T @ ring.table.reshape(d, d * d)).reshape(t, d, d).transpose(0, 2, 1) % p
-        rad_k = (mults[:, None] @ blocks % p).transpose(1, 2, 0, 3).reshape(n_f, t * m)
-        # moved[b, j, i, k] is coordinate k of e_i times block b of meet_j
-        moved = (meet.reshape(r, d, c).transpose(0, 2, 1) @ ring.table.reshape(d, d * d)) % p
-        moved = moved.reshape(r, c, d, d).transpose(0, 3, 1, 2).reshape(n_f, c * d)
-        return (gfmat.solve_span(rad_k, moved, p)[0].reshape(-1, d),)
-    return _content_cached(("tor", ring.content, *_content_key(pres)), build)[0]
+    ring = module.ring
+    p, n = ring.p, module.vdim
+    idems = ring.primitive_idempotents()
+    dims, residues = ring.block_dimensions()
+    blocks = range(len(idems))
+    if not np.array_equal(s.array, ring.unit):
+        parts = ring.products(idems, s.array[None])[:, 0]
+        blocks = [i for i in blocks if np.array_equal(parts[i], idems[i])]
+    gens = ring.radical_generators()
+    stack = (gens.T @ module.actions.reshape(ring.dim, n * n) % p).reshape(-1, n, n)
+    stack = stack.transpose(1, 0, 2).reshape(n, -1)
+    for i in blocks:
+        if len(idems) == 1:
+            size, radical = n, gfmat.rank(stack, p)
+        else:
+            proj = module.action_of(idems[i])
+            size, radical = gfmat.rank(proj, p), gfmat.rank(proj @ stack % p, p)
+        top, k = size - radical, residues[i]
+        if top % k or size * k > top * dims[i]:
+            raise InternalInvariantViolation(
+                "block %d of the module has dimension %d and top %d, which no "
+                "quotient of a free module over a block of dimension %d with "
+                "residue dimension %d has" % (i, size, top, dims[i], k))
+        if size * k != top * dims[i]:
+            return False
+    return True
 
 
 def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
-    """The section of C = cover: F ->> X at s = e_S, which Tor promised.
+    """The section of C = cover: F ->> X at s = e_S, which the counts
+    promised.
 
     psi is solved for through the presentation: it is Phi . L for a right
     inverse L of C, where Phi: F -> F sends generator j to y_j and kills
@@ -332,8 +322,8 @@ def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
     The elimination reads the ring and C only, so its residual W,
     solutions Y and right inverse L are computed once per distinct
     content (modules._content_cached); the witness is built on the
-    caller's own cover.  A residual that blocks s contradicts the Tor
-    residual and raises.
+    caller's own cover.  A residual that blocks s contradicts the counts
+    and raises.
     """
     ring, pres = cover.ring, cover.matrix
     p, n_f = ring.p, pres.shape[1]
@@ -342,7 +332,7 @@ def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
         lambda: _split_elimination(ring, pres))
     if (residual @ s.array % p).any():
         raise InternalInvariantViolation(
-            "e_S kills Tor_1(M, R/J) but does not split the cover")
+            "the counts make e_S M projective but e_S does not split the cover")
     free = free_module(ring, n_f // ring.dim)
     images = (ys @ s.array % p).reshape(-1, n_f).T
     psi = (free_map_from_generator_images(free, free, images).matrix @ right_inv) % p
@@ -376,8 +366,7 @@ def _split_elimination(ring: FiniteAlgebra,
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
     """A section pi': M -> F of the minimal free cover pi, for s = e_S."""
-    res = resolution(module)
-    return _split_search(res.cover(0), s_set, res.kernel(0))
+    return _split_search(resolution(module).cover(0), s_set)
 
 
 def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
@@ -403,7 +392,7 @@ class DimResult:
 
     Over a finite algebra levels holds the one level-0 search: a success
     makes the value exactly 0 and is the certificate; a failure of e_S,
-    certified by the Tor residual, rules out all of S, so the dimension
+    certified by the block counts, rules out all of S, so the dimension
     is infinite and value is DimValue.over(bound).
     cross_check is value itself on S-id results and None otherwise.  It
     is kept for its readers only: the independent check of a 0 answer is

@@ -269,15 +269,6 @@ class Resolution(BaseResolution):
             self.ensure(k)
         return self._boundaries[k]
 
-    def kernel(self, i: int) -> np.ndarray:
-        """The canonical basis of Ker d_i in F_i (the columns of K_{i+1}).
-
-        It is also the canonical nullspace of cover(i), whose matrix is A
-        (ensure).  The array is read-only.
-        """
-        self.ensure(i)
-        return self._kernels[i]
-
 
 class AssembledResolution(BaseResolution):
     """A fixed-depth resolution given by explicit boundary maps.

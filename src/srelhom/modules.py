@@ -50,13 +50,12 @@ _hom_block_matrix acts by a matrix of ring entries on copies of a module.
 The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
 blocks it holds one sub-entry of content caches (_content_cached), with
-four users: the levels of free resolutions, the Tor residuals that
-decide S-splittings, the eliminations of the split systems that certify
-them, and Ext groups over a Resolution, each computed once per distinct
-input and keyed by the ring's content and the bytes of the arrays the
-computation reads.  They hold read-only arrays only, never rings,
-modules or maps, so every caller still builds its own objects around
-them.
+three users: the levels of free resolutions, the eliminations of the
+split systems that certify S-splittings, and Ext groups over a
+Resolution, each computed once per distinct input and keyed by the
+ring's content and the bytes of the arrays the computation reads.  They
+hold read-only arrays only, never rings, modules or maps, so every
+caller still builds its own objects around them.
 """
 
 from __future__ import annotations
@@ -137,11 +136,11 @@ def _content_key(*arrays: np.ndarray) -> tuple:
 def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
-    Four names use it: "resolution" (homology.Resolution.ensure, one
-    entry per level), "tor" (dimensions._tor_residual), "split"
-    (dimensions._split_elimination) and "ext" (homology.ext_from_cochain,
-    one entry per resolution key, target and degree).  key is (name,
-    ring.content, ...) and holds everything the result depends on: the
+    Three names use it: "resolution" (homology.Resolution.ensure, one
+    entry per level), "split" (dimensions._split_elimination) and "ext"
+    (homology.ext_from_cochain, one entry per resolution key, target and
+    degree).  key is (name, ring.content, ...) and holds everything the
+    result depends on: the
     ring's content (so equal rings share entries and no entry keeps a
     ring alive), then names, integers and _content_key parts.  The arrays
     are made read-only, so no caller can change what later callers get.

@@ -193,10 +193,10 @@ class FiniteAlgebra:
     check them in full.
 
     Instances are immutable by convention.  Derived data (the radical and
-    its ideal generators, the Frobenius fixed space and the primitive
-    idempotents, the maximal ideals, the element list, the ideal list, the
-    prime complements and the free modules R^k) is cached on first use;
-    caches only ever gain entries,
+    its ideal generators, the Frobenius fixed space, the primitive
+    idempotents and their block dimensions, the maximal ideals, the
+    element list, the ideal list, the prime complements and the free
+    modules R^k) is cached on first use; caches only ever gain entries,
     so sharing an instance across threads is safe for readers.  Only the
     element list and what is built from it are bound by MAX_ENUMERABLE.
     """
@@ -231,6 +231,7 @@ class FiniteAlgebra:
         self._frob = None
         self._fixed = None
         self._idempotents = None
+        self._block_dims = None
         self._maximals = None  # key -> (P_i, e_i), filled by _maximal_table
         self._ideal_list = None
         self._elements = None
@@ -426,6 +427,29 @@ class FiniteAlgebra:
             self._idempotents = found
         return self._idempotents
 
+    def block_dimensions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d, k) for the rows e_i of primitive_idempotents: d_i = dim e_i R,
+        and k_i = d_i - dim e_i rad R, the dimension of the residue field
+        of the local ring e_i R.
+
+        Every composition factor of e_i R is that residue field, so k_i >= 1
+        and k_i divides d_i; counts that break this raise
+        InternalInvariantViolation.  Cached on the ring.
+        """
+        if self._block_dims is None:
+            p, rad = self.p, self.radical_basis()
+            # mults[i] is multiplication by e_i: column j is e_i e_j
+            mults = self.products(self.primitive_idempotents(),
+                                  np.eye(self.dim, dtype=np.int64)).transpose(0, 2, 1)
+            dims = np.array([gfmat.rank(m, p) for m in mults], dtype=np.int64)
+            residues = dims - [gfmat.rank(m @ rad % p, p) for m in mults]
+            if (residues < 1).any() or (dims % np.maximum(residues, 1)).any():
+                raise InternalInvariantViolation(
+                    "block dimensions %s are not multiples of residue "
+                    "dimensions %s" % (dims.tolist(), residues.tolist()))
+            self._block_dims = (dims, residues)
+        return self._block_dims
+
     def _primitive(self, found: np.ndarray) -> bool:
         """Whether the rows are dim E nonzero idempotents, pairwise
         orthogonal and summing to 1: then they are the primitive ones."""
@@ -452,17 +476,6 @@ class FiniteAlgebra:
             if g.any() and not np.array_equal(g, f):
                 return g
         raise InternalInvariantViolation("no shift splits an idempotent of E")
-
-    def radical_complement_rows(self) -> np.ndarray:
-        """A d x d matrix T with T x = 0 exactly when x lies in rad R.
-
-        radical_basis() is the rows E of a reduced echelon form, reversed,
-        with pivot columns P, so T x = x - E^T x[P] (_membership_block):
-        no elimination.  Its row space is the annihilator of rad R, that
-        of nullspace(radical_basis().T).T.  Recomputed on every call.
-        """
-        echelon = self.radical_basis()[:, ::-1].T
-        return _membership_block(echelon, self.dim).T % self.p
 
     def radical_generators(self) -> np.ndarray:
         """Columns of radical_basis() that generate the radical as an ideal.

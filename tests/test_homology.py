@@ -585,7 +585,7 @@ def test_ambient_resolution_matches_the_syzygy_walk():
                 assert same_bytes(res.cover(0).matrix, walk.covers[0].matrix)
                 # the kernel a level holds is the canonical one of its cover
                 for k in range(depth):
-                    assert same_bytes(res.kernel(k),
+                    assert same_bytes(res._kernels[k],
                                       gfmat.nullspace(res.cover(k).matrix, mod.ring.p))
                 count += 1
     assert count > 100

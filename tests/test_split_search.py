@@ -2,7 +2,7 @@
 
 _split_search answers a section question on a free cover and
 is_s_injective a retraction question on a module (ask); both decide by
-the Tor residual and solve the split system only for a 0 answer.
+the block counts and solve the split system only for a 0 answer.
 
 reference_search is the hom-space algorithm: a basis of Hom(target,
 source) from the Kronecker system, then one solve per element of S in
@@ -12,15 +12,15 @@ must re-verify.  The oracles still return the elements they attempted
 before the first that splits; the search attempts nothing on success
 and (e_S,) on failure (attempted_now).
 
-routes decides each section question three ways: by _tor_residual, by
-the split system alone (as s_pd and s_id decided before Tor did: e_S
-splits exactly when the system's residual kills it) and by a hom-space
-basis.  s_id compared its retraction route with the split system on DM;
-that comparison lives here now.  oracle_tor_residual is the Tor residual
-as it was built before it read the resolution's kernel: its own
-nullspace of the cover, the rows killing J from a second nullspace, and
-the radical's action on R^r from the dense actions of the free module.
-_tor_residual must return its W byte for byte.
+routes decides each section question four ways: by the engine's block
+counts (_projective_at), by oracle_tor_residual, by the split system
+alone (as s_pd and s_id decided before the residual did: e_S splits
+exactly when the system's residual kills it) and by a hom-space basis.
+s_id compared its retraction route with the split system on DM; that
+comparison lives here now.  oracle_tor_residual decided before the
+counts did: with K the kernel of the cover C: F ->> X, Tor_1(X, R/J) is
+(K cap JF)/JK, and its residual W has W e = 0 exactly when e (K cap JF)
+lies in JK, that is when e Tor_1(X, R/J) = 0.
 
 action_system is the split system as it was built before its
 right-hand sides were read off the cover: from the actions on X and the
@@ -49,9 +49,9 @@ from conftest import degenerate_multset, quotient_module, square_zero_ring
 from srelhom import dimensions, gfmat
 from srelhom.checks import clear_memo
 from srelhom.dimensions import (
+    _projective_at,
     _split_elimination,
     _split_search,
-    _tor_residual,
     is_s_injective,
     s_id,
     s_pd,
@@ -119,7 +119,7 @@ def ask(kind, subject, s_set):
     """_split_search on a cover for a section, is_s_injective on a module
     for a retraction."""
     if kind == "section":
-        return _split_search(subject, s_set, gfmat.nullspace(subject.matrix, subject.ring.p))
+        return _split_search(subject, s_set)
     return is_s_injective(subject, s_set)
 
 
@@ -254,18 +254,17 @@ def test_zero_module_and_zero_in_s_solve_nothing(name, monkeypatch):
     trivial = [(kind, subject, degenerate_multset(ring)) for kind, subject in questions]
     trivial += [(kind, subject, mult_closure(ring, []))
                 for kind, subject in edge_questions(zero_module(ring))]
-    # the cocover's resolution and each cover's kernel, built before the spy
-    kernels = [gfmat.nullspace(cover_of(kind, subject).matrix, ring.p)
-               for kind, subject, _ in trivial]
+    # the cocovers and their resolutions, built before the spy
+    for kind, subject, _ in trivial:
+        cover_of(kind, subject)
 
     def no_elimination(*args):
         raise AssertionError("a system was solved")
 
     for name in ("solve_span", "kernel_and_right_inverse", "nullspace"):
         monkeypatch.setattr(dimensions.gfmat, name, no_elimination)
-    for (kind, subject, s_set), kernel in zip(trivial, kernels):
-        got = (_split_search(subject, s_set, kernel) if kind == "section"
-               else is_s_injective(subject, s_set))
+    for kind, subject, s_set in trivial:
+        got = ask(kind, subject, s_set)
         assert got.s == s_set.elements[0] and got.attempted == ()
         assert got.mapping.is_zero() and got.verify()
 
@@ -285,11 +284,11 @@ def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch)
              for s_set in s_sets]
     want = [kron_search(kind, cover_of(kind, subject), s_set)
             for kind, subject, s_set in cases]
-    # the split system has the d basis elements of R as right-hand sides;
-    # the Tor residual has d per vector spanning K cap JF; neither has |S|
-    widths = {"split": [], "tor": []}
+    # the split system has the d basis elements of R as right-hand sides,
+    # not |S|, and the counts that decide solve nothing
+    widths = {"split": [], "counts": []}
     solve_span, elimination = gfmat.solve_span, dimensions._split_elimination
-    phase = ["tor"]
+    phase = ["counts"]
 
     def spy(a, b, p):
         widths[phase[0]].append(b.shape[1])
@@ -300,7 +299,7 @@ def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch)
         try:
             return elimination(ring, pres)
         finally:
-            phase[0] = "tor"
+            phase[0] = "counts"
 
     monkeypatch.setattr(dimensions.gfmat, "solve_span", spy)
     monkeypatch.setattr(dimensions, "_split_elimination", split_phase)
@@ -314,7 +313,7 @@ def test_split_system_has_d_right_hand_sides_whatever_the_size_of_s(monkeypatch)
         verdicts.add(got.verdict)
     assert verdicts == {True, False}
     assert widths["split"] and set(widths["split"]) == {ring.dim}
-    assert widths["tor"] and all(w % ring.dim == 0 for w in widths["tor"])
+    assert widths["counts"] == []
 
 
 def action_system(kind, cover):
@@ -378,12 +377,12 @@ def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
     assert covers >= 1000 and kinds == {"section", "retraction"}
 
 
-# -- Tor decides, the split system builds ----------------------------------------
+# -- the counts decide, the split system builds ---------------------------------
 
 
 def oracle_tor_residual(ring, pres):
-    """W of _tor_residual as it was built before it read the resolution's
-    kernel: K from its own nullspace of the cover, the rows killing J from
+    """W with e Tor_1(X, R/J) = 0 exactly when W e = 0, for C = pres:
+    F ->> X: K from a nullspace of the cover, the rows killing J from
     nullspace(radical_basis().T), and JK and e_i (K cap JF) from the
     dense actions of R^r."""
     p, d = ring.p, ring.dim
@@ -400,17 +399,13 @@ def oracle_tor_residual(ring, pres):
 
 
 def routes(module, s_sets):
-    """For each S, whether e_S splits the module's cover, three ways: by
-    the Tor residual, by the split system alone (as s_pd and s_id decided
-    before Tor did) and by one hom-space basis.  The Tor residual must
-    equal oracle_tor_residual byte for byte."""
-    res = resolution(module)
-    cover = res.cover(0)
+    """For each S, whether e_S splits the module's cover, four ways: by the
+    engine's block counts, by the Tor residual, by the split system alone
+    (as s_pd and s_id decided before Tor did) and by one hom-space
+    basis."""
+    cover = resolution(module).cover(0)
     p, target = cover.ring.p, cover.target
-    tor = _tor_residual(cover.ring, cover.matrix, res.kernel(0))
-    want = oracle_tor_residual(cover.ring, cover.matrix)
-    assert tor.dtype == want.dtype and tor.shape == want.shape
-    assert tor.tobytes() == want.tobytes()
+    tor = oracle_tor_residual(cover.ring, cover.matrix)
     split = (_split_elimination(cover.ring, cover.matrix)[0] if module.vdim
              else gfmat.zeros(0, cover.ring.dim))
     mats = [(cover.matrix @ h.matrix) % p for h in hom_space(target, cover.source)]
@@ -419,19 +414,22 @@ def routes(module, s_sets):
     for s_set in s_sets:
         e = s_set.idempotent
         hom = gfmat.solve(coeff, target.action_of(e).reshape(-1), p) is not None
-        yield (not (tor @ e.array % p).any(),
+        counts = target.vdim == 0 or _projective_at(target, e)
+        yield (counts, not (tor @ e.array % p).any(),
                s_set.degenerate or not (split @ e.array % p).any(), hom)
 
 
 def test_tor_residual_split_route_and_hom_reference_agree():
     # prime complements of the group algebras list thousands of members,
     # so they meet random seed sets only, on fewer modules: their hom
-    # spaces are the costly part
+    # spaces are the costly part.  The F_4 rings have residue fields of
+    # dimension k = 2, and the split polynomial ring has dense idempotents
     groups = [group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])]
+    extra = test_rings.f4_rings() + [test_rings.split_polynomial_ring(3, [0, 1], 2)]
     rng = random.Random("tor-oracle")
     draws, outcomes = 0, Counter()
-    for ring in oracle_rings() + groups:
-        for _ in range(4 if ring in groups else 50):
+    for ring in oracle_rings() + extra + groups:
+        for _ in range(4 if ring in groups else 12 if ring in extra else 50):
             module = random_module(ring, rng)
             dual = character_dual(module)
             if ring in groups:
@@ -441,11 +439,11 @@ def test_tor_residual_split_route_and_hom_reference_agree():
                 s_sets = [s_set for _, s_set in multsets(ring, rng)]
             verdicts = {}
             for name, x in (("M", module), ("DM", dual)):
-                for s_set, (tor, split, hom) in zip(s_sets, routes(x, s_sets)):
-                    assert tor == split == hom, (ring, name)
-                    assert s_pd(x, s_set).value.known == tor
-                    verdicts[name, s_set] = tor
-                    outcomes[name, tor] += 1
+                for s_set, (counts, tor, split, hom) in zip(s_sets, routes(x, s_sets)):
+                    assert counts == tor == split == hom, (ring, name)
+                    assert s_pd(x, s_set).value.known == counts
+                    verdicts[name, s_set] = counts
+                    outcomes[name, counts] += 1
             for s_set in s_sets:
                 # s_id's former comparison of its two routes
                 assert s_id(module, s_set).value.known == verdicts["DM", s_set]
@@ -458,7 +456,7 @@ def test_tor_residual_split_route_and_hom_reference_agree():
 
 
 def test_a_split_system_that_blocks_e_s_raises_on_a_zero_answer(monkeypatch):
-    # Tor answers 0 and the split system must then build the map: a system
+    # the counts answer 0 and the split system must then build the map: a system
     # that blocks e_S is an engine fault, not an infinite dimension
     ring = square_zero_ring()
     s_one = mult_closure(ring, [])
@@ -508,38 +506,13 @@ def test_an_infinite_answer_runs_no_split_elimination(monkeypatch):
     clear_memo()
 
 
-# -- what the Tor build reads instead of recomputing ----------------------------
-
-
-def test_radical_complement_rows_kill_exactly_the_radical():
-    # T x = x - E^T x[P] comes off the radical's echelon form with no
-    # elimination; its rows must span the annihilator of J, as the rows of
-    # nullspace(radical_basis().T) do, and T must kill J and nothing more
-    semisimple = [prime_field(5), direct_product(prime_field(3), prime_field(3))]
-    rings = (oracle_rings() + test_rings.oracle_rings() + semisimple
-             + [group_algebra(2, [2, 2, 2]), group_algebra(3, [3, 3])])
-    radicals = set()
-    for ring in rings:
-        p, d = ring.p, ring.dim
-        rad = ring.radical_basis()
-        rows = ring.radical_complement_rows()
-        assert rows.shape == (d, d) and rows.dtype == np.int64
-        assert rows.min() >= 0 and rows.max() < p
-        assert not (rows @ rad % p).any()
-        assert gfmat.rank(rows, p) == d - rad.shape[1]
-        want = gfmat.nullspace(rad.T, p).T
-        echelon, pivots = gfmat.rref(rows, p)
-        assert echelon[:len(pivots)].tobytes() == gfmat.rref(want, p)[0].tobytes()
-        if not rad.shape[1]:
-            assert np.array_equal(rows, np.eye(d, dtype=np.int64))
-        radicals.add(rad.shape[1] > 0)
-    assert radicals == {True, False}
+# -- what the counts read, and what checks them ----------------------------------
 
 
 def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
-    # the Tor residual reads the level-0 kernel the resolution took, so a
-    # cold infinite answer runs one nullspace of the cover, and applies
-    # R^r blockwise, so dimensions builds no free module
+    # the counts read the module's own actions, so a cold infinite answer
+    # runs the one nullspace of the cover that its resolution level takes,
+    # and dimensions builds no free module
     nullspaces, frees = [], []
     real_nullspace, real_free = gfmat.nullspace, dimensions.free_module
 
@@ -579,27 +552,55 @@ def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
     clear_memo()
 
 
-def test_a_kernel_that_is_not_ker_c_raises():
-    # the kernel argument is checked without an elimination: C K = 0 and
-    # K has n_f - n_x columns; a dropped column and a column outside the
-    # kernel both raise, warm memo or not
-    rng = random.Random("bad-kernel")
-    checked = 0
-    for ring in oracle_rings():
-        for _ in range(10):
+def test_a_cold_infinite_answer_solves_no_system(monkeypatch):
+    # the counts are ranks of the module's own actions: a cold infinite
+    # s_pd or s_id calls no solve_span, whatever the ring
+    solved = []
+    real = gfmat.solve_span
+
+    def spy(a, b, p):
+        solved.append(a.shape)
+        return real(a, b, p)
+
+    monkeypatch.setattr(gfmat, "solve_span", spy)
+    rng = random.Random("cold-infinite-no-solve")
+    infinite = Counter()
+    for ring in oracle_rings() + test_rings.f4_rings():
+        for _ in range(8):
             module = random_module(ring, rng)
-            res = resolution(module)
-            cover, kernel = res.cover(0), res.kernel(0)
-            pres = cover.matrix
-            if not kernel.shape[1]:
-                continue
-            _split_search(cover, mult_closure(ring, []), kernel)  # warms the memo
-            outside = kernel.copy()
-            outside[:, 0] = np.eye(pres.shape[1], dtype=np.int64)[:, pres.any(axis=0).argmax()]
-            for bad in (kernel[:, 1:], outside, np.hstack([kernel, kernel[:, :1]])):
-                with pytest.raises(InternalInvariantViolation, match="not the kernel"):
-                    _tor_residual(ring, pres, bad)
-                with pytest.raises(InternalInvariantViolation, match="not the kernel"):
-                    _split_search(cover, mult_closure(ring, []), bad)
-            checked += 1
-    assert checked >= 30, checked
+            for _, s_set in multsets(ring, rng):
+                for engine in (s_pd, s_id):
+                    clear_memo()
+                    solved.clear()
+                    cold = character_dual(character_dual(module))  # no resolution yet
+                    if not engine(cold, s_set).value.known:
+                        assert solved == [], (ring, engine.__name__)
+                        infinite[engine.__name__] += 1
+    assert min(infinite.values()) >= 30 and len(infinite) == 2, infinite
+    clear_memo()
+
+
+def test_corrupted_block_counts_raise(monkeypatch):
+    # per ring, k_i >= 1 and k_i divides d_i: a radical taken as all of
+    # F_2[t]/(t^2) gives k = 0, and one of dimension 1 in F_2[t]/(t^3)
+    # gives k = 2, which does not divide d = 3
+    whole = truncated_polynomial(2, 2)
+    monkeypatch.setattr(whole, "radical_basis", lambda: np.eye(2, dtype=np.int64))
+    cube = truncated_polynomial(2, 3)
+    line = cube.radical_basis()[:, :1]
+    monkeypatch.setattr(cube, "radical_basis", lambda: line)
+    for ring in (whole, cube):
+        with pytest.raises(InternalInvariantViolation, match="residue dimensions"):
+            ring.block_dimensions()
+    # per block, k_i divides the top t of e_i X and dim e_i X k_i <= t d_i:
+    # R = F_2[t]/(t^2) itself has dimension 2 and top 1, against the true
+    # counts d = 2 and k = 1; k = 2 breaks the first, d = 1 the second
+    for dims, residues in (([2], [2]), ([1], [1])):
+        ring = truncated_polynomial(2, 2)
+        assert [c.tolist() for c in ring.block_dimensions()] == [[2], [1]]
+        assert s_pd(free_module(ring, 1), mult_closure(ring, [])).value.known
+        ring._block_dims = (np.array(dims), np.array(residues))
+        clear_memo()
+        with pytest.raises(InternalInvariantViolation, match="no quotient"):
+            s_pd(free_module(ring, 1), mult_closure(ring, []))
+    clear_memo()
