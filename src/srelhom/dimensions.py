@@ -45,10 +45,12 @@ dual to the socle of N_i, so no socle is computed.
 e_S M is projective exactly when a free cover C: F ->> M splits at e_S: a
 section of e_S F ->> e_S M composed with e_S is a map psi with
 C . psi = e_S Id, and such a psi makes e_S M a summand of e_S F.  The
-split system is solved only when the counts answer 0, to build the
-section they then promise; a 0 answer without one is an engine fault and
-raises.  Every split map is re-verified before it is returned.  An
-infinite answer runs no split system: its certificate is the failed e_S.
+counts come first.  Only when they answer 0 is a cover built (and, for
+S-id, the cocover) and the split system solved, to build the section
+they then promise; a 0 answer without one is an engine fault and raises.
+Every split map is re-verified before it is returned.  An infinite
+answer builds no cover, dual cover or cocover; the failed witness
+carries the block counts.
 
 The same reduction decides the S-global dimension in closed form: it is
 the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,6 +202,21 @@ def dim_add(a: DimValue, b: DimValue) -> DimValue:
 
 
 @dataclass(frozen=True)
+class BlockCounts:
+    """The counts on the first block i in I_S at which e_S M is not free.
+
+    size is dim N_i and top is dim N_i/JN_i for N_i = e_i M; on this block
+    size k_i != top d_i (module docstring).  For S-id the counts are
+    those of the dual, so top is dim soc(N_i); module is M either way.
+    """
+
+    module: Module
+    block: int
+    size: int
+    top: int
+
+
+@dataclass(frozen=True)
 class SplitWitness:
     """Certificate (or failed search) for an S-splitting.
 
@@ -207,21 +224,26 @@ class SplitWitness:
     pi . pi' = s Id_P.  kind "retraction": cover is iota: E -> I and
     mapping is q: I -> E with q . iota = s Id_E.  The one element tried
     is e_S (module docstring): a success has s = e_S and nothing in
-    attempted, a failure s = None and attempted = (e_S,), which the block
-    counts certify: no s in S splits.
+    attempted.  A failure of the block counts builds no cover:
+    cover, s and mapping are None, attempted = (e_S,) and counts holds
+    the BlockCounts of the failing block, which certify that no s in S
+    splits.
     """
 
     kind: str
-    cover: ModuleMap
+    cover: ModuleMap | None
     s: RingElement | None
     mapping: ModuleMap | None
     attempted: tuple[RingElement, ...] = ()
+    counts: BlockCounts | None = None
 
     @property
     def verdict(self) -> bool:
         return self.s is not None
 
     def certified_module(self) -> Module:
+        if self.cover is None:
+            return self.counts.module
         return self.cover.target if self.kind == "section" else self.cover.source
 
     def verify(self) -> bool:
@@ -248,31 +270,29 @@ def _require_verified(witness: SplitWitness) -> SplitWitness:
 
 
 def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """Decide whether the free cover C: F ->> X S-splits, with s = e_S.
+    """The section psi of the free cover C: F ->> X with C . psi = e_S Id_X,
+    re-verified.
 
-    The block counts on X decide (module docstring, _projective_at):
-    when they fail, the answer is the failure (e_S,) and no split system
-    is solved.  Otherwise _split_system must find a section psi with
-    C . psi = e_S Id_X, and it is re-verified.
-
-    Two questions need neither.  When X = 0, every s splits; when 0 is in
-    S, e_S = 0 lies in every ideal.  Either way the answer is e_S with
-    the zero map.
+    The caller has decided by the block counts that e_S X is projective
+    (is_s_projective); this builds the section they promise.  When X = 0,
+    every s splits; when 0 is in S, e_S = 0 lies in every ideal.  Either
+    way the answer is e_S with the zero map and no system is solved.
+    Otherwise _split_system solves for psi, and raises when e_S does not
+    split, so a caller that skipped the counts fails loudly.
     """
     _require_same_ring(cover.ring, s_set)
     s = s_set.idempotent
     if cover.target.vdim == 0 or s_set.degenerate:
         return _require_verified(SplitWitness(
             "section", cover, s, ModuleMap.zero(cover.target, cover.source)))
-    if not _projective_at(cover.target, s):
-        return SplitWitness("section", cover, None, None, (s,))
     return _require_verified(_split_system(cover, s))
 
 
-def _projective_at(module: Module, s: RingElement) -> bool:
-    """Whether e_S M is projective over e_S R, for s = e_S and M != 0: on
-    every block i in I_S, dim N_i k_i = dim(N_i/JN_i) d_i (module
-    docstring).
+def _projective_at(module: Module, s: RingElement) -> BlockCounts | None:
+    """None when e_S M is projective over e_S R, for s = e_S and M != 0:
+    on every block i in I_S, dim N_i k_i = dim(N_i/JN_i) d_i (module
+    docstring).  Otherwise the BlockCounts of the first block that
+    breaks it.
 
     I_S needs no product when e_S = 1, and dim N_i = dim M needs no rank
     when e_i = 1.  The radical generators' actions on M are stacked once,
@@ -302,8 +322,8 @@ def _projective_at(module: Module, s: RingElement) -> bool:
                 "quotient of a free module over a block of dimension %d with "
                 "residue dimension %d has" % (i, size, top, dims[i], k))
         if size * k != top * dims[i]:
-            return False
-    return True
+            return BlockCounts(module, i, size, top)
+    return None
 
 
 def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
@@ -365,7 +385,17 @@ def _split_elimination(ring: FiniteAlgebra,
 
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:
-    """A section pi': M -> F of the minimal free cover pi, for s = e_S."""
+    """A section pi': M -> F of the minimal free cover pi, for s = e_S.
+
+    The block counts decide first (_projective_at); only a 0 answer
+    builds the cover and its section (_split_search).
+    """
+    _require_same_ring(module.ring, s_set)
+    s = s_set.idempotent
+    if module.vdim and not s_set.degenerate:
+        counts = _projective_at(module, s)
+        if counts is not None:
+            return SplitWitness("section", None, None, None, (s,), counts)
     return _split_search(resolution(module).cover(0), s_set)
 
 
@@ -375,12 +405,16 @@ def is_s_injective(module: Module, s_set: MultSet) -> SplitWitness:
     iota is the transpose of the cover of DM (injective_cocover), so
     q . iota = s Id_M exactly when q^T is a section of that cover at s:
     the question is is_s_projective(DM), and q its transposed section.
+    DM is a cached transpose; a failure carries its counts, with module
+    M, and builds no cocover.
     """
-    iota = injective_cocover(module)
     dual = is_s_projective(character_dual(module), s_set)
-    q = None if dual.mapping is None else ModuleMap._trusted(
-        iota.target, module, dual.mapping.matrix.T.copy())
-    return _require_verified(SplitWitness("retraction", iota, dual.s, q, dual.attempted))
+    if not dual.verdict:
+        return SplitWitness("retraction", None, None, None, dual.attempted,
+                            replace(dual.counts, module=module))
+    iota = injective_cocover(module)
+    q = ModuleMap._trusted(iota.target, module, dual.mapping.matrix.T.copy())
+    return _require_verified(SplitWitness("retraction", iota, dual.s, q))
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -392,8 +426,8 @@ class DimResult:
 
     Over a finite algebra levels holds the one level-0 search: a success
     makes the value exactly 0 and is the certificate; a failure of e_S,
-    certified by the block counts, rules out all of S, so the dimension
-    is infinite and value is DimValue.over(bound).
+    a witness with no cover that carries the block counts, rules out all
+    of S, so the dimension is infinite and value is DimValue.over(bound).
     cross_check is value itself on S-id results and None otherwise.  It
     is kept for its readers only: the independent check of a 0 answer is
     now the re-verified split map of a separate elimination (module
@@ -436,9 +470,9 @@ def _level_zero(kind: str, module: Module, s_set: MultSet, bound: int,
 def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
     """S-relative projective dimension: 0 or infinite (module docstring).
 
-    The first cover of the minimal free resolution is searched for an
-    S-section; its success is the certificate of S-pd = 0, and its
-    failure proves S-pd infinite, reported as DimValue.over(bound).
+    The block counts decide (is_s_projective).  A 0 answer's certificate
+    is an S-section of the first cover of the minimal free resolution; an
+    infinite one, reported as DimValue.over(bound), builds no cover.
     """
     return _level_zero("S-pd", module, s_set, bound, is_s_projective)
 
@@ -446,9 +480,9 @@ def s_pd(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResul
 def s_id(module: Module, s_set: MultSet, bound: int = DEFAULT_BOUND) -> DimResult:
     """S-relative injective dimension: 0 or infinite (module docstring).
 
-    The injective cocover is searched for an S-retraction
-    (is_s_injective); its success is the certificate of S-id = 0, and its
-    failure proves S-id infinite.  cross_check equals value (DimResult).
+    The block counts on DM decide (is_s_injective).  A 0 answer's
+    certificate is an S-retraction of the injective cocover; an infinite
+    one builds no cocover.  cross_check equals value (DimResult).
     """
     return _level_zero("S-id", module, s_set, bound, is_s_injective)
 

@@ -376,16 +376,18 @@ class ZSplitWitness:
     to multiplication by s = t_E^n, the witness of the gcd loop on the
     split modulus E (module docstring), a residue over Z/m.  attempted
     is () on success and (t_E^n,) on failure, the power at which the
-    loop stalled.  Which s split is read off the invariant factors, and
-    the section of that s is read off the Smith form of the
-    presentation, so no search solves a system.  The section is one
-    valid choice among many.
+    loop stalled, and stall is then the factor E' > 1 of E, prime to
+    every generator, that certifies the failure (None on success).
+    Which s split is read off the invariant factors, and the section of
+    that s is read off the Smith form of the presentation, so no search
+    solves a system.  The section is one valid choice among many.
     """
 
     s: int | None
     expression: str | None
     section: tuple | None
     attempted: tuple = ()
+    stall: int | None = None
 
     @property
     def verdict(self) -> bool:
@@ -482,7 +484,7 @@ def z_s_pd(mod: ZMod, s_set: ZMultSet, bound: int = 8) -> DimResult:
     if mod.m:
         s %= mod.m
     if rest > 1:
-        level0 = ZSplitWitness(None, None, None, (s,))
+        level0 = ZSplitWitness(None, None, None, (s,), stall=rest)
     else:
         level0 = ZSplitWitness(s, _product_expression(shared * n),
                                _section_solve(lattice, s, mod.m))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from srelhom import gfmat
+from srelhom.dimensions import SplitWitness, _projective_at, _split_search
 from srelhom.rings import (
     build_algebra,
     direct_product,
@@ -69,6 +70,20 @@ def degenerate_multset(ring):
     s_set = mult_closure(ring, [seed])
     assert s_set.degenerate and s_set.elements[0].is_zero()
     return s_set
+
+
+def decide(cover, s_set):
+    """The section question on a free cover C: F ->> X, decided as
+    is_s_projective decides it on X: the block counts on X first, unless
+    X = 0 or 0 is in S, and _split_search, which builds the promised
+    section, only when they answer 0.  A failure is the counts' witness,
+    with no cover."""
+    s = s_set.idempotent
+    if cover.target.vdim and not s_set.degenerate:
+        counts = _projective_at(cover.target, s)
+        if counts is not None:
+            return SplitWitness("section", None, None, None, (s,), counts)
+    return _split_search(cover, s_set)
 
 
 def quotient_module(ring, relation_vectors):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    decide,
     product_ring,
     quotient_module,
     socle_and_top_differ,
@@ -42,7 +43,6 @@ from srelhom.homology import Resolution, ext, injective_cocover, resolution
 from srelhom.dimensions import (
     DimValue,
     SplitWitness,
-    _split_search,
     check_inequalities,
     dim_add,
     dim_max,
@@ -250,14 +250,14 @@ def walk_oracle(kind, module, s_set, bound):
     current, levels = module, []
     for i in range(bound + 1):
         if kind == "section":
-            witness = _split_search(res.cover(i), s_set)
+            witness = decide(res.cover(i), s_set)
         else:
             witness = is_s_injective(current, s_set)
         levels.append(witness)
         if witness.verdict:
             return DimValue.exact(i), levels
         if kind == "retraction":
-            current, _ = subquotient(witness.cover, "cokernel")
+            current, _ = subquotient(injective_cocover(current), "cokernel")
     return DimValue.over(bound), levels
 
 
@@ -380,7 +380,7 @@ def test_dual_route_agreement(ring2, s_e1, s_one):
 
 def test_s_id_builds_the_dual_cover_once(monkeypatch):
     ring = truncated_polynomial(2, 3)
-    mod = quotient_module(ring, [[0, 0, 1]])
+    s_one = mult_closure(ring, [])
     built = []
     original = Resolution._generator_columns
 
@@ -391,8 +391,13 @@ def test_s_id_builds_the_dual_cover_once(monkeypatch):
     monkeypatch.setattr(Resolution, "_generator_columns", spy)
     # an equal ring built by an earlier test shares its content entries
     clear_memo()
-    s_id(mod, mult_closure(ring, []), bound=0)
-    # the first cocover and the dual walk resolve one shared dual object
+    # R/(t^2) is not injective: the counts on its dual decide, and no
+    # cover is built
+    assert not s_id(quotient_module(ring, [[0, 0, 1]]), s_one, bound=0).value.known
+    assert built == []
+    # R is: the split search and the cocover resolve one shared dual object
+    mod = regular_module(ring)
+    assert s_id(mod, s_one, bound=0).value.known
     assert character_dual(mod) is character_dual(mod)
     assert len(built) == 1
     assert built[0][0] is character_dual(mod) and built[0][1] == 0
@@ -400,8 +405,8 @@ def test_s_id_builds_the_dual_cover_once(monkeypatch):
 
 def test_each_split_search_verifies_its_witness_once(monkeypatch):
     # _split_search re-verifies a witness it found; nothing downstream in
-    # s_pd or s_id repeats that check, and a failed search has none to run
-    from srelhom import dimensions
+    # s_pd or s_id repeats that check.  Only a 0 answer reaches the
+    # search, once; an infinite one, decided by the counts, never does
     searched, verified, alive = [], Counter(), []
     real_search, real_verify = dimensions._split_search, SplitWitness.verify
 
@@ -422,15 +427,19 @@ def test_each_split_search_verifies_its_witness_once(monkeypatch):
     monkeypatch.setattr(dimensions, "_split_search", search)
     monkeypatch.setattr(SplitWitness, "verify", verify)
     rng = random.Random("verify-once")
+    answers = Counter()
     for _ in range(30):
         _, ring = rng.choice(bundled_rings())
         mod, s_set = random_module(ring, rng), random_multset(ring, rng)
-        s_pd(mod, s_set)
-        s_id(mod, s_set)
-    assert sum(w.verdict for w, _ in searched) > 10
-    assert any(not w.verdict for w, _ in searched)
+        for engine in (s_pd, s_id):
+            before = len(searched)
+            known = engine(mod, s_set).value.known
+            assert len(searched) - before == int(known)
+            answers[known] += 1
+    assert answers[True] > 10 and answers[False]
     for witness, inside in searched:
-        assert inside == verified[id(witness)] == int(witness.verdict)
+        assert witness.verdict
+        assert inside == verified[id(witness)] == 1
 
 
 # -- degenerate multiplicative sets ---------------------------------------------
@@ -1070,10 +1079,11 @@ def test_content_budget_counts_the_ring_contents_its_keys_hold():
         module = quotient_module(ring, [[0] * k + [1] + [0] * (39 - k)])
         s_pd(module, mult_closure(ring, []))
         s_id(module, mult_closure(ring, []))
+        assert s_pd(regular_module(ring), mult_closure(ring, [])).value.known
     store = modules._memo[modules._CONTENT]
-    # every answer is infinite, so the store holds one resolution level per
-    # distinct module among M and DM: R/(t) is its own dual
-    assert Counter(key[0] for key in store.entries) == {"resolution": 5}
+    # the answers on M are infinite and build nothing; the copies of R
+    # share the one resolution level and split system of their 0 answer
+    assert Counter(key[0] for key in store.entries) == {"resolution": 1, "split": 1}
     assert _reachable_bytes(store) > len(ring.table.tobytes())
     assert store.nbytes >= _reachable_bytes(store)
     clear_memo()

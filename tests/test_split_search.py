@@ -1,8 +1,9 @@
 """The split search against the algorithms it replaced.
 
-_split_search answers a section question on a free cover and
-is_s_injective a retraction question on a module (ask); both decide by
-the block counts and solve the split system only for a 0 answer.
+decide answers a section question on a free cover and is_s_injective
+a retraction question on a module (ask); both decide by the block
+counts, and only a 0 answer reaches _split_search, which solves the
+split system.
 
 reference_search is the hom-space algorithm: a basis of Hom(target,
 source) from the Kronecker system, then one solve per element of S in
@@ -44,22 +45,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import degenerate_multset, quotient_module, square_zero_ring
+from conftest import decide, degenerate_multset, quotient_module, square_zero_ring
 
-from srelhom import dimensions, gfmat
+from srelhom import dimensions, gfmat, homology, modules
 from srelhom.checks import clear_memo
 from srelhom.dimensions import (
     _projective_at,
     _split_elimination,
-    _split_search,
     is_s_injective,
     s_id,
     s_pd,
 )
 from srelhom.errors import InternalInvariantViolation
-from srelhom.homology import injective_cocover, resolution
+from srelhom.homology import Resolution, injective_cocover, resolution
 from srelhom.instances import bundled_rings, random_module, random_multset
 from srelhom.modules import (
+    Module,
     _containment_residual,
     character_dual,
     free_module,
@@ -116,10 +117,10 @@ def multsets(ring, rng):
 
 
 def ask(kind, subject, s_set):
-    """_split_search on a cover for a section, is_s_injective on a module
-    for a retraction."""
+    """decide on a cover for a section, is_s_injective on a module for a
+    retraction."""
     if kind == "section":
-        return _split_search(subject, s_set)
+        return decide(subject, s_set)
     return is_s_injective(subject, s_set)
 
 
@@ -152,7 +153,7 @@ def test_split_search_matches_hom_space_reference(name):
         for s_kind, s_set in multsets(ring, rng):
             for kind, subject in split_questions(module):
                 got = ask(kind, subject, s_set)
-                cover = got.cover
+                cover = cover_of(kind, subject)
                 s, _ = reference_search(kind, cover, s_set)
                 assert (got.s, got.attempted) == (s, attempted_now(s, s_set)), \
                     (name, s_kind, kind)
@@ -228,7 +229,7 @@ def test_split_search_matches_the_kron_system_byte_for_byte(name):
         for s_set in s_sets:
             for kind, subject in edge_questions(module):
                 got = ask(kind, subject, s_set)
-                cover = got.cover
+                cover = cover_of(kind, subject)
                 s, _, matrix = kron_search(kind, cover, s_set)
                 assert (got.verdict, got.s) == (s is not None, s)
                 assert got.attempted == attempted_now(s, s_set)
@@ -414,7 +415,7 @@ def routes(module, s_sets):
     for s_set in s_sets:
         e = s_set.idempotent
         hom = gfmat.solve(coeff, target.action_of(e).reshape(-1), p) is not None
-        counts = target.vdim == 0 or _projective_at(target, e)
+        counts = target.vdim == 0 or _projective_at(target, e) is None
         yield (counts, not (tor @ e.array % p).any(),
                s_set.degenerate or not (split @ e.array % p).any(), hom)
 
@@ -509,10 +510,23 @@ def test_an_infinite_answer_runs_no_split_elimination(monkeypatch):
 # -- what the counts read, and what checks them ----------------------------------
 
 
+def oracle_block_counts(module, block, kind):
+    """(dim N_i, dim top N_i) for kind "section", (dim N_i, dim soc N_i)
+    for "retraction", with N_i = e_i M: JN_i from every radical basis
+    element, soc N_i as e_i times the annihilator of J in M."""
+    ring, p = module.ring, module.ring.p
+    proj = module.action_of(ring.element(ring.primitive_idempotents()[block]))
+    rad = np.tensordot(ring.radical_basis().T, module.actions, 1) % p
+    size = gfmat.rank(proj, p)
+    if kind == "section":
+        return size, size - gfmat.rank(proj @ np.hstack(list(rad)) % p, p)
+    return size, gfmat.rank(proj @ gfmat.nullspace(np.vstack(list(rad)), p) % p, p)
+
+
 def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
     # the counts read the module's own actions, so a cold infinite answer
-    # runs the one nullspace of the cover that its resolution level takes,
-    # and dimensions builds no free module
+    # eliminates no cover and builds no free module; the cover asked for
+    # afterwards takes the one nullspace of its resolution level
     nullspaces, frees = [], []
     real_nullspace, real_free = gfmat.nullspace, dimensions.free_module
 
@@ -542,6 +556,7 @@ def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
                 frees.clear()
                 if s_pd(module, s_set).value.known:
                     continue
+                assert nullspaces == [] and frees == [], ring
                 pres = resolution(module).cover(0).matrix
                 hits = [a for a in nullspaces
                         if a.shape == pres.shape and np.array_equal(a, pres)]
@@ -554,29 +569,71 @@ def test_a_cold_infinite_s_pd_eliminates_its_cover_once(monkeypatch):
 
 def test_a_cold_infinite_answer_solves_no_system(monkeypatch):
     # the counts are ranks of the module's own actions: a cold infinite
-    # s_pd or s_id calls no solve_span, whatever the ring
-    solved = []
-    real = gfmat.solve_span
+    # s_pd or s_id builds no resolution level, no cocover and no free
+    # module, and takes no kernel and solves no system, whatever the ring.
+    # Its witness holds counts that break size k_i = top d_i on a block
+    # of I_S.  A 0 answer builds the one level-0 cover of M (of DM for
+    # S-id), and S-id its one cocover
+    calls = Counter()
+    ensured = []
+    real_ensure = Resolution.ensure
 
-    def spy(a, b, p):
-        solved.append(a.shape)
-        return real(a, b, p)
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(gfmat, "solve_span", spy)
+    def spy_ensure(self, index):
+        ensured.append((self, index))
+        return real_ensure(self, index)
+
+    monkeypatch.setattr(Resolution, "ensure", spy_ensure)
+    cocover = spy("injective_cocover", homology.injective_cocover)
+    free = spy("free_module", modules.free_module)
+    for host in (homology, dimensions):
+        monkeypatch.setattr(host, "injective_cocover", cocover)
+    for host in (modules, homology, dimensions):
+        monkeypatch.setattr(host, "free_module", free)
+    for name in ("kernel_and_right_inverse", "solve_span", "nullspace"):
+        monkeypatch.setattr(gfmat, name, spy(name, getattr(gfmat, name)))
     rng = random.Random("cold-infinite-no-solve")
-    infinite = Counter()
+    answers = Counter()
     for ring in oracle_rings() + test_rings.f4_rings():
+        # the ring's structure pass is the ring's, not the question's
+        ring.primitive_idempotents(), ring.block_dimensions(), ring.radical_generators()
         for _ in range(8):
             module = random_module(ring, rng)
             for _, s_set in multsets(ring, rng):
                 for engine in (s_pd, s_id):
+                    cold = Module(ring, module.actions.copy())  # no resolution yet
                     clear_memo()
-                    solved.clear()
-                    cold = character_dual(character_dual(module))  # no resolution yet
-                    if not engine(cold, s_set).value.known:
-                        assert solved == [], (ring, engine.__name__)
-                        infinite[engine.__name__] += 1
-    assert min(infinite.values()) >= 30 and len(infinite) == 2, infinite
+                    calls.clear()
+                    ensured.clear()
+                    got = engine(cold, s_set)
+                    (witness,) = got.levels
+                    known = got.value.known
+                    answers[engine.__name__, known] += 1
+                    if known:
+                        covered = cold if engine is s_pd else character_dual(cold)
+                        assert {res for res, _ in ensured} == {resolution(covered)}
+                        assert len(resolution(covered).frees) == 1
+                        assert calls["injective_cocover"] == int(engine is s_id)
+                        continue
+                    assert not ensured and not calls, (ring, engine.__name__, calls)
+                    counts = witness.counts
+                    assert witness.cover is None and witness.mapping is None
+                    assert counts.module is cold and witness.certified_module() is cold
+                    assert witness.attempted == (s_set.idempotent,)
+                    e_i = ring.element(ring.primitive_idempotents()[counts.block])
+                    assert e_i * s_set.idempotent == e_i
+                    kind = "section" if engine is s_pd else "retraction"
+                    assert (counts.size, counts.top) == \
+                        oracle_block_counts(cold, counts.block, kind)
+                    dims, residues = ring.block_dimensions()
+                    assert counts.size * residues[counts.block] != \
+                        counts.top * dims[counts.block]
+    assert min(answers.values()) >= 30 and len(answers) == 4, answers
     clear_memo()
 
 

@@ -825,6 +825,39 @@ def test_zmod_walk_never_certifies_past_level_zero():
     assert tally[True] >= 20 and tally[False] >= 20
 
 
+def test_zmod_infinite_answers_keep_their_stall_factor():
+    # a failed level 0 keeps the factor E' > 1 of the split modulus E at
+    # which the gcd loop stalled: prime to every generator, so to every s
+    # in S, it certifies that no s is divisible by E
+    rng = random.Random("stall-factor")
+    cases = [(z_module("Z_mod", [[2]], m=2 ** 64), z_multset("Z_mod", [3, 5], m=2 ** 64))]
+    for m in (4, 8, 9, 12, 18, 36, 72, 100):
+        units = [u for u in range(2, m) if math.gcd(u, m) == 1]
+        sharing = [u for u in range(2, m) if math.gcd(u, m) > 1]
+        divisors = [d for d in range(2, m) if m % d == 0]
+        for trial in range(16):
+            if trial % 2:
+                mod = random_z_module(rng, ring="Z_mod", m=m, span=m)
+            else:
+                orders = [rng.choice(divisors) for _ in range(rng.randint(1, 2))]
+                mod = z_module_from_factors("Z_mod", m, rng.randint(0, 1), orders)
+            pool = units if trial % 4 < 2 else sharing + units
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+            cases.append((mod, z_multset("Z_mod", gens, m=m)))
+    infinite = 0
+    for mod, s_set in cases:
+        (level0,) = z_s_pd(mod, s_set).levels
+        if level0.verdict:
+            assert level0.stall is None
+            continue
+        stall = level0.stall
+        assert stall > 1 and _split_modulus(mod) % stall == 0
+        assert all(math.gcd(stall, g) == 1 for g in s_set.generators)
+        infinite += 1
+    assert z_s_pd(*cases[0]).levels[0].stall == 2
+    assert infinite >= 40, infinite
+
+
 def test_spd_over_zmod_frozen():
     mod, s_set = z_module("Z_mod", [[2]], m=4), z_multset("Z_mod", [3], m=4)
     res = z_s_pd(mod, s_set)
