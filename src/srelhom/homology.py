@@ -5,12 +5,15 @@ kept as a basis of columns in the previous free module F_{i-1} (M itself
 at level 0): choose generators among those columns, map a free module
 F_i onto them, and one nullspace of that boundary is the basis of K_{i+1}
 in F_i.  A syzygy is built as a Module only when a caller asks for it.
-The "minimal" style takes the basis columns that leave rad K and the
-columns before them, so it lifts an F_p-basis of K / rad K; over a local
-ring that is a minimal generating set, over a product ring it may
-overshoot the true minimum but keeps ranks small.  "plain" covers every
-basis column, and "seeded-random" pads the minimal generators with
-random redundant ones for resolution-independence testing.
+The "minimal" style works block by block over the primitive idempotents
+e_i of R: it lifts an F_p-basis of each e_i(K / rad K) and sums the t-th
+lifts of all blocks into generator t, so a cover has rank
+max_i dim e_i(K / rad K), the largest block top and not the sum of them
+(proof at Resolution._generator_columns).  Over a local ring with residue
+field F_p that is a minimal generating set; a block with a larger
+residue field takes an F_p-basis of its top.  "plain" covers every basis
+column, and "seeded-random" pads the minimal generators with random
+redundant ones for resolution-independence testing.
 
 Ext^n(M, N) is computed as cohomology of Hom(F_., N) = N^{r_.}, whose
 layout HomCochain owns.  Ext results retain cocycle representatives, so
@@ -128,11 +131,13 @@ class Resolution(BaseResolution):
     Level i keeps the free module F_i, the boundary d_i: F_i -> F_{i-1}
     (d_0 is the augmentation F_0 ->> M) and the kernel columns of d_i in
     F_i, which are the basis of the syzygy K_{i+1}.  The basis of K_0 = M
-    is the unit vectors of M.  No syzygy is built as a Module while the
-    resolution grows: syzygy(i), inclusion(i) and cover(i) build K_i, its
-    embedding K_i -> F_{i-1} and the cover F_i ->> K_i when they are
-    called, and give the same objects the syzygy-by-syzygy construction
-    gives.
+    is the unit vectors of M.  "minimal" picks the generators block by
+    block (_generator_columns), so rank F_i is max_j dim e_j(K_i / rad K_i)
+    over the primitive idempotents e_j.  No syzygy is built as a Module
+    while the resolution grows: syzygy(i), inclusion(i) and cover(i) build
+    K_i, its embedding K_i -> F_{i-1} and the cover F_i ->> K_i when they
+    are called, and give the same objects the syzygy-by-syzygy
+    construction gives.
     """
 
     def __init__(self, module: Module, style: str = "minimal", seed: int = 0):
@@ -163,24 +168,36 @@ class Resolution(BaseResolution):
 
     def _generator_columns(self, host: Module, basis: np.ndarray,
                            level: int) -> np.ndarray:
-        """Generators of K_level, as columns in the coordinates of its basis.
+        """Generators of K_level, as columns in its host.
 
-        rad.K is spanned by the ideal generators of the radical acting on
-        the basis columns in the host.  The minimal generators are the unit
-        vectors of the basis columns that leave the span of rad.K and of
-        the columns before them.  The basis is injective, so these are the
-        unit vectors that extend_to_basis picks against rad K in the
-        coordinates of K.
+        "minimal" picks them block by block over the primitive idempotents
+        e_1, ..., e_m.  With B the basis columns in the host, the columns of
+        [e_1.B | ... | e_m.B] outside the span of rad.K and the columns
+        before them are, in block i, an F_p-basis J_i of e_i(K / rad K):
+        rad K + e_1 K + ... + e_{i-1} K meets e_i K in e_i rad K.
+        Generator t sums the t-th column of every J_i, so e_i times it is
+        that column; by Nakayama on each local ring e_i R the max_i |J_i|
+        generators span K.  rad.K is spanned by the radical's ideal
+        generators acting on B.  A local ring is the case m = 1, e_1 = 1:
+        the generators are the columns of B that extend_to_basis picks
+        against rad K in the coordinates of K.
         """
-        p = self.ring.p
+        ring, p = self.ring, self.ring.p
         k = basis.shape[1]
         if self.style == "plain":
-            return gfmat.identity(k)
-        rad = self.ring.radical_generators()
-        d, n, t = self.ring.dim, host.vdim, rad.shape[1]
-        acts = (rad.T @ host.actions.reshape(d, n * n) % p).reshape(t, n, n)
-        rad_k = (acts @ basis % p).transpose(1, 0, 2).reshape(n, t * k)
-        gens = gfmat.identity(k)[:, gfmat.columns_outside_span(rad_k, basis, p)]
+            return basis
+        rad, idems = ring.radical_generators(), ring.primitive_idempotents()
+        d, n, t, m = ring.dim, host.vdim, rad.shape[1], len(idems)
+        acts = np.vstack([rad.T, idems]) @ host.actions.reshape(d, n * n) % p
+        cols = (acts.reshape(t + m, n, n) @ basis % p).transpose(1, 0, 2)
+        cols = cols.reshape(n, (t + m) * k)
+        rad_k, tops = cols[:, :t * k], cols[:, t * k:]
+        picks = gfmat.columns_outside_span(rad_k, tops, p)
+        blocks = [[c for c in picks if c // k == i] for i in range(m)]
+        gens = gfmat.zeros(n, max(map(len, blocks)))
+        for block in blocks:
+            gens[:, :len(block)] += tops[:, block]
+        gens %= p
         if self.style == "seeded-random" and k:
             rng = random.Random("res:%d:%d:%d" % (self.seed, level, k))
             extra = []
@@ -188,7 +205,7 @@ class Resolution(BaseResolution):
                 vec = np.array([rng.randrange(p) for _ in range(k)],
                                dtype=np.int64)
                 if vec.any():
-                    extra.append(vec.reshape(-1, 1))
+                    extra.append(basis @ vec.reshape(-1, 1) % p)
             if extra:
                 gens = np.hstack([gens] + extra)
         return gens
@@ -197,14 +214,15 @@ class Resolution(BaseResolution):
         """Extend so that frees[0..index] and their boundaries exist.
 
         d_i sends the generators to their columns in the host, so its
-        matrix is basis @ A for the matrix A of the cover F_i ->> K_i.  The
-        basis is injective, so basis @ A and A have the same row space and
-        the same canonical nullspace: one nullspace of d_i is both the
-        surjectivity check (rank dim K_i) and the basis of K_{i+1}.
+        matrix is basis @ A for the matrix A of the cover F_i ->> K_i, which
+        cover(i) reads off those columns.  The basis is injective, so
+        basis @ A and A have the same row space and the same canonical
+        nullspace: one nullspace of d_i is both the surjectivity check
+        (rank dim K_i) and the basis of K_{i+1}.
 
         Each level is a function of the ring, the style, the seed and the
-        actions of M, so its arrays (A, the matrix of d_i and the kernel
-        basis) are computed once per distinct key
+        actions of M, so its arrays (the generator columns, the matrix of
+        d_i and the kernel basis) are computed once per distinct key
         (modules._content_cached); every resolution still wraps them in
         its own boundary, onto its own module.
         """
@@ -225,12 +243,12 @@ class Resolution(BaseResolution):
 
     def _level(self, host: Module, basis: np.ndarray,
                level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, matrix of d_level, its kernel basis) for ensure, with the
-        surjectivity check."""
+        """(generator columns in the host, matrix of d_level, its kernel
+        basis) for ensure, with the surjectivity check."""
         p = self.ring.p
         gens = self._generator_columns(host, basis, level)
         free = free_module(self.ring, gens.shape[1])
-        bd = free_map_from_generator_images(free, host, basis @ gens % p)
+        bd = free_map_from_generator_images(free, host, gens)
         kernel = gfmat.nullspace(bd.matrix, p)
         if free.vdim - kernel.shape[1] != basis.shape[1]:
             raise InternalInvariantViolation("cover is not surjective")
@@ -260,8 +278,13 @@ class Resolution(BaseResolution):
             return self.boundary(0)
         if i not in self._covers:
             self.ensure(i)
+            # the basis of K_i is a nullspace: no elimination reads A
+            gens = gfmat.nullspace_coordinates(self._kernels[i - 1], self._gens[i],
+                                               self.ring.p)
+            if gens is None:
+                raise InternalInvariantViolation("a syzygy is not an R-submodule")
             self._covers[i] = free_map_from_generator_images(
-                self.frees[i], self.syzygy(i), self._gens[i])
+                self.frees[i], self.syzygy(i), gens)
         return self._covers[i]
 
     def boundary(self, k: int) -> ModuleMap:

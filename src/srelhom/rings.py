@@ -399,9 +399,12 @@ class FiniteAlgebra:
         The order of the rows is fixed by the basis of E.  The split is
         checked by its count of parts as it goes, and at the end for m
         nonzero orthogonal idempotents that sum to 1 (_primitive), and
-        raises InternalInvariantViolation when either fails.  Cached on the
-        ring.
+        raises InternalInvariantViolation when either fails.  When
+        dim R - dim rad R = 1, R / rad R = F_p: R is local, its one
+        idempotent is 1, and E is not computed.  Cached on the ring.
         """
+        if self._idempotents is None and self.dim - self.radical_basis().shape[1] == 1:
+            self._idempotents = self.unit[None].copy()
         if self._idempotents is None:
             p, fixed = self.p, self._frobenius_fixed()
             fault = InternalInvariantViolation(

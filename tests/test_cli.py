@@ -480,9 +480,10 @@ PINNED = [
     (("ext", *E36, "--module", "m2.json", "--other", "m2.json", "--degree", "1"),
      "be43396f98d43a30310edc6cfda37b273e574db0ef6835a8a953cbd68ffb0118",
      "55ae2664e9c26025029c04d42bf5632c7d66a227e54e0abe2a3b8717a91b0bdb"),
+    # ranks [1, 1, 1, 1, 1]: one generator per level covers every block
     (("resolve", *E36, "--module", "m2.json", "--depth", "4"),
-     "9ad42f3069be3dae6ee0e8299802132aaea351d352ff8c7dbb5f142a35794ad7",
-     "9ad42f3069be3dae6ee0e8299802132aaea351d352ff8c7dbb5f142a35794ad7"),
+     "46398c61355138808767d233fe0bd7e597afa88780fe927d94769d84112506a3",
+     "46398c61355138808767d233fe0bd7e597afa88780fe927d94769d84112506a3"),
     (("ssemisimple", *E36, "--multset", "S1s.json"),
      "2a89e4faa7b325ace7d9cdbacb14fa6ed619177210d57d6d9e09ff715aca74f6",
      "eddace6909a4f8ecf53523f96998a01aa2f4bff0b73c98b8408a896ecbc0c960"),

@@ -359,7 +359,7 @@ def test_split_right_hand_sides_are_the_columns_of_the_cover(monkeypatch):
     rng = random.Random("split-rhs-oracle")
     covers, kinds = 0, set()
     for ring in oracle_rings():
-        for _ in range(34):
+        for _ in range(40):
             for kind, subject in edge_questions(random_module(ring, rng)):
                 cover = cover_of(kind, subject)
                 certified = cover.target if kind == "section" else cover.source
