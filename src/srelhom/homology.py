@@ -16,11 +16,14 @@ column, and "seeded-random" pads the minimal generators with random
 redundant ones for resolution-independence testing.
 
 Ext^n(M, N) is computed as cohomology of Hom(F_., N) = N^{r_.}, whose
-layout HomCochain owns.  Ext results retain cocycle representatives, so
-maps induced in either variable descend to cohomology explicitly;
-connecting maps are built exactly as in the snake construction, with
-S-isomorphism correctors splicing the exact core of an S-exact sequence
-back to its stated endpoints.
+layout HomCochain owns.  Its dimension is dim C^n - rank d^{n+1} -
+rank d^n, two ranks, which is all `srelhom ext` computes.  Ext results
+keep cocycle representatives, built with the Ext module and the cocycle
+basis on the first read of any of them (ExtResult), so maps induced in
+either variable descend to cohomology explicitly; connecting maps are
+built exactly as in the snake construction, with S-isomorphism
+correctors splicing the exact core of an S-exact sequence back to its
+stated endpoints.
 
 The long sequence has one construction, Hom(L, -) over one resolution of
 L.  The character dual D is exact and Ext^k(DN, DM) = Ext^k(M, N)
@@ -423,31 +426,78 @@ class HomCochain:
                             gfmat.nullspace_coordinates)
 
 
-@dataclass
 class ExtResult:
-    """Ext^n together with enough cocycle data to push maps through it.
+    """Ext^n(source, target) as the cohomology of cochain in degree n.
 
-    module is the Ext value as an R-module; reps holds one cocycle
-    representative per basis vector (columns, in C^n coordinates);
-    class_of sends a cocycle, or a matrix whose columns are cocycles, to
-    its class in module coordinates.
+    dim is dim C^n - rank d^{n+1} - rank d^n (no d^n at n = 0), by
+    rank-nullity, read off the cochain's cached differentials
+    (_ext_dim).  module is the Ext value as an R-module; cycle_basis is
+    the nullspace of d^{n+1} (columns, in C^n coordinates); proj sends
+    cycle coordinates to module coordinates; reps holds one cocycle
+    representative per basis vector of module; class_of sends a
+    cocycle, or a matrix whose columns are cocycles, to its class in
+    module coordinates.
+
+    module, cycle_basis, proj and reps are built together by _ext_arrays
+    on the first read of any of them (class_of reads two), through the
+    content store under the "ext" key over a Resolution (the key and the
+    checks are described at ext_from_cochain).  dim reads module.vdim
+    once that is built and the two ranks otherwise, so a caller that
+    reads only dim builds no cycle module and no quotient.  When both
+    exist, they must agree, or InternalInvariantViolation is raised.
     """
 
-    n: int
-    source: Module
-    target: Module
-    module: Module
-    cochain: HomCochain
-    cycle_basis: np.ndarray
-    proj: np.ndarray
-    reps: np.ndarray
+    def __init__(self, cochain: HomCochain, n: int):
+        self.n = n
+        self.cochain = cochain
+        self.source = cochain.res.module
+        self.target = cochain.target
+        self._built: tuple | None = None  # (cycle basis, module, proj, reps)
+        self._rank_dim: int | None = None
+
+    def _arrays(self) -> tuple:
+        if self._built is None:
+            hc, n, ring, res = self.cochain, self.n, self.target.ring, self.cochain.res
+            if isinstance(res, Resolution) and same_ring(res.ring, ring):
+                key = ("ext", ring.content, res.style, res.seed,
+                       *_content_key(res.module.actions, hc.target.actions), n)
+                cycles, acts, proj, reps = _content_cached(
+                    key, lambda: _ext_arrays(hc, n))
+            else:
+                cycles, acts, proj, reps = _ext_arrays(hc, n)
+            if self._rank_dim is not None and self._rank_dim != acts.shape[1]:
+                raise InternalInvariantViolation(
+                    "Ext^%d has dimension %d by ranks but %d as a module"
+                    % (n, self._rank_dim, acts.shape[1]))
+            self._built = (cycles, _derived_module(ring, acts), proj, reps)
+        return self._built
+
+    @property
+    def cycle_basis(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def module(self) -> Module:
+        return self._arrays()[1]
+
+    @property
+    def proj(self) -> np.ndarray:
+        return self._arrays()[2]
+
+    @property
+    def reps(self) -> np.ndarray:
+        return self._arrays()[3]
 
     @property
     def dim(self) -> int:
-        return self.module.vdim
+        if self._built is not None:
+            return self._built[1].vdim
+        if self._rank_dim is None:
+            self._rank_dim = _ext_dim(self.cochain, self.n)
+        return self._rank_dim
 
     def class_of(self, cocycles: np.ndarray) -> np.ndarray:
-        p = self.module.ring.p
+        p = self.target.ring.p
         coords = gfmat.nullspace_coordinates(self.cycle_basis, cocycles, p)
         if coords is None:
             raise InternalInvariantViolation("vector is not a cocycle")
@@ -455,39 +505,51 @@ class ExtResult:
 
 
 def ext_from_cochain(hc: HomCochain, n: int) -> ExtResult:
-    """Ext^n as the cohomology of hc in degree n.
+    """Ext^n as the cohomology of hc in degree n, built as it is read.
 
-    The cycle basis is the nullspace of the next differential, so the
-    coordinates of the boundaries and of the cycle module's actions are
-    read off it (gfmat.nullspace_coordinates), and one rref gives the
-    quotient.
+    No work is done here: ExtResult.dim costs two ranks and one product
+    (_ext_dim), and the first read of its module, cycle basis, proj or
+    reps builds all four (_ext_arrays).  The cycle basis is the
+    nullspace of the next differential, so the coordinates of the
+    boundaries and of the cycle module's actions are read off it
+    (gfmat.nullspace_coordinates), and one rref gives the quotient.
 
     Over a Resolution the arrays (cycle basis, actions on Ext, proj,
     reps) are a deterministic function of the ring, the style, the seed,
     the actions of M and of N and n: the resolution's levels are a
     function of the first four (Resolution.ensure), and the rest is
-    computed from them and N alone.  So they are computed once per distinct key
-    (modules._content_cached), and every call still wraps them in its own
-    cochain, Ext module and result.  The checks of the computation, that
-    the boundaries are cocycles and that the cycle span is invariant, run
-    on a miss only: on a hit the same arrays would pass them again.  An
-    AssembledResolution is input, not a function of such a key, and is
-    never cached.
+    computed from them and N alone.  So they are computed once per
+    distinct key (modules._content_cached, on the first read), and every
+    result still wraps them in its own Ext module.  The checks of the
+    computation run where the work runs.  That the boundaries are
+    cocycles is checked by each computation of dim from ranks (as
+    d^{n+1} d^n = 0) and by each build of the arrays (as boundary
+    coordinates in the cycle basis); that the cycle span is invariant
+    is checked by each build.  A build runs on a miss only: on a hit the
+    same arrays would pass again.  An AssembledResolution is input, not
+    a function of such a key, and is never cached.
     """
-    ring, res = hc.target.ring, hc.res
-    if isinstance(res, Resolution) and same_ring(res.ring, ring):
-        key = ("ext", ring.content, res.style, res.seed,
-               *_content_key(res.module.actions, hc.target.actions), n)
-        cycles, acts, proj, reps = _content_cached(key, lambda: _ext_arrays(hc, n))
-    else:
-        cycles, acts, proj, reps = _ext_arrays(hc, n)
-    return ExtResult(n, res.module, hc.target, _derived_module(ring, acts), hc,
-                     cycles, proj, reps)
+    return ExtResult(hc, n)
+
+
+def _ext_dim(hc: HomCochain, n: int) -> int:
+    """dim Ext^n = dim C^n - rank d^{n+1} - rank d^n, by rank-nullity,
+    with the check that the boundaries are cocycles: Im d^n lies in
+    Ker d^{n+1} exactly when d^{n+1} d^n = 0."""
+    p = hc.target.ring.p
+    after = hc.diff_matrix(n + 1)
+    dim = hc.res.rank(n) * hc.target.vdim - gfmat.rank(after, p)
+    if n:
+        before = hc.diff_matrix(n)
+        if (after @ before % p).any():
+            raise InternalInvariantViolation("boundaries are not cocycles")
+        dim -= gfmat.rank(before, p)
+    return dim
 
 
 def _ext_arrays(hc: HomCochain, n: int) -> tuple[np.ndarray, ...]:
-    """(cycle basis, actions on Ext^n, proj, reps) for ext_from_cochain,
-    with its checks."""
+    """(cycle basis, actions on Ext^n, proj, reps) for ExtResult, with
+    its checks."""
     p = hc.target.ring.p
     cycles = gfmat.nullspace(hc.diff_matrix(n + 1), p)
     z_mod = hc.cycle_module(n, cycles)

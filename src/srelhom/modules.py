@@ -138,12 +138,14 @@ def _content_cached(key: tuple, build) -> tuple:
 
     Three names use it: "resolution" (homology.Resolution.ensure, one
     entry per level), "split" (dimensions._split_elimination) and "ext"
-    (homology.ext_from_cochain, one entry per resolution key, target and
-    degree).  key is (name, ring.content, ...) and holds everything the
-    result depends on: the
-    ring's content (so equal rings share entries and no entry keeps a
-    ring alive), then names, integers and _content_key parts.  The arrays
-    are made read-only, so no caller can change what later callers get.
+    (homology.ExtResult, one entry per resolution key, target and
+    degree, made on the first read of an Ext result's module, cycle
+    basis, proj or reps; reading only its dim makes none).  key is
+    (name, ring.content, ...) and holds everything the result depends
+    on: the ring's content (so equal rings share entries and no entry
+    keeps a ring alive), then names, integers and _content_key parts.
+    The arrays are made read-only, so no caller can change what later
+    callers get.
     They sit under one sub-entry of the memo, so the memo's other blocks
     are never evicted; when an insertion would take the sub-entry past
     _CONTENT_BUDGET bytes (arrays, key bytes and the bytes of each

@@ -358,19 +358,25 @@ class FiniteAlgebra:
         return self._frob
 
     def _row_powers(self, rows: np.ndarray, q: int) -> np.ndarray:
-        """Row a is rows[a]^q, by square-and-multiply on all rows at once.
-
-        The row-wise product of two batches is the diagonal of their
-        products.
-        """
-        powers = np.tile(self.unit, (len(rows), 1))
-        base = rows
-        while q:
+        """Row a is rows[a]^q for q >= 1 and reduced rows, by
+        square-and-multiply on all rows at once: the powers start at the
+        lowest set bit of q, and the base is not squared after the
+        highest, so q = 2 makes one row product and q = 1 none."""
+        powers, base = None, rows
+        while True:
             if q & 1:
-                powers = np.einsum("aak->ak", self.products(powers, base))
-            base = np.einsum("aak->ak", self.products(base, base))
+                powers = base if powers is None else self._row_products(powers, base)
             q >>= 1
-        return powers
+            if not q:
+                return powers
+            base = self._row_products(base, base)
+
+    def _row_products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Row a is xs[a] * ys[a]: products' two matrix products, the
+        second taken row by row rather than for every pair."""
+        d = self.dim
+        left = (xs @ self.table.reshape(d, d * d)).reshape(-1, d, d) % self.p
+        return np.einsum("aj,ajk->ak", ys, left) % self.p
 
     def _frobenius_fixed(self) -> np.ndarray:
         """Basis (columns) of E = {x : x^p = x}, the kernel of F - I for

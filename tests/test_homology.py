@@ -1023,9 +1023,11 @@ def test_equal_ext_from_separate_objects_costs_no_elimination(monkeypatch):
         source, target = random_module(ring, rng), random_module(ring, rng)
         n = rng.randrange(4)
         first = ext(source, target, n)
+        first.reps
         source2, target2 = twin(source), twin(target)
         before = len(nullspaces)
         second = ext(source2, target2, n)
+        second.reps
         assert len(nullspaces) == before
         assert second.module is not first.module
         assert second.cochain is not first.cochain
@@ -1039,9 +1041,9 @@ def test_ext_key_holds_style_seed_target_and_degree(monkeypatch, ring2, m2):
     builds = count_calls(monkeypatch, homology, "_ext_arrays")
     clear_memo()
     reg = regular_module(ring2)
-    ext(m2, m2, 1)
+    ext(m2, m2, 1).module
     assert len(builds) == 1
-    ext(twin(m2), twin(m2), 1)
+    ext(twin(m2), twin(m2), 1).module
     assert len(builds) == 1
     for source, target, n, style, seed in ((m2, m2, 1, "plain", 0),
                                            (m2, m2, 1, "seeded-random", 0),
@@ -1049,10 +1051,10 @@ def test_ext_key_holds_style_seed_target_and_degree(monkeypatch, ring2, m2):
                                            (m2, reg, 1, "minimal", 0),
                                            (m2, m2, 2, "minimal", 0)):
         before = len(builds)
-        ext(source, target, n, style, seed)
+        ext(source, target, n, style, seed).module
         assert len(builds) == before + 1
     clear_memo()
-    ext(m2, m2, 1)
+    ext(m2, m2, 1).module
     assert len(builds) == 7
     clear_memo()
 
@@ -1083,9 +1085,10 @@ def test_ext_map_on_target_still_needs_one_resolution(m2):
     # resolution object
     clear_memo()
     first = ext(m2, m2, 1)
+    reps = first.reps
     other = Resolution(twin(m2))
     second = ext_with_resolution(other, m2, 1)
-    assert second.reps is first.reps
+    assert second.reps is reps
     with pytest.raises(InputError, match="share a resolution"):
         ext_map_on_target(first, second, ModuleMap.identity(m2))
     clear_memo()
@@ -1124,3 +1127,121 @@ def test_cycle_module_rejects_a_span_that_is_not_invariant():
                     hc.cycle_module(k, cols)
                 return
     pytest.fail("no span that is not invariant")
+
+
+# -- Ext dimension from two ranks ------------------------------------------------
+
+
+def rank_dim_cases():
+    """(resolution, target, n) over test_rings.oracle_rings() and the F_4
+    rings, in degrees 0-3: every style, and each minimal resolution
+    again as an AssembledResolution read back from its document.  The
+    modules are the ring's top R / rad R, whose Ext is nonzero in every
+    degree over a ring that is not semisimple, and seeded draws.  A
+    "plain" cover takes every basis column, so its ranks grow by a factor
+    of up to dim R per level; it reaches degree 3 from the top and stops
+    at degree 2 from the draws."""
+    rng = random.Random("ext-dim-from-ranks")
+    for ring in test_rings.oracle_rings() + test_rings.f4_rings():
+        top = quotient_module(ring, ring.radical_basis().T.tolist())
+        for source, target in ((top, top), (random_module(ring, rng), top),
+                               (random_module(ring, rng), random_module(ring, rng))):
+            for style in STYLES:
+                depth = 3 if style == "plain" and source is not top else 4
+                res = Resolution(source, style, seed=1)
+                res.ensure(depth)
+                resolutions = [res]
+                if style == "minimal":
+                    resolutions.append(
+                        resolution_from_spec(ring, resolution_to_spec(res, depth)))
+                for one in resolutions:
+                    for n in range(depth):
+                        yield one, target, n
+
+
+def test_ext_dim_from_ranks_is_the_module_dimension():
+    clear_memo()
+    tally = Counter()
+    for res, target, n in rank_dim_cases():
+        # ranks first: the build checks them against the module
+        by_ranks = ext_with_resolution(res, target, n)
+        dim = by_ranks.dim
+        assert by_ranks.module.vdim == dim and by_ranks.dim == dim
+        # module first: dim reads it, and the ranks count the same
+        built = ext_with_resolution(res, target, n)
+        assert built.module.vdim == dim and built.dim == dim
+        assert homology._ext_dim(built.cochain, n) == dim
+        tally["nonzero"] += dim > 0
+        tally["killed boundaries"] += 0 < dim < built.cycle_basis.shape[1]
+        tally["assembled"] += isinstance(res, AssembledResolution)
+    assert tally["nonzero"] >= 300 and tally["killed boundaries"] >= 100, tally
+    assert tally["assembled"] == 4 * 3 * 35, tally
+    clear_memo()
+
+
+def test_a_cold_ext_dim_builds_no_cycle_module_and_no_quotient(monkeypatch):
+    clear_memo()
+    builds = count_calls(monkeypatch, homology, "_ext_arrays")
+    spies = [count_calls(monkeypatch, HomCochain, "cycle_module"),
+             count_calls(monkeypatch, homology, "quotient_by_columns"),
+             count_calls(monkeypatch, gfmat, "nullspace_coordinates")]
+    rng = random.Random("cold-ext-dim")
+    nonzero = 0
+    for _, ring in bundled_rings():
+        top = quotient_module(ring, ring.radical_basis().T.tolist())
+        for n in range(4):
+            e = ext(top, top if n % 2 else random_module(ring, rng), n)
+            nonzero += e.dim > 0
+            assert not builds and not any(spies)
+            e.module
+            assert len(builds) == 1
+            e.reps, e.proj, e.cycle_basis, e.class_of(e.reps)
+            assert len(builds) == 1
+            builds.clear()
+            for calls in spies:
+                calls.clear()
+    assert nonzero >= 10, nonzero
+    clear_memo()
+
+
+def corrupted_cochains():
+    """(cochain, n) with one entry of d^n changed where d^{n+1} has a
+    nonzero column: the boundaries are then not all cocycles."""
+    rng = random.Random("corrupt-d")
+    found = 0
+    for _, ring in bundled_rings():
+        for _ in range(10):
+            n = rng.randrange(1, 4)
+            res = free_resolution(random_module(ring, rng), n + 1)
+            hc = HomCochain(res, random_module(ring, rng))
+            after, before = hc.diff_matrix(n + 1), hc.diff_matrix(n).copy()
+            rows = np.flatnonzero(after.any(axis=0))
+            if not rows.size or not before.shape[1]:
+                continue
+            i, j = rows[rng.randrange(rows.size)], rng.randrange(before.shape[1])
+            before[i, j] = (before[i, j] + 1) % ring.p
+            hc._diffs[n] = before
+            yield hc, n
+            found += 1
+            break
+    assert found >= 3, found
+
+
+def test_a_corrupted_differential_raises_on_the_dim_path():
+    for hc, n in corrupted_cochains():
+        clear_memo()
+        with pytest.raises(InternalInvariantViolation, match="not cocycles"):
+            ext_from_cochain(hc, n).dim
+        with pytest.raises(InternalInvariantViolation, match="not cocycles"):
+            ext_from_cochain(hc, n).module
+    clear_memo()
+
+
+def test_ranks_that_disagree_with_the_module_raise(monkeypatch, m2):
+    clear_memo()
+    e = ext(m2, m2, 1)
+    monkeypatch.setattr(homology, "_ext_dim", lambda hc, n: 7)
+    assert e.dim == 7
+    with pytest.raises(InternalInvariantViolation, match="by ranks"):
+        e.module
+    clear_memo()

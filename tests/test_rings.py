@@ -418,6 +418,62 @@ def test_maximal_ideals_match_the_lattice_primes():
     assert primes_seen == {2: 36, 3: 15, 5: 3, 7: 5}, primes_seen
 
 
+def oracle_row_powers(ring, rows, q):
+    """Row a is rows[a]^q, square-and-multiply from the unit, taking each
+    row-wise product as the diagonal of the all-pairs products."""
+    powers = np.tile(ring.unit, (len(rows), 1))
+    base = rows
+    while q:
+        if q & 1:
+            powers = np.einsum("aak->ak", ring.products(powers, base))
+        base = np.einsum("aak->ak", ring.products(base, base))
+        q >>= 1
+    return powers
+
+
+def structure_arrays(ring):
+    """Frobenius, its fixed space and the primitive idempotents of a copy
+    of ring with nothing cached."""
+    fresh = FiniteAlgebra._lawful(ring.p, ring.basis_labels, ring.table, ring.unit)
+    return fresh._frobenius(), fresh._frobenius_fixed(), fresh.primitive_idempotents()
+
+
+def test_row_powers_keep_the_structure_pass_byte_identical(monkeypatch):
+    rings_ = oracle_rings() + f4_rings() + [
+        split_polynomial_ring(3, [0, 1], 2), split_polynomial_ring(5, [0, 1, 4], 1),
+        split_polynomial_ring(7, [0, 1, 3], 1)]
+    got = [structure_arrays(ring) for ring in rings_]
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteAlgebra, "_row_powers", oracle_row_powers)
+        want = [structure_arrays(ring) for ring in rings_]
+    for ring, mine, theirs in zip(rings_, got, want):
+        for a, b in zip(mine, theirs):
+            assert a.dtype == b.dtype and a.shape == b.shape, ring
+            assert a.tobytes() == b.tobytes(), ring
+
+
+@pytest.mark.parametrize("p, squares, products", [(2, 1, 0), (3, 1, 1), (5, 2, 1),
+                                                  (7, 2, 2)])
+def test_row_powers_make_no_product_with_the_unit_and_no_last_square(
+        monkeypatch, p, squares, products):
+    # q = p: one squaring per bit below the highest, one product per set
+    # bit after the lowest
+    ring = direct_product(prime_field(p), truncated_polynomial(p, 2))
+    made = []
+    original = FiniteAlgebra._row_products
+
+    def spy(self, xs, ys):
+        made.append("square" if ys is xs else "product")
+        return original(self, xs, ys)
+
+    monkeypatch.setattr(FiniteAlgebra, "_row_products", spy)
+    assert ring._frobenius().shape == (ring.dim, ring.dim)
+    assert Counter(made) == Counter(square=squares, product=products)
+    made.clear()
+    rows = np.eye(ring.dim, dtype=np.int64)
+    assert ring._row_powers(rows, 1) is rows and not made
+
+
 def test_maximal_ideals_of_a_product_at_the_largest_characteristic():
     # 65521^4 elements, so no lattice: a product, and F_p[x]/(x (x - 1)
     # ... (x - 5)), whose e_i the shifts split off from 1
