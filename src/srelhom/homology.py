@@ -5,15 +5,20 @@ kept as a basis of columns in the previous free module F_{i-1} (M itself
 at level 0): choose generators among those columns, map a free module
 F_i onto them, and one nullspace of that boundary is the basis of K_{i+1}
 in F_i.  A syzygy is built as a Module only when a caller asks for it.
+A level's arrays are keyed in the content store by the syzygy they are
+computed from, its basis and its host, not by the module resolved and
+the level index, so a syzygy that comes back (the resolutions over chain
+rings and their products are periodic) reuses the level built for it
+(Resolution.ensure).
 The "minimal" style works block by block over the primitive idempotents
-e_i of R: it lifts an F_p-basis of each e_i(K / rad K) and sums the t-th
-lifts of all blocks into generator t, so a cover has rank
-max_i dim e_i(K / rad K), the largest block top and not the sum of them
-(proof at Resolution._generator_columns).  Over a local ring with residue
-field F_p that is a minimal generating set; a block with a larger
-residue field takes an F_p-basis of its top.  "plain" covers every basis
-column, and "seeded-random" pads the minimal generators with random
-redundant ones for resolution-independence testing.
+e_i of R: it lifts a basis of each e_i(K / rad K) over the residue field
+e_i R / e_i rad R of the block and sums the t-th lifts of all blocks
+into generator t, so a cover has rank max_i dim e_i(K / rad K) / k_i,
+with k_i the F_p-dimension of that residue field: the largest block top
+and not the sum of them (proof at Resolution._generator_columns).  Over
+a local ring that is a minimal generating set.  "plain" covers every
+basis column, and "seeded-random" pads the minimal generators with
+random redundant ones for resolution-independence testing.
 
 Ext^n(M, N) is computed as cohomology of Hom(F_., N) = N^{r_.}, whose
 layout HomCochain owns.  Its dimension is dim C^n - rank d^{n+1} -
@@ -136,11 +141,12 @@ class Resolution(BaseResolution):
     F_i, which are the basis of the syzygy K_{i+1}.  The basis of K_0 = M
     is the unit vectors of M.  "minimal" picks the generators block by
     block (_generator_columns), so rank F_i is max_j dim e_j(K_i / rad K_i)
-    over the primitive idempotents e_j.  No syzygy is built as a Module
-    while the resolution grows: syzygy(i), inclusion(i) and cover(i) build
-    K_i, its embedding K_i -> F_{i-1} and the cover F_i ->> K_i when they
-    are called, and give the same objects the syzygy-by-syzygy
-    construction gives.
+    / k_j over the primitive idempotents e_j, with k_j the F_p-dimension of
+    the residue field of e_j R.  No syzygy is built as a Module while the
+    resolution grows: syzygy(i), inclusion(i) and cover(i) build K_i, its
+    embedding K_i -> F_{i-1} and the cover F_i ->> K_i when they are
+    called, and give the same objects the syzygy-by-syzygy construction
+    gives.
     """
 
     def __init__(self, module: Module, style: str = "minimal", seed: int = 0):
@@ -174,29 +180,48 @@ class Resolution(BaseResolution):
         """Generators of K_level, as columns in its host.
 
         "minimal" picks them block by block over the primitive idempotents
-        e_1, ..., e_m.  With B the basis columns in the host, the columns of
-        [e_1.B | ... | e_m.B] outside the span of rad.K and the columns
-        before them are, in block i, an F_p-basis J_i of e_i(K / rad K):
-        rad K + e_1 K + ... + e_{i-1} K meets e_i K in e_i rad K.
+        e_1, ..., e_m, with L_i the lift of an F_p-basis of the residue
+        field e_i R / e_i rad R, k_i elements with e_i first
+        (FiniteAlgebra.residue_lifts).  With B the basis columns b_j in the
+        host, block i lists the group L_i.b_j for each j in turn.  The
+        groups before a group, and rad K, span rad K plus an
+        (e_i R / e_i rad R)-subspace of e_i(K / rad K) (rad K + e_1 K + ...
+        + e_{i-1} K meets e_i K in e_i rad K), so the columns outside the
+        span of rad.K and the columns before them fill whole groups: the
+        group of c = e_i.b_j when c itself is one of them, none of it
+        otherwise.  The c kept are a (e_i R / e_i rad R)-basis J_i of
+        e_i(K / rad K), of mu_i = dim e_i(K / rad K) / k_i columns.
         Generator t sums the t-th column of every J_i, so e_i times it is
-        that column; by Nakayama on each local ring e_i R the max_i |J_i|
+        that column; by Nakayama on each local ring e_i R the max_i mu_i
         generators span K.  rad.K is spanned by the radical's ideal
-        generators acting on B.  A local ring is the case m = 1, e_1 = 1:
-        the generators are the columns of B that extend_to_basis picks
-        against rad K in the coordinates of K.
+        generators acting on B.  When every k_i is 1, L_i = {e_i} and block
+        i is e_i.B.  A local ring with residue field F_p is the case m = 1,
+        L_1 = {1}: the generators are the columns of B that extend_to_basis
+        picks against rad K in the coordinates of K.
         """
         ring, p = self.ring, self.ring.p
         k = basis.shape[1]
         if self.style == "plain":
             return basis
-        rad, idems = ring.radical_generators(), ring.primitive_idempotents()
-        d, n, t, m = ring.dim, host.vdim, rad.shape[1], len(idems)
-        acts = np.vstack([rad.T, idems]) @ host.actions.reshape(d, n * n) % p
-        cols = (acts.reshape(t + m, n, n) @ basis % p).transpose(1, 0, 2)
-        cols = cols.reshape(n, (t + m) * k)
+        rad, (lifts, sizes) = ring.radical_generators(), ring.residue_lifts()
+        d, n, t, q = ring.dim, host.vdim, rad.shape[1], len(lifts)
+        acts = np.vstack([rad.T, lifts]) @ host.actions.reshape(d, n * n) % p
+        cols = (acts.reshape(t + q, n, n) @ basis % p).transpose(1, 0, 2)
+        cols = cols.reshape(n, (t + q) * k)
         rad_k, tops = cols[:, :t * k], cols[:, t * k:]
+        if q > len(sizes):
+            # block i from lift-major to column-major, so L_i.b_j is one
+            # group; with every k_i = 1 the two orders are the same
+            ends = np.cumsum(sizes)
+            tops = tops.reshape(n, q, k)
+            tops = np.hstack([tops[:, e - s:e].transpose(0, 2, 1).reshape(n, k * s)
+                              for s, e in zip(sizes, ends)])
         picks = gfmat.columns_outside_span(rad_k, tops, p)
-        blocks = [[c for c in picks if c // k == i] for i in range(m)]
+        blocks, start = [], 0
+        for s in sizes:
+            blocks.append([c for c in picks if start <= c < start + k * s
+                           and (c - start) % s == 0])
+            start += k * s
         gens = gfmat.zeros(n, max(map(len, blocks)))
         for block in blocks:
             gens[:, :len(block)] += tops[:, block]
@@ -223,21 +248,32 @@ class Resolution(BaseResolution):
         nullspace: one nullspace of d_i is both the surjectivity check
         (rank dim K_i) and the basis of K_{i+1}.
 
-        Each level is a function of the ring, the style, the seed and the
-        actions of M, so its arrays (the generator columns, the matrix of
-        d_i and the kernel basis) are computed once per distinct key
-        (modules._content_cached); every resolution still wraps them in
-        its own boundary, onto its own module.
+        A level's arrays (the generator columns, the matrix of d_i and the
+        kernel basis) are a function of what _level reads: the ring, the
+        style, the host and the basis of K_i.  The host is M at level 0,
+        keyed by its actions, and R^r above it, keyed by r; the basis is
+        the identity at level 0 and the previous kernel above it.
+        "seeded-random" also reads the seed and the level index.  So the
+        arrays are computed once per distinct syzygy
+        (modules._content_cached): a periodic resolution builds one
+        period, and modules with equal actions, or equal syzygies, share
+        levels.  Every resolution still wraps them in its own boundary,
+        onto its own module.
         """
         if index < len(self.frees):
             return
-        key = ("resolution", self.ring.content, self.style, self.seed,
-               *_content_key(self.module.actions))
+        head = ("resolution", self.ring.content, self.style)
         while len(self.frees) <= index:
             level = len(self.frees)
             host, basis = self._basis(level)
+            if level == 0:
+                key = head + _content_key(host.actions)
+            else:
+                key = head + (host.free_rank,) + _content_key(basis)
+            if self.style == "seeded-random":
+                key += (self.seed, level)
             gens, matrix, kernel = _content_cached(
-                key + (level,), lambda: self._level(host, basis, level))
+                key, lambda: self._level(host, basis, level))
             free = free_module(self.ring, gens.shape[1])
             self.frees.append(free)
             self._boundaries.append(ModuleMap._trusted(free, host, matrix))

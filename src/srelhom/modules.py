@@ -53,7 +53,8 @@ blocks it holds one sub-entry of content caches (_content_cached), with
 three users: the levels of free resolutions, the eliminations of the
 split systems that certify S-splittings, and Ext groups over a
 Resolution, each computed once per distinct input and keyed by the
-ring's content and the bytes of the arrays the computation reads.  They
+ring's content and the bytes of the arrays the computation reads (for a
+resolution level, the syzygy and its host, not the module resolved).  They
 hold read-only arrays only, never rings, modules or maps, so every
 caller still builds its own objects around them.
 """
@@ -137,7 +138,10 @@ def _content_cached(key: tuple, build) -> tuple:
     """build()'s tuple of arrays, computed once per key while the memo lives.
 
     Three names use it: "resolution" (homology.Resolution.ensure, one
-    entry per level), "split" (dimensions._split_elimination) and "ext"
+    entry per distinct syzygy: keyed by the host, M's actions at level 0
+    and the rank r of R^r above it, and the syzygy's basis there, so a
+    periodic resolution makes one period of entries), "split"
+    (dimensions._split_elimination) and "ext"
     (homology.ExtResult, one entry per resolution key, target and
     degree, made on the first read of an Ext result's module, cycle
     basis, proj or reps; reading only its dim makes none).  key is

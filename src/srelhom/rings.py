@@ -194,11 +194,12 @@ class FiniteAlgebra:
 
     Instances are immutable by convention.  Derived data (the radical and
     its ideal generators, the Frobenius fixed space, the primitive
-    idempotents and their block dimensions, the maximal ideals, the
-    element list, the ideal list, the prime complements and the free
-    modules R^k) is cached on first use; caches only ever gain entries,
-    so sharing an instance across threads is safe for readers.  Only the
-    element list and what is built from it are bound by MAX_ENUMERABLE.
+    idempotents, their block dimensions and residue lifts, the maximal
+    ideals, the element list, the ideal list, the prime complements and
+    the free modules R^k) is cached on first use; caches only ever gain
+    entries, so sharing an instance across threads is safe for readers.
+    Only the element list and what is built from it are bound by
+    MAX_ENUMERABLE.
     """
 
     def __init__(self, p: int, basis_labels, table, unit):
@@ -232,6 +233,7 @@ class FiniteAlgebra:
         self._fixed = None
         self._idempotents = None
         self._block_dims = None
+        self._lifts = None
         self._maximals = None  # key -> (P_i, e_i), filled by _maximal_table
         self._ideal_list = None
         self._elements = None
@@ -402,27 +404,33 @@ class FiniteAlgebra:
             The nonzero squares are not invariant under a nonzero shift,
             so for c_i != c_j some a in F_p separates e_i from e_j; a = 0,
             1, ... is tried in turn until one splits f.
-        The order of the rows is fixed by the basis of E.  The split is
-        checked by its count of parts as it goes, and at the end for m
-        nonzero orthogonal idempotents that sum to 1 (_primitive), and
-        raises InternalInvariantViolation when either fails.  When
-        dim R - dim rad R = 1, R / rad R = F_p: R is local, its one
-        idempotent is 1, and E is not computed.  Cached on the ring.
+        The order of the rows is fixed by the basis of E.  The split stops
+        once it holds dim E parts: a sound one splits none of them further,
+        so each pass left would only reverse their order, and the order is
+        reversed once for each.  The result is checked for m = dim E
+        nonzero orthogonal idempotents that sum to 1 (_primitive), which
+        are then the primitive ones, and InternalInvariantViolation is
+        raised when it fails.  When dim R - dim rad R = 1, R / rad R = F_p:
+        R is local, its one idempotent is 1, and E is not computed.  Cached
+        on the ring.
         """
         if self._idempotents is None and self.dim - self.radical_basis().shape[1] == 1:
             self._idempotents = self.unit[None].copy()
         if self._idempotents is None:
             p, fixed = self.p, self._frobenius_fixed()
+            m = fixed.shape[1]
             fault = InternalInvariantViolation(
                 "the split of the Frobenius fixed space is not %d orthogonal "
-                "idempotents summing to 1" % fixed.shape[1])
+                "idempotents summing to 1" % m)
             parts = [self.unit]
-            for b in fixed.T:
+            for used, b in enumerate(fixed.T, start=1):
                 done, todo = [], parts
                 while todo:
-                    # a sound split never holds more than dim E parts
-                    if len(done) + len(todo) > fixed.shape[1]:
-                        raise fault
+                    if len(done) + len(todo) == m:
+                        # dim E parts: a sound split splits none of them,
+                        # so this pass would only reverse those left
+                        done += todo[::-1]
+                        break
                     f = todo.pop()
                     g = self._splitting_idempotent(f, b)
                     if g is None:
@@ -430,6 +438,10 @@ class FiniteAlgebra:
                     else:
                         todo += [g, (f - g) % p]
                 parts = done
+                if len(parts) == m:
+                    # and each basis vector of E left would reverse them all
+                    parts = parts[::-1] if (m - used) % 2 else parts
+                    break
             found = np.array(parts, dtype=np.int64)
             if not self._primitive(found):
                 raise fault
@@ -458,6 +470,37 @@ class FiniteAlgebra:
                     "dimensions %s" % (dims.tolist(), residues.tolist()))
             self._block_dims = (dims, residues)
         return self._block_dims
+
+    def residue_lifts(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(L, k): the rows of L are, block after block, a lift L_i of an
+        F_p-basis of the residue field e_i R / e_i rad R, e_i first, and k
+        holds the block sizes |L_i| = k_i.
+
+        R / rad R is the product of the m residue fields, so when
+        dim R - dim rad R = m every k_i is 1 and L is primitive_idempotents
+        itself.  Otherwise L_i is e_i and the columns e_i e_j that leave
+        e_i rad R and the columns before them; |L_i| other than
+        block_dimensions' k_i raises InternalInvariantViolation.  Cached
+        on the ring.
+        """
+        if self._lifts is None:
+            p, rad, idems = self.p, self.radical_basis(), self.primitive_idempotents()
+            if self.dim - rad.shape[1] == len(idems):
+                self._lifts = (idems, (1,) * len(idems))
+            else:
+                _, residues = self.block_dimensions()
+                mults = self.products(idems, np.eye(self.dim, dtype=np.int64)).transpose(0, 2, 1)
+                lifts = []
+                for e, mult, k in zip(idems, mults, residues):
+                    cols = np.hstack([e[:, None], mult])
+                    picks = gfmat.columns_outside_span(mult @ rad % p, cols, p)
+                    if len(picks) != k or picks[0] != 0:
+                        raise InternalInvariantViolation(
+                            "a residue field of dimension %d has a lifted basis of "
+                            "%d elements" % (k, len(picks)))
+                    lifts.append(cols[:, picks].T)
+                self._lifts = (np.vstack(lifts), tuple(int(k) for k in residues))
+        return self._lifts
 
     def _primitive(self, found: np.ndarray) -> bool:
         """Whether the rows are dim E nonzero idempotents, pairwise
@@ -495,13 +538,12 @@ class FiniteAlgebra:
         every module K.
         """
         if self._radical_gens is None:
-            rad = self.radical_basis()
+            p, d, rad = self.p, self.dim, self.radical_basis()
             k = rad.shape[1]
-            # column (a, b) of squares is rad_a * rad_b
-            left = np.tensordot(rad.T, self.table, 1) % self.p
-            squares = np.tensordot(left, rad, axes=(1, 0)) % self.p
-            squares = squares.transpose(1, 0, 2).reshape(self.dim, k * k)
-            self._radical_gens = rad[:, gfmat.columns_outside_span(squares, rad, self.p)]
+            # left[a, j] = rad_a * e_j; column (a, b) of squares is rad_a * rad_b
+            left = (rad.T @ self.table.reshape(d, d * d) % p).reshape(k, d, d)
+            squares = (rad.T @ left % p).reshape(k * k, d).T
+            self._radical_gens = rad[:, gfmat.columns_outside_span(squares, rad, p)]
         return self._radical_gens
 
     def __repr__(self):

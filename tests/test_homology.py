@@ -653,11 +653,12 @@ class FpTopResolution(Resolution):
     """The "minimal" style before generators were picked block by block:
     the basis columns of K that leave rad K and the columns before them,
     an F_p-basis of K / rad K, one generator each.  Its levels are keyed
-    apart from the engine's in the content cache by a seed that style
-    never reads."""
+    apart from the engine's in the content cache by a style name of its
+    own."""
 
     def __init__(self, module):
-        super().__init__(module, "minimal", seed=-1)
+        super().__init__(module, "minimal")
+        self.style = "fp-top"
 
     def _generator_columns(self, host, basis, level):
         p, k = self.ring.p, basis.shape[1]
@@ -680,17 +681,21 @@ def block_rule_rings():
 
 
 def largest_block_top(mod):
-    """max_i dim e_i (K / rad K), from ranks of K's own action matrices:
-    dim e_i K - dim e_i rad K, with e_i rad K spanned by the columns of
-    e_i r over a basis r of rad R."""
+    """max_i mu_i, with mu_i = dim e_i (K / rad K) / k_i the dimension of
+    block i's top over its residue field, from ranks of K's own action
+    matrices: dim e_i K - dim e_i rad K, with e_i rad K spanned by the
+    columns of e_i r over a basis r of rad R."""
     ring, p = mod.ring, mod.ring.p
     rad = ring.radical_basis()
+    _, residues = ring.block_dimensions()
     tops = [0]
-    for e in ring.primitive_idempotents():
+    for e, k in zip(ring.primitive_idempotents(), residues):
         act = mod.action_of(e)
         moved = [act @ mod.action_of(rad[:, j]) % p for j in range(rad.shape[1])]
         below = gfmat.rank(np.hstack(moved), p) if moved else 0
-        tops.append(gfmat.rank(act, p) - below)
+        top = gfmat.rank(act, p) - below
+        assert top % k == 0
+        tops.append(top // k)
     return max(tops)
 
 
@@ -715,17 +720,33 @@ def test_ranks_are_the_largest_block_top_of_each_syzygy():
             for n in range(4):
                 assert res.rank(n) == largest_block_top(res.syzygy(n)), (ring, n)
         blocks[len(ring.primitive_idempotents()) > 1] += 1
-    assert blocks[True] >= 10 and blocks[False] >= 20, blocks
+        blocks["F_q"] += max(ring.block_dimensions()[1]) > 1
+    assert blocks[True] >= 10 and blocks[False] >= 20 and blocks["F_q"] == 3, blocks
+
+
+def test_a_field_with_four_elements_is_its_own_cover():
+    # F4 is a field, so R^1 -> R is the whole resolution of R; a block
+    # top over F4 takes one generator per F4-dimension, not two per
+    # F2-dimension
+    f4, with_t2, square = test_rings.f4_rings()
+    for ring in (f4, with_t2, square):
+        res = resolution(regular_module(ring))
+        assert [res.rank(n) for n in range(5)] == [1, 0, 0, 0, 0], ring
+    top = quotient_module(with_t2, with_t2.radical_basis().T.tolist())
+    res = resolution(top)
+    assert [res.rank(n) for n in range(5)] == [1] * 5
+    assert [ext(top, top, n).dim for n in range(4)] == [3, 1, 1, 1]
 
 
 def test_ext_is_the_same_from_every_cover_rule():
     # Ext^n for n <= 3 from the block rule, from the F_p-top rule and, on
     # rings of dimension at most 3, from "plain" (past that its ranks grow
-    # by a factor of dim R per level); on a local ring the two minimal
-    # rules give the same bytes
+    # by a factor of dim R per level); on a local ring with residue field
+    # F_p the two minimal rules give the same bytes
     compared = Counter()
     for ring, mods, target in block_rule_cases():
         local = len(ring.primitive_idempotents()) == 1
+        residue_fp = ring.residue_lifts()[1] == (1,)
         for mod in mods[1:]:
             res, old = resolution(mod), FpTopResolution(mod)
             for n in range(4):
@@ -734,7 +755,7 @@ def test_ext_is_the_same_from_every_cover_rule():
                 if ring.dim <= 3:
                     assert ext(mod, target, n, style="plain").dim == dim, (ring, n)
                     compared["plain"] += 1
-                if local:
+                if residue_fp:
                     assert same_bytes(res.boundary(n).matrix, old.boundary(n).matrix)
             compared["local" if local else "product"] += 1
     assert compared["plain"] >= 100 and compared["product"] >= 20, compared
@@ -756,7 +777,9 @@ def test_ext_cubed_of_the_residue_field_of_the_big_block():
 
 def test_a_cover_missing_one_block_is_caught(monkeypatch):
     # dropping the columns of the last block leaves that block of the
-    # syzygy uncovered, which the surjectivity check refuses
+    # syzygy uncovered, which the surjectivity check refuses; block i
+    # holds k_i columns per basis column of K, so the last block starts
+    # at (q - k_m) columns per basis column for q = k_1 + ... + k_m
     original = gfmat.columns_outside_span
     checked = 0
     for ring in block_rule_rings():
@@ -764,10 +787,12 @@ def test_a_cover_missing_one_block_is_caught(monkeypatch):
         if m == 1:
             continue
         ring.radical_generators()
+        sizes = ring.residue_lifts()[1]
+        q = sum(sizes)
 
         def drop_last_block(span, cols, p):
-            width = cols.shape[1] // m
-            return [c for c in original(span, cols, p) if c < (m - 1) * width]
+            last = cols.shape[1] // q * (q - sizes[-1])
+            return [c for c in original(span, cols, p) if c < last]
 
         clear_memo()
         with monkeypatch.context() as patch:
@@ -888,27 +913,52 @@ def test_cycle_module_matches_the_dense_cochain_module():
             assert same_bytes(hc.cycle_module(k, cols).actions, want.actions)
 
 
+def syzygy_key(res, k):
+    """What level k of res is computed from: M at level 0, else the rank
+    of F_{k-1} and the kernel columns there, with the seed and k for
+    "seeded-random"."""
+    if k == 0:
+        key = ("M",)
+    else:
+        kernel = res._kernels[k - 1]
+        key = (res.rank(k - 1), kernel.shape, kernel.tobytes())
+    return key + ((res.seed, k) if res.style == "seeded-random" else ())
+
+
+class LevelSpy:
+    """Records the index of every level Resolution builds."""
+
+    def __init__(self, monkeypatch):
+        self.levels = []
+        level = Resolution._level
+
+        def spy(res, host, basis, k):
+            self.levels.append(k)
+            return level(res, host, basis, k)
+
+        monkeypatch.setattr(Resolution, "_level", spy)
+
+
 @pytest.mark.parametrize("style", STYLES)
 def test_resolution_levels_are_shared_by_content(style, monkeypatch):
-    # a module object with the actions of one resolved before reuses its
-    # levels' arrays, around its own boundaries, syzygies and covers
-    levels = []
-    level = Resolution._level
-
-    def spy(self, host, basis, k):
-        levels.append(k)
-        return level(self, host, basis, k)
-
-    monkeypatch.setattr(Resolution, "_level", spy)
+    # a cold resolution builds one level per distinct syzygy key; a module
+    # object with the actions of one resolved before builds none and
+    # reuses its levels' arrays, around its own boundaries, syzygies and
+    # covers
+    levels = LevelSpy(monkeypatch).levels
     rng = random.Random("shared-levels:%s" % style)
     depth = 3
+    repeats = 0
     for _ in range(6):
         _, ring = rng.choice(bundled_rings())
         module = random_module(ring, rng)
         clear_memo()
         cold = Resolution(module, style, seed=4)
         cold.ensure(depth)
-        assert levels[-depth - 1:] == list(range(depth + 1))
+        keys = [syzygy_key(cold, k) for k in range(depth + 1)]
+        firsts = [k for k, key in enumerate(keys) if key not in keys[:k]]
+        assert levels[-len(firsts):] == firsts
+        repeats += depth + 1 - len(firsts)
         built = len(levels)
         twin = Module(ring, module.actions.copy())
         warm = Resolution(twin, style, seed=4)
@@ -923,11 +973,109 @@ def test_resolution_levels_are_shared_by_content(style, monkeypatch):
             assert warm.syzygy(1) is not cold.syzygy(1)
             assert same_bytes(warm.syzygy(1).actions, cold.syzygy(1).actions)
             assert warm.cover(1).target is warm.syzygy(1)
-        # another seed is another key, and a cleared memo recomputes
+        # the seed is in the key of "seeded-random" only, and a cleared
+        # memo recomputes
         Resolution(twin, style, seed=5).ensure(0)
         clear_memo()
         Resolution(twin, style, seed=4).ensure(0)
-        assert levels[built:] == [0, 0]
+        assert levels[built:] == ([0, 0] if style == "seeded-random" else [0])
+    # a "seeded-random" key holds its level index, so nothing repeats
+    assert (repeats == 0) == (style == "seeded-random"), repeats
+    clear_memo()
+
+
+def t4_residue_field():
+    """R/(t) over R = F2[t]/(t^4), whose minimal resolution has period 2:
+    the syzygies alternate between (t) and (t^3)."""
+    ring = truncated_polynomial(2, 4)
+    return quotient_module(ring, np.eye(4, dtype=np.int64)[1:].tolist())
+
+
+def test_a_periodic_resolution_builds_one_period(monkeypatch):
+    # K_1 = (t) comes back as K_3, so levels 3, 4, ... are levels 1, 2
+    levels = LevelSpy(monkeypatch).levels
+    clear_memo()
+    k = t4_residue_field()
+    res = resolution(k)
+    res.ensure(12)
+    assert levels == [0, 1, 2]
+    assert [res.rank(n) for n in range(13)] == [1] * 13
+    assert [res.syzygy(n).vdim for n in range(1, 13)] == [3, 1] * 6
+    for n in range(3, 13):
+        assert same_bytes(res.boundary(n).matrix, res.boundary(n - 2).matrix)
+    # and the ranks agree with Ext^n(k, k) = F2 in every degree
+    assert [ext(k, k, n).dim for n in range(8)] == [1] * 8
+    assert levels == [0, 1, 2]
+    clear_memo()
+
+
+def test_a_resolution_with_growing_ranks_shares_no_level(monkeypatch):
+    # the residue field of F2[x, y]/(x^2, y^2) = F2[C2 x C2]: the ranks
+    # grow, so no syzygy comes back and every level is built
+    levels = LevelSpy(monkeypatch).levels
+    clear_memo()
+    ring = group_algebra(2, [2, 2])
+    eye = np.eye(ring.dim, dtype=np.int64)
+    k = quotient_module(ring, [(eye[0] + eye[j]).tolist() for j in range(1, ring.dim)])
+    res = resolution(k)
+    res.ensure(4)
+    assert levels == [0, 1, 2, 3, 4]
+    assert [res.rank(n) for n in range(5)] == [1, 2, 3, 4, 5]
+    clear_memo()
+
+
+def test_seeded_random_levels_never_share(monkeypatch):
+    # its extra generators read the seed and the level index, so the
+    # periodic resolution of t4_residue_field builds every level, for
+    # every seed; a twin module with the same seed builds none
+    levels = LevelSpy(monkeypatch).levels
+    clear_memo()
+    k = t4_residue_field()
+    for seed in (0, 1):
+        Resolution(k, "seeded-random", seed).ensure(8)
+        assert levels[-9:] == list(range(9))
+    Resolution(Module(k.ring, k.actions.copy()), "seeded-random", 1).ensure(8)
+    assert len(levels) == 18
+    clear_memo()
+
+
+def deep_walk_rings():
+    """The rings perfbench's fp_deep_walks resolves over, F2[x, y]/(x^2,
+    y^2) as F2[C2 x C2]."""
+    return [truncated_polynomial(2, 4), truncated_polynomial(3, 3), group_algebra(2, [2, 2]),
+            direct_product(prime_field(2), truncated_polynomial(2, 2)),
+            direct_product(truncated_polynomial(2, 3), truncated_polynomial(2, 2))]
+
+
+def test_shared_levels_match_levels_built_alone(monkeypatch):
+    # a resolution grown one level at a time with the memo cleared in
+    # between shares nothing; one grown at once reuses every repeated
+    # syzygy, and must hold the same bytes
+    levels = LevelSpy(monkeypatch).levels
+    rng = random.Random("levels-alone")
+    rings = [ring for _, ring in bundled_rings()] + deep_walk_rings()
+    shared = Counter()
+    for ring in rings:
+        top = quotient_module(ring, ring.radical_basis().T.tolist())
+        mods = [top, regular_module(ring)] + [random_module(ring, rng) for _ in range(3)]
+        for mod in mods:
+            for style in STYLES:
+                # plain ranks grow by a factor of dim R per level
+                depth = 2 if style == "plain" else 6
+                alone = Resolution(mod, style, seed=1)
+                for n in range(depth + 1):
+                    clear_memo()
+                    alone.ensure(n)
+                clear_memo()
+                before = len(levels)
+                res = Resolution(twin(mod), style, seed=1)
+                res.ensure(depth)
+                shared[style] += depth + 1 - (len(levels) - before)
+                for n in range(depth + 1):
+                    assert same_bytes(res.boundary(n).matrix, alone.boundary(n).matrix)
+                    assert same_bytes(res._kernels[n], alone._kernels[n])
+                    assert same_bytes(res._gens[n], alone._gens[n])
+    assert shared["minimal"] > 100 and shared["seeded-random"] == 0, shared
     clear_memo()
 
 

@@ -509,8 +509,9 @@ def test_structure_pass_checks_its_split(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", bad_split)
     with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
         split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
-    assert len(calls) > 1
-    # a split that never stops is cut off once it holds more than dim E parts
+    # the split stops at dim E = 2 parts, after the one bad split
+    assert len(calls) == 1
+    # a split that never stops is cut off once it holds dim E parts
     calls.clear()
 
     def endless(self, f, b):
@@ -522,6 +523,88 @@ def test_structure_pass_checks_its_split(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "_splitting_idempotent", endless)
     with pytest.raises(InternalInvariantViolation, match="orthogonal idempotents"):
         split_polynomial_ring(2, [0, 1], 2).primitive_idempotents()
+
+
+def oracle_primitive_idempotents(ring):
+    """The split before it stopped at dim E parts: every basis vector of
+    E tries every part, on a copy of ring with nothing cached."""
+    fresh = FiniteAlgebra._lawful(ring.p, ring.basis_labels, ring.table, ring.unit)
+    parts = [fresh.unit]
+    for b in fresh._frobenius_fixed().T:
+        done, todo = [], parts
+        while todo:
+            f = todo.pop()
+            g = fresh._splitting_idempotent(f, b)
+            if g is None:
+                done.append(f)
+            else:
+                todo += [g, (f - g) % ring.p]
+        parts = done
+    return np.array(parts, dtype=np.int64)
+
+
+def oracle_radical_generators(ring):
+    """radical_generators with its squares from two tensordots."""
+    rad = ring.radical_basis()
+    k = rad.shape[1]
+    left = np.tensordot(rad.T, ring.table, 1) % ring.p
+    squares = np.tensordot(left, rad, axes=(1, 0)) % ring.p
+    squares = squares.transpose(1, 0, 2).reshape(ring.dim, k * k)
+    return rad[:, gfmat.columns_outside_span(squares, rad, ring.p)]
+
+
+def structure_pass_rings():
+    """The pool, the F4 rings, dense split rings at p = 2, 3, 5 and group
+    algebras, local and not."""
+    return [ring for _, ring in bundled_rings()] + f4_rings() + [
+        split_polynomial_ring(2, [0, 1], 2), split_polynomial_ring(3, [0, 1], 2),
+        split_polynomial_ring(3, [0, 1, 2], 1), split_polynomial_ring(5, [0, 1, 4], 1),
+        group_algebra(2, [2, 2]), group_algebra(2, [2, 2, 2]), group_algebra(2, [4, 2]),
+        group_algebra(3, [3, 3]), group_algebra(2, [3]), group_algebra(3, [2]),
+        group_algebra(5, [4]), group_algebra(2, [5])]
+
+
+def test_the_stopped_split_keeps_the_rows_and_their_order():
+    split = 0
+    for ring in structure_pass_rings():
+        fresh = FiniteAlgebra._lawful(ring.p, ring.basis_labels, ring.table, ring.unit)
+        got = fresh.primitive_idempotents()
+        if fresh.dim - fresh.radical_basis().shape[1] > 1:
+            want = oracle_primitive_idempotents(ring)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), ring
+            split += len(got) > 1
+        assert got.tobytes() == ring.primitive_idempotents().tobytes()
+    assert split >= 12, split
+
+
+def test_radical_generators_by_matmul_match_the_tensordots():
+    for ring in structure_pass_rings() + oracle_rings():
+        got, want = ring.radical_generators(), oracle_radical_generators(ring)
+        assert got.dtype == want.dtype and got.shape == want.shape, ring
+        assert got.tobytes() == want.tobytes(), ring
+
+
+def test_residue_lifts_are_bases_of_the_residue_fields():
+    # L_i lies in e_i R, starts with e_i, and maps onto an F_p-basis of
+    # e_i R / e_i rad R; when every k_i is 1, L is the idempotents
+    wide = 0
+    for ring in structure_pass_rings() + oracle_rings():
+        p, rad = ring.p, ring.radical_basis()
+        lifts, sizes = ring.residue_lifts()
+        idems = ring.primitive_idempotents()
+        assert sizes == tuple(ring.block_dimensions()[1].tolist())
+        if sizes == (1,) * len(sizes):
+            assert lifts is idems
+            continue
+        wide += 1
+        ends = np.cumsum(sizes)
+        for e, size, end in zip(idems, sizes, ends):
+            block = lifts[end - size:end]
+            assert np.array_equal(block[0], e)
+            assert np.array_equal(ring.products(block, e[None])[:, 0], block)
+            below = ring.products(e[None], rad.T)[0].T
+            assert gfmat.rank(np.hstack([below, block.T]), p) == gfmat.rank(below, p) + size
+    assert wide >= 4, wide
 
 
 def test_radical_and_cap_above_the_enumeration_limit():
