@@ -13,7 +13,7 @@ connecting map itself, so it decides too.
 Trial seeds derive from the master seed as "<seed>:<entry>:<index>", so
 any single trial replays in isolation.  Reports are deterministic
 functions of (entry, seed, trials, caps); expensive per-(ring, multset)
-aggregates are memoized, and resolution levels and split systems are
+aggregates are memoized, and resolution levels and split sections are
 cached by content (modules._content_cached), which changes timing only.
 The memo is the one object modules._memo.  Wall time is kept
 on the report object but stays out of the JSON so artifacts are
@@ -151,7 +151,7 @@ class _Config:
 
 def clear_memo() -> None:
     """Forget every memoized sweep block, every content cache (the
-    resolution levels, split systems and Ext groups of
+    resolution levels, split sections and Ext groups of
     modules._content_cached) and the Smith forms of zmodules._structure,
     as a fresh process starts."""
     _memo.clear()

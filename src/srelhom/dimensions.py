@@ -46,11 +46,29 @@ e_S M is projective exactly when a free cover C: F ->> M splits at e_S: a
 section of e_S F ->> e_S M composed with e_S is a map psi with
 C . psi = e_S Id, and such a psi makes e_S M a summand of e_S F.  The
 counts come first.  Only when they answer 0 is a cover built (and, for
-S-id, the cocover) and the split system solved, to build the section
-they then promise; a 0 answer without one is an engine fault and raises.
-Every split map is re-verified before it is returned.  An infinite
-answer builds no cover, dual cover or cocover; the failed witness
-carries the block counts.
+S-id, the cocover) and the section they promise built by one solve;
+a 0 answer without one is an engine fault and raises.  Every split map
+is re-verified before it is returned.  An infinite answer builds no
+cover, dual cover or cocover; the failed witness carries the block
+counts.
+
+The section needs no kernel of C.  The minimal cover C: R^r ->> M
+(homology.Resolution) lifts, on each block i, an (e_i R/e_i J)-basis of
+N_i/JN_i of mu_i elements, and generator t is the sum of the t-th lifts,
+so e_i C(1_t) is the t-th lift of block i for t < mu_i and 0 otherwise.
+Let f_t be the sum of the e_i, i in I_S, with e_i C(1_t) != 0, and
+Q = sum of the f_t R 1_t in R^r, the direct sum over i in I_S of
+R_i^mu_i.  C maps Q onto e_S M: on block i it sends R_i^mu_i onto the
+submodule of N_i the lifts generate, which is N_i by Nakayama.  When
+the counts answer 0, dim N_i = mu_i d_i = dim R_i^mu_i, so that onto map
+is an isomorphism, and psi = (C restricted to Q)^-1 . e_S is R-linear
+with C . psi = e_S Id (Anderson-Fuller, Rings and Categories of Modules,
+section 27: mu_i generators of a free R_i-module of rank mu_i are a
+basis).  C f_t 1_t = e_S C(1_t), so C P_Q = e_S C for the projection
+P_Q onto Q; psi is P_Q Y for a solution Y of e_S C Y = e_S Id, one
+solve with dim M rows, whose rank must be dim Q: the check that C is
+injective on Q, which a cover that is not minimal, or counts that lie,
+fail (_section).
 
 The same reduction decides the S-global dimension in closed form: it is
 the global dimension of e_S R, which is Artinian, so it is 0 when e_S R
@@ -98,12 +116,9 @@ from .modules import (
     SIsoWitness,
     _content_cached,
     _content_key,
-    _hom_block_matrix,
     _require_s_exact,
     character_dual,
     dual_map,
-    free_map_from_generator_images,
-    free_module,
     is_s_isomorphism,
 )
 from .homology import _require_one_ring, core_connecting_map, injective_cocover, resolution
@@ -224,10 +239,13 @@ class SplitWitness:
     pi . pi' = s Id_P.  kind "retraction": cover is iota: E -> I and
     mapping is q: I -> E with q . iota = s Id_E.  The one element tried
     is e_S (module docstring): a success has s = e_S and nothing in
-    attempted.  A failure of the block counts builds no cover:
-    cover, s and mapping are None, attempted = (e_S,) and counts holds
-    the BlockCounts of the failing block, which certify that no s in S
-    splits.
+    attempted.  A section of the minimal cover C is the one with image
+    in Q, which C maps onto e_S P isomorphically by Nakayama once the
+    counts answer 0 (module docstring); a retraction is the transposed
+    section of the cover of DE.  A failure of the block counts builds no
+    cover: cover, s and mapping are None, attempted = (e_S,) and counts
+    holds the BlockCounts of the failing block, which certify that no s
+    in S splits.
     """
 
     kind: str
@@ -270,22 +288,35 @@ def _require_verified(witness: SplitWitness) -> SplitWitness:
 
 
 def _split_search(cover: ModuleMap, s_set: MultSet) -> SplitWitness:
-    """The section psi of the free cover C: F ->> X with C . psi = e_S Id_X,
-    re-verified.
+    """The section psi of the minimal free cover C: F ->> X with
+    C . psi = e_S Id_X, re-verified.
 
     The caller has decided by the block counts that e_S X is projective
     (is_s_projective); this builds the section they promise.  When X = 0,
     every s splits; when 0 is in S, e_S = 0 lies in every ideal.  Either
     way the answer is e_S with the zero map and no system is solved.
-    Otherwise _split_system solves for psi, and raises when e_S does not
-    split, so a caller that skipped the counts fails loudly.
+    Otherwise _section inverts C on Q = sum of the f_t R 1_t, which C
+    maps isomorphically onto e_S X exactly when the counts are right and
+    C is minimal (module docstring).  It raises when they are not, so a
+    caller that skipped the counts, or a cover that is not minimal,
+    fails loudly.
     """
     _require_same_ring(cover.ring, s_set)
     s = s_set.idempotent
     if cover.target.vdim == 0 or s_set.degenerate:
         return _require_verified(SplitWitness(
             "section", cover, s, ModuleMap.zero(cover.target, cover.source)))
-    return _require_verified(_split_system(cover, s))
+    return _require_verified(_section(cover, s))
+
+
+def _support(ring: FiniteAlgebra, s: RingElement) -> list[int]:
+    """I_S for s = e_S: the blocks i with e_i e_S = e_i, all of them when
+    e_S = 1."""
+    idems = ring.primitive_idempotents()
+    if np.array_equal(s.array, ring.unit):
+        return list(range(len(idems)))
+    parts = ring.products(idems, s.array[None])[:, 0]
+    return [i for i in range(len(idems)) if np.array_equal(parts[i], idems[i])]
 
 
 def _projective_at(module: Module, s: RingElement) -> BlockCounts | None:
@@ -302,14 +333,10 @@ def _projective_at(module: Module, s: RingElement) -> BlockCounts | None:
     p, n = ring.p, module.vdim
     idems = ring.primitive_idempotents()
     dims, residues = ring.block_dimensions()
-    blocks = range(len(idems))
-    if not np.array_equal(s.array, ring.unit):
-        parts = ring.products(idems, s.array[None])[:, 0]
-        blocks = [i for i in blocks if np.array_equal(parts[i], idems[i])]
     gens = ring.radical_generators()
     stack = (gens.T @ module.actions.reshape(ring.dim, n * n) % p).reshape(-1, n, n)
     stack = stack.transpose(1, 0, 2).reshape(n, -1)
-    for i in blocks:
+    for i in _support(ring, s):
         if len(idems) == 1:
             size, radical = n, gfmat.rank(stack, p)
         else:
@@ -326,62 +353,50 @@ def _projective_at(module: Module, s: RingElement) -> BlockCounts | None:
     return None
 
 
-def _split_system(cover: ModuleMap, s: RingElement) -> SplitWitness:
-    """The section of C = cover: F ->> X at s = e_S, which the counts
-    promised.
+def _section(cover: ModuleMap, s: RingElement) -> SplitWitness:
+    """The section psi = (C restricted to Q)^-1 . e_S of the minimal cover
+    C: R^r ->> X at s = e_S, which the counts promised (module docstring).
 
-    psi is solved for through the presentation: it is Phi . L for a right
-    inverse L of C, where Phi: F -> F sends generator j to y_j and kills
-    Ker C.  Then C . psi = s Id_X exactly when C y_j = s C(1_j) for every
-    j.  The unknowns are the r images y_j; the right-hand sides are those
-    of s = e_i, so s splits exactly when W @ s = 0 for the residual W,
-    with images Y @ s.  C is R-linear, so e_i C(1_j) = C(e_i 1_j) is
-    column (j, i) of C.  Ker C and L come from one more elimination, of
-    [C | I]; modules owns the R^r layout of Phi and the kernel rows.
+    C P_Q = e_S C for the projection P_Q onto Q, so psi = P_Q Y for a
+    solution Y of e_S C Y = e_S Id_X: one solve of dim X rows.  Its rank
+    is dim C(Q), so the system is consistent with rank dim Q exactly when
+    C maps Q isomorphically onto e_S X; a cover that is not minimal, or
+    counts that lie, fail that and raise.
 
-    The elimination reads the ring and C only, so its residual W,
-    solutions Y and right inverse L are computed once per distinct
-    content (modules._content_cached); the witness is built on the
-    caller's own cover.  A residual that blocks s contradicts the counts
-    and raises.
+    psi reads the ring, C and e_S only (C is R-linear and onto, so it
+    fixes the action of e_S on X), so it is computed once per distinct
+    (ring content, C, e_S) (modules._content_cached); the witness is
+    built on the caller's own cover.
     """
     ring, pres = cover.ring, cover.matrix
-    p, n_f = ring.p, pres.shape[1]
-    residual, ys, right_inv = _content_cached(
-        ("split", ring.content, *_content_key(pres)),
-        lambda: _split_elimination(ring, pres))
-    if (residual @ s.array % p).any():
-        raise InternalInvariantViolation(
-            "the counts make e_S M projective but e_S does not split the cover")
-    free = free_module(ring, n_f // ring.dim)
-    images = (ys @ s.array % p).reshape(-1, n_f).T
-    psi = (free_map_from_generator_images(free, free, images).matrix @ right_inv) % p
+    (psi,) = _content_cached(
+        ("split", ring.content, *_content_key(pres, s.array)),
+        lambda: (_section_matrix(ring, pres, cover.target.action_of(s), s),))
     return SplitWitness("section", cover, s, ModuleMap(cover.target, cover.source, psi))
 
 
-def _split_elimination(ring: FiniteAlgebra,
-                       pres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, Y, L) of the split system of C = pres: F ->> X (_split_system)."""
+def _section_matrix(ring: FiniteAlgebra, pres: np.ndarray, scale: np.ndarray,
+                    s: RingElement) -> np.ndarray:
+    """psi of _section, for C = pres: R^r ->> X and scale = e_S Id_X.
+
+    Q is the sum of the f_t R 1_t, f_t the sum of the e_i, i in I_S, with
+    C(e_i 1_t) != 0, which is column block t of C times e_i; so
+    dim Q = sum over t of the d_i in f_t.
+    """
     p, d = ring.p, ring.dim
-    n_x, n_f = pres.shape
-    r = n_f // d
-    kernel, right_inv = gfmat.kernel_and_right_inverse(pres, p)
-    if right_inv is None:
-        raise InternalInvariantViolation("split search cover is not onto")
-    m = kernel.shape[1]
-    top = m * n_f
-    # Phi kills the kernel: sum_j k_j y_j = 0 for each kernel vector k,
-    # whose ring coordinates k_j sit in block j.  Below them, r diagonal
-    # copies of C state C y_j = s C(1_j); column i is the one of s = e_i,
-    # and e_i C(1_j) = C(e_i 1_j) is column (j, i) of C.
-    coeff = np.zeros((top + r * n_x, r * n_f), dtype=np.int64)
-    coeff[:top] = _hom_block_matrix(free_module(ring, r), kernel.T.reshape(m, r, d))
-    hits = coeff[top:].reshape(r, n_x, r, n_f)
-    hits[range(r), :, range(r), :] = pres
-    rhs = np.zeros((top + r * n_x, d), dtype=np.int64)
-    rhs[top:] = pres.reshape(n_x, r, d).transpose(1, 0, 2).reshape(r * n_x, d)
-    residual, ys = gfmat.solve_span(coeff, rhs, p)
-    return residual, ys, right_inv
+    n, r = pres.shape[0], pres.shape[1] // d
+    support = _support(ring, s)
+    idems = ring.primitive_idempotents()[support]
+    hits = (pres.reshape(n, r, d) @ idems.T % p).any(axis=0).astype(np.int64)
+    size = int((hits @ ring.block_dimensions()[0][support]).sum())
+    residual, y = gfmat.solve_span(scale @ pres % p, scale, p)
+    if residual.any() or n - len(residual) != size:
+        raise InternalInvariantViolation(
+            "the counts make e_S X projective but e_S does not split the cover "
+            "on Q: e_S C has rank %d, Q has dimension %d" % (n - len(residual), size))
+    # block t of P_Q Y is f_t times block t of Y; mults[t, b] = f_t b_b
+    mults = (hits @ idems % p @ ring.table.reshape(d, d * d) % p).reshape(r, d, d)
+    return (mults.transpose(0, 2, 1) @ y.reshape(r, d, n) % p).reshape(r * d, n)
 
 
 def is_s_projective(module: Module, s_set: MultSet) -> SplitWitness:

@@ -31,13 +31,13 @@ W @ c = 0, W the b-block below the pivots, and its canonical solution
 the pivot columns.  So a question whose right-hand side is linear in s
 takes the d basis elements of R as right-hand sides, whatever the size
 of S: the s that answer it form ker W.  solve_each is the case c = e_k,
-and solve its all-or-nothing wrapper.  Two
-routines read more than one answer off a single rref of [a | I]:
-kernel_and_right_inverse(a, p) -> (K, L) is nullspace(a, p) together
-with solve(a, I, p), and complete_span(cols, p) -> (B, D, E) is a basis of
-the column span, its completion and the inverse of both.  One routine
-reads coordinates without an elimination: nullspace_coordinates against
-a basis nullspace returned, whose free rows are an identity block.
+and solve its all-or-nothing wrapper.  W has one row per row of a
+outside the pivots, so a caller also reads rank(a) off it.  One routine
+reads more than one answer off a single rref of [cols | I]:
+complete_span(cols, p) -> (B, D, E) is a basis of the column span, its
+completion and the inverse of both.  One routine reads coordinates
+without an elimination: nullspace_coordinates against a basis nullspace
+returned, whose free rows are an identity block.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "solve",
     "solve_span",
     "solve_each",
-    "kernel_and_right_inverse",
     "column_space",
     "columns_outside_span",
     "in_column_span",
@@ -207,25 +206,6 @@ def _kernel(rows: list[list[int]], pivots: list[int], ncols: int,
     for j, unit in zip(free, _unit_rows(len(free))):
         basis[j] = unit
     return _array(basis, ncols, len(free))
-
-
-def kernel_and_right_inverse(a: np.ndarray,
-                             p: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(nullspace(a, p), solve(a, identity, p)) from one rref of [a | I].
-
-    The row operations depend on a only, so the left block is rref(a) and
-    gives the canonical kernel.  The right inverse is solve_span's X
-    for b = I.  Rows below the pivots are rows of an invertible matrix in
-    the I block, never zero, so a right inverse exists exactly when every
-    row holds a pivot; it is None otherwise.
-    """
-    nrows, ncols = a.shape
-    rows = [row + unit for row, unit in zip(_rows(a, p), _unit_rows(nrows))]
-    pivots = _eliminate(rows, p, ncols)
-    kernel = _kernel(rows, pivots, ncols, p)
-    if len(pivots) < nrows:
-        return kernel, None
-    return kernel, _solution(rows, pivots, ncols, nrows)
 
 
 def solve_span(a: np.ndarray, b: np.ndarray,

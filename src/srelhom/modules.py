@@ -50,13 +50,13 @@ _hom_block_matrix acts by a matrix of ring entries on copies of a module.
 The process-wide memo lives here, in the lowest layer that homology and
 dimensions share; checks.clear_memo() empties it.  Besides the registry's
 blocks it holds one sub-entry of content caches (_content_cached), with
-three users: the levels of free resolutions, the eliminations of the
-split systems that certify S-splittings, and Ext groups over a
-Resolution, each computed once per distinct input and keyed by the
-ring's content and the bytes of the arrays the computation reads (for a
-resolution level, the syzygy and its host, not the module resolved).  They
-hold read-only arrays only, never rings, modules or maps, so every
-caller still builds its own objects around them.
+three users: the levels of free resolutions, the sections that certify
+S-splittings, and Ext groups over a Resolution, each computed once per
+distinct input and keyed by the ring's content and the bytes of the
+arrays the computation reads (for a resolution level, the syzygy and its
+host, not the module resolved).  They hold read-only arrays only, never
+rings, modules or maps, so every caller still builds its own objects
+around them.
 """
 
 from __future__ import annotations
@@ -141,7 +141,9 @@ def _content_cached(key: tuple, build) -> tuple:
     entry per distinct syzygy: keyed by the host, M's actions at level 0
     and the rank r of R^r above it, and the syzygy's basis there, so a
     periodic resolution makes one period of entries), "split"
-    (dimensions._split_elimination) and "ext"
+    (dimensions._section, one entry psi per distinct cover C and e_S,
+    so two multiplicative sets with different e_S on one cover make two)
+    and "ext"
     (homology.ExtResult, one entry per resolution key, target and
     degree, made on the first read of an Ext result's module, cycle
     basis, proj or reps; reading only its dim makes none).  key is

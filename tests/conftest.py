@@ -39,6 +39,19 @@ def inverse(a, p):
     return gfmat._array([row[n:] for row in rows], n, n)
 
 
+def kernel_and_right_inverse(a, p):
+    """(nullspace(a, p), solve(a, I, p)) from one rref of [a | I], the
+    kernel and right inverse the split system once took: the right
+    inverse is None unless every row of a holds a pivot."""
+    nrows, ncols = a.shape
+    rows = [row + unit for row, unit in zip(gfmat._rows(a, p), gfmat._unit_rows(nrows))]
+    pivots = gfmat._eliminate(rows, p, ncols)
+    kernel = gfmat._kernel(rows, pivots, ncols, p)
+    if len(pivots) < nrows:
+        return kernel, None
+    return kernel, gfmat._solution(rows, pivots, ncols, nrows)
+
+
 def product_ring():
     """F_2 x F_2[t]/(t^2) on basis e1, e2, f with f = (0, t)."""
     return direct_product(prime_field(2), truncated_polynomial(2, 2),

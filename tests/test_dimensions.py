@@ -543,10 +543,13 @@ def test_product_ring_classical_dimension_beyond_bound(ring2, s_one):
 def test_audit_exceedance_raises(monkeypatch, ring2, s_one):
     # a radical wrongly reported as 0 makes the closed form claim S-gl.dim
     # 0, and the block counts claim a residue field of dimension 2 on the
-    # block F_2[t]/(t^2); the first sampled module with a part of
-    # dimension 1 there exposes it, before any S-gl.dim comparison
+    # block F_2[t]/(t^2), so they answer 0 on every module whose part there
+    # has even dimension.  A cover picked against that radical is not
+    # minimal, and the first section finds it not injective on Q, before
+    # any S-gl.dim comparison and before a part of dimension 1 breaks the
+    # counts
     monkeypatch.setattr(ring2, "radical_basis", lambda: np.zeros((3, 0), dtype=np.int64))
-    with pytest.raises(InternalInvariantViolation, match="no quotient"):
+    with pytest.raises(InternalInvariantViolation, match="does not split the cover on Q"):
         s_gldim(ring2, s_one, trials=16, seed=1)
 
 
@@ -933,15 +936,16 @@ def test_generated_middle_free_triples_shift(ring2, s_e1):
 
 
 def _spy_eliminations(monkeypatch):
-    """Count the eliminations of split systems from here on: each is one
-    solve_span and one kernel_and_right_inverse.  The counts that decide
-    S-pd and S-id solve nothing."""
+    """Count the section solves from here on: each is one solve_span.  The
+    counts that decide S-pd and S-id solve nothing, and a resolution level
+    takes a nullspace."""
     calls = Counter()
-    for name in ("solve_span", "kernel_and_right_inverse"):
-        def spy(*args, _name=name, _real=getattr(gfmat, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(gfmat, name, spy)
+    real = gfmat.solve_span
+
+    def spy(*args):
+        calls["solve_span"] += 1
+        return real(*args)
+    monkeypatch.setattr(gfmat, "solve_span", spy)
     return calls
 
 
@@ -960,7 +964,7 @@ def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_o
     calls = _spy_eliminations(monkeypatch)
     twin = _twin(m2)
     first, second = s_pd(m2, s_e1), s_pd(twin, s_e1)
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 1}
     assert first.value == second.value == DimValue.exact(0)
     # the hit builds its witness on the caller's own cover
     assert first.certificate.certified_module() is m2
@@ -972,13 +976,13 @@ def test_equal_modules_share_one_split_elimination(monkeypatch, ring2, s_e1, s_o
     # another S is decided by the counts, which solve nothing, and its
     # failure solves no split system
     failed = s_pd(_twin(m2), s_one)
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 1}
     assert not failed.value.known and failed.levels[0].attempted == s_one.elements
     # a cleared memo solves both again
     clear_memo()
     third = _twin(m2)
     assert s_pd(third, s_e1).certificate.certified_module() is third
-    assert calls == {"solve_span": 2, "kernel_and_right_inverse": 2}
+    assert calls == {"solve_span": 2}
     clear_memo()
 
 
@@ -999,9 +1003,9 @@ def test_content_entries_name_the_ring_by_content(monkeypatch):
     gc.collect()
     assert first() is None
     assert modules._memo[modules._CONTENT].entries
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 1}
     second = ask()
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 1}
     gc.collect()
     assert second() is None
     clear_memo()
@@ -1009,7 +1013,7 @@ def test_content_entries_name_the_ring_by_content(monkeypatch):
 
 def test_s_id_runs_one_split_elimination(monkeypatch):
     # one route: the counts on DM decide and solve nothing, and only a 0
-    # answer solves DM's split system
+    # answer solves for the section of DM's cover
     rng = random.Random("one-elimination")
     answers = set()
     for _ in range(40):
@@ -1021,7 +1025,7 @@ def test_s_id_runs_one_split_elimination(monkeypatch):
         calls = _spy_eliminations(monkeypatch)
         got = s_id(module, s_set)
         known = got.value.known
-        assert calls["kernel_and_right_inverse"] == calls["solve_span"] == int(known)
+        assert calls == ({"solve_span": 1} if known else {})
         assert got.cross_check == got.value
         assert got.levels[0].certified_module() is module
         answers.add(known)
@@ -1037,9 +1041,30 @@ def test_two_multiplicative_sets_share_one_cover(monkeypatch, ring2, s_e1, s_one
     # the second set reads the same resolution level and solves only its
     # section
     assert s_pd(m2, s_e1).value.known
-    assert calls == {"solve_span": 1, "kernel_and_right_inverse": 1}
+    assert calls == {"solve_span": 1}
     names = Counter(key[0] for key in modules._memo[modules._CONTENT].entries)
     assert names == {"resolution": 1, "split": 1}
+    clear_memo()
+
+
+def test_one_section_entry_per_cover_and_e_s(monkeypatch, ring2, s_e1, s_one):
+    # R is free, so both sets answer 0 on it.  Equal covers with one e_S
+    # share the "split" entry psi; e_S = e1 and e_S = 1 on the one cover
+    # make two, each solved once
+    clear_memo()
+    calls = _spy_eliminations(monkeypatch)
+    reg = regular_module(ring2)
+    first, second = s_pd(reg, s_e1), s_pd(_twin(reg), s_e1)
+    assert first.certificate.cover.matrix.tobytes() == \
+        second.certificate.cover.matrix.tobytes()
+    entries = modules._memo[modules._CONTENT].entries
+    assert Counter(key[0] for key in entries) == {"resolution": 1, "split": 1}
+    assert calls == {"solve_span": 1}
+    (psi,) = next(value for key, value in entries.items() if key[0] == "split")
+    assert first.certificate.mapping.matrix.tobytes() == psi.tobytes()
+    assert s_pd(_twin(reg), s_one).value.known
+    assert Counter(key[0] for key in entries) == {"resolution": 1, "split": 2}
+    assert calls == {"solve_span": 2}
     clear_memo()
 
 
@@ -1049,8 +1074,10 @@ def test_cached_arrays_are_read_only(ring2, s_e1, m2):
     s_id(m2, s_e1)
     arrays = _content_arrays()
     res = resolution(m2)
+    # M and DM have equal 1 x 1 actions, so both answers share the
+    # resolution level's three arrays and the one section psi
     assert any(arr is res._kernels[0] for arr in arrays)
-    assert len(arrays) >= 5 and any(arr.size for arr in arrays)
+    assert len(arrays) == 4 and any(arr.size for arr in arrays)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr += 0
@@ -1082,7 +1109,7 @@ def test_content_budget_counts_the_ring_contents_its_keys_hold():
         assert s_pd(regular_module(ring), mult_closure(ring, [])).value.known
     store = modules._memo[modules._CONTENT]
     # the answers on M are infinite and build nothing; the copies of R
-    # share the one resolution level and split system of their 0 answer
+    # share the one resolution level and section of their 0 answer
     assert Counter(key[0] for key in store.entries) == {"resolution": 1, "split": 1}
     assert _reachable_bytes(store) > len(ring.table.tobytes())
     assert store.nbytes >= _reachable_bytes(store)

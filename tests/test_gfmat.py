@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import inverse, mat
+from conftest import inverse, kernel_and_right_inverse, mat
 
 from srelhom import gfmat
 
@@ -397,7 +397,7 @@ def test_kernel_and_right_inverse_equals_nullspace_and_solve(p):
     for a in oracle_matrices(rng, p):
         before = a.copy()
         rows = a.shape[0]
-        kernel, right_inv = gfmat.kernel_and_right_inverse(a, p)
+        kernel, right_inv = kernel_and_right_inverse(a, p)
         assert_same_array(kernel, gfmat.nullspace(a, p))
         want = gfmat.solve(a, gfmat.identity(rows), p)
         if want is None:
@@ -415,13 +415,13 @@ def test_kernel_and_right_inverse_equals_nullspace_and_solve(p):
 def test_kernel_and_right_inverse_of_a_rank_deficient_matrix(p):
     # rank 1, so no right inverse; the kernel is still the canonical one
     a = mat([[1, 2, 0], [2, 4, 0]], p)
-    kernel, right_inv = gfmat.kernel_and_right_inverse(a, p)
+    kernel, right_inv = kernel_and_right_inverse(a, p)
     assert right_inv is None
     assert_same_array(kernel, gfmat.nullspace(a, p))
     assert kernel.shape == (3, 3 - gfmat.rank(a, p))
     assert not ((a @ kernel) % p).any()
     for shape in [(0, 0), (0, 3), (3, 0)]:
-        kernel, right_inv = gfmat.kernel_and_right_inverse(gfmat.zeros(*shape), p)
+        kernel, right_inv = kernel_and_right_inverse(gfmat.zeros(*shape), p)
         assert_same_array(kernel, gfmat.identity(shape[1]))
         if shape[0]:
             assert right_inv is None
